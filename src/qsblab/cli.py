@@ -103,13 +103,18 @@ def _cmd_construct(args) -> int:
 
 
 def _load_instance(path: str) -> QsbInstance:
+    """Instance from a `construct` file, or the winner of an `optimize` file."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise _IoFailure(f"cannot read instance file {path}: {exc}") from exc
+    if isinstance(data, dict):
+        data = data.get("best_instance", data)
     try:
         return QsbInstance.from_json(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except QsbError:
+        raise  # parsed, but the instance breaks an invariant: exit 4, not 3
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _IoFailure(f"instance file {path} is malformed: {exc}") from exc
 
 
@@ -181,7 +186,6 @@ def _config_from_args(args) -> OptimizeConfig:
         env_dim=args.env,
         restarts=args.restarts,
         max_iters=args.iters,
-        objective=args.objective,
         sample_spec=SampleSpec(haar_count=args.haar),
         seed=args.seed,
     )
@@ -225,7 +229,6 @@ def _cmd_sweep(args) -> int:
         d_c=args.dc,
         restarts=args.restarts,
         max_iters=args.iters,
-        objective=args.objective,
         sample_spec=SampleSpec(haar_count=args.haar),
         seed=args.seed,
     )
@@ -247,6 +250,17 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    # argparse reports a failed conversion as "invalid <function name> value"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--ds", type=int, required=True, help="source dimension")
     p.add_argument("--db", type=int, required=True, help="first private dimension")
@@ -255,9 +269,6 @@ def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--haar", type=int, default=200, help="Haar probe count")
-    p.add_argument(
-        "--objective", choices=("worst_case", "average"), default="worst_case"
-    )
     p.add_argument("--seed", type=int, default=42)
 
 
@@ -276,8 +287,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="measure the fidelity deficit of an instance")
-    p.add_argument("instance", help="instance JSON path")
-    p.add_argument("--samples", type=int, default=100, help="Haar probe count")
+    p.add_argument("instance", help="instance JSON path, or an optimize output file")
+    p.add_argument("--samples", type=_int_at_least(0), default=100, help="Haar probe count")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--chain", action="store_true", help="run the deficit-bound chain")
     p.add_argument(
@@ -294,8 +305,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("properties", help="randomized fidelity-inequality sweep")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dims", type=int, default=8, help="dimension cap per factor")
+    p.add_argument("--samples", type=_int_at_least(0), default=1000)
+    p.add_argument(
+        "--dims", type=_int_at_least(2), default=8, help="dimension cap per factor"
+    )
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_properties)
 

@@ -10,14 +10,12 @@ minimum re-measured on the returned instance.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channels import from_stinespring, validate_cpt
+from .channels import from_stinespring, to_stinespring, validate_cpt
 from .errors import InvariantViolation, TooLarge
 from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix, _as_rng
 from .qsb import QsbInstance, default_probe_states, measure_eps, perfect_qsb_construct
@@ -58,7 +56,6 @@ class OptimizeConfig:
     restarts: int = 16
     max_iters: int = 2000
     step_init: float = 0.5
-    objective: str = "worst_case"
     sample_spec: SampleSpec = field(default_factory=SampleSpec)
     seed: int = 42
     temp_init: float = 10.0
@@ -72,8 +69,6 @@ class OptimizeConfig:
             raise InvariantViolation("restarts and max_iters must be >= 1")
         if self.step_init <= 0.0:
             raise InvariantViolation("step_init must be positive")
-        if self.objective not in ("worst_case", "average"):
-            raise InvariantViolation(f"unknown objective {self.objective!r}")
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
             raise InvariantViolation(
@@ -168,12 +163,9 @@ def branch_values(
 
 
 def _soft_value_and_weights(
-    f_ab: np.ndarray, f_ac: np.ndarray, temp: float, objective: str
+    f_ab: np.ndarray, f_ac: np.ndarray, temp: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     n = f_ab.shape[0]
-    if objective == "average":
-        w = np.full(n, 0.5 / n)
-        return float((f_ab.sum() + f_ac.sum()) * 0.5 / n), w, w.copy()
     f = np.concatenate([f_ab, f_ac])
     m = f.min()
     e = np.exp(-temp * (f - m))
@@ -183,25 +175,19 @@ def _soft_value_and_weights(
     return value, w[:n], w[n:]
 
 
-def objective_value_and_grads(
-    u: np.ndarray,
-    vab: np.ndarray,
-    vac: np.ndarray,
+def _weighted_grads(
     psi_cols: np.ndarray,
-    dims4: tuple[int, int, int, int],
-    temp: float,
-    objective: str = "worst_case",
-):
-    """Smoothed objective and its conjugate-coordinate gradients.
+    cached: tuple[np.ndarray, ...],
+    w_ab: np.ndarray,
+    w_ac: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of sum_n w_ab[n] f_ab[n] + w_ac[n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
-    The gradients are with respect to conj(M), so a real perturbation of an
-    entry moves the objective by 2*Re(g) per unit and an imaginary one by
-    2*Im(g); that is the convention the finite-difference check uses.
+    `cached` is the contraction tuple `branch_values` returns for the point.
     """
-    d_a, d_b, d_c, d_e = dims4
+    t, pab, pac, wb, wc = cached
+    d_a, d_b, d_c, d_e, _ = t.shape
     d_s = psi_cols.shape[0]
-    f_ab, f_ac, (t, pab, pac, wb, wc) = branch_values(u, vab, vac, psi_cols, dims4)
-    value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp, objective)
     pc = psi_cols.conj()
     g_u = np.einsum("n,abn,cen,sn->abces", w_ab, pab, wb, pc) + np.einsum(
         "n,acn,ben,sn->abces", w_ac, pac, wc, pc
@@ -209,11 +195,29 @@ def objective_value_and_grads(
     g_vab = np.einsum("n,cen,abcen,sn->abs", w_ab, wb.conj(), t, pc)
     g_vac = np.einsum("n,ben,abcen,sn->acs", w_ac, wc.conj(), t, pc)
     return (
-        value,
         g_u.reshape(d_a * d_b * d_c * d_e, d_s),
         g_vab.reshape(d_a * d_b, d_s),
         g_vac.reshape(d_a * d_c, d_s),
     )
+
+
+def objective_value_and_grads(
+    u: np.ndarray,
+    vab: np.ndarray,
+    vac: np.ndarray,
+    psi_cols: np.ndarray,
+    dims4: tuple[int, int, int, int],
+    temp: float,
+):
+    """Smoothed objective and its conjugate-coordinate gradients.
+
+    The gradients are with respect to conj(M), so a real perturbation of an
+    entry moves the objective by 2*Re(g) per unit and an imaginary one by
+    2*Im(g); that is the convention the finite-difference check uses.
+    """
+    f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
+    value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
+    return (value, *_weighted_grads(psi_cols, cached, w_ab, w_ac))
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
@@ -281,7 +285,7 @@ def _run_restart(
     for it in range(config.max_iters):
         iters = it + 1
         temp = float(temps[it])
-        f_ab, f_ac, (t, pab, pac, wb, wc) = branch_values(u, vab, vac, psi_cols, dims4)
+        f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
         hard = float(min(f_ab.min(), f_ac.min()))
         max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
         if hard > best_hard:
@@ -290,14 +294,8 @@ def _run_restart(
         if best_hard >= 1.0 - 1e-9:
             break
 
-        value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp, config.objective)
-        pc = psi_cols.conj()
-        g_u = np.einsum("n,abn,cen,sn->abces", w_ab, pab, wb, pc) + np.einsum(
-            "n,acn,ben,sn->abces", w_ac, pac, wc, pc
-        )
-        g_u = g_u.reshape(u.shape)
-        g_vab = np.einsum("n,cen,abcen,sn->abs", w_ab, wb.conj(), t, pc).reshape(vab.shape)
-        g_vac = np.einsum("n,ben,abcen,sn->acs", w_ac, wc.conj(), t, pc).reshape(vac.shape)
+        value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
+        g_u, g_vab, g_vac = _weighted_grads(psi_cols, cached, w_ab, w_ac)
 
         xi_u = _tangent(u, g_u)
         xi_vab = _tangent(vab, g_vab)
@@ -320,7 +318,7 @@ def _run_restart(
             vab2 = _qr_positive(vab + trial * xi_vab)
             vac2 = _qr_positive(vac + trial * xi_vac)
             f_ab2, f_ac2, _ = branch_values(u2, vab2, vac2, psi_cols, dims4)
-            value2, _, _ = _soft_value_and_weights(f_ab2, f_ac2, temp, config.objective)
+            value2, _, _ = _soft_value_and_weights(f_ab2, f_ac2, temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
                 u, vab, vac = u2, vab2, vac2
                 step = trial
@@ -380,8 +378,7 @@ def optimize_qsb(
 
     Restart slots are filled first by the analytic perfect construction
     (when one exists), then by supplied warm starts, then by Haar-random
-    draws. Ties between restarts break toward the lower index, so thread
-    scheduling never changes the winner.
+    draws. Ties between restarts break toward the lower index.
     """
     lay_s = SpaceLayout([("S", config.d_s)])
     probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
@@ -410,17 +407,7 @@ def optimize_qsb(
         inits.append(_random_init(config, rng))
         idx += 1
 
-    threads = int(os.environ.get("QSBLAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda pair: _run_restart(config, psi_cols, pair[1], pair[0]),
-                    enumerate(inits),
-                )
-            )
-    else:
-        outcomes = [_run_restart(config, psi_cols, p, i) for i, p in enumerate(inits)]
+    outcomes = [_run_restart(config, psi_cols, p, i) for i, p in enumerate(inits)]
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)
@@ -492,7 +479,7 @@ def frontier_sweep(
             point0, cfg0 = prev
             inst0 = point0.best_instance
             params0 = (
-                _stinespring_matrix(inst0, cfg0.resolved_env),
+                to_stinespring(inst0.channel).matrix,
                 inst0.v_abs.matrix,
                 inst0.v_acs.matrix,
             )
@@ -514,18 +501,3 @@ def frontier_sweep(
         points.append(point)
         prev = (point, cfg)
     return points
-
-
-def _stinespring_matrix(instance: QsbInstance, env_dim: int) -> np.ndarray:
-    """Rebuild the S -> ABCE matrix with the env axis last and padded."""
-    ops = instance.channel.kraus_ops
-    if len(ops) > env_dim:
-        raise InvariantViolation(
-            f"instance needs env dim {len(ops)}, embedding offers {env_dim}"
-        )
-    d_out, d_s = ops[0].shape
-    u = np.zeros((d_out * env_dim, d_s), dtype=np.complex128)
-    view = u.reshape(d_out, env_dim, d_s)
-    for e, k in enumerate(ops):
-        view[:, e, :] = k
-    return u

@@ -67,6 +67,14 @@ def test_verify_unreadable_and_malformed(workdir, capsys):
     truncated = workdir / "trunc.json"
     truncated.write_text(json.dumps({"in": [["S", 2]]}))
     assert main(["verify", str(truncated)]) == 3
+    data = json.loads(_construct(workdir).read_text())
+    data["in"] = [["S", "two"]]  # non-numeric layout dimension
+    non_numeric = workdir / "non_numeric.json"
+    non_numeric.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(non_numeric)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed" in err
 
 
 def test_verify_invariant_breaking_instance(workdir, capsys):
@@ -97,6 +105,16 @@ def test_verify_chain_gating(workdir, capsys):
     assert report["all_satisfied"] is True
     assert report["checks"]
 
+    # an optimize output file is verified through its best_instance
+    dims = ["--ds", "3", "--da", "2", "--db", "2", "--dc", "2"]
+    budget = ["--restarts", "1", "--iters", "30", "--haar", "10"]
+    assert main(["optimize", *dims, *budget, "-o", "f.json"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "f.json", "--chain", "--samples", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "d_a 2" in out
+    assert "all_satisfied True" in out
+
 
 def test_threshold_exact_arithmetic(workdir, capsys):
     for d in (1, 2, 10, 10**21):
@@ -116,6 +134,28 @@ def test_properties_subcommand(workdir, capsys):
     assert code == 0
     assert "properties ok" in capsys.readouterr().out
     assert (workdir / "properties.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dims", "1"], ["--dims", "0"], ["--samples", "-1"]],
+)
+def test_properties_rejects_out_of_range_counts(workdir, capsys, flags):
+    assert main(["properties", *flags]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"qsblab properties: error: argument {flags[0]}")
+    assert not (workdir / "properties.manifest.json").exists()
+
+
+def test_verify_rejects_negative_samples(workdir, capsys):
+    path = _construct(workdir)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--samples", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "qsblab verify: error: argument --samples: must be >= 0, got -3"
+    assert not (workdir / "verify.manifest.json").exists()
 
 
 def test_optimize_writes_frontier(workdir, capsys):
