@@ -265,10 +265,9 @@ def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--ds", type=int, required=True, help="source dimension")
     p.add_argument("--db", type=int, required=True, help="first private dimension")
     p.add_argument("--dc", type=int, required=True, help="second private dimension")
-    p.add_argument("--env", type=int, default=None, help="environment dimension")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--haar", type=int, default=200, help="Haar probe count")
+    p.add_argument("--restarts", type=_int_at_least(1), default=16)
+    p.add_argument("--iters", type=_int_at_least(1), default=2000)
+    p.add_argument("--haar", type=_int_at_least(0), default=200, help="Haar probe count")
     p.add_argument("--seed", type=int, default=42)
 
 
@@ -315,6 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="search for the best instance at fixed dims")
     _add_opt_flags(p)
     p.add_argument("--da", type=int, required=True)
+    # a sweep sizes the environment per point (see frontier_sweep)
+    p.add_argument("--env", type=int, default=None, help="environment dimension")
     p.add_argument("-o", "--out", default="frontier.json")
     p.set_defaults(func=_cmd_optimize)
 

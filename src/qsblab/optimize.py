@@ -149,17 +149,23 @@ def branch_values(
     psi_cols: np.ndarray,
     dims4: tuple[int, int, int, int],
 ):
-    """Both receiver fidelities and the cached contractions for gradients."""
+    """Both receiver fidelities and the cached factors for gradients.
+
+    The probes enter only through P[s's, n] = conj(psi[s', n]) psi[s, n]. With
+    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s], W_B = K_B @ P and
+    f_AB[n] = sum_ce |W_B[ce, n]|^2; the C branch swaps U's B and C axes.
+    """
     d_a, d_b, d_c, d_e = dims4
-    n = psi_cols.shape[1]
-    t = (u @ psi_cols).reshape(d_a, d_b, d_c, d_e, n)
-    pab = (vab @ psi_cols).reshape(d_a, d_b, n)
-    pac = (vac @ psi_cols).reshape(d_a, d_c, n)
-    wb = np.einsum("abn,abcen->cen", pab.conj(), t)
-    wc = np.einsum("acn,abcen->ben", pac.conj(), t)
-    f_ab = np.einsum("cen,cen->n", wb, wb.conj()).real
-    f_ac = np.einsum("ben,ben->n", wc, wc.conj()).real
-    return f_ab, f_ac, (t, pab, pac, wb, wc)
+    d_s, n = psi_cols.shape
+    p = (psi_cols.conj()[:, None, :] * psi_cols[None, :, :]).reshape(d_s * d_s, n)
+    u_b = u.reshape(d_a * d_b, -1)
+    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
+    wb, wc = (
+        (v.conj().T @ ur).reshape(d_s, -1, d_s).transpose(1, 0, 2).reshape(-1, d_s * d_s) @ p
+        for v, ur in ((vab, u_b), (vac, u_c))
+    )
+    f_ab, f_ac = ((w.real**2 + w.imag**2).sum(axis=0) for w in (wb, wc))
+    return f_ab, f_ac, (dims4, u_b, u_c, vab, vac, p, wb, wc)
 
 
 def _soft_value_and_weights(
@@ -177,28 +183,25 @@ def _soft_value_and_weights(
 
 def _weighted_grads(
     psi_cols: np.ndarray,
-    cached: tuple[np.ndarray, ...],
+    cached: tuple,
     w_ab: np.ndarray,
     w_ac: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum_n w_ab[n] f_ab[n] + w_ac[n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
-    `cached` is the contraction tuple `branch_values` returns for the point.
+    `cached` is the factor tuple `branch_values` returns for the point. With
+    G_B = (W_B * w_ab) @ P^H as [ce, s', s], g_U[abce, s] = sum_s' V_AB[ab, s'] G_B
+    and g_VAB[ab, s'] = sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
     """
-    t, pab, pac, wb, wc = cached
-    d_a, d_b, d_c, d_e, _ = t.shape
+    (d_a, d_b, d_c, _), u_b, u_c, vab, vac, p, wb, wc = cached
     d_s = psi_cols.shape[0]
-    pc = psi_cols.conj()
-    g_u = np.einsum("n,abn,cen,sn->abces", w_ab, pab, wb, pc) + np.einsum(
-        "n,acn,ben,sn->abces", w_ac, pac, wc, pc
-    )
-    g_vab = np.einsum("n,cen,abcen,sn->abs", w_ab, wb.conj(), t, pc)
-    g_vac = np.einsum("n,ben,abcen,sn->acs", w_ac, wc.conj(), t, pc)
-    return (
-        g_u.reshape(d_a * d_b * d_c * d_e, d_s),
-        g_vab.reshape(d_a * d_b, d_s),
-        g_vac.reshape(d_a * d_c, d_s),
-    )
+    gb, gc = (((w * wn) @ p.conj().T).reshape(-1, d_s, d_s) for w, wn in ((wb, w_ab), (wc, w_ac)))
+    g_u = vab @ gb.transpose(1, 0, 2).reshape(d_s, -1)
+    g_uc = (vac @ gc.transpose(1, 0, 2).reshape(d_s, -1)).reshape(d_a, d_c, d_b, -1)
+    g_u += g_uc.transpose(0, 2, 1, 3).reshape(d_a * d_b, -1)
+    g_vab = u_b @ gb.transpose(0, 2, 1).reshape(-1, d_s).conj()
+    g_vac = u_c @ gc.transpose(0, 2, 1).reshape(-1, d_s).conj()
+    return g_u.reshape(-1, d_s), g_vab, g_vac
 
 
 def objective_value_and_grads(
@@ -221,12 +224,11 @@ def objective_value_and_grads(
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
-    """Thin orthonormal factor with the triangular diagonal made positive."""
+    """Thin orthonormal factors of a (..., N, k) stack, triangular diagonals made positive."""
     q, r = np.linalg.qr(m)
-    d = np.diagonal(r).copy()
-    small = np.abs(d) < 1e-300
-    d[small] = 1.0
-    return q * (d / np.abs(d))[None, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[np.abs(d) < 1e-300] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -281,11 +283,15 @@ def _run_restart(
     best_params = (u.copy(), vab.copy(), vac.copy())
     max_seen = 0.0
     iters = 0
+    # trial points are retracted together: one QR over the zero-padded stack,
+    # whose padding rows leave the Householder factor of the real rows alone
+    rows = (u.shape[0], vab.shape[0], vac.shape[0])
+    stack = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
+    f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
 
     for it in range(config.max_iters):
         iters = it + 1
         temp = float(temps[it])
-        f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
         hard = float(min(f_ab.min(), f_ac.min()))
         max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
         if hard > best_hard:
@@ -314,13 +320,15 @@ def _run_restart(
         accepted = False
         trial = step
         while trial > 1e-14:
-            u2 = _qr_positive(u + trial * xi_u)
-            vab2 = _qr_positive(vab + trial * xi_vab)
-            vac2 = _qr_positive(vac + trial * xi_vac)
-            f_ab2, f_ac2, _ = branch_values(u2, vab2, vac2, psi_cols, dims4)
-            value2, _, _ = _soft_value_and_weights(f_ab2, f_ac2, temp)
+            for k, (m, xi) in enumerate(((u, xi_u), (vab, xi_vab), (vac, xi_vac))):
+                np.add(m, trial * xi, out=stack[k, : rows[k]])
+            q = _qr_positive(stack)
+            u2, vab2, vac2 = (q[k, : rows[k]] for k in range(3))
+            trial_eval = branch_values(u2, vab2, vac2, psi_cols, dims4)
+            value2, _, _ = _soft_value_and_weights(trial_eval[0], trial_eval[1], temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
                 u, vab, vac = u2, vab2, vac2
+                f_ab, f_ac, cached = trial_eval
                 step = trial
                 accepted = True
                 break
@@ -402,7 +410,7 @@ def optimize_qsb(
             raise InvariantViolation(f"warm start shapes {got} do not match {want}")
         inits.append((u, vab, vac))
     idx = 0
-    while len(inits) < max(config.restarts, len(inits)):
+    while len(inits) < config.restarts:
         rng = np.random.default_rng((config.seed, idx))
         inits.append(_random_init(config, rng))
         idx += 1

@@ -214,6 +214,32 @@ def test_sweep_bad_ranges(workdir, capsys):
     assert main(base + ["--da", "0..2"]) == 1
 
 
+def test_sweep_rejects_env(workdir, capsys):
+    # the sweep picks each point's environment itself; --env is optimize-only
+    flags = ["--ds", "2", "--da", "1..1", "--db", "2", "--dc", "2", "--env", "3"]
+    assert main(["sweep", *flags]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "qsblab: error: unrecognized arguments: --env 3"
+    assert not (workdir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["optimize", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--restarts", "0", 1), ("--iters", "0", 1), ("--haar", "-1", 0)],
+)
+def test_search_rejects_bad_budgets(workdir, capsys, subcommand, flag, value, low):
+    dims = ["--ds", "2", "--da", "1", "--db", "2", "--dc", "2"]
+    assert main([subcommand, *dims, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"qsblab {subcommand}: error: argument {flag}: must be >= {low}, got {value}"
+    )
+    assert not list(workdir.iterdir())  # no output, no manifest
+
+
 def test_version_flag(workdir, capsys):
     assert main(["--version"]) == 0
     assert "qsblab" in capsys.readouterr().out

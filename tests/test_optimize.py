@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import qsblab.optimize as optimize_module
 from qsblab.errors import InvariantViolation, TooLarge
 from qsblab.hilbert import Isometry, SpaceLayout
 from qsblab.optimize import (
     FrontierPoint,
     OptimizeConfig,
     SampleSpec,
+    branch_values,
     frontier_sweep,
     objective_value_and_grads,
     optimize_qsb,
@@ -197,6 +199,52 @@ def test_gradients_match_finite_differences():
                 assert fd == pytest.approx(want, rel=1e-4, abs=1e-8)
 
 
+def _einsum_reference(u, vab, vac, cols, dims4, temp):
+    # the kernel written directly as contractions over the probe axis
+    d_a, d_b, d_c, d_e = dims4
+    d_s, n = cols.shape
+    t = (u @ cols).reshape(d_a, d_b, d_c, d_e, n)
+    pab = (vab @ cols).reshape(d_a, d_b, n)
+    pac = (vac @ cols).reshape(d_a, d_c, n)
+    wb = np.einsum("abn,abcen->cen", pab.conj(), t)
+    wc = np.einsum("acn,abcen->ben", pac.conj(), t)
+    f_ab = np.einsum("cen,cen->n", wb, wb.conj()).real
+    f_ac = np.einsum("ben,ben->n", wc, wc.conj()).real
+    f = np.concatenate([f_ab, f_ac])
+    e = np.exp(-temp * (f - f.min()))
+    value = f.min() - np.log(e.sum()) / temp
+    w_ab, w_ac = e[:n] / e.sum(), e[n:] / e.sum()
+    pc = cols.conj()
+    g_u = np.einsum("n,abn,cen,sn->abces", w_ab, pab, wb, pc) + np.einsum(
+        "n,acn,ben,sn->abces", w_ac, pac, wc, pc
+    )
+    g_vab = np.einsum("n,cen,abcen,sn->abs", w_ab, wb.conj(), t, pc)
+    g_vac = np.einsum("n,ben,abcen,sn->acs", w_ac, wc.conj(), t, pc)
+    grads = (g_u.reshape(-1, d_s), g_vab.reshape(-1, d_s), g_vac.reshape(-1, d_s))
+    return f_ab, f_ac, value, grads
+
+
+@pytest.mark.parametrize(
+    "d_s, d_a, d_b, d_c, d_e",
+    [(2, 1, 2, 2, 8), (3, 2, 2, 2, 16), (3, 1, 3, 3, 16), (4, 3, 2, 2, 5), (2, 2, 1, 3, 4)],
+)
+def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
+    cfg = OptimizeConfig(d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c, env_dim=d_e)
+    rng = np.random.default_rng(d_s * 1000 + d_a * 100 + d_b * 10 + d_c)
+    for _ in range(3):
+        u, vab, vac = _params_for(cfg, rng)
+        cols = _probe_cols(cfg, rng, n=25)
+        f_ab, f_ac, value, grads = _einsum_reference(u, vab, vac, cols, cfg.dims4, 25.0)
+        got_ab, got_ac, _ = branch_values(u, vab, vac, cols, cfg.dims4)
+        got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
+        assert np.max(np.abs(got_ab - f_ab)) <= 1e-13
+        assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
+        assert abs(got_value - value) <= 1e-13
+        for got, want in zip(got_grads, grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # the full search
 # ---------------------------------------------------------------------------
@@ -260,6 +308,38 @@ def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_win
     assert point.restart_values == pytest.approx(want_values, rel=0, abs=1e-12)
     assert point.winner_restart == want_winner
     assert point.iterations_used == 300
+
+
+def test_no_point_is_evaluated_twice(monkeypatch):
+    # one evaluation of the start point, then one per Armijo trial: the
+    # accepted trial's values carry over to the next iteration
+    restarts: list[dict] = []
+    run_restart = optimize_module._run_restart
+    evaluate = optimize_module.branch_values
+    retract = optimize_module._qr_positive
+
+    def recording_restart(*args, **kwargs):
+        restarts.append({"points": [], "trials": 0})
+        return run_restart(*args, **kwargs)
+
+    def recording_values(u, vab, vac, *rest):
+        restarts[-1]["points"].append((u.tobytes(), vab.tobytes(), vac.tobytes()))
+        return evaluate(u, vab, vac, *rest)
+
+    def counting_retraction(m):
+        restarts[-1]["trials"] += 1
+        return retract(m)
+
+    monkeypatch.setattr(optimize_module, "_run_restart", recording_restart)
+    monkeypatch.setattr(optimize_module, "branch_values", recording_values)
+    monkeypatch.setattr(optimize_module, "_qr_positive", counting_retraction)
+    cfg = OptimizeConfig(2, 1, 2, 2, restarts=3, max_iters=300, sample_spec=SMALL, seed=2)
+    optimize_qsb(cfg)
+    assert len(restarts) == 3
+    for r in restarts:
+        assert len(set(r["points"])) == len(r["points"])
+        assert len(r["points"]) == 1 + r["trials"]
+        assert r["trials"] >= cfg.max_iters  # each iteration tries at least one step
 
 
 def test_optimize_rejects_bad_warm_start():
