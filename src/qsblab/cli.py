@@ -262,9 +262,9 @@ def _int_at_least(low: int):
 
 
 def _add_opt_flags(p: _Parser) -> None:
-    p.add_argument("--ds", type=int, required=True, help="source dimension")
-    p.add_argument("--db", type=int, required=True, help="first private dimension")
-    p.add_argument("--dc", type=int, required=True, help="second private dimension")
+    p.add_argument("--ds", type=_int_at_least(1), required=True, help="source dimension")
+    p.add_argument("--db", type=_int_at_least(1), required=True, help="first private dimension")
+    p.add_argument("--dc", type=_int_at_least(1), required=True, help="second private dimension")
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--iters", type=_int_at_least(1), default=2000)
     p.add_argument("--haar", type=_int_at_least(0), default=200, help="Haar probe count")
@@ -277,10 +277,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("construct", help="build the exact broadcast at d_S <= d_A")
-    p.add_argument("--ds", type=int, required=True)
-    p.add_argument("--da", type=int, required=True)
-    p.add_argument("--db", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
+    for flag in ("--ds", "--da", "--db", "--dc"):
+        p.add_argument(flag, type=_int_at_least(1), required=True)
     p.add_argument("-o", "--out", required=True, help="instance JSON path")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_construct)
@@ -299,7 +297,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("threshold", help="deficit threshold for a shared dimension")
-    p.add_argument("--da", type=int, required=True)
+    p.add_argument("--da", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_threshold)
 
@@ -313,9 +311,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="search for the best instance at fixed dims")
     _add_opt_flags(p)
-    p.add_argument("--da", type=int, required=True)
+    p.add_argument("--da", type=_int_at_least(1), required=True)
     # a sweep sizes the environment per point (see frontier_sweep)
-    p.add_argument("--env", type=int, default=None, help="environment dimension")
+    p.add_argument("--env", type=_int_at_least(1), default=None, help="environment dimension")
     p.add_argument("-o", "--out", default="frontier.json")
     p.set_defaults(func=_cmd_optimize)
 

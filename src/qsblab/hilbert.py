@@ -49,27 +49,63 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible entry is real positive."""
-    for x in vec:
-        if abs(x) > RANK_CUTOFF:
-            return vec * (np.conj(x) / abs(x))
-    return vec
+    """Rotate the global phase of each vector on the last axis of a stack so
+    its first entry above RANK_CUTOFF is real positive.
+
+    A vector with no entry above the cutoff is returned unchanged.
+    """
+    x = vec[..., :1]
+    # look further only when some vector starts below the cutoff
+    if np.count_nonzero(np.abs(x) > RANK_CUTOFF) < x.size:
+        big = np.abs(vec) > RANK_CUTOFF
+        first = (*np.indices(big.shape[:-1], sparse=True), big.argmax(axis=-1))
+        x = np.where(big[first], vec[first], 1.0)[..., None]
+    return vec * (x.conj() / np.abs(x))
 
 
 def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, eigenvalues descending, phase-fixed vectors.
+    """Hermitian eigendecomposition of a (..., d, d) stack, eigenvalues
+    descending, eigenvector columns phase-fixed.
 
     The ordering plus phase convention makes every downstream extraction
-    deterministic for a given input matrix.
+    deterministic for a given input matrix; each member of a stack gets
+    exactly the result it gets alone.
     """
-    herm = (mat + mat.conj().T) / 2.0
+    herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(herm)
-    order = np.argsort(vals, kind="stable")[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        vecs[:, k] = phase_fix(vecs[:, k])
-    return vals, vecs
+    vecs = phase_fix(vecs[..., ::-1].swapaxes(-1, -2)).swapaxes(-1, -2)
+    return vals[..., ::-1], vecs
+
+
+def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DensityMatrix's checks on a (..., d, d) stack, diagonalising each member once.
+
+    Raises InvariantViolation, naming the first offending member, if any
+    member is not Hermitian to TOL_HERM, else if any trace is off 1 by more
+    than TOL_NORM, else if any eigenvalue lies below -TOL_PSD. A member whose
+    smallest eigenvalue lies in [-TOL_PSD, 0) is rebuilt with its
+    eigenvalues clipped to zero. Returns the matrices (rebuilt where
+    clipped) and eigh_desc of the input.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = herm_err > TOL_HERM
+    if np.count_nonzero(bad):
+        raise InvariantViolation(f"hermiticity violated by {float(herm_err[bad][0])}")
+    tr = m.trace(axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > TOL_NORM
+    if np.count_nonzero(bad):
+        raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL_NORM}")
+    w, v = eigh_desc(m)
+    lo = w[..., -1]
+    bad = lo < -TOL_PSD
+    if np.count_nonzero(bad):
+        raise InvariantViolation(f"negative eigenvalue {float(lo[bad][0])} below -{TOL_PSD}")
+    clip = lo < 0.0
+    if np.count_nonzero(clip):
+        rebuilt = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        m = np.where(clip[..., None, None], rebuilt, m)
+    return m, w, v
 
 
 @dataclass(frozen=True)
@@ -212,19 +248,7 @@ class DensityMatrix:
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise LayoutMismatch(f"matrix shape {m.shape} for layout of dim {n}")
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > TOL_HERM:
-            raise InvariantViolation(f"hermiticity violated by {herm_err}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL_NORM:
-            raise InvariantViolation(f"trace {tr} deviates from 1 beyond {TOL_NORM}")
-        vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        lo = float(vals[0])
-        if lo < -TOL_PSD:
-            raise InvariantViolation(f"negative eigenvalue {lo} below -{TOL_PSD}")
-        if lo < 0.0:
-            w, v = eigh_desc(m)
-            m = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        m = validate_density(m)[0]
         object.__setattr__(self, "matrix", _frozen(m))
 
     def eigenvalues(self) -> np.ndarray:
@@ -365,15 +389,16 @@ def purify(rho: DensityMatrix, env_label: str = "E") -> PureState:
     if env_label in rho.layout.labels:
         raise LabelClash(f"environment label {env_label!r} already used")
     w, v = eigh_desc(rho.matrix)
-    rank = int(np.sum(w > RANK_CUTOFF))
-    rank = max(rank, 1)
-    amps = np.zeros(rho.layout.total_dim * rank, dtype=np.complex128)
-    # |phi> = sum_i sqrt(w_i) |v_i> ⊗ |i_E>; env index is fastest (last axis)
-    block = (v[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None)))
-    amps = block.reshape(rho.layout.total_dim, rank).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
+    rank = max(int(np.sum(w > RANK_CUTOFF)), 1)
     layout = rho.layout.joined(SpaceLayout([(env_label, rank)]))
-    return PureState(layout, amps)
+    return PureState(layout, _purification(w, v, rank).reshape(-1))
+
+
+def _purification(w: np.ndarray, v: np.ndarray, rank: int) -> np.ndarray:
+    """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| over i < rank, from a
+    stack of eigh_desc pairs: the amplitudes of purify, env index last."""
+    block = v[..., :rank] * np.sqrt(np.clip(w[..., None, :rank], 0.0, None))
+    return block / np.linalg.norm(block, axis=(-2, -1), keepdims=True)
 
 
 def basis_state(layout: SpaceLayout, index: int) -> PureState:
@@ -403,10 +428,22 @@ def haar_isometry_matrix(rng: np.random.Generator, dout: int, din: int) -> np.nd
     return q * ph
 
 
+def haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unit vector, the amplitudes random_pure wraps."""
+    g = _ginibre(rng, dim, 1).ravel()
+    return g / np.linalg.norm(g)
+
+
+def haar_density_matrix(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """Unvalidated matrix of random_density: the normalised Gram matrix of a
+    (dim, rank) Ginibre matrix."""
+    g = _ginibre(rng, dim, rank)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def random_pure(layout: SpaceLayout, seed: int | np.random.Generator) -> PureState:
-    rng = _as_rng(seed)
-    g = _ginibre(rng, layout.total_dim, 1).ravel()
-    return PureState(layout, g / np.linalg.norm(g))
+    return PureState(layout, haar_vector(_as_rng(seed), layout.total_dim))
 
 
 def random_density(
@@ -416,10 +453,7 @@ def random_density(
     n = layout.total_dim
     if rank < 1 or rank > n:
         raise BadRank(f"rank {rank} not in [1, {n}]")
-    rng = _as_rng(seed)
-    g = _ginibre(rng, n, rank)
-    m = g @ g.conj().T
-    return DensityMatrix(layout, m / np.trace(m).real)
+    return DensityMatrix(layout, haar_density_matrix(_as_rng(seed), n, rank))
 
 
 def random_isometry(

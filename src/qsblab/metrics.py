@@ -4,10 +4,18 @@ Fidelity here is the squared-arccos-free convention F = (Tr sqrt(sqrt(rho)
 sigma sqrt(rho)))^2, so F(rho, |psi><psi|) reduces to <psi|rho|psi>. Every
 check_* helper returns a BoundCheck recording both sides of the inequality
 it verified; nothing is silently clamped away.
+
+The kernels behind fidelity, trace distance and the Uhlmann partner work on
+(..., d, d) stacks; the state-object functions call them with one member.
+property_sweep draws its random instances one after another from the seed,
+in the order of drawing each as a state object, so a seed always checks the
+same instances. It then validates and checks each (property, dimension)
+bucket as one stack and builds a BoundCheck only for a failure.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,27 +27,37 @@ from .hilbert import (
     TOL_NUM,
     DensityMatrix,
     PureState,
-    SpaceLayout,
     eigh_desc,
+    haar_density_matrix,
+    haar_vector,
     partial_trace,
     permute,
-    random_density,
-    random_pure,
+    validate_density,
+    _purification,
 )
 
 _SLACK_TOL = TOL_NUM
 
 
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Square roots from eigh_desc pairs of a stack, negative eigenvalues as zero."""
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root with tiny negative eigenvalues clamped to zero."""
-    w, v = eigh_desc(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    """Hermitian square roots of a (..., d, d) stack, tiny negative eigenvalues clamped to zero."""
+    return _root(*eigh_desc(mat))
 
 
 def _check_layouts(a, b) -> None:
     if a.layout != b.layout:
         raise LayoutMismatch(f"layouts differ: {a.layout.labels} vs {b.layout.labels}")
+
+
+def _fidelity(root_rho: np.ndarray, root_sigma: np.ndarray) -> np.ndarray:
+    """Fidelities of two (..., d, d) stacks given their square roots."""
+    s = np.linalg.svd(root_sigma @ root_rho, compute_uv=False)
+    return np.clip(np.sum(s, axis=-1) ** 2, 0.0, 1.0)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -51,17 +69,20 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     of rooting near-zero eigenvalues of the triple product.
     """
     _check_layouts(rho, sigma)
-    b = _sqrtm_psd(sigma.matrix) @ _sqrtm_psd(rho.matrix)
-    val = float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
-    return min(max(val, 0.0), 1.0)
+    return float(_fidelity(*_sqrtm_psd(np.stack((rho.matrix, sigma.matrix)))))
+
+
+def _fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> for a (..., d, d) stack against a (..., d) stack."""
+    val = (psi.conj()[..., None, :] @ (rho @ psi[..., None]))[..., 0, 0].real
+    return np.clip(val, 0.0, 1.0)
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi|rho|psi>, the mixed-vs-pure special case."""
     if rho.layout != psi.layout:
         raise LayoutMismatch("state layouts differ")
-    val = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-    return min(max(val, 0.0), 1.0)
+    return float(_fidelity_pure(rho.matrix, psi.amplitudes))
 
 
 def fidelity_states(a: PureState, b: PureState) -> float:
@@ -69,12 +90,17 @@ def fidelity_states(a: PureState, b: PureState) -> float:
     return min(abs(a.overlap(b)) ** 2, 1.0)
 
 
+def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Half the trace norm of rho - sigma for (..., d, d) stacks."""
+    diff = rho - sigma
+    w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2.0)
+    return np.clip(0.5 * np.sum(np.abs(w), axis=-1), 0.0, 1.0)
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma."""
     _check_layouts(rho, sigma)
-    diff = rho.matrix - sigma.matrix
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)
-    return min(max(float(0.5 * np.sum(np.abs(w))), 0.0), 1.0)
+    return float(_trace_distance(rho.matrix, sigma.matrix))
 
 
 @dataclass(frozen=True)
@@ -110,8 +136,18 @@ class BoundCheck:
         return out
 
 
-def _dsqrt(x: float) -> float:
-    return float(np.sqrt(max(x, 0.0)))
+def _dsqrt(x):
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _chain_rhs(f_first, f_second):
+    """Floor 1 - sqrt(1-F1) - sqrt(1-F2) that chaining through a middle state gives."""
+    return 1.0 - _dsqrt(1.0 - f_first) - _dsqrt(1.0 - f_second)
+
+
+def _fvdg_bounds(f):
+    """Fuchs-van de Graaf sandwich 1 - sqrt(F) <= D <= sqrt(1 - F): (floor, ceiling)."""
+    return 1.0 - _dsqrt(f), _dsqrt(1.0 - f)
 
 
 def check_triangle(
@@ -123,7 +159,7 @@ def check_triangle(
     two-sided trace-distance sandwich.
     """
     lhs = _dsqrt(fidelity(rho, omega))
-    rhs = 1.0 - _dsqrt(1.0 - fidelity(rho, sigma)) - _dsqrt(1.0 - fidelity(sigma, omega))
+    rhs = _chain_rhs(fidelity(rho, sigma), fidelity(sigma, omega))
     return BoundCheck.of(lhs, rhs, label="triangle")
 
 
@@ -136,11 +172,7 @@ def check_triangle_pure(
     fidelity itself, not its square root, obeys the chain.
     """
     lhs = fidelity_pure(rho, psi)
-    rhs = (
-        1.0
-        - _dsqrt(1.0 - fidelity(rho, sigma))
-        - _dsqrt(1.0 - fidelity_pure(sigma, psi))
-    )
+    rhs = _chain_rhs(fidelity(rho, sigma), fidelity_pure(sigma, psi))
     return BoundCheck.of(lhs, rhs, label="triangle_pure")
 
 
@@ -155,10 +187,10 @@ def check_monotonicity(
 
 def check_fvdg(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[BoundCheck, BoundCheck]:
     """Two-sided sandwich 1 - sqrt(F) <= D <= sqrt(1 - F)."""
-    f = fidelity(rho, sigma)
+    floor, ceiling = _fvdg_bounds(fidelity(rho, sigma))
     d = trace_distance(rho, sigma)
-    lower = BoundCheck.of(d, 1.0 - _dsqrt(f), label="fvdg_lower")
-    upper = BoundCheck.of(_dsqrt(1.0 - f), d, label="fvdg_upper")
+    lower = BoundCheck.of(d, floor, label="fvdg_lower")
+    upper = BoundCheck.of(ceiling, d, label="fvdg_upper")
     return lower, upper
 
 
@@ -180,44 +212,53 @@ def uhlmann_partner(
 
     ordered = permute(purification_of_rho, a_labels + env_labels)
     d_a = rho_a.layout.total_dim
-    d_e = ordered.layout.total_dim // d_a
-    m = ordered.amplitudes.reshape(d_a, d_e)
+    m = ordered.amplitudes.reshape(1, d_a, -1)
+    w_sig, v_sig = eigh_desc(sigma_a.matrix[None])
+    partner = _partner(m, rho_a.matrix[None], w_sig, v_sig)
+    chi = PureState(ordered.layout, partner.reshape(-1))
+    return permute(chi, list(purification_of_rho.layout.labels))
 
-    reduced = m @ m.conj().T
-    if float(np.max(np.abs(reduced - rho_a.matrix))) > 1e-8:
+
+def _partner(m: np.ndarray, rho: np.ndarray, w_sig: np.ndarray, v_sig: np.ndarray) -> np.ndarray:
+    """Uhlmann partner matrices (n, d_a, d_e) for a stack of purification
+    matrices m (n, d_a, d_e) of rho (n, d_a, d_a), against the states sigma
+    with eigh_desc pairs (w_sig, v_sig)."""
+    reduced = m @ m.conj().swapaxes(-1, -2)
+    if float(np.max(np.abs(reduced - rho))) > 1e-8:
         raise BadPurification("supplied state does not purify rho_a")
-
-    w_sig, v_sig = eigh_desc(sigma_a.matrix)
-    rank_sigma = int(np.sum(w_sig > RANK_CUTOFF))
-    if d_e < rank_sigma:
+    d_e = m.shape[-1]
+    rank_sigma = np.sum(w_sig > RANK_CUTOFF, axis=-1)
+    if np.any(rank_sigma > d_e):
         raise BadPurification(
-            f"environment dim {d_e} below rank {rank_sigma} of sigma_a"
+            f"environment dim {d_e} below rank {rank_sigma.max()} of sigma_a"
         )
 
-    sqrt_sigma = (v_sig * np.sqrt(np.clip(w_sig, 0.0, None))) @ v_sig.conj().T
-    cross = m.conj().T @ sqrt_sigma  # (d_e, d_a)
-    u, s, vh = np.linalg.svd(cross, full_matrices=True)
-    r = int(np.sum(s > RANK_CUTOFF))
-    w_map = vh[:r].conj().T @ u[:, :r].conj().T  # (d_a, d_e), isometric on row space
+    sqrt_sigma = _root(w_sig, v_sig)
+    u, s, vh = np.linalg.svd(m.conj().swapaxes(-1, -2) @ sqrt_sigma)  # of (d_e, d_a)
+    k = s.shape[-1]
+    # Row-space basis of the cross operator, zeroed past its rank.
+    row = vh[:, :k].conj().swapaxes(-1, -2) * (s > RANK_CUTOFF)[:, None, :]
+    w_map = row @ u[:, :, :k].conj().swapaxes(-1, -2)  # (n, d_a, d_e), isometric on row space
 
     # Cover any support directions of sigma the cross operator misses.
-    proj = vh[:r].conj().T @ vh[:r]
-    spare_out = u[:, r:]
-    extra = []
-    for k in range(rank_sigma):
-        resid = v_sig[:, k] - proj @ v_sig[:, k]
-        for z in extra:
-            resid = resid - z * np.vdot(z, v_sig[:, k])
-        nrm = np.linalg.norm(resid)
-        if nrm > 1e-10:
-            extra.append(resid / nrm)
-    for j, z in enumerate(extra):
-        w_map = w_map + np.outer(z, spare_out[:, j].conj())
+    resid = np.linalg.norm(v_sig - row @ (row.conj().swapaxes(-1, -2) @ v_sig), axis=-2)
+    in_support = np.arange(v_sig.shape[-1]) < rank_sigma[:, None]
+    for i in np.flatnonzero(np.any((resid > 1e-10) & in_support, axis=-1)):
+        proj = row[i] @ row[i].conj().T
+        spare_out = u[i][:, int(np.sum(s[i] > RANK_CUTOFF)) :]
+        extra = []
+        for col in v_sig[i].T[: rank_sigma[i]]:
+            res = col - proj @ col
+            for z in extra:
+                res = res - z * np.vdot(z, col)
+            nrm = np.linalg.norm(res)
+            if nrm > 1e-10:
+                extra.append(res / nrm)
+        for j, z in enumerate(extra):
+            w_map[i] += np.outer(z, spare_out[:, j].conj())
 
-    partner = (sqrt_sigma @ w_map).reshape(-1)
-    partner = partner / np.linalg.norm(partner)
-    chi = PureState(ordered.layout, partner)
-    return permute(chi, list(purification_of_rho.layout.labels))
+    partner = sqrt_sigma @ w_map
+    return partner / np.linalg.norm(partner, axis=(-2, -1), keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -245,12 +286,17 @@ class ConvexityReport:
         return self.eigen_bound
 
 
+def _overlaps(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|<v_k|psi>|^2 for every eigenvector column v_k, on stacks."""
+    return np.abs((v.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]) ** 2
+
+
 def max_eig_convexity(rho: DensityMatrix, psi: PureState) -> ConvexityReport:
     if rho.layout != psi.layout:
         raise LayoutMismatch("state layouts differ")
     f = fidelity_pure(rho, psi)
     w, v = eigh_desc(rho.matrix)
-    overlaps = np.abs(v.conj().T @ psi.amplitudes) ** 2
+    overlaps = _overlaps(v, psi.amplitudes)
     best = int(np.argmax(overlaps))
     return ConvexityReport(
         lambda_max=float(w[0]),
@@ -278,9 +324,118 @@ PROPERTY_NAMES = (
 )
 
 
-def _rand_state(rng: np.random.Generator, layout: SpaceLayout) -> DensityMatrix:
-    rank = int(rng.integers(1, layout.total_dim + 1))
-    return random_density(layout, rank, rng)
+# Every check a sample reports, in the order property_sweep returns them.
+_CHECK_LABELS = PROPERTY_NAMES[:-1] + ("fvdg_lower", "fvdg_upper")
+
+# Samples drawn and evaluated together; bounds the sweep's memory at any
+# sample count while leaving each dimension bucket a stack worth batching.
+_SWEEP_BLOCK = 512
+
+_PARTNER_TOL = 1e-8
+
+
+def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequence[str]):
+    """Draw `count` samples, bucketed by (property, dims).
+
+    The rng calls and their order are those of drawing each instance as a
+    validated state object, so a seed always yields the same instances.
+    Each bucket entry is (sample index, matrices, vectors).
+    """
+    buckets: dict[tuple, list] = defaultdict(list)
+
+    def state(dim: int) -> np.ndarray:
+        return haar_density_matrix(rng, dim, int(rng.integers(1, dim + 1)))
+
+    for i in range(count):
+        d = int(rng.integers(2, dims_cap + 1))
+        if "triangle" in names:
+            buckets["triangle", d].append((i, [state(d), state(d), state(d)], []))
+        if "triangle_pure" in names:
+            buckets["triangle_pure", d].append((i, [state(d), state(d)], [haar_vector(rng, d)]))
+        if "monotonicity" in names:
+            d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
+            d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
+            buckets["monotonicity", (d1, d2)].append((i, [state(d1 * d2), state(d1 * d2)], []))
+        if "partner_overlap" in names:
+            dp = int(rng.integers(2, 5))
+            pair = [haar_density_matrix(rng, dp, dp), haar_density_matrix(rng, dp, dp)]
+            buckets["partner_overlap", dp].append((i, pair, []))
+        if "component_ceiling" in names or "eigenvalue_ceiling" in names:
+            buckets["ceilings", d].append((i, [state(d)], [haar_vector(rng, d)]))
+        if "fvdg" in names:
+            buckets["fvdg", d].append((i, [state(d), state(d)], []))
+    return buckets
+
+
+def _validated_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """validate_density on a stack, with eigh_desc of the validated matrices.
+
+    A rebuilt member is diagonalised again, as the scalar functions do with
+    the matrix of a clipped DensityMatrix: the square root is not Lipschitz
+    near zero eigenvalues, so the clipped eigenpairs would move F by ~1e-8.
+    """
+    mats, w, v = validate_density(mats)
+    clipped = w[..., -1] < 0.0
+    if clipped.any():
+        w[clipped], v[clipped] = eigh_desc(mats[clipped])
+    return mats, w, v
+
+
+def _evaluate(prop: str, dims, mats: np.ndarray, vecs: np.ndarray, names: Sequence[str]):
+    """(label, lhs, rhs, tol) rows for one bucket; lhs and rhs run over its samples."""
+    mats, w, v = _validated_eigh(mats)
+    if prop == "ceilings":
+        f = _fidelity_pure(mats[:, 0], vecs[:, 0])
+        rows = []
+        if "component_ceiling" in names:
+            best = _overlaps(v[:, 0], vecs[:, 0]).max(axis=-1)
+            rows.append(("component_ceiling", best, f, _SLACK_TOL))
+        if "eigenvalue_ceiling" in names:
+            rows.append(("eigenvalue_ceiling", w[:, 0, 0], f, _SLACK_TOL))
+        return rows
+    root = _root(w, v)
+    if prop == "partner_overlap":
+        # phi purifies the first state, chi is its Uhlmann partner for the second
+        lhs = np.empty(len(mats))
+        ranks = np.maximum(np.sum(w[:, 0] > RANK_CUTOFF, axis=-1), 1)
+        for rank in np.unique(ranks):
+            sel = ranks == rank
+            phi = _purification(w[sel, 0], v[sel, 0], rank)
+            chi = _partner(phi, mats[sel, 0], w[sel, 1], v[sel, 1])
+            lhs[sel] = np.abs(np.sum(phi.conj() * chi, axis=(-2, -1))) ** 2
+        return [("partner_overlap", lhs, _fidelity(root[:, 0], root[:, 1]), _PARTNER_TOL)]
+    if prop == "triangle":
+        lhs = _dsqrt(_fidelity(root[:, 0], root[:, 1]))
+        rhs = _chain_rhs(_fidelity(root[:, 0], root[:, 2]), _fidelity(root[:, 2], root[:, 1]))
+        return [("triangle", lhs, rhs, _SLACK_TOL)]
+    if prop == "triangle_pure":
+        lhs = _fidelity_pure(mats[:, 0], vecs[:, 0])
+        rhs = _chain_rhs(_fidelity(root[:, 0], root[:, 1]), _fidelity_pure(mats[:, 1], vecs[:, 0]))
+        return [("triangle_pure", lhs, rhs, _SLACK_TOL)]
+    f = _fidelity(root[:, 0], root[:, 1])
+    if prop == "monotonicity":
+        d1, d2 = dims
+        joint = mats.reshape(len(mats), 2, d1, d2, d1, d2)
+        _, w_q, v_q = _validated_eigh(np.trace(joint, axis1=3, axis2=5))
+        root_q = _root(w_q, v_q)
+        return [("monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f, _SLACK_TOL)]
+    dist = _trace_distance(mats[:, 0], mats[:, 1])
+    floor, ceiling = _fvdg_bounds(f)
+    return [("fvdg_lower", dist, floor, _SLACK_TOL), ("fvdg_upper", ceiling, dist, _SLACK_TOL)]
+
+
+def _sweep_checks(samples: int, dims_cap: int, seed: int, names: Sequence[str]):
+    """Yield (sample indices, label, lhs, rhs, tol) for every check of the sweep,
+    one dimension bucket at a time, _SWEEP_BLOCK samples per draw."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _SWEEP_BLOCK):
+        count = min(_SWEEP_BLOCK, samples - start)
+        for (prop, dims), entries in _draw_block(rng, count, dims_cap, names).items():
+            idx = start + np.array([i for i, _, _ in entries])
+            mats = np.array([m for _, m, _ in entries])
+            vecs = np.array([v for _, _, v in entries])
+            for label, lhs, rhs, tol in _evaluate(prop, dims, mats, vecs, names):
+                yield idx, label, lhs, rhs, tol
 
 
 def property_sweep(
@@ -288,56 +443,13 @@ def property_sweep(
 ) -> list[BoundCheck]:
     """Run `samples` random instances of each named inequality.
 
-    Returns the failing checks (empty list = all good). Dimension of each
-    instance is drawn from [2, dims_cap].
+    Returns the failing checks (empty list = all good), ordered by sample and
+    then by inequality. Dimension of each instance is drawn from [2, dims_cap].
     """
-    rng = np.random.default_rng(seed)
-    failures: list[BoundCheck] = []
-
-    def note(check: BoundCheck) -> None:
-        if not check.satisfied:
-            failures.append(check)
-
-    for _ in range(samples):
-        d = int(rng.integers(2, dims_cap + 1))
-        lay = SpaceLayout([("Q", d)])
-
-        if "triangle" in names:
-            note(check_triangle(_rand_state(rng, lay), _rand_state(rng, lay), _rand_state(rng, lay)))
-        if "triangle_pure" in names:
-            note(check_triangle_pure(_rand_state(rng, lay), _rand_state(rng, lay), random_pure(lay, rng)))
-        if "monotonicity" in names:
-            d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
-            d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
-            lay2 = SpaceLayout([("Q", d1), ("R", d2)])
-            note(check_monotonicity(_rand_state(rng, lay2), _rand_state(rng, lay2), ["Q"]))
-        if "partner_overlap" in names:
-            dp = int(rng.integers(2, 5))
-            layp = SpaceLayout([("Q", dp)])
-            r1 = random_density(layp, dp, rng)
-            s1 = random_density(layp, dp, rng)
-            phi = None
-            from .hilbert import purify
-
-            phi = purify(r1, "E")
-            chi = uhlmann_partner(r1, s1, phi)
-            note(
-                BoundCheck.of(
-                    abs(phi.overlap(chi)) ** 2,
-                    fidelity(r1, s1),
-                    label="partner_overlap",
-                    tol=1e-8,
-                )
-            )
-        if "component_ceiling" in names or "eigenvalue_ceiling" in names:
-            rep = max_eig_convexity(_rand_state(rng, lay), random_pure(lay, rng))
-            if "component_ceiling" in names:
-                note(rep.component_bound)
-            if "eigenvalue_ceiling" in names:
-                note(rep.eigen_bound)
-        if "fvdg" in names:
-            lo, hi = check_fvdg(_rand_state(rng, lay), _rand_state(rng, lay))
-            note(lo)
-            note(hi)
-
-    return failures
+    failures = []
+    for idx, label, lhs, rhs, tol in _sweep_checks(samples, dims_cap, seed, names):
+        for k in np.flatnonzero(~(lhs - rhs >= -tol)):
+            check = BoundCheck.of(lhs[k], rhs[k], label=label, tol=tol)
+            failures.append((idx[k], _CHECK_LABELS.index(label), check))
+    failures.sort(key=lambda f: f[:2])
+    return [check for _, _, check in failures]

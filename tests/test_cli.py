@@ -240,6 +240,33 @@ def test_search_rejects_bad_budgets(workdir, capsys, subcommand, flag, value, lo
     assert not list(workdir.iterdir())  # no output, no manifest
 
 
+def _with_dims(subcommand, **dims):
+    flags = {"ds": "2", "da": "1", "db": "2", "dc": "2", **dims}
+    return [subcommand, *(x for name, v in flags.items() for x in (f"--{name}", v))]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (_with_dims("construct", ds="0") + ["-o", "x.json"], "--ds", "0"),
+        (_with_dims("construct", dc="-1") + ["-o", "x.json"], "--dc", "-1"),
+        (_with_dims("optimize", da="0"), "--da", "0"),
+        (_with_dims("optimize", env="0"), "--env", "0"),
+        (_with_dims("sweep", ds="0"), "--ds", "0"),
+        (_with_dims("sweep", db="0"), "--db", "0"),
+        (["threshold", "--da", "0"], "--da", "0"),
+    ],
+)
+def test_rejects_non_positive_dims(workdir, capsys, argv, flag, value):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"qsblab {argv[0]}: error: argument {flag}: must be >= 1, got {value}"
+    )
+    assert not list(workdir.iterdir())  # no output, no manifest
+
+
 def test_version_flag(workdir, capsys):
     assert main(["--version"]) == 0
     assert "qsblab" in capsys.readouterr().out

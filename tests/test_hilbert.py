@@ -13,6 +13,7 @@ from qsblab.errors import (
     LabelUnknown,
 )
 from qsblab.hilbert import (
+    RANK_CUTOFF,
     DensityMatrix,
     Isometry,
     PureState,
@@ -28,6 +29,7 @@ from qsblab.hilbert import (
     random_isometry,
     random_pure,
     tensor,
+    validate_density,
 )
 
 
@@ -198,11 +200,79 @@ def test_eigh_desc_ordering(rng):
     assert np.abs(recon - m).max() < 1e-9
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_eigh_desc_stack_matches_each_matrix(rng, d):
+    g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    stack = g @ g.conj().swapaxes(-1, -2)
+    stack[1] = np.diag(np.arange(d, 0, -1.0))  # eigenvectors are basis vectors
+    vals, vecs = eigh_desc(stack)
+    for k in range(5):
+        alone = eigh_desc(stack[k])
+        assert np.array_equal(vals[k], alone[0])
+        assert np.array_equal(vecs[k], alone[1])
+    assert np.all(np.diff(vals, axis=-1) <= 0)
+
+
+def _phase_fix_loop(vec):
+    # one vector at a time, the first entry above the cutoff decides the phase
+    for x in vec:
+        if abs(x) > RANK_CUTOFF:
+            return vec * (np.conj(x) / abs(x))
+    return vec
+
+
 def test_phase_fix_first_entry_positive():
     v = np.array([0.0, -0.6 + 0.8j, 0.1]) * 1.0
     w = phase_fix(v)
     # first entry above cutoff becomes real positive
     assert abs(w[1].imag) < 1e-12 and w[1].real > 0
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_phase_fix_stack_matches_loop(rng, d):
+    vecs = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    vecs[0, 1, : d // 2] = 1e-13 * (1 + 1j)  # leading entries below RANK_CUTOFF
+    vecs[2, 0] = 0.0  # the all-zero vector stays as it is
+    fixed = phase_fix(vecs)
+    for k in range(5):
+        alone = phase_fix(vecs[k])
+        for j in range(d):
+            assert np.array_equal(alone[j], fixed[k, j])
+            # scalar and array complex division may round the phase differently
+            loop = _phase_fix_loop(vecs[k, j])
+            tol = 8 * np.finfo(float).eps * np.linalg.norm(loop)
+            assert np.abs(fixed[k, j] - loop).max() <= tol
+    assert np.array_equal(fixed[2, 0], np.zeros(d))
+    first = fixed[0, 1, d // 2]
+    assert abs(first.imag) < 1e-15 * abs(first) and first.real > 0
+
+
+def test_validate_density_rejects_what_density_matrix_rejects(rng):
+    lay = SpaceLayout([("A", 3)])
+    good = random_density(lay, 3, rng).matrix
+    non_hermitian = good + np.array([[0, 1e-6, 0], [0, 0, 0], [0, 0, 0]])
+    off_trace = good * 0.9
+    negative = np.diag([0.6, 0.4 + 1e-6, -1e-6]).astype(complex)
+    for bad in (non_hermitian, off_trace, negative):
+        with pytest.raises(InvariantViolation) as alone:
+            DensityMatrix(lay, bad)
+        with pytest.raises(InvariantViolation) as stacked:
+            validate_density(np.stack([good, bad, good]))
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_validate_density_clips_like_density_matrix(rng):
+    lay = SpaceLayout([("A", 3)])
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    u = np.linalg.qr(g)[0]
+    tiny = (u * np.array([0.7, 0.3 + 1e-12, -1e-12])) @ u.conj().T
+    good = random_density(lay, 2, rng).matrix
+    mats, vals, _ = validate_density(np.stack([good, tiny]))
+    assert vals[1, -1] < 0.0  # the member really needed clipping
+    assert np.array_equal(mats[1], DensityMatrix(lay, tiny).matrix)
+    assert not np.array_equal(mats[1], tiny)
+    assert np.array_equal(mats[0], good)
+    assert np.linalg.eigvalsh(mats[1])[0] >= -1e-15
 
 
 def test_state_json_roundtrips(rng):

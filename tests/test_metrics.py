@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsblab import metrics
 from qsblab.errors import BadPurification, LayoutMismatch
 from qsblab.hilbert import (
     DensityMatrix,
@@ -15,8 +16,10 @@ from qsblab.hilbert import (
     purify,
     random_density,
     random_pure,
+    tensor,
 )
 from qsblab.metrics import (
+    PROPERTY_NAMES,
     BoundCheck,
     check_fvdg,
     check_monotonicity,
@@ -158,6 +161,21 @@ def test_uhlmann_partner_achieves_fidelity():
         assert float(np.max(np.abs(marg.matrix - sigma.matrix))) < 1e-8
 
 
+def test_uhlmann_partner_covers_support_the_overlap_misses():
+    # a rank-1 rho purified into a 3-dim environment leaves the cross operator
+    # rank 1, so two support directions of sigma are completed isometrically
+    lay = SpaceLayout([("Q", 3)])
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        v = random_pure(lay, rng)
+        phi = tensor(v, basis_state(SpaceLayout([("E", 3)]), 0))
+        sigma = random_density(lay, 3, rng)
+        chi = uhlmann_partner(v.density(), sigma, phi)
+        assert abs(phi.overlap(chi)) ** 2 == pytest.approx(fidelity_pure(sigma, v), abs=1e-12)
+        marg = partial_trace(chi.density(), ["Q"])
+        assert float(np.max(np.abs(marg.matrix - sigma.matrix))) < 1e-12
+
+
 def test_uhlmann_partner_rejections():
     lay = SpaceLayout([("Q", 2)])
     rho = random_density(lay, 2, 3)
@@ -216,3 +234,69 @@ def test_property_sweep_clean_small():
 
 def test_property_sweep_subset_names():
     assert property_sweep(50, 8, seed=3, names=("fvdg",)) == []
+
+
+def _rand_state(rng, lay):
+    return random_density(lay, int(rng.integers(1, lay.total_dim + 1)), rng)
+
+
+def _sweep_reference(samples, dims_cap, seed):
+    """Every check of property_sweep, drawn and evaluated one state object at a time."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(samples):
+        d = int(rng.integers(2, dims_cap + 1))
+        lay = SpaceLayout([("Q", d)])
+        out[i, "triangle"] = check_triangle(
+            _rand_state(rng, lay), _rand_state(rng, lay), _rand_state(rng, lay)
+        )
+        out[i, "triangle_pure"] = check_triangle_pure(
+            _rand_state(rng, lay), _rand_state(rng, lay), random_pure(lay, rng)
+        )
+        d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
+        d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
+        lay2 = SpaceLayout([("Q", d1), ("R", d2)])
+        out[i, "monotonicity"] = check_monotonicity(
+            _rand_state(rng, lay2), _rand_state(rng, lay2), ["Q"]
+        )
+        dp = int(rng.integers(2, 5))
+        layp = SpaceLayout([("Q", dp)])
+        r1 = random_density(layp, dp, rng)
+        s1 = random_density(layp, dp, rng)
+        phi = purify(r1, "E")
+        overlap = abs(phi.overlap(uhlmann_partner(r1, s1, phi))) ** 2
+        out[i, "partner_overlap"] = BoundCheck.of(overlap, fidelity(r1, s1), tol=1e-8)
+        rep = max_eig_convexity(_rand_state(rng, lay), random_pure(lay, rng))
+        out[i, "component_ceiling"] = rep.component_bound
+        out[i, "eigenvalue_ceiling"] = rep.eigen_bound
+        lower, upper = check_fvdg(_rand_state(rng, lay), _rand_state(rng, lay))
+        out[i, "fvdg_lower"], out[i, "fvdg_upper"] = lower, upper
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_batched_sweep_matches_object_path(seed):
+    ref = _sweep_reference(200, 16, seed)
+    seen = set()
+    for idx, label, lhs, rhs, tol in metrics._sweep_checks(200, 16, seed, PROPERTY_NAMES):
+        for k, i in enumerate(idx):
+            want = ref[i, label]
+            assert lhs[k] == pytest.approx(want.lhs, abs=1e-12, rel=0), (i, label)
+            assert rhs[k] == pytest.approx(want.rhs, abs=1e-12, rel=0), (i, label)
+            assert BoundCheck.of(lhs[k], rhs[k], tol=tol).satisfied == want.satisfied
+            seen.add((i, label))
+    assert seen == set(ref)
+
+
+def test_property_sweep_reports_failures_in_sample_order(monkeypatch):
+    # a tolerance no check can meet turns every check into a failure
+    monkeypatch.setattr(metrics, "_SLACK_TOL", -5.0)
+    monkeypatch.setattr(metrics, "_PARTNER_TOL", -5.0)
+    monkeypatch.setattr(metrics, "_SWEEP_BLOCK", 3)
+    failures = property_sweep(7, 6, seed=5)
+    assert [c.label for c in failures] == list(metrics._CHECK_LABELS) * 7
+    ref = _sweep_reference(7, 6, seed=5)
+    want = [ref[i, label].lhs for i in range(7) for label in metrics._CHECK_LABELS]
+    assert [c.lhs for c in failures] == pytest.approx(want, abs=1e-12, rel=0)
+    fvdg_only = property_sweep(4, 6, seed=5, names=("fvdg",))
+    assert [c.label for c in fvdg_only] == ["fvdg_lower", "fvdg_upper"] * 4
