@@ -160,15 +160,13 @@ def to_stinespring(channel: KrausChannel, env_label: str = "E") -> Isometry:
     """Dilate the channel to an isometry with the environment appended last."""
     if env_label in channel.output_layout.labels:
         raise BadEnvLabels(f"environment label {env_label!r} already in output")
-    r = len(channel.kraus_ops)
-    din = channel.input_layout.total_dim
-    dout = channel.output_layout.total_dim
-    m = np.zeros((dout * r, din), dtype=np.complex128)
-    for e, k in enumerate(channel.kraus_ops):
-        # output index (o, e) is row o * r + e in row-major layout order
-        m[e::r, :] = k
-    out_layout = channel.output_layout.joined(SpaceLayout([(env_label, r)]))
-    return Isometry(channel.input_layout, out_layout, m)
+    out_layout = channel.output_layout.joined(SpaceLayout([(env_label, len(channel.kraus_ops))]))
+    return Isometry(channel.input_layout, out_layout, _stinespring_matrix(channel))
+
+
+def _stinespring_matrix(channel: KrausChannel) -> np.ndarray:
+    """The dilation as a raw matrix: output index (o, e) is row o * r + e."""
+    return np.stack(channel.kraus_ops, axis=1).reshape(-1, channel.input_layout.total_dim)
 
 
 def to_choi(channel: KrausChannel) -> ChoiMatrix:

@@ -4,8 +4,9 @@ The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum; the reported value is always the hard
-minimum re-measured on the returned instance.
+temperature-annealed soft minimum of qsb.branch_values, the kernel that
+measure_eps also runs; the reported value is always the hard minimum
+re-measured on the returned instance.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ import numpy as np
 
 from .channels import from_stinespring, to_stinespring, validate_cpt
 from .errors import InvariantViolation, TooLarge
-from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix, _as_rng
-from .qsb import QsbInstance, default_probe_states, measure_eps, perfect_qsb_construct
+from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix
+from .qsb import (
+    QsbInstance,
+    branch_values,
+    default_probe_states,
+    measure_eps,
+    perfect_qsb_construct,
+    probe_matrix,
+)
 
 DIM_CAP = 4096
 ENV_CAP = 16
@@ -142,32 +150,6 @@ class FrontierPoint:
 # ---------------------------------------------------------------------------
 
 
-def branch_values(
-    u: np.ndarray,
-    vab: np.ndarray,
-    vac: np.ndarray,
-    psi_cols: np.ndarray,
-    dims4: tuple[int, int, int, int],
-):
-    """Both receiver fidelities and the cached factors for gradients.
-
-    The probes enter only through P[s's, n] = conj(psi[s', n]) psi[s, n]. With
-    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s], W_B = K_B @ P and
-    f_AB[n] = sum_ce |W_B[ce, n]|^2; the C branch swaps U's B and C axes.
-    """
-    d_a, d_b, d_c, d_e = dims4
-    d_s, n = psi_cols.shape
-    p = (psi_cols.conj()[:, None, :] * psi_cols[None, :, :]).reshape(d_s * d_s, n)
-    u_b = u.reshape(d_a * d_b, -1)
-    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    wb, wc = (
-        (v.conj().T @ ur).reshape(d_s, -1, d_s).transpose(1, 0, 2).reshape(-1, d_s * d_s) @ p
-        for v, ur in ((vab, u_b), (vac, u_c))
-    )
-    f_ab, f_ac = ((w.real**2 + w.imag**2).sum(axis=0) for w in (wb, wc))
-    return f_ab, f_ac, (dims4, u_b, u_c, vab, vac, p, wb, wc)
-
-
 def _soft_value_and_weights(
     f_ab: np.ndarray, f_ac: np.ndarray, temp: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -182,7 +164,6 @@ def _soft_value_and_weights(
 
 
 def _weighted_grads(
-    psi_cols: np.ndarray,
     cached: tuple,
     w_ab: np.ndarray,
     w_ac: np.ndarray,
@@ -194,7 +175,7 @@ def _weighted_grads(
     and g_VAB[ab, s'] = sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
     """
     (d_a, d_b, d_c, _), u_b, u_c, vab, vac, p, wb, wc = cached
-    d_s = psi_cols.shape[0]
+    d_s = vab.shape[1]
     gb, gc = (((w * wn) @ p.conj().T).reshape(-1, d_s, d_s) for w, wn in ((wb, w_ab), (wc, w_ac)))
     g_u = vab @ gb.transpose(1, 0, 2).reshape(d_s, -1)
     g_uc = (vac @ gc.transpose(1, 0, 2).reshape(d_s, -1)).reshape(d_a, d_c, d_b, -1)
@@ -218,9 +199,9 @@ def objective_value_and_grads(
     entry moves the objective by 2*Re(g) per unit and an imaginary one by
     2*Im(g); that is the convention the finite-difference check uses.
     """
-    f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
+    f_ab, f_ac, cached = branch_values(u, vab, vac, probe_matrix(psi_cols), dims4)
     value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
-    return (value, *_weighted_grads(psi_cols, cached, w_ab, w_ac))
+    return (value, *_weighted_grads(cached, w_ab, w_ac))
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
@@ -271,7 +252,7 @@ class _RestartOutcome:
 
 def _run_restart(
     config: OptimizeConfig,
-    psi_cols: np.ndarray,
+    p: np.ndarray,
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
     index: int,
 ) -> _RestartOutcome:
@@ -287,7 +268,7 @@ def _run_restart(
     # whose padding rows leave the Householder factor of the real rows alone
     rows = (u.shape[0], vab.shape[0], vac.shape[0])
     stack = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
-    f_ab, f_ac, cached = branch_values(u, vab, vac, psi_cols, dims4)
+    f_ab, f_ac, cached = branch_values(u, vab, vac, p, dims4)
 
     for it in range(config.max_iters):
         iters = it + 1
@@ -301,7 +282,7 @@ def _run_restart(
             break
 
         value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
-        g_u, g_vab, g_vac = _weighted_grads(psi_cols, cached, w_ab, w_ac)
+        g_u, g_vab, g_vac = _weighted_grads(cached, w_ab, w_ac)
 
         xi_u = _tangent(u, g_u)
         xi_vab = _tangent(vab, g_vab)
@@ -324,7 +305,7 @@ def _run_restart(
                 np.add(m, trial * xi, out=stack[k, : rows[k]])
             q = _qr_positive(stack)
             u2, vab2, vac2 = (q[k, : rows[k]] for k in range(3))
-            trial_eval = branch_values(u2, vab2, vac2, psi_cols, dims4)
+            trial_eval = branch_values(u2, vab2, vac2, p, dims4)
             value2, _, _ = _soft_value_and_weights(trial_eval[0], trial_eval[1], temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
                 u, vab, vac = u2, vab2, vac2
@@ -392,13 +373,13 @@ def optimize_qsb(
     probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
     if not probes:
         raise InvariantViolation("sample_spec produced no probe states")
-    psi_cols = np.stack([p.amplitudes for p in probes], axis=1)
+    # the probes enter the kernel only through their outer products
+    p = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= config.d_a:
         inits.append(_perfect_init(config))
-    for p in initial_points:
-        u, vab, vac = p
+    for u, vab, vac in initial_points:
         d_a, d_b, d_c, d_e = config.dims4
         want = (
             (d_a * d_b * d_c * d_e, config.d_s),
@@ -415,7 +396,7 @@ def optimize_qsb(
         inits.append(_random_init(config, rng))
         idx += 1
 
-    outcomes = [_run_restart(config, psi_cols, p, i) for i, p in enumerate(inits)]
+    outcomes = [_run_restart(config, p, init, i) for i, init in enumerate(inits)]
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)

@@ -9,17 +9,22 @@ machinery below constructs that regime, measures the worst-case fidelity
 deficit everywhere else, and evaluates the chain of bounds that turns a
 small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
+
+Both receiver fidelities come from one kernel, branch_values: it contracts
+the channel's Stinespring matrix with the two representation isometries and
+meets the inputs only through their outer products (probe_matrix).
+measure_eps, the search in optimize and chain_verify all run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply, from_stinespring
+from .channels import KrausChannel, _stinespring_matrix, apply, depolarizing_channel, mix
 from .errors import (
     BadAmplitudes,
     BadDim,
@@ -162,34 +167,60 @@ class FidelityPair:
         return min(self.f_ab, self.f_ac)
 
 
-def _output_dims(instance: QsbInstance) -> tuple[int, int, int]:
-    return instance.d_a, instance.d_b, instance.d_c
+def probe_matrix(cols: np.ndarray) -> np.ndarray:
+    """P[s' * d_s + s, n] = conj(cols[s', n]) cols[s, n] for source columns (d_s, n)."""
+    d_s, n = cols.shape
+    return (cols.conj()[:, None, :] * cols[None, :, :]).reshape(d_s * d_s, n)
 
 
-def branch_fidelity_matrix(
-    instance: QsbInstance, psi_columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both receiver fidelities for a batch of source columns (d_s, n)."""
-    d_a, d_b, d_c = _output_dims(instance)
-    n = psi_columns.shape[1]
-    psi_ab = (instance.v_abs.matrix @ psi_columns).reshape(d_a, d_b, n)
-    psi_ac = (instance.v_acs.matrix @ psi_columns).reshape(d_a, d_c, n)
-    f_ab = np.zeros(n)
-    f_ac = np.zeros(n)
-    for k in instance.channel.kraus_ops:
-        t = (k @ psi_columns).reshape(d_a, d_b, d_c, n)
-        w = np.einsum("abn,abcn->cn", psi_ab.conj(), t)
-        f_ab += np.einsum("cn,cn->n", w, w.conj()).real
-        w = np.einsum("acn,abcn->bn", psi_ac.conj(), t)
-        f_ac += np.einsum("bn,bn->n", w, w.conj()).real
-    return np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
+def branch_values(
+    u: np.ndarray,
+    vab: np.ndarray,
+    vac: np.ndarray,
+    p: np.ndarray,
+    dims4: tuple[int, int, int, int],
+):
+    """Both receiver fidelities and the cached factors for gradients.
+
+    u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
+    representation matrices and p the probe_matrix of the inputs. With
+    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s], W_B = K_B @ P and
+    f_AB[n] = sum_ce |W_B[ce, n]|^2; the C branch swaps U's B and C axes.
+    """
+    d_a, d_b, d_c, d_e = dims4
+    d_s = vab.shape[1]
+    u_b = u.reshape(d_a * d_b, -1)
+    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
+    wb, wc = (
+        (v.conj().T @ ur).reshape(d_s, -1, d_s).transpose(1, 0, 2).reshape(-1, d_s * d_s) @ p
+        for v, ur in ((vab, u_b), (vac, u_c))
+    )
+    f_ab, f_ac = ((w.real**2 + w.imag**2).sum(axis=0) for w in (wb, wc))
+    return f_ab, f_ac, (dims4, u_b, u_c, vab, vac, p, wb, wc)
+
+
+def _deficit(
+    instance: QsbInstance, cols: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Worst fidelity deficit over source columns (d_s, n), and both receiver
+    fidelities per column, clipped to [0, 1]."""
+    dims4 = (instance.d_a, instance.d_b, instance.d_c, len(instance.channel.kraus_ops))
+    f_ab, f_ac, _ = branch_values(
+        _stinespring_matrix(instance.channel),
+        instance.v_abs.matrix,
+        instance.v_acs.matrix,
+        probe_matrix(cols),
+        dims4,
+    )
+    f_ab, f_ac = np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
+    return max(1.0 - float(min(f_ab.min(), f_ac.min())), 0.0), f_ab, f_ac
 
 
 def broadcast_fidelities(instance: QsbInstance, psi: PureState) -> FidelityPair:
     """F(rho_AB; |psi_AB>) and F(rho_AC; |psi_AC>) for one input."""
     if psi.layout != instance.source_layout:
         raise LayoutMismatch("input does not live on the source layout")
-    f_ab, f_ac = branch_fidelity_matrix(instance, psi.amplitudes.reshape(-1, 1))
+    _, f_ab, f_ac = _deficit(instance, psi.amplitudes.reshape(-1, 1))
     return FidelityPair(float(f_ab[0]), float(f_ac[0]))
 
 
@@ -198,9 +229,11 @@ def measure_eps(
 ) -> tuple[float, list[FidelityPair]]:
     """Largest fidelity deficit seen over the supplied probe states.
 
-    The result is a lower estimate of the true worst-case deficit: it only
-    sees the states it is given. Feed it default_probe_states (or better)
-    for a usable estimate.
+    The fidelities come from branch_values on the channel's Stinespring
+    matrix, the kernel the search maximises, so a searched instance
+    re-measures to its in-search value. The result is a lower estimate of
+    the true worst-case deficit: it only sees the states it is given. Feed
+    it default_probe_states (or better) for a usable estimate.
     """
     states = list(states)
     if not states:
@@ -208,11 +241,8 @@ def measure_eps(
     for s in states:
         if s.layout != instance.source_layout:
             raise LayoutMismatch("probe state does not live on the source layout")
-    cols = np.stack([s.amplitudes for s in states], axis=1)
-    f_ab, f_ac = branch_fidelity_matrix(instance, cols)
-    pairs = [FidelityPair(float(x), float(y)) for x, y in zip(f_ab, f_ac)]
-    eps_hat = 1.0 - min(p.worst for p in pairs)
-    return float(max(eps_hat, 0.0)), pairs
+    eps_hat, f_ab, f_ac = _deficit(instance, np.stack([s.amplitudes for s in states], axis=1))
+    return eps_hat, [FidelityPair(float(x), float(y)) for x, y in zip(f_ab, f_ac)]
 
 
 def default_probe_states(
@@ -716,16 +746,18 @@ def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
 
 def _superposition_coeffs(
     phase_count: int, extra: int, rng: np.random.Generator
-) -> list[tuple[complex, complex]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of the sampled two-level inputs: balanced with phase_count
+    relative phases, then extra normalised Gaussian pairs."""
     root2 = 1.0 / math.sqrt(2.0)
-    coeffs = [
-        (root2, root2 * np.exp(2j * np.pi * p / phase_count)) for p in range(phase_count)
-    ]
+    al = [root2] * phase_count
+    be = [root2 * np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)]
     for _ in range(extra):
         g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         g = g / np.linalg.norm(g)
-        coeffs.append((complex(g[0]), complex(g[1])))
-    return coeffs
+        al.append(g[0])
+        be.append(g[1])
+    return np.array(al, dtype=np.complex128), np.array(be, dtype=np.complex128)
 
 
 def _check_orthonormal_basis(basis: Sequence[PureState], d_s: int) -> None:
@@ -778,13 +810,13 @@ def chain_verify(
     # information is used; it only needs the extracted states.
     (k1, k2), a_overlap = max_overlap_pair(phi_as)
 
-    coeffs = _superposition_coeffs(phase_count, extra_superpositions, rng)
-    sup_states = []
-    for al, be in coeffs:
-        amps = al * basis[k1].amplitudes + be * basis[k2].amplitudes
-        sup_states.append(PureState(instance.source_layout, amps / np.linalg.norm(amps)))
+    # the sampled inputs alpha|k1> + beta|k2>, one per column
+    al, be = _superposition_coeffs(phase_count, extra_superpositions, rng)
+    sup = np.outer(basis[k1].amplitudes, al) + np.outer(basis[k2].amplitudes, be)
+    sup /= np.linalg.norm(sup, axis=0)
 
-    eps_run, _ = measure_eps(instance, basis + sup_states)
+    basis_cols = np.stack([b.amplitudes for b in basis], axis=1)
+    eps_run, _, _ = _deficit(instance, np.concatenate([basis_cols, sup], axis=1))
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
 
@@ -843,11 +875,15 @@ def chain_verify(
     theta: dict[str, float] = {}
     degenerate: list[str] = []
     cloning_votes: dict[str, bool] = {}
-    cap_adm = 1.0 / float(d_a) ** 2
+    # channel outputs of the sampled inputs, axes (A, B, C, E, sample)
+    m = sup.shape[1]
+    out = (_stinespring_matrix(instance.channel) @ sup).reshape(
+        d_a, instance.d_b, instance.d_c, -1, m
+    )
 
-    for branch, phis, v_rep, edp, etp, eiv, admissible in (
-        ("b", phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b),
-        ("c", phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c),
+    for branch, axis, phis, v_rep, edp, etp, eiv, admissible in (
+        ("b", 1, phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b),
+        ("c", 2, phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c),
     ):
         cond = guaranteed and admissible
         x1, x2 = phis[k1], phis[k2]
@@ -866,15 +902,11 @@ def chain_verify(
             continue
 
         # representation targets: alpha |phi_A1 x1> + beta |phi_A2 resid>
-        t1 = tensor(phi_as[k1], x1)
-        t2 = tensor(phi_as[k2], resid0)
-        psi_reps = [apply_isometry(v_rep, s) for s in sup_states]
-        xs = np.array(
-            [np.conj(al) * np.vdot(t1.amplitudes, p.amplitudes) for (al, _), p in zip(coeffs, psi_reps)]
-        )
-        ys = np.array(
-            [np.conj(be) * np.vdot(t2.amplitudes, p.amplitudes) for (_, be), p in zip(coeffs, psi_reps)]
-        )
+        t1 = np.kron(phi_as[k1].amplitudes, x1.amplitudes)
+        t2 = np.kron(phi_as[k2].amplitudes, resid0.amplitudes)
+        reps = v_rep.matrix @ sup
+        xs = al.conj() * (t1.conj() @ reps)
+        ys = be.conj() * (t2.conj() @ reps)
         offsets = np.abs(xs) ** 2 + np.abs(ys) ** 2
         cross = xs * np.conj(ys)
         th, _ = _best_phase(offsets, cross)
@@ -887,27 +919,15 @@ def chain_verify(
                 )
             )
 
-        # copy map W: span{k1, k2} -> H_X and its floors on the marginal
+        # copy map W: span{k1, k2} -> H_X and its floors on the marginal, from
+        # <x|rho_X|y> = sum over the other axes of (x^H out) conj(y^H out)
         resid = gram_schmidt_residual(x1, x2, th)
-        out_lbl = {"b": instance.channel.output_layout.labels[1], "c": instance.channel.output_layout.labels[2]}[branch]
-        rho_x = []
-        for s in sup_states:
-            rho_x.append(partial_trace(apply(instance.channel, s.density()), [out_lbl]))
-        u_parts = np.array(
-            [al * x1.amplitudes for (al, _) in coeffs]
-        )
-        v_parts = np.array(
-            [be * resid.amplitudes for (_, be) in coeffs]
-        )
-        offs = np.array(
-            [
-                float(np.real(np.vdot(u, r.matrix @ u) + np.vdot(v, r.matrix @ v)))
-                for u, v, r in zip(u_parts, v_parts, rho_x)
-            ]
-        )
-        crs = np.array(
-            [complex(np.vdot(u, r.matrix @ v)) for u, v, r in zip(u_parts, v_parts, rho_x)]
-        )
+        o = np.moveaxis(out, axis, 0).reshape(out.shape[axis], -1)
+        hx = (x1.amplitudes.conj() @ o).reshape(-1, m)
+        hr = (resid.amplitudes.conj() @ o).reshape(-1, m)
+        rho_xx, rho_rr = ((np.abs(h) ** 2).sum(axis=0) for h in (hx, hr))
+        offs = np.abs(al) ** 2 * rho_xx + np.abs(be) ** 2 * rho_rr
+        crs = al.conj() * be * (hx * hr.conj()).sum(axis=0)
         thp, _ = _best_phase(offs, crs)
         theta[branch + "_prime"] = thp
         f_copy = offs + 2.0 * np.real(crs * np.exp(1j * thp))
@@ -936,8 +956,6 @@ def perturbed_perfect_instance(
     so the worst-case deficit is exactly noise * (1 - 1/(d_a * max(d_b, d_c))):
     the branch holding the larger private subsystem recovers the least.
     """
-    from .channels import depolarizing_channel, mix
-
     base = perfect_qsb_construct(d_s, d_a, d_b, d_c)
     dep = depolarizing_channel(base.channel.input_layout, base.channel.output_layout)
     noisy = mix(base.channel, dep, noise)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsblab.qsb as qsb_module
 from qsblab.channels import KrausChannel, apply
 from qsblab.errors import (
     BadAmplitudes,
@@ -28,12 +29,16 @@ from qsblab.hilbert import (
     basis_state,
     partial_trace,
     random_pure,
-    tensor,
 )
-from qsblab.metrics import fidelity_pure, fidelity_states
+from qsblab.metrics import BoundCheck, fidelity_pure
 from qsblab.qsb import (
     CLONING_CEILING,
     QsbInstance,
+    _best_phase,
+    _ceiling_check,
+    _check_orthonormal_basis,
+    _floor_check,
+    _superposition_coeffs,
     asymptotic_ladder,
     broadcast_fidelities,
     chain_constants,
@@ -59,15 +64,22 @@ def _haar_iso(rows, cols, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_instance(d_s, d_a, d_b, d_c, seed):
-    """Isometric-channel instance with Haar-random pieces (no optimisation)."""
+def _random_instance(d_s, d_a, d_b, d_c, seed, env=1, labels=("A", "B", "C")):
+    """Haar-random pieces (no optimisation): a Stinespring isometry S -> ABCE
+    split into env Kraus operators, isometric for env = 1."""
     rng = np.random.default_rng(seed)
+    a, b, c = labels
     lay_s = SpaceLayout([("S", d_s)])
-    lay_abc = SpaceLayout([("A", d_a), ("B", d_b), ("C", d_c)])
-    chan = KrausChannel(lay_s, lay_abc, (_haar_iso(d_a * d_b * d_c, d_s, rng),))
-    vab = Isometry(lay_s, SpaceLayout([("A", d_a), ("B", d_b)]), _haar_iso(d_a * d_b, d_s, rng))
-    vac = Isometry(lay_s, SpaceLayout([("A", d_a), ("C", d_c)]), _haar_iso(d_a * d_c, d_s, rng))
+    lay_abc = SpaceLayout([(a, d_a), (b, d_b), (c, d_c)])
+    u = _haar_iso(d_a * d_b * d_c * env, d_s, rng).reshape(d_a * d_b * d_c, env, d_s)
+    chan = KrausChannel(lay_s, lay_abc, tuple(u[:, e, :] for e in range(env)))
+    vab = Isometry(lay_s, SpaceLayout([(a, d_a), (b, d_b)]), _haar_iso(d_a * d_b, d_s, rng))
+    vac = Isometry(lay_s, SpaceLayout([(a, d_a), (c, d_c)]), _haar_iso(d_a * d_c, d_s, rng))
     return QsbInstance(chan, vab, vac)
+
+
+# the chain-verify benchmark's dimensions, with a Stinespring environment of d_s
+BENCH_DIMS = ((3, 1, 3, 3), (3, 2, 2, 2), (4, 2, 2, 2), (4, 3, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +158,45 @@ def test_fidelities_match_slow_path():
         slow_ac = fidelity_pure(partial_trace(rho, ["A", "C"]), apply_isometry(inst.v_acs, psi))
         assert fast.f_ab == pytest.approx(slow_ab, abs=1e-10)
         assert fast.f_ac == pytest.approx(slow_ac, abs=1e-10)
+
+
+def _kraus_loop_fidelities(instance, cols):
+    # reference: the receiver fidelities summed Kraus operator by Kraus operator
+    d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
+    n = cols.shape[1]
+    psi_ab = (instance.v_abs.matrix @ cols).reshape(d_a, d_b, n)
+    psi_ac = (instance.v_acs.matrix @ cols).reshape(d_a, d_c, n)
+    f_ab = np.zeros(n)
+    f_ac = np.zeros(n)
+    for k in instance.channel.kraus_ops:
+        t = (k @ cols).reshape(d_a, d_b, d_c, n)
+        w = np.einsum("abn,abcn->cn", psi_ab.conj(), t)
+        f_ab += np.einsum("cn,cn->n", w, w.conj()).real
+        w = np.einsum("acn,abcn->bn", psi_ac.conj(), t)
+        f_ac += np.einsum("bn,bn->n", w, w.conj()).real
+    return np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_instance(3, 2, 2, 2, seed=11),  # one Kraus operator
+        lambda: perturbed_perfect_instance(2, 2, 2, 2, 0.05),
+        lambda: perturbed_perfect_instance(3, 3, 2, 2, 0.2),
+        lambda: _random_instance(3, 2, 2, 2, seed=12, labels=("A", "B", "E")),
+    ]
+    + [lambda dims=dims: _random_instance(*dims, seed=13, env=dims[0]) for dims in BENCH_DIMS],
+)
+def test_measure_eps_matches_kraus_loop(make):
+    inst = make()
+    probes = default_probe_states(inst.source_layout, seed=14, haar_count=40)
+    eps_hat, pairs = measure_eps(inst, probes)
+    f_ab, f_ac = _kraus_loop_fidelities(inst, np.stack([p.amplitudes for p in probes], axis=1))
+    assert np.max(np.abs(np.array([p.f_ab for p in pairs]) - f_ab)) <= 1e-13
+    assert np.max(np.abs(np.array([p.f_ac for p in pairs]) - f_ac)) <= 1e-13
+    assert eps_hat == pytest.approx(1.0 - min(f_ab.min(), f_ac.min()), abs=1e-13)
+    one = broadcast_fidelities(inst, probes[-1])
+    assert (one.f_ab, one.f_ac) == pytest.approx((f_ab[-1], f_ac[-1]), abs=1e-13)
 
 
 def test_default_probe_states_census():
@@ -457,3 +508,139 @@ def test_chain_verify_enforced_on_optimized_instance():
     assert not crowd.vacuous and crowd.satisfied
     sel = labels["selected_pair_fidelity_floor"]
     assert not sel.vacuous and sel.lhs >= 0.25 - 1e-9
+
+
+def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
+    # reference: chain_verify with one state object per sampled input, the
+    # channel applied to each and its marginal traced out
+    d_s, d_a = instance.d_s, instance.d_a
+    _check_orthonormal_basis(basis, d_s)
+    rng = np.random.default_rng(seed)
+    extractions = [extract_product_approx(instance, b, primary_branch) for b in basis]
+    phi_as = [e.phi_a for e in extractions]
+    phi_bs = [e.phi_b for e in extractions]
+    phi_cs = [e.phi_c for e in extractions]
+    (k1, k2), a_overlap = max_overlap_pair(phi_as)
+    coeffs = list(zip(*_superposition_coeffs(8, 24, rng)))
+    sup_states = []
+    for al, be in coeffs:
+        amps = al * basis[k1].amplitudes + be * basis[k2].amplitudes
+        sup_states.append(PureState(instance.source_layout, amps / np.linalg.norm(amps)))
+    eps_run, _ = measure_eps(instance, basis + sup_states)
+    eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
+    consts = chain_constants(eps_eff, d_a)
+    checks = []
+    floors = product_floors(eps_eff, primary_branch)
+    for k, e in enumerate(extractions):
+        checks.append(_floor_check(f"product_floor_abc[{k}]", e.fidelity_product_abc, 1.0 - 3.0 * eps_eff ** 0.125))
+        checks.append(_floor_check(f"product_floor_ab[{k}]", e.fidelity_ab, floors["floor_ab"]))
+        checks.append(_floor_check(f"product_floor_ac[{k}]", e.fidelity_ac, floors["floor_ac"]))
+    for branch, phis, cap in (("b", phi_bs, consts.eps_dprime_b), ("c", phi_cs, consts.eps_dprime_c)):
+        for i in range(d_s):
+            for j in range(i + 1, d_s):
+                val = abs(phi_as[i].overlap(phi_as[j])) * abs(phis[i].overlap(phis[j]))
+                checks.append(_ceiling_check(f"pair_product_overlap_{branch}[{i},{j}]", val, cap))
+    guaranteed = d_s > d_a
+    checks.append(
+        BoundCheck.of(
+            a_overlap ** 2,
+            1.0 / float(d_a) ** 2 if guaranteed else 0.0,
+            label="selected_pair_fidelity_floor",
+            vacuous=not guaranteed,
+        )
+    )
+    if guaranteed:
+        checks.append(
+            BoundCheck.of(a_overlap, overlap_lower_bound(d_s, d_a) - 1e-12, label="crowding_overlap_floor")
+        )
+    checks.append(
+        _floor_check(
+            "shared_closeness_floor",
+            a_overlap ** 2,
+            1.0 - consts.shared_closeness_deficit,
+            enforced=guaranteed and consts.admissible_b,
+        )
+    )
+    theta, degenerate = {}, []
+    for branch, phis, v_rep, edp, etp, eiv, admissible, lbl in (
+        ("b", phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b, "B"),
+        ("c", phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c, "C"),
+    ):
+        cond = guaranteed and admissible
+        x1, x2 = phis[k1], phis[k2]
+        checks.append(
+            _ceiling_check(f"outer_overlap_ceiling_{branch}", abs(x1.overlap(x2)), math.sqrt(edp), enforced=cond)
+        )
+        try:
+            resid0 = gram_schmidt_residual(x1, x2, 0.0)
+        except DegenerateResidual:
+            degenerate.append(branch)
+            continue
+        t1 = np.kron(phi_as[k1].amplitudes, x1.amplitudes)
+        t2 = np.kron(phi_as[k2].amplitudes, resid0.amplitudes)
+        psi_reps = [apply_isometry(v_rep, s) for s in sup_states]
+        xs = np.array([np.conj(al) * np.vdot(t1, p.amplitudes) for (al, _), p in zip(coeffs, psi_reps)])
+        ys = np.array([np.conj(be) * np.vdot(t2, p.amplitudes) for (_, be), p in zip(coeffs, psi_reps)])
+        offsets = np.abs(xs) ** 2 + np.abs(ys) ** 2
+        cross = xs * np.conj(ys)
+        th, _ = _best_phase(offsets, cross)
+        theta[branch] = th
+        for i, f in enumerate(offsets + 2.0 * np.real(cross * np.exp(1j * th))):
+            checks.append(_floor_check(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
+        resid = gram_schmidt_residual(x1, x2, th)
+        rho_x = [partial_trace(apply(instance.channel, s.density()), [lbl]).matrix for s in sup_states]
+        offs = np.array(
+            [
+                np.real(np.vdot(al * x1.amplitudes, r @ (al * x1.amplitudes)) + np.vdot(be * resid.amplitudes, r @ (be * resid.amplitudes)))
+                for (al, be), r in zip(coeffs, rho_x)
+            ]
+        )
+        crs = np.array(
+            [np.vdot(al * x1.amplitudes, r @ (be * resid.amplitudes)) for (al, be), r in zip(coeffs, rho_x)]
+        )
+        thp, _ = _best_phase(offs, crs)
+        theta[branch + "_prime"] = thp
+        for i, f in enumerate(offs + 2.0 * np.real(crs * np.exp(1j * thp))):
+            checks.append(_floor_check(f"copy_map_floor_{branch}[{i}]", float(f), 1.0 - eiv, enforced=cond))
+    return consts.eps, (k1, k2), checks, theta, degenerate
+
+
+@pytest.mark.parametrize("primary_branch", ["B", "C"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda dims=dims, env=env: _random_instance(*dims, seed=20 + env, env=env) for dims in BENCH_DIMS for env in (1, dims[0])]
+    + [
+        lambda: perturbed_perfect_instance(2, 2, 2, 2, 1e-6),
+        lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
+    ],
+)
+def test_chain_verify_matches_per_sample_reference(make, primary_branch):
+    inst = make()
+    basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
+    report = chain_verify(inst, basis, 0.0, primary_branch=primary_branch, seed=5, allow_trivial=True)
+    eps, pair, checks, theta, degenerate = _per_sample_chain(inst, basis, 0.0, primary_branch, seed=5)
+    assert report.eps == pytest.approx(eps, rel=1e-12, abs=1e-15)
+    assert report.selected_pair == pair
+    assert list(report.residual_degenerate) == degenerate
+    assert [c.label for c in report.checks] == [c.label for c in checks]
+    for got, want in zip(report.checks, checks):
+        assert (got.satisfied, got.vacuous) == (want.satisfied, want.vacuous), got.label
+        assert got.lhs == pytest.approx(want.lhs, abs=1e-7), got.label
+        assert got.rhs == pytest.approx(want.rhs, abs=1e-7), got.label
+    assert report.theta.keys() == theta.keys()
+
+
+def test_chain_verify_applies_the_channel_once_per_basis_state(monkeypatch):
+    # the sampled superpositions go through the Stinespring matrix, not apply
+    calls = []
+    apply_channel = qsb_module.apply
+
+    def counting_apply(channel, rho):
+        calls.append(rho.layout)
+        return apply_channel(channel, rho)
+
+    monkeypatch.setattr(qsb_module, "apply", counting_apply)
+    inst = _random_instance(4, 2, 2, 2, seed=30, env=4)
+    basis = [basis_state(inst.source_layout, k) for k in range(4)]
+    chain_verify(inst, basis, 0.0, seed=1)
+    assert len(calls) == inst.d_s
