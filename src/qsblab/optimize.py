@@ -316,6 +316,13 @@ def _run_restart(
             trial *= 0.5
         if not accepted:
             break
+    else:
+        # the budget ran out right after an accepted step: score that point too
+        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
+        hard = float(min(f_ab.min(), f_ac.min()))
+        if hard > best_hard:
+            best_hard = hard
+            best_params = (u, vab, vac)
 
     return _RestartOutcome(index, best_hard, best_params, iters, max_seen)
 
