@@ -38,7 +38,6 @@ class SampleSpec:
 
     haar_count: int = 200
     phase_count: int = 8
-    include_basis: bool = True
 
     def __post_init__(self):
         if self.haar_count < 0 or self.phase_count < 0:
@@ -46,11 +45,7 @@ class SampleSpec:
 
     def states(self, layout: SpaceLayout, seed) -> list[PureState]:
         return default_probe_states(
-            layout,
-            seed,
-            haar_count=self.haar_count,
-            phase_count=self.phase_count,
-            include_basis=self.include_basis,
+            layout, seed, haar_count=self.haar_count, phase_count=self.phase_count
         )
 
 

@@ -250,7 +250,6 @@ def default_probe_states(
     seed: int | np.random.Generator,
     haar_count: int = 200,
     phase_count: int = 8,
-    include_basis: bool = True,
 ) -> list[PureState]:
     """Probe family: basis, balanced two-level superpositions, Haar samples.
 
@@ -259,9 +258,7 @@ def default_probe_states(
     """
     rng = _as_rng(seed)
     d = layout.total_dim
-    probes: list[PureState] = []
-    if include_basis:
-        probes.extend(basis_state(layout, k) for k in range(d))
+    probes = [basis_state(layout, k) for k in range(d)]
     root2 = 1.0 / np.sqrt(2.0)
     for i in range(d):
         for j in range(i + 1, d):

@@ -9,7 +9,6 @@ from qsblab import metrics
 from qsblab.errors import BadPurification, LayoutMismatch
 from qsblab.hilbert import (
     DensityMatrix,
-    PureState,
     SpaceLayout,
     basis_state,
     partial_trace,

@@ -203,8 +203,6 @@ def test_default_probe_states_census():
     lay = SpaceLayout([("S", 3)])
     probes = default_probe_states(lay, seed=0, haar_count=7, phase_count=4)
     assert len(probes) == 3 + 3 * 4 + 7  # basis + pairs x phases + haar
-    no_basis = default_probe_states(lay, seed=0, haar_count=7, phase_count=4, include_basis=False)
-    assert len(no_basis) == 3 * 4 + 7
     again = default_probe_states(lay, seed=0, haar_count=7, phase_count=4)
     assert all(
         np.array_equal(p.amplitudes, q.amplitudes) for p, q in zip(probes, again)
