@@ -375,7 +375,6 @@ def optimize_qsb(
     probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
     if not probes:
         raise InvariantViolation("sample_spec produced no probe states")
-    # the probes enter the kernel only through their outer products
     p = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []

@@ -285,40 +285,36 @@ def test_optimize_is_deterministic():
     assert p1.winner_restart == p2.winner_restart
 
 
+# the pins from before a restart scored its final iterate; scoring one more
+# point can only raise a restart's value
+UNSCORED_FINAL_PINS = {
+    (2, 1, 2, 2): (0.8325817318774063, 0.8325815930337223, 0.8325850897156093),
+    (3, 2, 2, 2): (0.7904707681557958, 0.789592381901554),
+}
+
+
 @pytest.mark.parametrize(
-    "dims, seed, restarts, want_values, floor_values, want_winner",
+    "dims, seed, restarts, want_values, want_winner",
     [
         (
             (2, 1, 2, 2),
             2,
             3,
             (0.8325915953210995, 0.8325914684566003, 0.8325967530412275),
-            (0.8325817318774063, 0.8325815930337223, 0.8325850897156093),
             2,
         ),
-        (
-            (3, 2, 2, 2),
-            7,
-            2,
-            (0.790527642118506, 0.7896764583364716),
-            (0.7904707681557958, 0.789592381901554),
-            0,
-        ),
+        ((3, 2, 2, 2), 7, 2, (0.790527642118506, 0.7896764583364716), 0),
     ],
 )
-def test_search_trajectory_is_pinned(
-    dims, seed, restarts, want_values, floor_values, want_winner
-):
+def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_winner):
     # reference trajectories: any change to what a search iteration
-    # computes (objective, gradient, line search, retraction) moves them;
-    # floor_values are the pins from before the final iterate was scored,
-    # which scoring one more point can only raise
+    # computes (objective, gradient, line search, retraction) moves them
     cfg = OptimizeConfig(
         *dims, restarts=restarts, max_iters=300, sample_spec=SMALL, seed=seed
     )
     point = optimize_qsb(cfg)
     assert point.restart_values == pytest.approx(want_values, rel=0, abs=1e-12)
-    assert all(v >= f for v, f in zip(point.restart_values, floor_values))
+    assert all(v >= f for v, f in zip(point.restart_values, UNSCORED_FINAL_PINS[dims]))
     assert point.winner_restart == want_winner
     assert point.iterations_used == 300
 

@@ -587,15 +587,9 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
             checks.append(_floor_check(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
         resid = gram_schmidt_residual(x1, x2, th)
         rho_x = [partial_trace(apply(instance.channel, s.density()), [lbl]).matrix for s in sup_states]
-        offs = np.array(
-            [
-                np.real(np.vdot(al * x1.amplitudes, r @ (al * x1.amplitudes)) + np.vdot(be * resid.amplitudes, r @ (be * resid.amplitudes)))
-                for (al, be), r in zip(coeffs, rho_x)
-            ]
-        )
-        crs = np.array(
-            [np.vdot(al * x1.amplitudes, r @ (be * resid.amplitudes)) for (al, be), r in zip(coeffs, rho_x)]
-        )
+        parts = [(al * x1.amplitudes, be * resid.amplitudes, r) for (al, be), r in zip(coeffs, rho_x)]
+        offs = np.array([np.real(np.vdot(u, r @ u) + np.vdot(v, r @ v)) for u, v, r in parts])
+        crs = np.array([np.vdot(u, r @ v) for u, v, r in parts])
         thp, _ = _best_phase(offs, crs)
         theta[branch + "_prime"] = thp
         for i, f in enumerate(offs + 2.0 * np.real(crs * np.exp(1j * thp))):
@@ -606,7 +600,11 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
 @pytest.mark.parametrize("primary_branch", ["B", "C"])
 @pytest.mark.parametrize(
     "make",
-    [lambda dims=dims, env=env: _random_instance(*dims, seed=20 + env, env=env) for dims in BENCH_DIMS for env in (1, dims[0])]
+    [
+        lambda dims=dims, env=env: _random_instance(*dims, seed=20 + env, env=env)
+        for dims in BENCH_DIMS
+        for env in (1, dims[0])
+    ]
     + [
         lambda: perturbed_perfect_instance(2, 2, 2, 2, 1e-6),
         lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
