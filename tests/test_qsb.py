@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qsblab.qsb as qsb_module
+import qsblab.channels as channels_module
 from qsblab.channels import KrausChannel, apply
 from qsblab.errors import (
     BadAmplitudes,
@@ -22,17 +22,22 @@ from qsblab.errors import (
     NoPerfectQsb,
 )
 from qsblab.hilbert import (
+    DensityMatrix,
     Isometry,
     PureState,
     SpaceLayout,
     apply_isometry,
     basis_state,
+    eigh_desc,
     partial_trace,
+    purify,
     random_pure,
+    tensor,
 )
-from qsblab.metrics import BoundCheck, fidelity_pure
+from qsblab.metrics import BoundCheck, fidelity_pure, fidelity_states
 from qsblab.qsb import (
     CLONING_CEILING,
+    ProductApprox,
     QsbInstance,
     _best_phase,
     _ceiling_check,
@@ -199,6 +204,39 @@ def test_measure_eps_matches_kraus_loop(make):
     assert (one.f_ab, one.f_ac) == pytest.approx((f_ab[-1], f_ac[-1]), abs=1e-13)
 
 
+def _loop_probe_states(layout, seed, haar_count, phase_count):
+    # reference: the probe family built one state at a time
+    rng = np.random.default_rng(seed)
+    d = layout.total_dim
+    probes = [basis_state(layout, k) for k in range(d)]
+    root2 = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for p in range(phase_count):
+                amps = np.zeros(d, dtype=np.complex128)
+                amps[i] = root2
+                amps[j] = root2 * np.exp(2j * np.pi * p / phase_count)
+                probes.append(PureState(layout, amps))
+    for _ in range(haar_count):
+        probes.append(random_pure(layout, rng))
+    return probes, rng.random()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("phase_count", [0, 4, 8])
+@pytest.mark.parametrize("haar_count", [0, 7, 200])
+def test_default_probe_states_are_bit_identical_to_the_loop(d, phase_count, haar_count):
+    lay = SpaceLayout([("S", d)])
+    for seed in (0, 42, 7919):
+        want, next_draw = _loop_probe_states(lay, seed, haar_count, phase_count)
+        rng = np.random.default_rng(seed)
+        got = default_probe_states(lay, rng, haar_count=haar_count, phase_count=phase_count)
+        assert len(got) == len(want)
+        assert all(g.layout == lay for g in got)
+        assert all(np.array_equal(g.amplitudes, w.amplitudes) for g, w in zip(got, want))
+        assert rng.random() == next_draw  # the same draws, nothing more
+
+
 def test_default_probe_states_census():
     lay = SpaceLayout([("S", 3)])
     probes = default_probe_states(lay, seed=0, haar_count=7, phase_count=4)
@@ -207,6 +245,25 @@ def test_default_probe_states_census():
     assert all(
         np.array_equal(p.amplitudes, q.amplitudes) for p, q in zip(probes, again)
     )
+
+
+def test_superposition_coeffs_are_bit_identical_to_the_loop():
+    # reference: one normalised Gaussian pair per draw
+    for phase_count, extra, seed in ((8, 24, 0), (4, 7, 5), (0, 30, 42), (3, 0, 1)):
+        rng = np.random.default_rng(seed)
+        root2 = 1.0 / math.sqrt(2.0)
+        al = [root2] * phase_count
+        be = [root2 * np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)]
+        for _ in range(extra):
+            g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            g = g / np.linalg.norm(g)
+            al.append(g[0])
+            be.append(g[1])
+        mine = np.random.default_rng(seed)
+        got_al, got_be = _superposition_coeffs(phase_count, extra, mine)
+        assert np.array_equal(got_al, np.array(al, dtype=np.complex128))
+        assert np.array_equal(got_be, np.array(be, dtype=np.complex128))
+        assert mine.random() == rng.random()
 
 
 def test_perturbed_deficit_is_exact():
@@ -238,6 +295,76 @@ def test_extraction_beats_floors_both_branches():
             assert ext.fidelity_ab >= max(floors["floor_ab"], 0.0) - 1e-12
             assert ext.fidelity_ac >= max(floors["floor_ac"], 0.0) - 1e-12
             assert ext.fidelity_product_abc >= max(floors["floor_abc"], 0.0) - 1e-12
+
+
+def _object_extract(instance, psi, primary_branch):
+    # reference: the extraction through state objects; the channel output is
+    # purified by its own eigendecomposition and the marginals traced out.
+    # Returns the ProductApprox and the top eigenvalue gap of each marginal.
+    lbl_a, lbl_b, lbl_c = instance.channel.output_layout.labels
+    lbl_x, lbl_y = (lbl_b, lbl_c) if primary_branch == "B" else (lbl_c, lbl_b)
+    psi_ab = apply_isometry(instance.v_abs, psi)
+    psi_ac = apply_isometry(instance.v_acs, psi)
+    psi_ay = psi_ac if primary_branch == "B" else psi_ab
+    rho_abc = apply(instance.channel, psi.density())
+    pure = purify(rho_abc, env_label="E")
+    dims = pure.layout.dims
+    pos = [pure.layout.index_of(l) for l in (lbl_a, lbl_y)]
+    small = psi_ay.amplitudes.conj().reshape([dims[i] for i in pos])
+    v_xe = np.einsum(small, pos, pure.amplitudes.reshape(dims), [0, 1, 2, 3], [i for i in range(4) if i not in pos])
+    psi_xe = PureState(pure.layout.subset([lbl_x, "E"]), v_xe.reshape(-1) / np.linalg.norm(v_xe))
+
+    def top(rho):
+        w, v = eigh_desc(rho.matrix)
+        return PureState(rho.layout, v[:, 0]), (w[0] - w[1] if len(w) > 1 else np.inf)
+
+    (phi_a, g_a), (phi_x, g_x), (phi_y, g_y) = (
+        top(partial_trace(psi_ay.density(), [lbl_a])),
+        top(partial_trace(psi_xe.density(), [lbl_x])),
+        top(partial_trace(psi_ay.density(), [lbl_y])),
+    )
+    (phi_b, g_b), (phi_c, g_c) = ((phi_x, g_x), (phi_y, g_y))[:: 1 if primary_branch == "B" else -1]
+    ext = ProductApprox(
+        phi_a=phi_a,
+        phi_b=phi_b,
+        phi_c=phi_c,
+        fidelity_product_abc=fidelity_pure(rho_abc, tensor(tensor(phi_a, phi_b), phi_c)),
+        fidelity_ab=fidelity_states(psi_ab, tensor(phi_a, phi_b)),
+        fidelity_ac=fidelity_states(psi_ac, tensor(phi_a, phi_c)),
+        primary_branch=primary_branch,
+    )
+    return ext, (g_a, g_b, g_c)
+
+
+@pytest.mark.parametrize("primary_branch", ["B", "C"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda dims=dims, env=env: _random_instance(*dims, seed=40 + env, env=env)
+        for dims in BENCH_DIMS
+        for env in (1, dims[0])
+    ]
+    + [
+        lambda: perturbed_perfect_instance(2, 2, 2, 2, 1e-6),
+        lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
+    ],
+)
+def test_extraction_matches_object_path(make, primary_branch):
+    inst = make()
+    rng = np.random.default_rng(41)
+    states = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
+    states += [random_pure(inst.source_layout, rng) for _ in range(3)]
+    for psi in states:
+        got = extract_product_approx(inst, psi, primary_branch)
+        want, gaps = _object_extract(inst, psi, primary_branch)
+        assert got.primary_branch == primary_branch
+        for name in ("fidelity_product_abc", "fidelity_ab", "fidelity_ac"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12), name
+        for name, gap in zip(("phi_a", "phi_b", "phi_c"), gaps):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.layout == w.layout
+            if gap > 1e-6:
+                assert np.max(np.abs(g.amplitudes - w.amplitudes)) <= 1e-10, name
 
 
 def test_extraction_guards():
@@ -514,7 +641,7 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     d_s, d_a = instance.d_s, instance.d_a
     _check_orthonormal_basis(basis, d_s)
     rng = np.random.default_rng(seed)
-    extractions = [extract_product_approx(instance, b, primary_branch) for b in basis]
+    extractions = [_object_extract(instance, b, primary_branch)[0] for b in basis]
     phi_as = [e.phi_a for e in extractions]
     phi_bs = [e.phi_b for e in extractions]
     phi_cs = [e.phi_c for e in extractions]
@@ -626,17 +753,112 @@ def test_chain_verify_matches_per_sample_reference(make, primary_branch):
     assert report.theta.keys() == theta.keys()
 
 
-def test_chain_verify_applies_the_channel_once_per_basis_state(monkeypatch):
-    # the sampled superpositions go through the Stinespring matrix, not apply
+def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatch):
+    # basis states and superpositions alike go through the Stinespring matrix
     calls = []
-    apply_channel = qsb_module.apply
+    apply_channel = channels_module.apply
+    validate = DensityMatrix.__post_init__
 
     def counting_apply(channel, rho):
-        calls.append(rho.layout)
+        calls.append("apply")
         return apply_channel(channel, rho)
 
-    monkeypatch.setattr(qsb_module, "apply", counting_apply)
+    def counting_validate(self):
+        calls.append("DensityMatrix")
+        validate(self)
+
+    monkeypatch.setattr(channels_module, "apply", counting_apply)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_validate)
     inst = _random_instance(4, 2, 2, 2, seed=30, env=4)
     basis = [basis_state(inst.source_layout, k) for k in range(4)]
-    chain_verify(inst, basis, 0.0, seed=1)
-    assert len(calls) == inst.d_s
+    for branch in ("B", "C"):
+        chain_verify(inst, basis, 0.0, primary_branch=branch, seed=1)
+    assert calls == []
+    basis[0].density()  # the counter does see a construction
+    assert calls == ["DensityMatrix"]
+
+
+def test_chain_verify_rejects_bad_branch_and_foreign_basis():
+    inst = _random_instance(3, 2, 2, 2, seed=31)
+    basis = [basis_state(inst.source_layout, k) for k in range(3)]
+    with pytest.raises(InvariantViolation):
+        chain_verify(inst, basis, 0.0, primary_branch="A")
+    other = SpaceLayout([("X", 3)])
+    with pytest.raises(LayoutMismatch):
+        chain_verify(inst, [basis_state(other, k) for k in range(3)], 0.0)
+
+
+def test_extraction_rejects_an_output_orthogonal_to_the_secondary_image():
+    # the channel parks C in |0>, the A-C representation expects |1> there
+    base = perfect_qsb_construct(2, 2, 2, 2)
+    m_ac = np.zeros((4, 2), dtype=np.complex128)
+    m_ac[[1, 3], [0, 1]] = 1.0
+    inst = QsbInstance(base.channel, base.v_abs, Isometry(base.source_layout, base.v_acs.output_layout, m_ac))
+    basis = [basis_state(inst.source_layout, k) for k in range(2)]
+    with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
+        extract_product_approx(inst, basis[0], "B")
+    with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
+        chain_verify(inst, basis, 0.0, allow_trivial=True)
+    assert extract_product_approx(inst, basis[0], "C").fidelity_ab == pytest.approx(1.0, abs=1e-15)
+
+
+def test_chain_verify_accepts_an_output_named_e():
+    # the purification's environment is the Kraus index, not a label, so an
+    # output subsystem named E no longer clashes with it
+    inst = _random_instance(3, 2, 2, 2, seed=32, env=3, labels=("A", "B", "E"))
+    basis = [basis_state(inst.source_layout, k) for k in range(3)]
+    plain = _random_instance(3, 2, 2, 2, seed=32, env=3)
+    got, want = chain_verify(inst, basis, 0.0, seed=3), chain_verify(plain, basis, 0.0, seed=3)
+    assert [(c.label, c.lhs, c.rhs) for c in got.checks] == [(c.label, c.lhs, c.rhs) for c in want.checks]
+
+
+def _grid_max(offsets, cross, points=8192):
+    grid = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    return (offsets[:, None] + 2.0 * np.real(cross[:, None] * np.exp(1j * grid))).min(axis=0).max()
+
+
+def _worst_at(offsets, cross, theta):
+    return float((offsets + 2.0 * np.real(cross * np.exp(1j * theta))).min())
+
+
+def _phase_case(seed, m=32):
+    rng = np.random.default_rng(seed)
+    offsets = rng.random(m) + 1.0
+    cross = 0.2 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return offsets, cross
+
+
+def test_best_phase_reaches_the_exact_max_min():
+    # a golden-section search around the best of 256 grid cells stopped at
+    # 0.7800822 here; an 8192-point grid reaches 0.7825357
+    offsets, cross = _phase_case(341)
+    theta, val = _best_phase(offsets, cross)
+    assert val == pytest.approx(0.7825726, abs=1e-7)
+    assert val >= _grid_max(offsets, cross) - 1e-12
+    assert _worst_at(offsets, cross, theta) == pytest.approx(val, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 5, 32])
+def test_best_phase_beats_a_fine_grid(m):
+    for seed in range(200):
+        offsets, cross = _phase_case(1000 + seed, m)
+        theta, val = _best_phase(offsets, cross)
+        assert 0.0 <= theta < 2.0 * np.pi
+        assert val >= _grid_max(offsets, cross) - 1e-12, seed
+        assert _worst_at(offsets, cross, theta) == pytest.approx(val, abs=1e-14)
+
+
+def test_best_phase_edge_cases():
+    # no coherence anywhere: the value is the smallest offset at any phase
+    theta, val = _best_phase(np.array([0.9, 0.7, 0.8]), np.zeros(3, dtype=np.complex128))
+    assert 0.0 <= theta < 2.0 * np.pi and val == 0.7
+    # one sample: its own peak
+    theta, val = _best_phase(np.array([0.5]), np.array([0.1j]))
+    assert theta == pytest.approx(1.5 * np.pi) and val == pytest.approx(0.7, abs=1e-15)
+    # two identical samples give identical curves and no crossing
+    theta, val = _best_phase(np.array([0.5, 0.5]), np.array([0.1 + 0.1j, 0.1 + 0.1j]))
+    assert theta == pytest.approx(1.75 * np.pi) and val == pytest.approx(0.5 + 0.2 * math.sqrt(2.0), abs=1e-15)
+    # a peak at -0.0 or just below zero still comes back in [0, 2 pi)
+    for c in (1.0 + 0.0j, 1.0 + 1e-17j, 1.0 - 1e-300j):
+        theta, _ = _best_phase(np.array([0.5]), np.array([c]))
+        assert 0.0 <= theta < 2.0 * np.pi
