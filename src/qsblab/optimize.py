@@ -4,26 +4,32 @@ The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum of qsb.branch_values, the kernel that
-measure_eps also runs; the reported value is always the hard minimum
-re-measured on the returned instance.
+temperature-annealed soft minimum of qsb.branch_values (per receiver the Gram
+matrix H = K^H K, read as f = p^H H p), the kernel measure_eps also runs; the
+reported value is always the hard minimum re-measured on the returned instance.
+A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack: one
+gradient, tangent projection and retraction per step. The retraction is
+Cholesky QR: a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I, so
+the Cholesky factor exists and gives exactly the positive-diagonal QR factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channels import from_stinespring, to_stinespring, validate_cpt
+from .channels import _stinespring_matrix, from_stinespring, to_stinespring, validate_cpt
 from .errors import InvariantViolation, TooLarge
 from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix
 from .qsb import (
     QsbInstance,
+    _deficit,
+    _probe_columns,
     branch_values,
     default_probe_states,
-    measure_eps,
     perfect_qsb_construct,
     probe_matrix,
 )
@@ -70,8 +76,10 @@ class OptimizeConfig:
                 raise InvariantViolation(f"{name} must be >= 1")
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantViolation("restarts and max_iters must be >= 1")
-        if self.step_init <= 0.0:
-            raise InvariantViolation("step_init must be positive")
+        for name in ("step_init", "temp_init", "temp_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvariantViolation(f"{name} must be finite and positive, got {value}")
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
             raise InvariantViolation(
@@ -147,37 +155,35 @@ class FrontierPoint:
 
 def _soft_value_and_weights(
     f_ab: np.ndarray, f_ac: np.ndarray, temp: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    n = f_ab.shape[0]
-    f = np.concatenate([f_ab, f_ac])
+) -> tuple[float, np.ndarray]:
+    """Soft minimum over both branches and its weights as a (2, n) stack."""
+    f = np.concatenate((f_ab, f_ac))
     m = f.min()
     e = np.exp(-temp * (f - m))
     z = e.sum()
-    value = float(m - np.log(z) / temp)
-    w = e / z
-    return value, w[:n], w[n:]
+    return float(m - np.log(z) / temp), (e / z).reshape(2, -1)
 
 
-def _weighted_grads(
-    cached: tuple,
-    w_ab: np.ndarray,
-    w_ac: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum_n w_ab[n] f_ab[n] + w_ac[n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
+def _weighted_grads(cached: tuple, w: np.ndarray, ph: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
-    `cached` is the factor tuple `branch_values` returns for the point. With
-    G_B = (W_B * w_ab) @ P^H as [ce, s', s], g_U[abce, s] = sum_s' V_AB[ab, s'] G_B
-    and g_VAB[ab, s'] = sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
+    `cached` is the factor tuple `branch_values` returns for the point, ph is
+    P^H, and the real rows of the padded (3, N_U, d_s) stack g receive them.
+    With A = (P w) P^H per branch and G_B = K_B A as [ce, s', s],
+    g_U[abce, s] = sum_s' V_AB[ab, s'] G_B and g_VAB[ab, s'] =
+    sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
     """
-    (d_a, d_b, d_c, _), u_b, u_c, vab, vac, p, wb, wc = cached
+    (d_a, d_b, d_c, d_e), u_b, u_c, vab, vac, p, k = cached
     d_s = vab.shape[1]
-    gb, gc = (((w * wn) @ p.conj().T).reshape(-1, d_s, d_s) for w, wn in ((wb, w_ab), (wc, w_ac)))
-    g_u = vab @ gb.transpose(1, 0, 2).reshape(d_s, -1)
+    gk = (k @ ((p * w[:, None, :]) @ ph)).reshape(2, -1, d_s, d_s)
+    gb, gc = gk[0, : d_c * d_e], gk[1, : d_b * d_e]
+    np.matmul(vab, gb.transpose(1, 0, 2).reshape(d_s, -1), out=g[0].reshape(d_a * d_b, -1))
     g_uc = (vac @ gc.transpose(1, 0, 2).reshape(d_s, -1)).reshape(d_a, d_c, d_b, -1)
-    g_u += g_uc.transpose(0, 2, 1, 3).reshape(d_a * d_b, -1)
-    g_vab = u_b @ gb.transpose(0, 2, 1).reshape(-1, d_s).conj()
-    g_vac = u_c @ gc.transpose(0, 2, 1).reshape(-1, d_s).conj()
-    return g_u.reshape(-1, d_s), g_vab, g_vac
+    g_u = g[0].reshape(d_a, d_b, d_c, -1)
+    g_u += g_uc.transpose(0, 2, 1, 3)
+    np.matmul(u_b, gb.transpose(0, 2, 1).reshape(-1, d_s).conj(), out=g[1, : vab.shape[0]])
+    np.matmul(u_c, gc.transpose(0, 2, 1).reshape(-1, d_s).conj(), out=g[2, : vac.shape[0]])
+    return g
 
 
 def objective_value_and_grads(
@@ -194,22 +200,24 @@ def objective_value_and_grads(
     entry moves the objective by 2*Re(g) per unit and an imaginary one by
     2*Im(g); that is the convention the finite-difference check uses.
     """
-    f_ab, f_ac, cached = branch_values(u, vab, vac, probe_matrix(psi_cols), dims4)
-    value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
-    return (value, *_weighted_grads(cached, w_ab, w_ac))
+    p = probe_matrix(psi_cols)
+    f_ab, f_ac, cached = branch_values(u, vab, vac, p, dims4)
+    value, w = _soft_value_and_weights(f_ab, f_ac, temp)
+    g = _weighted_grads(cached, w, p.conj().T, np.zeros((3, *u.shape), dtype=np.complex128))
+    return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
-    """Thin orthonormal factors of a (..., N, k) stack, triangular diagonals made positive."""
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))[..., None, :]
+    """Positive-diagonal thin QR factor Q = M L^-H of a (..., N, k) stack, where
+    L L^H = M^H M (Cholesky QR, see above); zero rows of M stay exactly zero."""
+    l = np.linalg.cholesky(m.conj().swapaxes(-1, -2) @ m)
+    return m @ np.linalg.inv(l).conj().swapaxes(-1, -2)
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    vg = v.conj().T @ g
-    return g - v @ ((vg + vg.conj().T) * 0.5)
+    """Project g onto the tangent space at the (..., N, k) isometry stack v."""
+    vg = v.conj().swapaxes(-1, -2) @ g
+    return g - v @ ((vg + vg.conj().swapaxes(-1, -2)) * 0.5)
 
 
 def riemannian_step(isometry: Isometry, euclidean_gradient: np.ndarray, step: float) -> Isometry:
@@ -251,19 +259,24 @@ def _run_restart(
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
     index: int,
 ) -> _RestartOutcome:
-    dims4 = config.dims4
-    u, vab, vac = (m.copy() for m in init)
+    rows = tuple(m.shape[0] for m in init)
+
+    def unpad(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return s[0], s[1, : rows[1]], s[2, : rows[2]]
+
+    # every step maps the stack's zero padding rows to zero rows
+    x = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
+    for k, m in enumerate(init):
+        x[k, : rows[k]] = m
+    g = np.zeros_like(x)
+    ph = p.conj().T
     temps = np.geomspace(config.temp_init, config.temp_final, config.max_iters)
     step = config.step_init
     best_hard = -np.inf
-    best_params = (u.copy(), vab.copy(), vac.copy())
+    best_x = x
     max_seen = 0.0
     iters = 0
-    # trial points are retracted together: one QR over the zero-padded stack,
-    # whose padding rows leave the Householder factor of the real rows alone
-    rows = (u.shape[0], vab.shape[0], vac.shape[0])
-    stack = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
-    f_ab, f_ac, cached = branch_values(u, vab, vac, p, dims4)
+    f_ab, f_ac, cached = branch_values(*unpad(x), p, config.dims4)
 
     for it in range(config.max_iters):
         iters = it + 1
@@ -272,21 +285,13 @@ def _run_restart(
         max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
         if hard > best_hard:
             best_hard = hard
-            best_params = (u.copy(), vab.copy(), vac.copy())
+            best_x = x
         if best_hard >= 1.0 - 1e-9:
             break
 
-        value, w_ab, w_ac = _soft_value_and_weights(f_ab, f_ac, temp)
-        g_u, g_vab, g_vac = _weighted_grads(cached, w_ab, w_ac)
-
-        xi_u = _tangent(u, g_u)
-        xi_vab = _tangent(vab, g_vab)
-        xi_vac = _tangent(vac, g_vac)
-        gnorm2 = (
-            float(np.vdot(xi_u, xi_u).real)
-            + float(np.vdot(xi_vab, xi_vab).real)
-            + float(np.vdot(xi_vac, xi_vac).real)
-        )
+        value, w = _soft_value_and_weights(f_ab, f_ac, temp)
+        xi = _tangent(x, _weighted_grads(cached, w, ph, g))
+        gnorm2 = float(np.vdot(xi, xi).real)
         if np.sqrt(gnorm2) < 1e-10:
             break
 
@@ -296,14 +301,11 @@ def _run_restart(
         accepted = False
         trial = step
         while trial > 1e-14:
-            for k, (m, xi) in enumerate(((u, xi_u), (vab, xi_vab), (vac, xi_vac))):
-                np.add(m, trial * xi, out=stack[k, : rows[k]])
-            q = _qr_positive(stack)
-            u2, vab2, vac2 = (q[k, : rows[k]] for k in range(3))
-            trial_eval = branch_values(u2, vab2, vac2, p, dims4)
-            value2, _, _ = _soft_value_and_weights(trial_eval[0], trial_eval[1], temp)
+            x2 = _qr_positive(x + trial * xi)
+            trial_eval = branch_values(*unpad(x2), p, config.dims4)
+            value2, _ = _soft_value_and_weights(trial_eval[0], trial_eval[1], temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
-                u, vab, vac = u2, vab2, vac2
+                x = x2
                 f_ab, f_ac, cached = trial_eval
                 step = trial
                 accepted = True
@@ -317,9 +319,9 @@ def _run_restart(
         hard = float(min(f_ab.min(), f_ac.min()))
         if hard > best_hard:
             best_hard = hard
-            best_params = (u, vab, vac)
+            best_x = x
 
-    return _RestartOutcome(index, best_hard, best_params, iters, max_seen)
+    return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen)
 
 
 def _random_init(
@@ -371,11 +373,9 @@ def optimize_qsb(
     (when one exists), then by supplied warm starts, then by Haar-random
     draws. Ties between restarts break toward the lower index.
     """
-    lay_s = SpaceLayout([("S", config.d_s)])
-    probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
-    if not probes:
-        raise InvariantViolation("sample_spec produced no probe states")
-    p = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
+    spec, rng = config.sample_spec, np.random.default_rng((config.seed, 977))
+    cols = _probe_columns(config.d_s, rng, spec.haar_count, spec.phase_count)
+    p = probe_matrix(cols)
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= config.d_a:
@@ -401,7 +401,7 @@ def optimize_qsb(
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)
-    eps_hat, _ = measure_eps(instance, probes)
+    eps_hat, _, _ = _deficit(instance, _stinespring_matrix(instance.channel), cols)
     return FrontierPoint(
         dims=(config.d_s, config.d_a, config.d_b, config.d_c),
         best_worst_fidelity=1.0 - eps_hat,

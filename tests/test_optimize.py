@@ -78,6 +78,14 @@ def test_config_misc_guards():
         SampleSpec(haar_count=-1)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["temp_init", "temp_final", "step_init"])
+def test_config_rejects_unusable_schedule(name, value):
+    # the annealing schedule and the first Armijo step need finite positive values
+    with pytest.raises(InvariantViolation, match=name):
+        OptimizeConfig(2, 1, 2, 2, **{name: value})
+
+
 def test_sample_spec_census():
     spec = SampleSpec(haar_count=5, phase_count=3)
     states = spec.states(SpaceLayout([("S", 2)]), seed=0)
@@ -145,6 +153,44 @@ def test_step_shape_guard():
     v = Isometry(SpaceLayout([("S", 2)]), SpaceLayout([("O", 4)]), _haar(4, 2, rng))
     with pytest.raises(InvariantViolation):
         riemannian_step(v, np.zeros((3, 2)), 0.1)
+
+
+def _householder_positive(m):
+    q, r = np.linalg.qr(m)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2, 2, 8), (3, 2, 2, 2, 16), (4, 3, 2, 2, 16)])
+def test_cholesky_retraction_matches_householder(dims):
+    # the search retracts its zero-padded (U, V_AB, V_AC) stack in one call
+    d_s, d_a, d_b, d_c, d_e = dims
+    rows = (d_a * d_b * d_c * d_e, d_a * d_b, d_a * d_c)
+    rng = np.random.default_rng(sum(dims))
+    x = np.zeros((3, rows[0], d_s), dtype=np.complex128)
+    g = np.zeros_like(x)
+    for k, n in enumerate(rows):
+        x[k, :n] = _haar(n, d_s, rng)
+        g[k, :n] = rng.normal(size=(n, d_s)) + 1j * rng.normal(size=(n, d_s))
+    xi = optimize_module._tangent(x, g)
+    xi /= np.linalg.norm(xi)
+    for t in (1e-8, 1e-3, 0.5, 3.0, 10.0):
+        m = x + t * xi
+        q = optimize_module._qr_positive(m)
+        for k, n in enumerate(rows):
+            assert np.max(np.abs(q[k, :n] - _householder_positive(m[k, :n]))) <= 1e-13
+            assert np.max(np.abs(q[k].conj().T @ q[k] - np.eye(d_s))) <= 1e-13
+            assert np.all(q[k, n:] == 0.0)
+
+
+def test_full_restart_returns_isometries():
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=8, restarts=1, max_iters=2000, sample_spec=SMALL)
+    cols = _probe_cols(cfg, np.random.default_rng(8), n=30)
+    init = _params_for(cfg, np.random.default_rng(9))
+    out = optimize_module._run_restart(cfg, probe_matrix(cols), init, 0)
+    assert out.iterations == cfg.max_iters
+    for m in out.params:
+        assert np.max(np.abs(m.conj().T @ m - np.eye(cfg.d_s))) <= 1e-12
 
 
 def test_gradient_steps_ascend():
