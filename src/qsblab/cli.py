@@ -18,16 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import _stinespring_matrix
 from .errors import ChainNotApplicable, NoPerfectQsb, QsbError
 from .hilbert import basis_state, random_pure
 from .metrics import property_sweep
 from .optimize import FrontierPoint, OptimizeConfig, SampleSpec, frontier_sweep, optimize_qsb
 from .qsb import (
     QsbInstance,
-    _deficit,
-    _probe_columns,
     chain_verify,
+    default_probe_states,
     epsilon_threshold,
     measure_eps,
     perfect_qsb_construct,
@@ -127,11 +125,11 @@ class _IoFailure(Exception):
 def _cmd_verify(args) -> int:
     started = time.time()
     inst = _load_instance(args.instance)
-    cols = _probe_columns(inst.d_s, args.seed, haar_count=args.samples)
-    eps_hat, f_ab, f_ac = _deficit(inst, _stinespring_matrix(inst.channel), cols)
+    probes = default_probe_states(inst.source_layout, args.seed, haar_count=args.samples)
+    eps_hat, pairs = measure_eps(inst, probes)
     print(f"eps_hat {eps_hat:.6g}")
-    print(f"states {cols.shape[1]}")
-    _print_wrapped(np.minimum(f_ab, f_ac))
+    print(f"states {len(pairs)}")
+    _print_wrapped([p.worst for p in pairs])
     outputs: list[str] = []
     code = EXIT_OK
     if args.chain:

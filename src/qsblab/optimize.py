@@ -4,38 +4,36 @@ The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum of qsb.branch_values (per receiver the Gram
-matrix H = K^H K, read as f = p^H H p), the kernel measure_eps also runs; the
-reported value is always the hard minimum re-measured on the returned instance.
-A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack: one
-gradient, tangent projection and retraction per step. The retraction is
-Cholesky QR: a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I, so
-the Cholesky factor exists and gives exactly the positive-diagonal QR factor.
+temperature-annealed soft minimum of qsb.branch_values, the kernel that
+measure_eps also runs; the reported value is always the hard minimum
+re-measured on the returned instance. A restart keeps (U, V_AB, V_AC) in one
+zero-padded (3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the
+positive-diagonal QR factor, as a tangent step M = X + t xi has M^H M = I +
+t^2 xi^H xi >= I; its orthonormality error grows like (1 + |t xi|^2) * 1e-16.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channels import _stinespring_matrix, from_stinespring, to_stinespring, validate_cpt
+from .channels import from_stinespring, to_stinespring, validate_cpt
 from .errors import InvariantViolation, TooLarge
 from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix
 from .qsb import (
     QsbInstance,
-    _deficit,
-    _probe_columns,
     branch_values,
     default_probe_states,
+    measure_eps,
     perfect_qsb_construct,
     probe_matrix,
 )
 
 DIM_CAP = 4096
 ENV_CAP = 16
+STEP_CAP = 100.0  # largest |t xi| riemannian_step retracts: error <= ~1e-12
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class OptimizeConfig:
             raise InvariantViolation("restarts and max_iters must be >= 1")
         for name in ("step_init", "temp_init", "temp_final"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (np.isfinite(value) and value > 0.0):
                 raise InvariantViolation(f"{name} must be finite and positive, got {value}")
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
@@ -208,8 +206,7 @@ def objective_value_and_grads(
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
-    """Positive-diagonal thin QR factor Q = M L^-H of a (..., N, k) stack, where
-    L L^H = M^H M (Cholesky QR, see above); zero rows of M stay exactly zero."""
+    """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack."""
     l = np.linalg.cholesky(m.conj().swapaxes(-1, -2) @ m)
     return m @ np.linalg.inv(l).conj().swapaxes(-1, -2)
 
@@ -224,7 +221,7 @@ def riemannian_step(isometry: Isometry, euclidean_gradient: np.ndarray, step: fl
     """Project the gradient to the tangent space, step, and re-orthonormalize.
 
     With the positive-diagonal convention the retraction of a zero step is
-    the input itself up to roundoff.
+    the input itself up to roundoff. The step must keep |t xi| <= STEP_CAP.
     """
     v = isometry.matrix
     if euclidean_gradient.shape != v.shape:
@@ -232,6 +229,8 @@ def riemannian_step(isometry: Isometry, euclidean_gradient: np.ndarray, step: fl
             f"gradient shape {euclidean_gradient.shape} does not match {v.shape}"
         )
     xi = _tangent(v, np.asarray(euclidean_gradient, dtype=np.complex128))
+    if not abs(step) * np.linalg.norm(xi) <= STEP_CAP:
+        raise InvariantViolation(f"step {step} makes |t xi| non-finite or > {STEP_CAP:g}")
     return Isometry(
         isometry.input_layout,
         isometry.output_layout,
@@ -268,8 +267,7 @@ def _run_restart(
     x = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
-    g = np.zeros_like(x)
-    ph = p.conj().T
+    g, ph = np.zeros_like(x), p.conj().T
     temps = np.geomspace(config.temp_init, config.temp_final, config.max_iters)
     step = config.step_init
     best_hard = -np.inf
@@ -373,9 +371,11 @@ def optimize_qsb(
     (when one exists), then by supplied warm starts, then by Haar-random
     draws. Ties between restarts break toward the lower index.
     """
-    spec, rng = config.sample_spec, np.random.default_rng((config.seed, 977))
-    cols = _probe_columns(config.d_s, rng, spec.haar_count, spec.phase_count)
-    p = probe_matrix(cols)
+    lay_s = SpaceLayout([("S", config.d_s)])
+    probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
+    if not probes:
+        raise InvariantViolation("sample_spec produced no probe states")
+    p = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= config.d_a:
@@ -401,7 +401,7 @@ def optimize_qsb(
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)
-    eps_hat, _, _ = _deficit(instance, _stinespring_matrix(instance.channel), cols)
+    eps_hat, _ = measure_eps(instance, probes)
     return FrontierPoint(
         dims=(config.d_s, config.d_a, config.d_b, config.d_c),
         best_worst_fidelity=1.0 - eps_hat,

@@ -11,10 +11,9 @@ small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
 
 Both receiver fidelities come from one kernel, branch_values: it contracts
-the channel's Stinespring matrix with the two representation isometries into
-one Gram matrix per receiver and meets the inputs only through their outer
-products (probe_matrix). measure_eps, the search in optimize, the CLI's
-verify and chain_verify all run it.
+the channel's Stinespring matrix with the two representation isometries and
+meets the inputs only through their outer products (probe_matrix).
+measure_eps, the search in optimize and chain_verify all run it.
 
 The chain reads everything else from the Stinespring image U|psi> too: as an
 (A, B, C, E) tensor it already purifies the channel output, so the product
@@ -184,22 +183,21 @@ def branch_values(
 
     u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
     representation matrices and p the probe_matrix of the inputs. With
-    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s] and its Gram matrix
-    H_B = K_B^H K_B over the (s', s) pairs, f_AB[n] = sum_ce |(K_B P)[ce, n]|^2
-    = P[:, n]^H H_B P[:, n]; the C branch swaps U's B and C axes. K_B and K_C
-    share one zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack, so the Gram
-    matrices and their action on the probes take one product each.
+    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s],
+    f_AB[n] = sum_ce |(K_B P)[ce, n]|^2; the C branch swaps U's B and C axes.
+    K_B and K_C share one zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack,
+    whose zero rows add nothing, so both branches take one product with P.
     """
     d_a, d_b, d_c, d_e = dims4
-    d_s = vab.shape[1]
+    d_s, n = vab.shape[1], p.shape[1]
     u_b = u.reshape(d_a * d_b, -1)
     u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
     k = np.zeros((2, max(d_b, d_c) * d_e, d_s, d_s), dtype=np.complex128)
     k[0, : d_c * d_e] = (vab.conj().T @ u_b).reshape(d_s, -1, d_s).transpose(1, 0, 2)
     k[1, : d_b * d_e] = (vac.conj().T @ u_c).reshape(d_s, -1, d_s).transpose(1, 0, 2)
     k = k.reshape(2, -1, d_s * d_s)
-    hp = (k.conj().swapaxes(1, 2) @ k) @ p
-    f = (p.conj() * hp).real.sum(axis=1)
+    w = (k.reshape(-1, d_s * d_s) @ p).reshape(2, -1, n)
+    f = (w.real**2 + w.imag**2).sum(axis=1)
     return f[0], f[1], (dims4, u_b, u_c, vab, vac, p, k)
 
 
@@ -262,20 +260,13 @@ def default_probe_states(
     phases; they catch coherence loss the basis alone cannot see. Each Haar
     sample is bit-identical to random_pure's from the same rng stream.
     """
-    cols = _probe_columns(layout.total_dim, seed, haar_count, phase_count)
-    return [PureState(layout, c) for c in cols.T]
-
-
-def _probe_columns(
-    d: int, seed: int | np.random.Generator, haar_count: int = 200, phase_count: int = 8
-) -> np.ndarray:
-    """default_probe_states' amplitudes as (d, n) columns, unvalidated."""
+    d = layout.total_dim
     i, j = np.triu_indices(d, 1)
     pairs = np.zeros((len(i), phase_count, d), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)
     pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * _phases(phase_count)
     haar = _haar_rows(_as_rng(seed), haar_count, d)
-    return np.ascontiguousarray(np.concatenate([np.eye(d), pairs.reshape(-1, d), haar]).T)
+    return [PureState(layout, c) for c in np.concatenate([np.eye(d), pairs.reshape(-1, d), haar])]
 
 
 def _phases(count: int) -> np.ndarray:

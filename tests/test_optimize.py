@@ -155,6 +155,19 @@ def test_step_shape_guard():
         riemannian_step(v, np.zeros((3, 2)), 0.1)
 
 
+def test_step_beyond_the_retraction_range_is_refused():
+    # a rank-1 gradient is the worst case: Cholesky QR loses ~|t xi|^2 * 1e-16
+    rng = np.random.default_rng(5)
+    v = Isometry(SpaceLayout([("S", 2)]), SpaceLayout([("O", 8)]), _haar(8, 2, rng))
+    g = np.outer(rng.normal(size=8) + 1j * rng.normal(size=8), [1.0, 0.5])
+    size = np.linalg.norm(optimize_module._tangent(v.matrix, g))
+    for step in (1e4, 1e8, float("inf"), float("nan"), -1e4):
+        with pytest.raises(InvariantViolation, match="step"):
+            riemannian_step(v, g, step)
+    out = riemannian_step(v, g, 0.999 * optimize_module.STEP_CAP / size).matrix
+    assert np.max(np.abs(out.conj().T @ out - np.eye(2))) <= 1e-11
+
+
 def _householder_positive(m):
     q, r = np.linalg.qr(m)
     d = np.diag(r)
