@@ -4,6 +4,9 @@ Subsystems are identified by string labels; a layout is an ordered list of
 (label, dim) pairs and fixes the tensor order. All matrices are row-major,
 and the composite index follows the layout order (first label varies
 slowest), which makes np.kron and .reshape line up with the convention.
+
+A DensityMatrix is diagonalised once, by its validation, and keeps those
+eigenpairs; purify and the metrics read them instead of diagonalising again.
 """
 
 from __future__ import annotations
@@ -238,21 +241,28 @@ class DensityMatrix:
     Construction symmetrises nothing: hermiticity must already hold to
     TOL_HERM. Eigenvalues in [-TOL_PSD, 0) are clipped to zero (the matrix
     is rebuilt only in that case); anything more negative is an error.
+    The eigh_desc pairs of the validation, eigenvalues clipped at zero, are
+    kept in _eigh: the exact eigenpairs of the stored matrix.
     """
 
     layout: SpaceLayout
     matrix: np.ndarray = field(repr=False)
+    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise LayoutMismatch(f"matrix shape {m.shape} for layout of dim {n}")
-        m = validate_density(m)[0]
+        m, w, v = validate_density(m)
+        w = np.maximum(w, 0.0)
+        w.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "_eigh", (w, v))
 
     def eigenvalues(self) -> np.ndarray:
-        return eigh_desc(self.matrix)[0]
+        return self._eigh[0]
 
     def to_json(self) -> dict:
         return {"layout": self.layout.to_json(), "matrix": _mat_to_json(self.matrix)}
@@ -388,7 +398,7 @@ def purify(rho: DensityMatrix, env_label: str = "E") -> PureState:
     """
     if env_label in rho.layout.labels:
         raise LabelClash(f"environment label {env_label!r} already used")
-    w, v = eigh_desc(rho.matrix)
+    w, v = rho._eigh
     rank = max(int(np.sum(w > RANK_CUTOFF)), 1)
     layout = rho.layout.joined(SpaceLayout([(env_label, rank)]))
     return PureState(layout, _purification(w, v, rank).reshape(-1))

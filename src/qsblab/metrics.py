@@ -6,11 +6,14 @@ check_* helper returns a BoundCheck recording both sides of the inequality
 it verified; nothing is silently clamped away.
 
 The kernels behind fidelity, trace distance and the Uhlmann partner work on
-(..., d, d) stacks; the state-object functions call them with one member.
+(..., d, d) stacks; the state-object functions call them with one member and
+the eigenpairs that member's DensityMatrix kept from its validation.
 property_sweep draws its random instances one after another from the seed,
 in the order of drawing each as a state object, so a seed always checks the
-same instances. It then validates and checks each (property, dimension)
-bucket as one stack and builds a BoundCheck only for a failure.
+same instances. It pools the drawn matrices by dimension and validates each
+pool once, which diagonalises every state exactly once; each (property,
+dimension) bucket then takes its matrices and eigenpairs from its pool, is
+checked as one stack, and builds a BoundCheck only for a failure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .hilbert import (
     TOL_NUM,
     DensityMatrix,
     PureState,
-    eigh_desc,
     haar_density_matrix,
     haar_vector,
     partial_trace,
@@ -40,13 +42,9 @@ _SLACK_TOL = TOL_NUM
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Square roots from eigh_desc pairs of a stack, negative eigenvalues as zero."""
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square roots of a (..., d, d) stack, tiny negative eigenvalues clamped to zero."""
-    return _root(*eigh_desc(mat))
+    """Square roots from eigh_desc pairs of a stack, eigenvalues up to RANK_CUTOFF as zero."""
+    roots = np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))
+    return (v * roots[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _check_layouts(a, b) -> None:
@@ -69,7 +67,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     of rooting near-zero eigenvalues of the triple product.
     """
     _check_layouts(rho, sigma)
-    return float(_fidelity(*_sqrtm_psd(np.stack((rho.matrix, sigma.matrix)))))
+    return float(_fidelity(_root(*rho._eigh), _root(*sigma._eigh)))
 
 
 def _fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -213,8 +211,8 @@ def uhlmann_partner(
     ordered = permute(purification_of_rho, a_labels + env_labels)
     d_a = rho_a.layout.total_dim
     m = ordered.amplitudes.reshape(1, d_a, -1)
-    w_sig, v_sig = eigh_desc(sigma_a.matrix[None])
-    partner = _partner(m, rho_a.matrix[None], w_sig, v_sig)
+    w_sig, v_sig = sigma_a._eigh
+    partner = _partner(m, rho_a.matrix[None], w_sig[None], v_sig[None])
     chi = PureState(ordered.layout, partner.reshape(-1))
     return permute(chi, list(purification_of_rho.layout.labels))
 
@@ -266,8 +264,9 @@ class ConvexityReport:
     """Both spectral upper bounds on the fidelity against a pure target.
 
     eigen_bound:     F(rho;psi) <= largest eigenvalue of rho.
-    component_bound: F(rho;psi) <= best overlap among rho's eigenvectors
-                     (the fidelity is a convex mix of those overlaps).
+    component_bound: F(rho;psi) <= best overlap among the eigenvectors of
+                     rho's support (the fidelity is a convex mix of those
+                     overlaps); kernel eigenvectors are an arbitrary basis.
     When F is close to one the best-overlap eigenvector is the top one.
     """
 
@@ -286,17 +285,18 @@ class ConvexityReport:
         return self.eigen_bound
 
 
-def _overlaps(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """|<v_k|psi>|^2 for every eigenvector column v_k, on stacks."""
-    return np.abs((v.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]) ** 2
+def _overlaps(w: np.ndarray, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|<v_k|psi>|^2 for each eigh_desc pair with w_k > RANK_CUTOFF, else 0, on stacks."""
+    o = np.abs((v.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]) ** 2
+    return np.where(w > RANK_CUTOFF, o, 0.0)
 
 
 def max_eig_convexity(rho: DensityMatrix, psi: PureState) -> ConvexityReport:
     if rho.layout != psi.layout:
         raise LayoutMismatch("state layouts differ")
     f = fidelity_pure(rho, psi)
-    w, v = eigh_desc(rho.matrix)
-    overlaps = _overlaps(v, psi.amplitudes)
+    w, v = rho._eigh
+    overlaps = _overlaps(w, v, psi.amplitudes)
     best = int(np.argmax(overlaps))
     return ConvexityReport(
         lambda_max=float(w[0]),
@@ -335,13 +335,13 @@ _PARTNER_TOL = 1e-8
 
 
 def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequence[str]):
-    """Draw `count` samples, bucketed by (property, dims).
+    """Draw `count` samples into buckets[n][property, dims], n the dimension of their matrices.
 
     The rng calls and their order are those of drawing each instance as a
     validated state object, so a seed always yields the same instances.
     Each bucket entry is (sample index, matrices, vectors).
     """
-    buckets: dict[tuple, list] = defaultdict(list)
+    buckets: dict[int, dict] = defaultdict(lambda: defaultdict(list))
 
     def state(dim: int) -> np.ndarray:
         return haar_density_matrix(rng, dim, int(rng.integers(1, dim + 1)))
@@ -349,46 +349,38 @@ def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequ
     for i in range(count):
         d = int(rng.integers(2, dims_cap + 1))
         if "triangle" in names:
-            buckets["triangle", d].append((i, [state(d), state(d), state(d)], []))
+            buckets[d]["triangle", d].append((i, [state(d), state(d), state(d)], []))
         if "triangle_pure" in names:
-            buckets["triangle_pure", d].append((i, [state(d), state(d)], [haar_vector(rng, d)]))
+            buckets[d]["triangle_pure", d].append((i, [state(d), state(d)], [haar_vector(rng, d)]))
         if "monotonicity" in names:
             d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
             d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
-            buckets["monotonicity", (d1, d2)].append((i, [state(d1 * d2), state(d1 * d2)], []))
+            pair = [state(d1 * d2), state(d1 * d2)]
+            buckets[d1 * d2]["monotonicity", (d1, d2)].append((i, pair, []))
         if "partner_overlap" in names:
             dp = int(rng.integers(2, 5))
             pair = [haar_density_matrix(rng, dp, dp), haar_density_matrix(rng, dp, dp)]
-            buckets["partner_overlap", dp].append((i, pair, []))
+            buckets[dp]["partner_overlap", dp].append((i, pair, []))
         if "component_ceiling" in names or "eigenvalue_ceiling" in names:
-            buckets["ceilings", d].append((i, [state(d)], [haar_vector(rng, d)]))
+            buckets[d]["ceilings", d].append((i, [state(d)], [haar_vector(rng, d)]))
         if "fvdg" in names:
-            buckets["fvdg", d].append((i, [state(d), state(d)], []))
+            buckets[d]["fvdg", d].append((i, [state(d), state(d)], []))
     return buckets
 
 
-def _validated_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """validate_density on a stack, with eigh_desc of the validated matrices.
-
-    A rebuilt member is diagonalised again, as the scalar functions do with
-    the matrix of a clipped DensityMatrix: the square root is not Lipschitz
-    near zero eigenvalues, so the clipped eigenpairs would move F by ~1e-8.
-    """
+def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """validate_density on a stack, eigenvalues clipped at zero as a DensityMatrix keeps them."""
     mats, w, v = validate_density(mats)
-    clipped = w[..., -1] < 0.0
-    if clipped.any():
-        w[clipped], v[clipped] = eigh_desc(mats[clipped])
-    return mats, w, v
+    return mats, np.maximum(w, 0.0), v
 
 
-def _evaluate(prop: str, dims, mats: np.ndarray, vecs: np.ndarray, names: Sequence[str]):
-    """(label, lhs, rhs, tol) rows for one bucket; lhs and rhs run over its samples."""
-    mats, w, v = _validated_eigh(mats)
+def _evaluate(prop: str, dims, mats, w, v, vecs: np.ndarray, names: Sequence[str]):
+    """(label, lhs, rhs, tol) rows for one validated bucket; lhs and rhs run over its samples."""
     if prop == "ceilings":
         f = _fidelity_pure(mats[:, 0], vecs[:, 0])
         rows = []
         if "component_ceiling" in names:
-            best = _overlaps(v[:, 0], vecs[:, 0]).max(axis=-1)
+            best = _overlaps(w[:, 0], v[:, 0], vecs[:, 0]).max(axis=-1)
             rows.append(("component_ceiling", best, f, _SLACK_TOL))
         if "eigenvalue_ceiling" in names:
             rows.append(("eigenvalue_ceiling", w[:, 0, 0], f, _SLACK_TOL))
@@ -416,7 +408,7 @@ def _evaluate(prop: str, dims, mats: np.ndarray, vecs: np.ndarray, names: Sequen
     if prop == "monotonicity":
         d1, d2 = dims
         joint = mats.reshape(len(mats), 2, d1, d2, d1, d2)
-        _, w_q, v_q = _validated_eigh(np.trace(joint, axis1=3, axis2=5))
+        _, w_q, v_q = _validated(np.trace(joint, axis1=3, axis2=5))
         root_q = _root(w_q, v_q)
         return [("monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f, _SLACK_TOL)]
     dist = _trace_distance(mats[:, 0], mats[:, 1])
@@ -426,16 +418,24 @@ def _evaluate(prop: str, dims, mats: np.ndarray, vecs: np.ndarray, names: Sequen
 
 def _sweep_checks(samples: int, dims_cap: int, seed: int, names: Sequence[str]):
     """Yield (sample indices, label, lhs, rhs, tol) for every check of the sweep,
-    one dimension bucket at a time, _SWEEP_BLOCK samples per draw."""
+    one bucket at a time, _SWEEP_BLOCK samples per draw.
+
+    The matrices of one dimension are validated, and so diagonalised, as one
+    pool laid out bucket after bucket, so each bucket is a view of the pool.
+    """
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _SWEEP_BLOCK):
         count = min(_SWEEP_BLOCK, samples - start)
-        for (prop, dims), entries in _draw_block(rng, count, dims_cap, names).items():
-            idx = start + np.array([i for i, _, _ in entries])
-            mats = np.array([m for _, m, _ in entries])
-            vecs = np.array([v for _, _, v in entries])
-            for label, lhs, rhs, tol in _evaluate(prop, dims, mats, vecs, names):
-                yield idx, label, lhs, rhs, tol
+        for by_key in _draw_block(rng, count, dims_cap, names).values():
+            pool = _validated(np.array([m for e in by_key.values() for _, ms, _ in e for m in ms]))
+            end = 0
+            for (prop, dims), entries in by_key.items():
+                idx = start + np.array([i for i, _, _ in entries])
+                vecs = np.array([v for _, _, v in entries])
+                begin, end = end, end + len(entries) * len(entries[0][1])
+                mats, w, v = (a[begin:end].reshape(len(entries), -1, *a.shape[1:]) for a in pool)
+                for label, lhs, rhs, tol in _evaluate(prop, dims, mats, w, v, vecs, names):
+                    yield idx, label, lhs, rhs, tol
 
 
 def property_sweep(

@@ -273,3 +273,21 @@ def test_version_flag(workdir, capsys):
 
 def test_no_subcommand_is_usage_error(workdir, capsys):
     assert main([]) == 1
+
+
+def test_consecutive_calls_get_their_own_flags(workdir, capsys):
+    # one parser serves every call in a process; no flag or default may leak
+    path = _construct(workdir)
+    assert main(["verify", str(path), "--samples", "-3"]) == 1
+    chain = ["--chain", "--allow-trivial", "--samples", "10", "--seed", "5"]
+    assert main(["verify", str(path), *chain]) == 0
+    assert "all_satisfied True" in capsys.readouterr().out
+    chained = json.loads((workdir / "verify.manifest.json").read_text())["flags"]
+    assert (chained["chain"], chained["allow_trivial"], chained["samples"], chained["seed"]) == (
+        True, True, 10, 5
+    )
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "states 110" in out and "all_satisfied" not in out
+    plain = json.loads((workdir / "verify.manifest.json").read_text())["flags"]
+    assert plain == {**chained, "chain": False, "allow_trivial": False, "samples": 100, "seed": 42}

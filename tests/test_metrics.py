@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsblab import metrics
+from qsblab import hilbert, metrics
 from qsblab.errors import BadPurification, LayoutMismatch
 from qsblab.hilbert import (
+    RANK_CUTOFF,
     DensityMatrix,
+    PureState,
     SpaceLayout,
     basis_state,
+    haar_density_matrix,
+    haar_vector,
     partial_trace,
     purify,
     random_density,
     random_pure,
     tensor,
+    validate_density,
 )
 from qsblab.metrics import (
     PROPERTY_NAMES,
@@ -202,6 +207,7 @@ def test_convexity_ceilings():
         assert rep.component_bound.satisfied
         assert rep.lambda_max >= f - 1e-9
         assert rep.best_overlap >= f - 1e-9
+        assert rep.best_eigenvalue > RANK_CUTOFF  # the best overlap is over the support
         assert rep.tighter.lhs == min(rep.eigen_bound.lhs, rep.component_bound.lhs)
 
 
@@ -299,3 +305,83 @@ def test_property_sweep_reports_failures_in_sample_order(monkeypatch):
     assert [c.lhs for c in failures] == pytest.approx(want, abs=1e-12, rel=0)
     fvdg_only = property_sweep(4, 6, seed=5, names=("fvdg",))
     assert [c.label for c in fvdg_only] == ["fvdg_lower", "fvdg_upper"] * 4
+
+
+def test_fidelity_against_pure_state_is_exact_on_rank_deficient_states():
+    # F(rho, |u><u|) = <u|rho|u> exactly; sub-cutoff eigenvalues of either
+    # side (rounding residue, or exact zeros of a clipped state) must not
+    # enter F through their square roots
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(500):
+        d = int(rng.integers(2, 9))
+        lay = SpaceLayout([("Q", d)])
+        m = haar_density_matrix(rng, d, int(rng.integers(1, d)))
+        kinds.add(bool(validate_density(m)[1][-1] < 0.0))
+        rho = DensityMatrix(lay, m)
+        u = haar_vector(rng, d)
+        exact = float(np.real(u.conj() @ rho.matrix @ u))
+        target = DensityMatrix(lay, np.outer(u, u.conj()))
+        assert fidelity(rho, target) == pytest.approx(exact, abs=1e-12, rel=0)
+        assert fidelity(target, rho) == pytest.approx(exact, abs=1e-12, rel=0)
+    assert kinds == {True, False}  # clipped and unclipped states both covered
+
+
+def test_component_ceiling_ignores_the_kernel_basis():
+    # rho = |0><0| on C^3, psi in its kernel: F = 0, and no kernel
+    # eigenvector may stand in for the best overlap
+    lay = SpaceLayout([("Q", 3)])
+    psi = PureState(lay, np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
+    rho = basis_state(lay, 0).density()
+    rep = max_eig_convexity(rho, psi)
+    assert fidelity_pure(rho, psi) == 0.0
+    assert rep.best_overlap == 0.0
+    assert rep.best_eigenvalue == pytest.approx(1.0)
+    w, v = validate_density(rho.matrix[None])[1:]
+    rows = metrics._evaluate("ceilings", 3, rho.matrix[None, None], w[None], v[None],
+                             psi.amplitudes[None, None], PROPERTY_NAMES)
+    assert dict((label, lhs[0]) for label, lhs, _, _ in rows)["component_ceiling"] == 0.0
+
+
+@pytest.fixture
+def diagonalised(monkeypatch):
+    """Record the stack size of every eigh_desc call made through hilbert or metrics."""
+    sizes = []
+    inner = hilbert.eigh_desc
+
+    def counted(mat):
+        sizes.append(int(np.prod(np.shape(mat)[:-2])))
+        return inner(mat)
+
+    monkeypatch.setattr(hilbert, "eigh_desc", counted)
+    monkeypatch.setattr(metrics, "eigh_desc", counted, raising=False)
+    return sizes
+
+
+def test_density_matrix_is_diagonalised_once(diagonalised):
+    lay = SpaceLayout([("Q", 3)])
+    u = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)) + 0j)[0]
+    tiny = (u * np.array([0.7, 0.3 + 1e-12, -1e-12])) @ u.conj().T
+    rho = DensityMatrix(lay, tiny)
+    assert not np.array_equal(rho.matrix, tiny)  # clipped and rebuilt
+    sigma = random_density(lay, 3, 5)
+    assert len(diagonalised) == 2
+    phi = purify(rho)
+    fidelity(rho, sigma)
+    max_eig_convexity(rho, random_pure(lay, 6))
+    uhlmann_partner(rho, rho, phi)
+    uhlmann_partner(sigma, rho, purify(sigma))
+    w = rho.eigenvalues()
+    assert len(diagonalised) == 2
+    assert w[-1] == 0.0  # the kept eigenvalues are those of the rebuilt matrix
+
+
+def test_sweep_diagonalises_each_drawn_state_once(diagonalised):
+    pools = metrics._draw_block(np.random.default_rng(9), 50, 16, PROPERTY_NAMES)
+    buckets = [(prop, e) for by_key in pools.values() for (prop, _), e in by_key.items()]
+    drawn = sum(len(ms) for _, e in buckets for _, ms, _ in e)
+    marginal = [len(e) for prop, e in buckets if prop == "monotonicity"]
+    list(metrics._sweep_checks(50, 16, 9, PROPERTY_NAMES))
+    # one call per dimension pool and per stack of monotonicity marginals
+    assert len(diagonalised) == len(pools) + len(marginal) < len(buckets)
+    assert sum(diagonalised) == drawn + 2 * sum(marginal)
