@@ -54,7 +54,7 @@ class KrausChannel:
         for k in ops:
             acc += k.conj().T @ k
         err = float(np.max(np.abs(acc - np.eye(din))))
-        if err > TOL_ISO:
+        if not err <= TOL_ISO:
             raise InvariantViolation(f"completeness violated by {err}")
         frozen = []
         for k in ops:
@@ -94,16 +94,16 @@ class ChoiMatrix:
         if m.shape != (din * dout, din * dout):
             raise LayoutMismatch(f"Choi shape {m.shape}, expected {(din * dout,) * 2}")
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > 1e-8:
+        if not herm_err <= 1e-8:
             raise InvariantViolation(f"Choi hermiticity violated by {herm_err}")
         lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if lo < -TOL_PSD * max(din, dout):
+        if not lo >= -TOL_PSD * max(din, dout):
             raise InvariantViolation(f"Choi not PSD: min eigenvalue {lo}")
         # trace over the output factor must give the input identity
         t = m.reshape(dout, din, dout, din)
         reduced = np.einsum(t, [0, 1, 0, 2], [1, 2])
         tp_err = float(np.max(np.abs(reduced - np.eye(din))))
-        if tp_err > 1e-8:
+        if not tp_err <= 1e-8:
             raise InvariantViolation(f"trace preservation violated by {tp_err}")
         mm = m.copy()
         mm.setflags(write=False)
@@ -245,11 +245,6 @@ def depolarizing_channel(
     """Erase everything: every input goes to the maximally mixed output."""
     din = input_layout.total_dim
     dout = output_layout.total_dim
-    scale = 1.0 / np.sqrt(dout)
-    ops = []
-    for i in range(dout):
-        for j in range(din):
-            k = np.zeros((dout, din), dtype=np.complex128)
-            k[i, j] = scale
-            ops.append(k)
+    # operator i * din + j is scale |i><j|: row i * din + j of the identity
+    ops = 1.0 / np.sqrt(dout) * np.eye(dout * din).reshape(-1, dout, din)
     return KrausChannel(input_layout, output_layout, tuple(ops))

@@ -73,13 +73,17 @@ def _write_manifest(
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
     }
-    path = _manifest_path(outputs, subcommand)
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(_manifest_path(outputs, subcommand), manifest)
+
+
+def _write_json(path: str | Path, obj) -> None:
+    # no indent: json encodes with its C encoder only when indent is None
+    Path(path).write_text(json.dumps(obj) + "\n")
 
 
 def _print_wrapped(values, per_line: int = 8) -> None:
-    for i in range(0, len(values), per_line):
-        print(" ".join(f"{v:.6f}" for v in values[i : i + per_line]))
+    cells = [f"{v:.6f}" for v in values]
+    print("\n".join(" ".join(cells[i : i + per_line]) for i in range(0, len(cells), per_line)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def _cmd_construct(args) -> int:
     _, pairs = measure_eps(inst, states)
     f_ab = min(p.f_ab for p in pairs)
     f_ac = min(p.f_ac for p in pairs)
-    Path(args.out).write_text(json.dumps(inst.to_json(), indent=2) + "\n")
+    _write_json(args.out, inst.to_json())
     print(f"wrote {args.out}")
     print(f"f_ab {f_ab:.6f}")
     print(f"f_ac {f_ac:.6f}")
@@ -138,16 +142,19 @@ def _cmd_verify(args) -> int:
         report = chain_verify(
             inst, basis, eps_hat, seed=args.seed, allow_trivial=args.allow_trivial
         )
-        print(f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}")
-        print(f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status")
+        lines = [
+            f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}",
+            f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status",
+        ]
         for c in report.checks:
             status = "vacuous" if c.vacuous else ("ok" if c.satisfied else "FAIL")
-            print(f"{c.label:40s} {c.lhs:12.6f} {c.rhs:12.6f} {c.slack:12.6f} {status}")
-        print(f"all_satisfied {report.all_satisfied}")
+            lines.append(f"{c.label:40s} {c.lhs:12.6f} {c.rhs:12.6f} {c.slack:12.6f} {status}")
+        lines.append(f"all_satisfied {report.all_satisfied}")
         if report.cloning_contradiction:
-            print("copy floors exceed the universal cloning ceiling: contradiction")
+            lines.append("copy floors exceed the universal cloning ceiling: contradiction")
+        print("\n".join(lines))
         if args.out:
-            Path(args.out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+            _write_json(args.out, report.to_json())
             outputs.append(args.out)
             print(f"wrote {args.out}")
         if not report.all_satisfied:
@@ -199,7 +206,7 @@ def _cmd_optimize(args) -> int:
     print(f"best {point.best_worst_fidelity:.6f}")
     print(f"eps_hat {point.eps_hat:.6g}")
     print(f"winner restart {point.winner_restart} after {point.iterations_used} iters")
-    Path(args.out).write_text(json.dumps(point.to_json(), indent=2) + "\n")
+    _write_json(args.out, point.to_json())
     print(f"wrote {args.out}")
     _write_manifest("optimize", args, [], [args.out], started)
     return EXIT_OK

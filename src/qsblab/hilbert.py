@@ -11,6 +11,7 @@ eigenpairs; purify and the metrics read them instead of diagonalising again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -92,16 +93,17 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     m = np.asarray(m, dtype=np.complex128)
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = herm_err > TOL_HERM
+    # each test is "not within tolerance", so a NaN fails it
+    bad = ~(herm_err <= TOL_HERM)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"hermiticity violated by {float(herm_err[bad][0])}")
     tr = m.trace(axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > TOL_NORM
+    bad = ~(np.abs(tr - 1.0) <= TOL_NORM)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL_NORM}")
     w, v = eigh_desc(m)
     lo = w[..., -1]
-    bad = lo < -TOL_PSD
+    bad = ~(lo >= -TOL_PSD)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"negative eigenvalue {float(lo[bad][0])} below -{TOL_PSD}")
     clip = lo < 0.0
@@ -213,8 +215,8 @@ class PureState:
             raise LayoutMismatch(
                 f"{amp.shape[0]} amplitudes for layout of dim {self.layout.total_dim}"
             )
-        nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > TOL_NORM:
+        nrm = math.sqrt(np.vdot(amp, amp).real)
+        if not abs(nrm - 1.0) <= TOL_NORM:
             raise InvariantViolation(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
@@ -289,7 +291,7 @@ class Isometry:
         if dout < din:
             raise BadRank(f"no isometry from dim {din} into dim {dout}")
         err = float(np.max(np.abs(m.conj().T @ m - np.eye(din))))
-        if err > TOL_ISO:
+        if not err <= TOL_ISO:
             raise InvariantViolation(f"V†V deviates from identity by {err}")
         object.__setattr__(self, "matrix", _frozen(m))
 

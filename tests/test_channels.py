@@ -43,6 +43,8 @@ def test_kraus_family_must_be_complete():
     with pytest.raises(InvariantViolation):
         KrausChannel(lay, lay, (0.5 * np.eye(2),))
     with pytest.raises(InvariantViolation):
+        KrausChannel(lay, lay, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+    with pytest.raises(InvariantViolation):
         KrausChannel(lay, lay, ())
     with pytest.raises(LayoutMismatch):
         KrausChannel(lay, lay, (np.eye(3),))
@@ -67,6 +69,20 @@ def test_identity_and_depolarizing_action():
     lay_out = SpaceLayout([("R", 2)])
     flat = apply(depolarizing_channel(lay, lay_out), rho)
     assert np.allclose(flat.matrix, np.eye(2) / 2.0, atol=1e-12)
+
+
+def test_depolarizing_matches_loop():
+    lay_in, lay_out = SpaceLayout([("Q", 3)]), SpaceLayout([("R", 2)])
+    loop = []
+    for i in range(2):
+        for j in range(3):
+            k = np.zeros((2, 3), dtype=np.complex128)
+            k[i, j] = 1.0 / np.sqrt(2)
+            loop.append(k)
+    ops = depolarizing_channel(lay_in, lay_out).kraus_ops
+    assert len(ops) == len(loop)
+    for k, ref in zip(ops, loop):
+        assert k.dtype == ref.dtype and k.tobytes() == ref.tobytes()
 
 
 def test_apply_rejects_wrong_layout():
@@ -181,6 +197,8 @@ def test_choi_matrix_validation():
         ChoiMatrix(lay, lay, skew)
     with pytest.raises(InvariantViolation):
         ChoiMatrix(lay, lay, 2.0 * good)  # PSD but not trace preserving
+    with pytest.raises(InvariantViolation):
+        ChoiMatrix(lay, lay, np.where(np.eye(4) > 0, np.nan, good))
 
 
 def test_channel_json_roundtrip():

@@ -1,11 +1,18 @@
 """Command line interface: subcommands, exit codes, manifests, file formats."""
 
+import contextlib
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
+from qsblab import cli
 from qsblab.cli import main
+from qsblab.hilbert import basis_state, random_pure
+from qsblab.optimize import OptimizeConfig, SampleSpec, optimize_qsb
+from qsblab.qsb import chain_verify, default_probe_states, measure_eps, perfect_qsb_construct
 
 
 @pytest.fixture
@@ -85,6 +92,13 @@ def test_verify_invariant_breaking_instance(workdir, capsys):
     broken.write_text(json.dumps(data))
     assert main(["verify", str(broken)]) == 4
     assert "invariant" in capsys.readouterr().err
+    # a NaN fails every tolerance test instead of passing it
+    data["kraus"][0][0][0] = [float("nan"), 0.0]
+    broken.write_text(json.dumps(data))
+    assert main(["verify", str(broken), "--chain", "--allow-trivial"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violation: completeness violated by nan\n"
 
 
 def test_verify_chain_gating(workdir, capsys):
@@ -291,3 +305,89 @@ def test_consecutive_calls_get_their_own_flags(workdir, capsys):
     assert "states 110" in out and "all_satisfied" not in out
     plain = json.loads((workdir / "verify.manifest.json").read_text())["flags"]
     assert plain == {**chained, "chain": False, "allow_trivial": False, "samples": 100, "seed": 42}
+
+
+# The old CLI printed every line with its own print call; these references
+# keep that form, and the CLI's joined output must match them byte for byte.
+
+
+def _old_print_wrapped(values, per_line=8):
+    for i in range(0, len(values), per_line):
+        print(" ".join(f"{v:.6f}" for v in values[i : i + per_line]))
+
+
+def _old_verify_stdout(inst, samples, seed, chain=False, out=None):
+    buf = io.StringIO()
+    report = None
+    with contextlib.redirect_stdout(buf):
+        probes = default_probe_states(inst.source_layout, seed, haar_count=samples)
+        eps_hat, pairs = measure_eps(inst, probes)
+        print(f"eps_hat {eps_hat:.6g}")
+        print(f"states {len(pairs)}")
+        _old_print_wrapped([p.worst for p in pairs])
+        if chain:
+            basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
+            report = chain_verify(inst, basis, eps_hat, seed=seed)
+            print(f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}")
+            print(f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status")
+            for c in report.checks:
+                status = "vacuous" if c.vacuous else ("ok" if c.satisfied else "FAIL")
+                print(f"{c.label:40s} {c.lhs:12.6f} {c.rhs:12.6f} {c.slack:12.6f} {status}")
+            print(f"all_satisfied {report.all_satisfied}")
+            if report.cloning_contradiction:
+                print("copy floors exceed the universal cloning ceiling: contradiction")
+            if out:
+                print(f"wrote {out}")
+    return buf.getvalue(), report
+
+
+def test_outputs_match_per_line_reference(workdir, capsys, monkeypatch):
+    written = {}
+    write_json = cli._write_json
+
+    def recording(path, obj):
+        written[str(path)] = obj
+        write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+
+    assert main(["construct", "--ds", "2", "--da", "2", "--db", "1", "--dc", "1",
+                 "-o", "inst.json", "--seed", "7"]) == 0
+    inst = perfect_qsb_construct(2, 2, 1, 1)
+    rng = np.random.default_rng(7)
+    _, pairs = measure_eps(inst, [random_pure(inst.source_layout, rng) for _ in range(100)])
+    f_ab = min(p.f_ab for p in pairs)
+    f_ac = min(p.f_ac for p in pairs)
+    assert capsys.readouterr().out == f"wrote inst.json\nf_ab {f_ab:.6f}\nf_ac {f_ac:.6f}\n"
+
+    assert main(["verify", "inst.json", "--samples", "20", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == _old_verify_stdout(inst, 20, 3)[0]
+
+    dims = ["--ds", "3", "--da", "2", "--db", "2", "--dc", "2"]
+    assert main(["optimize", *dims, "--restarts", "1", "--iters", "30", "--haar", "10",
+                 "-o", "f.json"]) == 0
+    config = OptimizeConfig(3, 2, 2, 2, restarts=1, max_iters=30,
+                            sample_spec=SampleSpec(haar_count=10), seed=42)
+    point = optimize_qsb(config)
+    assert capsys.readouterr().out == (
+        f"dims {point.dims}\n"
+        f"best {point.best_worst_fidelity:.6f}\n"
+        f"eps_hat {point.eps_hat:.6g}\n"
+        f"winner restart {point.winner_restart} after {point.iterations_used} iters\n"
+        "wrote f.json\n"
+    )
+
+    assert main(["verify", "f.json", "--chain", "--samples", "10", "-o", "chain.json"]) == 0
+    expected, report = _old_verify_stdout(point.best_instance, 10, 42, chain=True, out="chain.json")
+    assert capsys.readouterr().out == expected
+
+    # every JSON file goes through the one writer: one line, equal to its object
+    assert {p.name for p in workdir.glob("*.json")} == set(written)
+    for path, obj in written.items():
+        text = (workdir / path).read_text()
+        assert text.index("\n") == len(text) - 1
+        assert json.loads(text) == obj
+    assert written["inst.json"] == inst.to_json()
+    assert written["f.json"] == point.to_json()
+    assert written["chain.json"] == report.to_json()
+    assert written["verify.manifest.json"]["flags"]["samples"] == 20

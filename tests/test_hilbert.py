@@ -71,6 +71,8 @@ def test_pure_state_norm_enforced():
     lay = SpaceLayout([("A", 2)])
     with pytest.raises(InvariantViolation):
         PureState(lay, np.array([1.0, 1.0]))
+    with pytest.raises(InvariantViolation):
+        PureState(lay, np.array([np.nan, 0.0]))
     psi = PureState(lay, np.array([1.0, 1.0]) / np.sqrt(2))
     assert abs(abs(psi.overlap(basis_state(lay, 0))) ** 2 - 0.5) < 1e-12
 
@@ -100,6 +102,8 @@ def test_isometry_validation(rng):
         Isometry(lay3, lay2, np.zeros((2, 3)))
     with pytest.raises(InvariantViolation):
         Isometry(lay2, lay3, np.ones((3, 2)))
+    with pytest.raises(InvariantViolation):
+        Isometry(lay2, lay3, np.full((3, 2), np.nan))
     v = random_isometry(lay2, lay3, rng)
     gram = v.matrix.conj().T @ v.matrix
     assert np.abs(gram - np.eye(2)).max() < 1e-12
@@ -253,7 +257,9 @@ def test_validate_density_rejects_what_density_matrix_rejects(rng):
     non_hermitian = good + np.array([[0, 1e-6, 0], [0, 0, 0], [0, 0, 0]])
     off_trace = good * 0.9
     negative = np.diag([0.6, 0.4 + 1e-6, -1e-6]).astype(complex)
-    for bad in (non_hermitian, off_trace, negative):
+    nan_diagonal = good.copy()
+    nan_diagonal[1, 1] = np.nan
+    for bad in (non_hermitian, off_trace, negative, nan_diagonal):
         with pytest.raises(InvariantViolation) as alone:
             DensityMatrix(lay, bad)
         with pytest.raises(InvariantViolation) as stacked:
