@@ -51,9 +51,11 @@ class KrausChannel:
             if k.shape != (dout, din):
                 raise LayoutMismatch(f"Kraus shape {k.shape}, expected {(dout, din)}")
         acc = np.zeros((din, din), dtype=np.complex128)
-        for k in ops:
-            acc += k.conj().T @ k
-        err = float(np.max(np.abs(acc - np.eye(din))))
+        # a non-finite or overflowing entry gives a non-finite err, which fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in ops:
+                acc += k.conj().T @ k
+            err = float(np.max(np.abs(acc - np.eye(din))))
         if not err <= TOL_ISO:
             raise InvariantViolation(f"completeness violated by {err}")
         frozen = []

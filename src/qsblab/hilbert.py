@@ -92,12 +92,14 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     clipped) and eigh_desc of the input.
     """
     m = np.asarray(m, dtype=np.complex128)
-    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # a non-finite entry gives a non-finite residual, which the tests reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        tr = m.trace(axis1=-2, axis2=-1)
     # each test is "not within tolerance", so a NaN fails it
     bad = ~(herm_err <= TOL_HERM)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"hermiticity violated by {float(herm_err[bad][0])}")
-    tr = m.trace(axis1=-2, axis2=-1)
     bad = ~(np.abs(tr - 1.0) <= TOL_NORM)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL_NORM}")
@@ -290,7 +292,8 @@ class Isometry:
             raise LayoutMismatch(f"matrix shape {m.shape}, expected {(dout, din)}")
         if dout < din:
             raise BadRank(f"no isometry from dim {din} into dim {dout}")
-        err = float(np.max(np.abs(m.conj().T @ m - np.eye(din))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = float(np.max(np.abs(m.conj().T @ m - np.eye(din))))
         if not err <= TOL_ISO:
             raise InvariantViolation(f"V†V deviates from identity by {err}")
         object.__setattr__(self, "matrix", _frozen(m))

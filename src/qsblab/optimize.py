@@ -4,12 +4,15 @@ The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum of qsb.branch_values, the kernel that
-measure_eps also runs; the reported value is always the hard minimum
-re-measured on the returned instance. A restart keeps (U, V_AB, V_AC) in one
-zero-padded (3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the
-positive-diagonal QR factor, as a tangent step M = X + t xi has M^H M = I +
-t^2 xi^H xi >= I; its orthonormality error grows like (1 + |t xi|^2) * 1e-16.
+temperature-annealed soft minimum of qsb.branch_values. It shares its factor
+stack K with measure_eps but contracts it in the Gram form K^H K against a
+probe matrix built once per search, which pays because a restart evaluates
+the same probes thousands of times; the reported value is always the hard
+minimum re-measured on the returned instance. A restart keeps
+(U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack. Its retraction,
+Cholesky QR, gives exactly the positive-diagonal QR factor, as a tangent step
+M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its orthonormality error grows
+like (1 + |t xi|^2) * 1e-16.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .qsb import (
 DIM_CAP = 4096
 ENV_CAP = 16
 STEP_CAP = 100.0  # largest |t xi| riemannian_step retracts: error <= ~1e-12
+PROBE_CAP = 2**25  # float64 entries of a search's probe matrix (256 MB)
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,7 @@ class FrontierPoint:
     seed: int
     max_fidelity_seen: float
     restart_values: tuple[float, ...] = ()
+    stop_reasons: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.best_worst_fidelity <= 1.0:
@@ -142,6 +147,7 @@ class FrontierPoint:
             "seed": self.seed,
             "max_fidelity_seen": self.max_fidelity_seen,
             "restart_values": list(self.restart_values),
+            "stop_reasons": list(self.stop_reasons),
             "best_instance": self.best_instance.to_json(),
         }
 
@@ -151,29 +157,28 @@ class FrontierPoint:
 # ---------------------------------------------------------------------------
 
 
-def _soft_value_and_weights(
-    f_ab: np.ndarray, f_ac: np.ndarray, temp: float
-) -> tuple[float, np.ndarray]:
-    """Soft minimum over both branches and its weights as a (2, n) stack."""
-    f = np.concatenate((f_ab, f_ac))
-    m = f.min()
-    e = np.exp(-temp * (f - m))
+def _soft_min(f: np.ndarray, hard: float, temp: float) -> tuple[float, np.ndarray]:
+    """Soft minimum of a (2, n) fidelity stack and its weights, shifted by
+    its hard minimum `hard`."""
+    e = np.exp(-temp * (f - hard))
     z = e.sum()
-    return float(m - np.log(z) / temp), (e / z).reshape(2, -1)
+    return float(hard - np.log(z) / temp), e / z
 
 
-def _weighted_grads(cached: tuple, w: np.ndarray, ph: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
-    `cached` is the factor tuple `branch_values` returns for the point, ph is
-    P^H, and the real rows of the padded (3, N_U, d_s) stack g receive them.
-    With A = (P w) P^H per branch and G_B = K_B A as [ce, s', s],
+    `cached` is the tuple `branch_values` returns for the point, and the real
+    rows of the padded (3, N_U, d_s) stack g receive the gradients. With
+    A = sum_n w[n] p_n p_n^H per branch, read from the probe matrix as
+    (w @ fm).view(complex128), and G_B = K_B A as [ce, s', s],
     g_U[abce, s] = sum_s' V_AB[ab, s'] G_B and g_VAB[ab, s'] =
     sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
     """
-    (d_a, d_b, d_c, d_e), u_b, u_c, vab, vac, p, k = cached
+    _, k, u_b, u_c, vab, vac, fm, (d_a, d_b, d_c, d_e) = cached
     d_s = vab.shape[1]
-    gk = (k @ ((p * w[:, None, :]) @ ph)).reshape(2, -1, d_s, d_s)
+    a = (w @ fm).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+    gk = (k @ a).reshape(2, -1, d_s, d_s)
     gb, gc = gk[0, : d_c * d_e], gk[1, : d_b * d_e]
     np.matmul(vab, gb.transpose(1, 0, 2).reshape(d_s, -1), out=g[0].reshape(d_a * d_b, -1))
     g_uc = (vac @ gc.transpose(1, 0, 2).reshape(d_s, -1)).reshape(d_a, d_c, d_b, -1)
@@ -198,10 +203,10 @@ def objective_value_and_grads(
     entry moves the objective by 2*Re(g) per unit and an imaginary one by
     2*Im(g); that is the convention the finite-difference check uses.
     """
-    p = probe_matrix(psi_cols)
-    f_ab, f_ac, cached = branch_values(u, vab, vac, p, dims4)
-    value, w = _soft_value_and_weights(f_ab, f_ac, temp)
-    g = _weighted_grads(cached, w, p.conj().T, np.zeros((3, *u.shape), dtype=np.complex128))
+    *_, cached = branch_values(u, vab, vac, probe_matrix(psi_cols), dims4)
+    f = cached[0]
+    value, w = _soft_min(f, float(f.min()), temp)
+    g = _weighted_grads(cached, w, np.zeros((3, *u.shape), dtype=np.complex128))
     return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
 
 
@@ -250,11 +255,12 @@ class _RestartOutcome:
     params: tuple[np.ndarray, np.ndarray, np.ndarray]
     iterations: int
     max_seen: float
+    stop_reason: str
 
 
 def _run_restart(
     config: OptimizeConfig,
-    p: np.ndarray,
+    fm: np.ndarray,
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
     index: int,
 ) -> _RestartOutcome:
@@ -267,30 +273,33 @@ def _run_restart(
     x = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
-    g, ph = np.zeros_like(x), p.conj().T
+    g = np.zeros_like(x)
     temps = np.geomspace(config.temp_init, config.temp_final, config.max_iters)
     step = config.step_init
     best_hard = -np.inf
     best_x = x
     max_seen = 0.0
     iters = 0
-    f_ab, f_ac, cached = branch_values(*unpad(x), p, config.dims4)
+    # branch_values' cache leads with the (2, n) fidelity stack
+    cached = branch_values(*unpad(x), fm, config.dims4)[2]
+    hard = float(cached[0].min())
 
     for it in range(config.max_iters):
         iters = it + 1
         temp = float(temps[it])
-        hard = float(min(f_ab.min(), f_ac.min()))
-        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
+        max_seen = max(max_seen, float(cached[0].max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
         if best_hard >= 1.0 - 1e-9:
+            stop = "perfect"
             break
 
-        value, w = _soft_value_and_weights(f_ab, f_ac, temp)
-        xi = _tangent(x, _weighted_grads(cached, w, ph, g))
+        value, w = _soft_min(cached[0], hard, temp)
+        xi = _tangent(x, _weighted_grads(cached, w, g))
         gnorm2 = float(np.vdot(xi, xi).real)
         if np.sqrt(gnorm2) < 1e-10:
+            stop = "grad_small"
             break
 
         # Armijo backtracking on the smoothed objective; directional
@@ -300,26 +309,27 @@ def _run_restart(
         trial = step
         while trial > 1e-14:
             x2 = _qr_positive(x + trial * xi)
-            trial_eval = branch_values(*unpad(x2), p, config.dims4)
-            value2, _ = _soft_value_and_weights(trial_eval[0], trial_eval[1], temp)
+            trial_cached = branch_values(*unpad(x2), fm, config.dims4)[2]
+            trial_hard = float(trial_cached[0].min())
+            value2, _ = _soft_min(trial_cached[0], trial_hard, temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
-                x = x2
-                f_ab, f_ac, cached = trial_eval
+                x, cached, hard = x2, trial_cached, trial_hard
                 step = trial
                 accepted = True
                 break
             trial *= 0.5
         if not accepted:
+            stop = "line_search_exhausted"
             break
     else:
         # the budget ran out right after an accepted step: score that point too
-        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
-        hard = float(min(f_ab.min(), f_ac.min()))
+        stop = "max_iters"
+        max_seen = max(max_seen, float(cached[0].max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
 
-    return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen)
+    return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen, stop)
 
 
 def _random_init(
@@ -375,7 +385,11 @@ def optimize_qsb(
     probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
     if not probes:
         raise InvariantViolation("sample_spec produced no probe states")
-    p = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
+    if len(probes) * 2 * config.d_s**4 > PROBE_CAP:
+        raise TooLarge(
+            f"probe matrix of {len(probes)} states at d_s = {config.d_s} exceeds {PROBE_CAP} floats"
+        )
+    fm = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= config.d_a:
@@ -397,7 +411,7 @@ def optimize_qsb(
         inits.append(_random_init(config, rng))
         idx += 1
 
-    outcomes = [_run_restart(config, p, init, i) for i, init in enumerate(inits)]
+    outcomes = [_run_restart(config, fm, init, i) for i, init in enumerate(inits)]
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)
@@ -413,6 +427,7 @@ def optimize_qsb(
         seed=config.seed,
         max_fidelity_seen=max(o.max_seen for o in outcomes),
         restart_values=tuple(o.best_hard for o in outcomes),
+        stop_reasons=tuple(o.stop_reason for o in outcomes),
     )
 
 

@@ -10,10 +10,15 @@ deficit everywhere else, and evaluates the chain of bounds that turns a
 small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
 
-Both receiver fidelities come from one kernel, branch_values: it contracts
-the channel's Stinespring matrix with the two representation isometries and
-meets the inputs only through their outer products (probe_matrix).
-measure_eps, the search in optimize and chain_verify all run it.
+Both receiver fidelities come from one factor stack K (_factors), the
+channel's Stinespring matrix contracted with the two representation
+isometries, which meets the inputs only through their outer products
+p = conj(psi) (x) psi, as f = |K p|^2. It has two contractions, one per cost
+profile. The search in optimize evaluates one probe set thousands of times,
+so branch_values reads f = p^H (K^H K) p against a probe matrix of the p p^H
+that the search builds once. measure_eps and chain_verify evaluate their
+probes once, and building that matrix (n d_s^4) would cost more than it
+saves, so they read |K P|^2 from the (d_s^2, n) outer products (_deficit).
 
 The chain reads everything else from the Stinespring image U|psi> too: as an
 (A, B, C, E) tensor it already purifies the channel output, so the product
@@ -166,39 +171,61 @@ class FidelityPair:
         return min(self.f_ab, self.f_ac)
 
 
-def probe_matrix(cols: np.ndarray) -> np.ndarray:
+def _outer_columns(cols: np.ndarray) -> np.ndarray:
     """P[s' * d_s + s, n] = conj(cols[s', n]) cols[s, n] for source columns (d_s, n)."""
     d_s, n = cols.shape
     return (cols.conj()[:, None, :] * cols[None, :, :]).reshape(d_s * d_s, n)
+
+
+def probe_matrix(cols: np.ndarray) -> np.ndarray:
+    """Real (n, 2 d_s^4) matrix whose row n is the float view of p p^H, where
+    p = conj(cols[:, n]) (x) cols[:, n] is column n of the outer products."""
+    p = np.ascontiguousarray(_outer_columns(cols).T)
+    n, d2 = p.shape
+    return (p[:, :, None] * p.conj()[:, None, :]).reshape(n, d2 * d2).view(np.float64)
+
+
+def _factors(
+    u: np.ndarray, vab: np.ndarray, vac: np.ndarray, dims4: tuple[int, int, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U with (A, B) and with (A, C) leading as matrices, and the factor stack K.
+
+    u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
+    representation matrices. K_B[ce, s' s] = sum_ab conj(V_AB[ab, s']) U[abce, s],
+    so f_AB = |K_B p|^2 for p = conj(psi) (x) psi; K_C swaps U's B and C axes.
+    Both share one zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack, whose
+    zero rows add nothing to either contraction.
+    """
+    d_a, d_b, d_c, d_e = dims4
+    d_s = vab.shape[1]
+    u_b = u.reshape(d_a * d_b, -1)
+    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
+    k = np.zeros((2, max(d_b, d_c) * d_e, d_s, d_s), dtype=np.complex128)
+    k[0, : d_c * d_e] = (vab.conj().T @ u_b).reshape(d_s, -1, d_s).transpose(1, 0, 2)
+    k[1, : d_b * d_e] = (vac.conj().T @ u_c).reshape(d_s, -1, d_s).transpose(1, 0, 2)
+    return u_b, u_c, k.reshape(2, -1, d_s * d_s)
 
 
 def branch_values(
     u: np.ndarray,
     vab: np.ndarray,
     vac: np.ndarray,
-    p: np.ndarray,
+    fm: np.ndarray,
     dims4: tuple[int, int, int, int],
 ):
     """Both receiver fidelities and the cached factors for gradients.
 
-    u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
-    representation matrices and p the probe_matrix of the inputs. With
-    K_B[ce, s', s] = sum_ab conj(V_AB[ab, s']) U[abce, s],
-    f_AB[n] = sum_ce |(K_B P)[ce, n]|^2; the C branch swaps U's B and C axes.
-    K_B and K_C share one zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack,
-    whose zero rows add nothing, so both branches take one product with P.
+    fm is the probe_matrix of the inputs. With the Gram form H = K^H K,
+    f[n] = p^H H p = Re <H, p p^H>, so both receivers read their fidelities
+    from one real product of H's float view with fm. Building fm costs
+    n * d_s^4, which pays only when one probe set is evaluated many times, as
+    in a search. The cache is (f, K, U_B, U_C, V_AB, V_AC, fm, dims4), with f
+    the (2, n) stack whose rows are returned.
     """
-    d_a, d_b, d_c, d_e = dims4
-    d_s, n = vab.shape[1], p.shape[1]
-    u_b = u.reshape(d_a * d_b, -1)
-    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    k = np.zeros((2, max(d_b, d_c) * d_e, d_s, d_s), dtype=np.complex128)
-    k[0, : d_c * d_e] = (vab.conj().T @ u_b).reshape(d_s, -1, d_s).transpose(1, 0, 2)
-    k[1, : d_b * d_e] = (vac.conj().T @ u_c).reshape(d_s, -1, d_s).transpose(1, 0, 2)
-    k = k.reshape(2, -1, d_s * d_s)
-    w = (k.reshape(-1, d_s * d_s) @ p).reshape(2, -1, n)
-    f = (w.real**2 + w.imag**2).sum(axis=1)
-    return f[0], f[1], (dims4, u_b, u_c, vab, vac, p, k)
+    u_b, u_c, k = _factors(u, vab, vac, dims4)
+    h = k.conj().swapaxes(1, 2) @ k
+    f = h.reshape(2, -1).view(np.float64) @ fm.T
+    return f[0], f[1], (f, k, u_b, u_c, vab, vac, fm, dims4)
 
 
 def _deficit(
@@ -206,15 +233,15 @@ def _deficit(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Worst fidelity deficit over source columns (d_s, n), and both receiver
     fidelities per column, clipped to [0, 1]; u is the channel's
-    _stinespring_matrix."""
+    _stinespring_matrix.
+
+    One evaluation of a probe set cannot amortise probe_matrix's n * d_s^4
+    build, so this reads f = |K P|^2 from the (d_s^2, n) outer products.
+    """
     dims4 = (instance.d_a, instance.d_b, instance.d_c, len(instance.channel.kraus_ops))
-    f_ab, f_ac, _ = branch_values(
-        u,
-        instance.v_abs.matrix,
-        instance.v_acs.matrix,
-        probe_matrix(cols),
-        dims4,
-    )
+    k = _factors(u, instance.v_abs.matrix, instance.v_acs.matrix, dims4)[2]
+    w = (k.reshape(-1, k.shape[2]) @ _outer_columns(cols)).reshape(2, -1, cols.shape[1])
+    f_ab, f_ac = (w.real**2 + w.imag**2).sum(axis=1)
     f_ab, f_ac = np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
     return max(1.0 - float(min(f_ab.min(), f_ac.min())), 0.0), f_ab, f_ac
 
@@ -231,9 +258,9 @@ def measure_eps(
 ) -> tuple[float, list[FidelityPair]]:
     """Largest fidelity deficit seen over the supplied probe states.
 
-    The fidelities come from branch_values on the channel's Stinespring
-    matrix, the kernel the search maximises, so a searched instance
-    re-measures to its in-search value. The result is a lower estimate of
+    The fidelities come from the factor stack K of the channel's Stinespring
+    matrix, the one the search maximises, so a searched instance re-measures
+    to its in-search value up to roundoff. The result is a lower estimate of
     the true worst-case deficit: it only sees the states it is given. Feed
     it default_probe_states (or better) for a usable estimate.
     """

@@ -99,6 +99,16 @@ def test_verify_invariant_breaking_instance(workdir, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "invariant violation: completeness violated by nan\n"
+    # infinite and overflowing entries fail the same tests without a warning
+    for where, value in (("kraus", float("inf")), ("kraus", 1e200), ("v_abs", float("inf"))):
+        data = json.loads(path.read_text())
+        entries = data["kraus"][0] if where == "kraus" else data["v_abs"]["matrix"]
+        entries[0][0] = [value, 0.0]
+        broken.write_text(json.dumps(data))
+        assert main(["verify", str(broken)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("invariant violation: "), err
 
 
 def test_verify_chain_gating(workdir, capsys):

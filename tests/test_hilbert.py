@@ -259,7 +259,9 @@ def test_validate_density_rejects_what_density_matrix_rejects(rng):
     negative = np.diag([0.6, 0.4 + 1e-6, -1e-6]).astype(complex)
     nan_diagonal = good.copy()
     nan_diagonal[1, 1] = np.nan
-    for bad in (non_hermitian, off_trace, negative, nan_diagonal):
+    inf_entry = good.copy()
+    inf_entry[0, 0] = np.inf
+    for bad in (non_hermitian, off_trace, negative, nan_diagonal, inf_entry):
         with pytest.raises(InvariantViolation) as alone:
             DensityMatrix(lay, bad)
         with pytest.raises(InvariantViolation) as stacked:

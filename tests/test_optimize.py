@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import qsblab.optimize as optimize_module
+import qsblab.qsb as qsb_module
+from qsblab.channels import _stinespring_matrix
 from qsblab.errors import InvariantViolation, TooLarge
 from qsblab.hilbert import Isometry, SpaceLayout
 from qsblab.optimize import (
@@ -67,6 +69,9 @@ def test_config_env_bounds_and_default():
 def test_config_size_cap():
     with pytest.raises(TooLarge):
         OptimizeConfig(d_s=2, d_a=8, d_b=8, d_c=8)  # 512 * env 16 = 8192
+    # 1176 default probes at d_s = 16 would need 1176 * 2 * 16^4 floats
+    with pytest.raises(TooLarge):
+        optimize_qsb(OptimizeConfig(d_s=16, d_a=4, d_b=4, d_c=4, env_dim=1, restarts=1))
 
 
 def test_config_misc_guards():
@@ -298,6 +303,11 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
         assert np.max(np.abs(got_ab - f_ab)) <= 1e-13
         assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
+        # the one-shot contraction behind measure_eps and chain_verify
+        inst = optimize_module._instance_from_params(cfg, (u, vab, vac))
+        _, once_ab, once_ac = qsb_module._deficit(inst, _stinespring_matrix(inst.channel), cols)
+        assert np.max(np.abs(once_ab - f_ab)) <= 1e-13
+        assert np.max(np.abs(once_ac - f_ac)) <= 1e-13
         assert abs(got_value - value) <= 1e-13
         for got, want in zip(got_grads, grads):
             assert got.shape == want.shape
@@ -317,6 +327,10 @@ def test_optimize_reaches_perfect_when_source_fits():
     assert point.best_worst_fidelity >= 1.0 - 1e-6
     assert point.dims == (2, 2, 1, 1)
     assert len(point.restart_values) == 2
+    # restart 0 starts at the perfect construction and stops there
+    assert point.stop_reasons[0] == "perfect"
+    assert point.to_json()["stop_reasons"] == list(point.stop_reasons)
+    assert len(point.stop_reasons) == 2
     assert point.eps_hat == pytest.approx(1.0 - point.best_worst_fidelity, abs=1e-15)
 
 
@@ -376,6 +390,7 @@ def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_win
     assert all(v >= f for v, f in zip(point.restart_values, UNSCORED_FINAL_PINS[dims]))
     assert point.winner_restart == want_winner
     assert point.iterations_used == 300
+    assert point.stop_reasons[want_winner] == "max_iters"
 
 
 def test_no_point_is_evaluated_twice(monkeypatch):

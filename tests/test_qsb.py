@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsblab.channels as channels_module
+import qsblab.qsb as qsb_module
 from qsblab.channels import KrausChannel, apply
 from qsblab.errors import (
     BadAmplitudes,
@@ -776,6 +777,22 @@ def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatc
     assert calls == []
     basis[0].density()  # the counter does see a construction
     assert calls == ["DensityMatrix"]
+
+
+@pytest.mark.parametrize("dims", BENCH_DIMS)
+def test_one_shot_measurements_build_no_probe_matrix(monkeypatch, dims):
+    # probe_matrix costs n * d_s^4 to build and only pays back over a search's
+    # thousands of evaluations; a single measurement contracts |K P|^2 instead
+    def refuse(cols):
+        raise AssertionError("one-shot measurement built the search's probe matrix")
+
+    monkeypatch.setattr(qsb_module, "probe_matrix", refuse)
+    inst = _random_instance(*dims, seed=32, env=dims[0])
+    eps, pairs = measure_eps(inst, default_probe_states(inst.source_layout, 3, haar_count=20))
+    assert 0.0 < eps <= 1.0 and len(pairs) == dims[0] + 8 * dims[0] * (dims[0] - 1) // 2 + 20
+    basis = [basis_state(inst.source_layout, k) for k in range(dims[0])]
+    for branch in ("B", "C"):
+        assert chain_verify(inst, basis, 0.0, primary_branch=branch, seed=1).checks
 
 
 def test_chain_verify_rejects_bad_branch_and_foreign_basis():
