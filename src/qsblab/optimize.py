@@ -4,15 +4,13 @@ The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum of qsb.branch_values. It shares its factor
-stack K with measure_eps but contracts it in the Gram form K^H K against a
-probe matrix built once per search, which pays because a restart evaluates
-the same probes thousands of times; the reported value is always the hard
-minimum re-measured on the returned instance. A restart keeps
-(U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack. Its retraction,
-Cholesky QR, gives exactly the positive-diagonal QR factor, as a tangent step
-M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its orthonormality error grows
-like (1 + |t xi|^2) * 1e-16.
+temperature-annealed soft minimum of qsb.branch_values, the kernel that
+measure_eps also runs, on the probe operand qsb.search_probes picks for the
+search's shape; the reported value is always the hard minimum re-measured on
+the returned instance. A restart keeps (U, V_AB, V_AC) in one zero-padded
+(3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the
+positive-diagonal QR factor, as a tangent step M = X + t xi has M^H M = I +
+t^2 xi^H xi >= I; its orthonormality error grows like (1 + |t xi|^2) * 1e-16.
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ from .qsb import (
     default_probe_states,
     measure_eps,
     perfect_qsb_construct,
-    probe_matrix,
+    search_probes,
 )
 
 DIM_CAP = 4096
 ENV_CAP = 16
 STEP_CAP = 100.0  # largest |t xi| riemannian_step retracts: error <= ~1e-12
-PROBE_CAP = 2**25  # float64 entries of a search's probe matrix (256 MB)
 
 
 @dataclass(frozen=True)
@@ -157,27 +154,34 @@ class FrontierPoint:
 # ---------------------------------------------------------------------------
 
 
-def _soft_min(f: np.ndarray, hard: float, temp: float) -> tuple[float, np.ndarray]:
-    """Soft minimum of a (2, n) fidelity stack and its weights, shifted by
-    its hard minimum `hard`."""
+def _soft_min(
+    f_ab: np.ndarray, f_ac: np.ndarray, temp: float
+) -> tuple[float, float, np.ndarray]:
+    """Hard minimum over both branches, the soft minimum shifted by it, and
+    the soft minimum's weights as a (2, n) stack."""
+    f = np.concatenate((f_ab, f_ac))
+    hard = f.min()
     e = np.exp(-temp * (f - hard))
     z = e.sum()
-    return float(hard - np.log(z) / temp), e / z
+    return float(hard), float(hard - np.log(z) / temp), (e / z).reshape(2, -1)
 
 
 def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
-    `cached` is the tuple `branch_values` returns for the point, and the real
-    rows of the padded (3, N_U, d_s) stack g receive the gradients. With
-    A = sum_n w[n] p_n p_n^H per branch, read from the probe matrix as
-    (w @ fm).view(complex128), and G_B = K_B A as [ce, s', s],
-    g_U[abce, s] = sum_s' V_AB[ab, s'] G_B and g_VAB[ab, s'] =
-    sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
+    `cached` is the factor tuple `branch_values` returns for the point, and
+    the real rows of the padded (3, N_U, d_s) stack g receive the gradients.
+    With A = sum_n w[n] p_n p_n^H per branch, read as (w @ F).view(complex128)
+    from a probe matrix F or as (P w) P^H from outer products P, and
+    G_B = K_B A as [ce, s', s], g_U[abce, s] = sum_s' V_AB[ab, s'] G_B and
+    g_VAB[ab, s'] = sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
     """
-    _, k, u_b, u_c, vab, vac, fm, (d_a, d_b, d_c, d_e) = cached
+    k, u_b, u_c, vab, vac, probes, (d_a, d_b, d_c, d_e) = cached
     d_s = vab.shape[1]
-    a = (w @ fm).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+    if np.isrealobj(probes):
+        a = (w @ probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+    else:
+        a = (probes * w[:, None, :]) @ probes.conj().T
     gk = (k @ a).reshape(2, -1, d_s, d_s)
     gb, gc = gk[0, : d_c * d_e], gk[1, : d_b * d_e]
     np.matmul(vab, gb.transpose(1, 0, 2).reshape(d_s, -1), out=g[0].reshape(d_a * d_b, -1))
@@ -203,9 +207,8 @@ def objective_value_and_grads(
     entry moves the objective by 2*Re(g) per unit and an imaginary one by
     2*Im(g); that is the convention the finite-difference check uses.
     """
-    *_, cached = branch_values(u, vab, vac, probe_matrix(psi_cols), dims4)
-    f = cached[0]
-    value, w = _soft_min(f, float(f.min()), temp)
+    f_ab, f_ac, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
+    _, value, w = _soft_min(f_ab, f_ac, temp)
     g = _weighted_grads(cached, w, np.zeros((3, *u.shape), dtype=np.complex128))
     return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
 
@@ -260,7 +263,7 @@ class _RestartOutcome:
 
 def _run_restart(
     config: OptimizeConfig,
-    fm: np.ndarray,
+    probes: np.ndarray,
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
     index: int,
 ) -> _RestartOutcome:
@@ -280,14 +283,13 @@ def _run_restart(
     best_x = x
     max_seen = 0.0
     iters = 0
-    # branch_values' cache leads with the (2, n) fidelity stack
-    cached = branch_values(*unpad(x), fm, config.dims4)[2]
-    hard = float(cached[0].min())
+    f_ab, f_ac, cached = branch_values(*unpad(x), probes, config.dims4)
 
     for it in range(config.max_iters):
         iters = it + 1
         temp = float(temps[it])
-        max_seen = max(max_seen, float(cached[0].max()))
+        hard, value, w = _soft_min(f_ab, f_ac, temp)
+        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
@@ -295,7 +297,6 @@ def _run_restart(
             stop = "perfect"
             break
 
-        value, w = _soft_min(cached[0], hard, temp)
         xi = _tangent(x, _weighted_grads(cached, w, g))
         gnorm2 = float(np.vdot(xi, xi).real)
         if np.sqrt(gnorm2) < 1e-10:
@@ -309,11 +310,11 @@ def _run_restart(
         trial = step
         while trial > 1e-14:
             x2 = _qr_positive(x + trial * xi)
-            trial_cached = branch_values(*unpad(x2), fm, config.dims4)[2]
-            trial_hard = float(trial_cached[0].min())
-            value2, _ = _soft_min(trial_cached[0], trial_hard, temp)
+            trial_eval = branch_values(*unpad(x2), probes, config.dims4)
+            _, value2, _ = _soft_min(trial_eval[0], trial_eval[1], temp)
             if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
-                x, cached, hard = x2, trial_cached, trial_hard
+                x = x2
+                f_ab, f_ac, cached = trial_eval
                 step = trial
                 accepted = True
                 break
@@ -324,7 +325,8 @@ def _run_restart(
     else:
         # the budget ran out right after an accepted step: score that point too
         stop = "max_iters"
-        max_seen = max(max_seen, float(cached[0].max()))
+        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
+        hard = float(min(f_ab.min(), f_ac.min()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
@@ -385,11 +387,7 @@ def optimize_qsb(
     probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
     if not probes:
         raise InvariantViolation("sample_spec produced no probe states")
-    if len(probes) * 2 * config.d_s**4 > PROBE_CAP:
-        raise TooLarge(
-            f"probe matrix of {len(probes)} states at d_s = {config.d_s} exceeds {PROBE_CAP} floats"
-        )
-    fm = probe_matrix(np.stack([s.amplitudes for s in probes], axis=1))
+    operand = search_probes(np.stack([s.amplitudes for s in probes], axis=1))
 
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= config.d_a:
@@ -411,7 +409,7 @@ def optimize_qsb(
         inits.append(_random_init(config, rng))
         idx += 1
 
-    outcomes = [_run_restart(config, fm, init, i) for i, init in enumerate(inits)]
+    outcomes = [_run_restart(config, operand, init, i) for i, init in enumerate(inits)]
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = _instance_from_params(config, winner.params)

@@ -10,15 +10,15 @@ deficit everywhere else, and evaluates the chain of bounds that turns a
 small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
 
-Both receiver fidelities come from one factor stack K (_factors), the
-channel's Stinespring matrix contracted with the two representation
-isometries, which meets the inputs only through their outer products
-p = conj(psi) (x) psi, as f = |K p|^2. It has two contractions, one per cost
-profile. The search in optimize evaluates one probe set thousands of times,
-so branch_values reads f = p^H (K^H K) p against a probe matrix of the p p^H
-that the search builds once. measure_eps and chain_verify evaluate their
-probes once, and building that matrix (n d_s^4) would cost more than it
-saves, so they read |K P|^2 from the (d_s^2, n) outer products (_deficit).
+Both receiver fidelities come from one kernel, branch_values, on one factor
+stack K (_factors): the channel's Stinespring matrix contracted with the two
+representation isometries, which meets the inputs only through their outer
+products p = conj(psi) (x) psi, as f = |K p|^2. It has two contractions.
+measure_eps and chain_verify evaluate their probes once and read |K P|^2
+from the (d_s^2, n) outer products. A search evaluates one probe set
+thousands of times; where the probes are many and d_s is small
+(search_probes) it reads f = p^H (K^H K) p against a probe matrix of the
+p p^H built once, and elsewhere it keeps |K P|^2.
 
 The chain reads everything else from the Stinespring image U|psi> too: as an
 (A, B, C, E) tensor it already purifies the channel output, so the product
@@ -60,6 +60,11 @@ from .metrics import BoundCheck
 # Worst-case ceiling for universal qubit cloning: no input-independent
 # 1 -> 2 copier pushes both copy fidelities above this value.
 CLONING_CEILING = 5.0 / 6.0
+
+# Largest probe matrix (float64 entries, 1 MiB) the search contracts in the
+# Gram form: the form streams all of it twice per iteration, and above this
+# size it measured slower than |K P|^2 (see search_probes).
+GRAM_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,22 @@ def probe_matrix(cols: np.ndarray) -> np.ndarray:
     return (p[:, :, None] * p.conj()[:, None, :]).reshape(n, d2 * d2).view(np.float64)
 
 
+def search_probes(cols: np.ndarray) -> np.ndarray:
+    """The probe operand a search hands branch_values for source columns (d_s, n).
+
+    The Gram form trades |K P|^2's n * R * d_s^2 complex products,
+    R = max(d_b, d_c) * d_e, for building H = K^H K (R * d_s^4) and streaming
+    the (n, 2 d_s^4) probe matrix, once for the values and once for the
+    gradient. It is chosen where that pays: at least d_s^2 probes to amortise
+    H, and a probe matrix within GRAM_FLOATS, which holds the default probes
+    up to d_s = 4. Every other search contracts the (d_s^2, n) outer products.
+    """
+    d_s, n = cols.shape
+    if n >= d_s * d_s and n * 2 * d_s**4 <= GRAM_FLOATS:
+        return probe_matrix(cols)
+    return _outer_columns(cols)
+
+
 def _factors(
     u: np.ndarray, vab: np.ndarray, vac: np.ndarray, dims4: tuple[int, int, int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,22 +231,27 @@ def branch_values(
     u: np.ndarray,
     vab: np.ndarray,
     vac: np.ndarray,
-    fm: np.ndarray,
+    probes: np.ndarray,
     dims4: tuple[int, int, int, int],
 ):
     """Both receiver fidelities and the cached factors for gradients.
 
-    fm is the probe_matrix of the inputs. With the Gram form H = K^H K,
-    f[n] = p^H H p = Re <H, p p^H>, so both receivers read their fidelities
-    from one real product of H's float view with fm. Building fm costs
-    n * d_s^4, which pays only when one probe set is evaluated many times, as
-    in a search. The cache is (f, K, U_B, U_C, V_AB, V_AC, fm, dims4), with f
-    the (2, n) stack whose rows are returned.
+    probes is either the real probe_matrix F of the inputs or their complex
+    (d_s^2, n) outer products P. Against F the kernel takes the Gram form
+    H = K^H K, f[n] = p^H H p = Re <H, p p^H>, one real product of H's float
+    view with F for both receivers; against P it reads f = |K P|^2. Building
+    F costs n * d_s^4, so only a search, which evaluates one probe set
+    thousands of times, hands it in (search_probes). The cache is
+    (K, U_B, U_C, V_AB, V_AC, probes, dims4).
     """
     u_b, u_c, k = _factors(u, vab, vac, dims4)
-    h = k.conj().swapaxes(1, 2) @ k
-    f = h.reshape(2, -1).view(np.float64) @ fm.T
-    return f[0], f[1], (f, k, u_b, u_c, vab, vac, fm, dims4)
+    if np.isrealobj(probes):
+        h = k.conj().swapaxes(1, 2) @ k
+        f = h.reshape(2, -1).view(np.float64) @ probes.T
+    else:
+        w = (k.reshape(-1, k.shape[2]) @ probes).reshape(2, -1, probes.shape[1])
+        f = (w.real**2 + w.imag**2).sum(axis=1)
+    return f[0], f[1], (k, u_b, u_c, vab, vac, probes, dims4)
 
 
 def _deficit(
@@ -239,9 +265,9 @@ def _deficit(
     build, so this reads f = |K P|^2 from the (d_s^2, n) outer products.
     """
     dims4 = (instance.d_a, instance.d_b, instance.d_c, len(instance.channel.kraus_ops))
-    k = _factors(u, instance.v_abs.matrix, instance.v_acs.matrix, dims4)[2]
-    w = (k.reshape(-1, k.shape[2]) @ _outer_columns(cols)).reshape(2, -1, cols.shape[1])
-    f_ab, f_ac = (w.real**2 + w.imag**2).sum(axis=1)
+    f_ab, f_ac, _ = branch_values(
+        u, instance.v_abs.matrix, instance.v_acs.matrix, _outer_columns(cols), dims4
+    )
     f_ab, f_ac = np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
     return max(1.0 - float(min(f_ab.min(), f_ac.min())), 0.0), f_ab, f_ac
 
@@ -258,11 +284,11 @@ def measure_eps(
 ) -> tuple[float, list[FidelityPair]]:
     """Largest fidelity deficit seen over the supplied probe states.
 
-    The fidelities come from the factor stack K of the channel's Stinespring
-    matrix, the one the search maximises, so a searched instance re-measures
-    to its in-search value up to roundoff. The result is a lower estimate of
-    the true worst-case deficit: it only sees the states it is given. Feed
-    it default_probe_states (or better) for a usable estimate.
+    The fidelities come from branch_values on the channel's Stinespring
+    matrix, the kernel the search maximises, so a searched instance
+    re-measures to its in-search value up to roundoff. The result is a lower
+    estimate of the true worst-case deficit: it only sees the states it is
+    given. Feed it default_probe_states (or better) for a usable estimate.
     """
     states = list(states)
     if not states:

@@ -18,7 +18,7 @@ from qsblab.optimize import (
     optimize_qsb,
     riemannian_step,
 )
-from qsblab.qsb import perfect_qsb_construct, probe_matrix
+from qsblab.qsb import perfect_qsb_construct, probe_matrix, search_probes
 
 SMALL = SampleSpec(haar_count=20, phase_count=4)
 
@@ -69,9 +69,6 @@ def test_config_env_bounds_and_default():
 def test_config_size_cap():
     with pytest.raises(TooLarge):
         OptimizeConfig(d_s=2, d_a=8, d_b=8, d_c=8)  # 512 * env 16 = 8192
-    # 1176 default probes at d_s = 16 would need 1176 * 2 * 16^4 floats
-    with pytest.raises(TooLarge):
-        optimize_qsb(OptimizeConfig(d_s=16, d_a=4, d_b=4, d_c=4, env_dim=1, restarts=1))
 
 
 def test_config_misc_guards():
@@ -312,6 +309,43 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         for got, want in zip(got_grads, grads):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("operand", ["probe_matrix", "_outer_columns"])
+@pytest.mark.parametrize(
+    "d_s, d_a, d_b, d_c, d_e",
+    [(2, 1, 2, 2, 8), (3, 2, 2, 2, 16), (3, 1, 3, 3, 16), (4, 3, 2, 2, 5), (2, 2, 1, 3, 4)],
+)
+def test_both_search_contractions_match_reference(monkeypatch, operand, d_s, d_a, d_b, d_c, d_e):
+    # a search runs the Gram form or |K P|^2 by its shape; either one gives
+    # the reference values and gradients
+    monkeypatch.setattr(optimize_module, "search_probes", getattr(qsb_module, operand))
+    cfg = OptimizeConfig(d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c, env_dim=d_e)
+    rng = np.random.default_rng(d_s * 1000 + d_a * 100 + d_b * 10 + d_c + 1)
+    u, vab, vac = _params_for(cfg, rng)
+    cols = _probe_cols(cfg, rng, n=25)
+    _, _, value, grads = _einsum_reference(u, vab, vac, cols, cfg.dims4, 25.0)
+    got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
+    assert abs(got_value - value) <= 1e-13
+    for got, want in zip(got_grads, grads):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_search_contraction_follows_the_shape():
+    def cols(d_s, n):
+        return _probe_cols(OptimizeConfig(d_s, d_s, 1, 1), np.random.default_rng(n), n=n)
+
+    # default probes up to d_s = 4: a cache-sized probe matrix, n >= d_s^2
+    assert np.isrealobj(search_probes(cols(2, 210)))
+    assert np.isrealobj(search_probes(cols(4, 252)))
+    # fewer probes than d_s^2, or a probe matrix above GRAM_FLOATS
+    assert np.iscomplexobj(search_probes(cols(8, 8)))
+    assert np.iscomplexobj(search_probes(cols(4, qsb_module.GRAM_FLOATS // 512 + 1)))
+    assert np.iscomplexobj(search_probes(cols(5, 285)))
+    # so a large source still searches, on the outer products
+    cfg = OptimizeConfig(d_s=16, d_a=4, d_b=4, d_c=4, env_dim=1, restarts=1, max_iters=2)
+    point = optimize_qsb(cfg)
+    assert point.iterations_used == 2 and 0.0 <= point.best_worst_fidelity <= 1.0
 
 
 # ---------------------------------------------------------------------------
