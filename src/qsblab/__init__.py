@@ -1,55 +1,22 @@
 """Shared broadcasting of quantum states: constructions, metrics, bounds.
 
 The package splits into layers: `hilbert` (states, layouts, isometries),
-`metrics` (fidelity, trace distance and their inequality suite), `channels`
-(Kraus/Choi/Stinespring forms), `qsb` (broadcast instances, the deficit
-chain, the cloning baseline), `optimize` (variational frontier search) and
-`cli` (the qsblab command).
+`metrics` (fidelity and the randomized inequality sweep), `channels` (Kraus
+channels, their Stinespring dilations and mixtures), `qsb` (broadcast
+instances, the deficit chain, the cloning baseline), `optimize`
+(variational frontier search) and `cli` (the qsblab command).
 """
 
 __version__ = "0.1.0"
 
 from .errors import QsbError
-from .hilbert import (
-    DensityMatrix,
-    Isometry,
-    PureState,
-    SpaceLayout,
-    apply_isometry,
-    basis_state,
-    partial_trace,
-    permute,
-    purify,
-    random_density,
-    random_isometry,
-    random_pure,
-    tensor,
-)
-from .metrics import (
-    BoundCheck,
-    ConvexityReport,
-    check_fvdg,
-    check_monotonicity,
-    check_triangle,
-    check_triangle_pure,
-    fidelity,
-    fidelity_pure,
-    fidelity_states,
-    max_eig_convexity,
-    property_sweep,
-    trace_distance,
-    uhlmann_partner,
-)
+from .hilbert import DensityMatrix, Isometry, PureState, SpaceLayout, basis_state, random_pure
+from .metrics import BoundCheck, fidelity, fidelity_pure, property_sweep
 from .channels import (
-    ChoiMatrix,
     KrausChannel,
-    apply,
     depolarizing_channel,
     from_stinespring,
-    identity_channel,
-    kraus_from_choi,
     mix,
-    to_choi,
     to_stinespring,
     validate_cpt,
 )
@@ -58,7 +25,6 @@ from .qsb import (
     FidelityPair,
     ProductApprox,
     QsbInstance,
-    broadcast_fidelities,
     chain_constants,
     chain_verify,
     cloner_baseline,
@@ -88,38 +54,17 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "Isometry",
-    "tensor",
-    "partial_trace",
-    "permute",
-    "purify",
-    "apply_isometry",
     "basis_state",
     "random_pure",
-    "random_density",
-    "random_isometry",
     "fidelity",
     "fidelity_pure",
-    "fidelity_states",
-    "trace_distance",
     "BoundCheck",
-    "ConvexityReport",
-    "check_triangle",
-    "check_triangle_pure",
-    "check_monotonicity",
-    "check_fvdg",
-    "uhlmann_partner",
-    "max_eig_convexity",
     "property_sweep",
     "KrausChannel",
-    "ChoiMatrix",
-    "apply",
     "from_stinespring",
     "to_stinespring",
-    "to_choi",
-    "kraus_from_choi",
     "validate_cpt",
     "mix",
-    "identity_channel",
     "depolarizing_channel",
     "QsbInstance",
     "FidelityPair",
@@ -127,7 +72,6 @@ __all__ = [
     "EpsilonChainReport",
     "perfect_qsb_construct",
     "perturbed_perfect_instance",
-    "broadcast_fidelities",
     "measure_eps",
     "default_probe_states",
     "extract_product_approx",

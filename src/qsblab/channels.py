@@ -1,10 +1,8 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-Conversions to and from Stinespring isometries and Choi matrices use one
-fixed convention throughout: the Choi matrix lives on output ⊗ input with
-no 1/d normalisation, so trace preservation reads "partial trace over the
-output equals the input identity". Row-major vectorisation of a Kraus
-operator is then exactly its Choi eigenvector.
+A channel converts to and from a Stinespring isometry whose environment is
+the last output factor, and two channels mix by concatenating their
+weighted Kraus families.
 """
 
 from __future__ import annotations
@@ -15,17 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadEnvLabels, InvariantViolation, LayoutMismatch
-from .hilbert import (
-    RANK_CUTOFF,
-    TOL_ISO,
-    TOL_PSD,
-    DensityMatrix,
-    Isometry,
-    SpaceLayout,
-    _mat_from_json,
-    _mat_to_json,
-    eigh_desc,
-)
+from .hilbert import TOL_ISO, Isometry, SpaceLayout, _mat_from_json, _mat_to_json
 from .metrics import BoundCheck
 
 
@@ -81,50 +69,6 @@ class KrausChannel:
         )
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi operator of a CPT map, on output ⊗ input, unnormalised."""
-
-    input_layout: SpaceLayout
-    output_layout: SpaceLayout
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        din = self.input_layout.total_dim
-        dout = self.output_layout.total_dim
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (din * dout, din * dout):
-            raise LayoutMismatch(f"Choi shape {m.shape}, expected {(din * dout,) * 2}")
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= 1e-8:
-            raise InvariantViolation(f"Choi hermiticity violated by {herm_err}")
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if not lo >= -TOL_PSD * max(din, dout):
-            raise InvariantViolation(f"Choi not PSD: min eigenvalue {lo}")
-        # trace over the output factor must give the input identity
-        t = m.reshape(dout, din, dout, din)
-        reduced = np.einsum(t, [0, 1, 0, 2], [1, 2])
-        tp_err = float(np.max(np.abs(reduced - np.eye(din))))
-        if not tp_err <= 1e-8:
-            raise InvariantViolation(f"trace preservation violated by {tp_err}")
-        mm = m.copy()
-        mm.setflags(write=False)
-        object.__setattr__(self, "matrix", mm)
-
-
-def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Push a density matrix through the channel."""
-    if rho.layout != channel.input_layout:
-        raise LayoutMismatch("state layout does not match channel input")
-    dout = channel.output_layout.total_dim
-    out = np.zeros((dout, dout), dtype=np.complex128)
-    for k in channel.kraus_ops:
-        kr = k @ rho.matrix
-        out += kr @ k.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(channel.output_layout, out)
-
-
 def from_stinespring(v: Isometry, env_labels: Iterable[str]) -> KrausChannel:
     """Trace the named environment subsystems out of an isometry.
 
@@ -171,34 +115,6 @@ def _stinespring_matrix(channel: KrausChannel) -> np.ndarray:
     return np.stack(channel.kraus_ops, axis=1).reshape(-1, channel.input_layout.total_dim)
 
 
-def to_choi(channel: KrausChannel) -> ChoiMatrix:
-    """Choi operator: sum of outer products of row-vectorised Kraus operators."""
-    din = channel.input_layout.total_dim
-    dout = channel.output_layout.total_dim
-    m = np.zeros((din * dout, din * dout), dtype=np.complex128)
-    for k in channel.kraus_ops:
-        v = k.reshape(-1)
-        m += np.outer(v, v.conj())
-    return ChoiMatrix(channel.input_layout, channel.output_layout, m)
-
-
-def kraus_from_choi(choi: ChoiMatrix) -> KrausChannel:
-    """Canonical Kraus family from the Choi eigendecomposition.
-
-    Eigenvalues below RANK_CUTOFF are discarded, so the family size never
-    exceeds din*dout and mixing channels stays within the invariant.
-    """
-    din = choi.input_layout.total_dim
-    dout = choi.output_layout.total_dim
-    w, v = eigh_desc(choi.matrix)
-    ops = []
-    for i in range(len(w)):
-        if w[i] <= RANK_CUTOFF:
-            break
-        ops.append(np.sqrt(w[i]) * v[:, i].reshape(dout, din))
-    return KrausChannel(choi.input_layout, choi.output_layout, tuple(ops))
-
-
 def validate_cpt(channel: KrausChannel) -> BoundCheck:
     """Completeness diagnostic: residual ||sum K†K - 1|| against TOL_ISO.
 
@@ -218,27 +134,25 @@ def validate_kraus_family(ops: Sequence[np.ndarray], din: int) -> BoundCheck:
     return BoundCheck.of(TOL_ISO, residual, label="kraus_completeness")
 
 
-def choi_psd_check(matrix: np.ndarray) -> BoundCheck:
-    """Complete-positivity diagnostic on a candidate Choi matrix."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    return BoundCheck.of(lo, -TOL_PSD, label="choi_psd")
-
-
 def mix(a: KrausChannel, b: KrausChannel, weight: float) -> KrausChannel:
-    """Convex combination (1-w)·a + w·b via the Choi picture."""
+    """Convex combination (1-w)·a + w·b: the family {sqrt(1-w) A_i} ∪ {sqrt(w) B_j}.
+
+    A family longer than the cap of d_in·d_out operators is compressed by
+    one thin QR. With X the (n, d_in·d_out) matrix whose rows are the
+    conjugated, row-vectorised operators, X = QR gives X^H X = R^H R, so the
+    columns of R^H are a family with the same Choi matrix, hence the same map.
+    """
     if a.input_layout != b.input_layout or a.output_layout != b.output_layout:
         raise LayoutMismatch("channels must share input and output layouts")
     if not 0.0 <= weight <= 1.0:
         raise InvariantViolation(f"mixing weight {weight} outside [0, 1]")
-    ca = to_choi(a).matrix
-    cb = to_choi(b).matrix
-    blended = ChoiMatrix(a.input_layout, a.output_layout, (1.0 - weight) * ca + weight * cb)
-    return kraus_from_choi(blended)
-
-
-def identity_channel(layout: SpaceLayout) -> KrausChannel:
-    return KrausChannel(layout, layout, (np.eye(layout.total_dim, dtype=np.complex128),))
+    ops = np.concatenate(
+        (np.sqrt(1.0 - weight) * np.array(a.kraus_ops), np.sqrt(weight) * np.array(b.kraus_ops))
+    )
+    n, dout, din = ops.shape
+    if n > din * dout:
+        ops = np.linalg.qr(ops.reshape(n, -1).conj(), mode="r").conj().reshape(-1, dout, din)
+    return KrausChannel(a.input_layout, a.output_layout, tuple(ops))
 
 
 def depolarizing_channel(

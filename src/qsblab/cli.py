@@ -40,9 +40,9 @@ EXIT_INVARIANT = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; reserve 2 for impossible requests
+    # argparse exits with 2 on usage errors; reserve 2 for impossible requests.
+    # One line, no usage block: --help shows the usage.
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -212,27 +212,12 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-    else:
-        lo_s = hi_s = text
-    lo, hi = int(lo_s), int(hi_s)
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
-    return lo, hi
-
-
 def _cmd_sweep(args) -> int:
     started = time.time()
-    try:
-        lo, hi = _parse_range(args.da)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lo, hi = args.da
     base = OptimizeConfig(
         d_s=args.ds,
-        d_a=max(lo, 1),
+        d_a=lo,
         d_b=args.db,
         d_c=args.dc,
         restarts=args.restarts,
@@ -269,6 +254,18 @@ def _int_at_least(low: int):
     return integer
 
 
+def _shared_range(text: str) -> tuple[int, int]:
+    """sweep's --da: "lo..hi", or "d" for a single point, with 1 <= lo <= hi."""
+    lo_s, hi_s = text.split("..", 1) if ".." in text else (text, text)
+    try:
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected lo..hi with 1 <= lo <= hi")
+    return lo, hi
+
+
 def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--ds", type=_int_at_least(1), required=True, help="source dimension")
     p.add_argument("--db", type=_int_at_least(1), required=True, help="first private dimension")
@@ -276,25 +273,24 @@ def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--iters", type=_int_at_least(1), default=2000)
     p.add_argument("--haar", type=_int_at_least(0), default=200, help="Haar probe count")
-    p.add_argument("--seed", type=int, default=42)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsblab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qsblab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_int_at_least(0), default=42)
 
-    p = sub.add_parser("construct", help="build the exact broadcast at d_S <= d_A")
+    p = sub.add_parser("construct", parents=[seeded], help="build the exact broadcast at d_S <= d_A")
     for flag in ("--ds", "--da", "--db", "--dc"):
         p.add_argument(flag, type=_int_at_least(1), required=True)
     p.add_argument("-o", "--out", required=True, help="instance JSON path")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="measure the fidelity deficit of an instance")
+    p = sub.add_parser("verify", parents=[seeded], help="measure the fidelity deficit of an instance")
     p.add_argument("instance", help="instance JSON path, or an optimize output file")
     p.add_argument("--samples", type=_int_at_least(0), default=100, help="Haar probe count")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--chain", action="store_true", help="run the deficit-bound chain")
     p.add_argument(
         "--allow-trivial",
@@ -306,18 +302,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("threshold", help="deficit threshold for a shared dimension")
     p.add_argument("--da", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("properties", help="randomized fidelity-inequality sweep")
+    p = sub.add_parser("properties", parents=[seeded], help="randomized fidelity-inequality sweep")
     p.add_argument("--samples", type=_int_at_least(0), default=1000)
     p.add_argument(
         "--dims", type=_int_at_least(2), default=8, help="dimension cap per factor"
     )
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_properties)
 
-    p = sub.add_parser("optimize", help="search for the best instance at fixed dims")
+    p = sub.add_parser("optimize", parents=[seeded], help="search for the best instance at fixed dims")
     _add_opt_flags(p)
     p.add_argument("--da", type=_int_at_least(1), required=True)
     # a sweep sizes the environment per point (see frontier_sweep)
@@ -325,9 +319,9 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--out", default="frontier.json")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sweep", help="optimize across a range of shared dimensions")
+    p = sub.add_parser("sweep", parents=[seeded], help="optimize across a range of shared dimensions")
     _add_opt_flags(p)
-    p.add_argument("--da", required=True, help="shared-dimension range, e.g. 1..3")
+    p.add_argument("--da", type=_shared_range, required=True, help="shared-dimension range, e.g. 1..3")
     p.add_argument("--csv", default="sweep.csv", help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -24,14 +24,6 @@ class LabelUnknown(QsbError):
     """A referenced subsystem label is not present in the layout."""
 
 
-class EmptyKeep(QsbError):
-    """Partial trace asked to keep no subsystem at all."""
-
-
-class BadPermutation(QsbError):
-    """Requested label order is not a permutation of the layout."""
-
-
 class LayoutMismatch(QsbError):
     """Two operands live on different layouts."""
 

@@ -6,7 +6,7 @@ and the composite index follows the layout order (first label varies
 slowest), which makes np.kron and .reshape line up with the convention.
 
 A DensityMatrix is diagonalised once, by its validation, and keeps those
-eigenpairs; purify and the metrics read them instead of diagonalising again.
+eigenpairs; the metrics read them instead of diagonalising again.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadPermutation,
-    BadRank,
-    EmptyKeep,
-    InvariantViolation,
-    LabelClash,
-    LabelUnknown,
-    LayoutMismatch,
-)
+from .errors import BadRank, InvariantViolation, LabelClash, LabelUnknown, LayoutMismatch
 
 # Shared numerical tolerances. One knob per invariant family.
 TOL_NORM = 1e-9
@@ -152,12 +144,6 @@ class SpaceLayout:
         for lbl, d in self.subsystems:
             if lbl == label:
                 return d
-        raise LabelUnknown(f"label {label!r} not in layout {self.labels}")
-
-    def index_of(self, label: str) -> int:
-        for i, (lbl, _) in enumerate(self.subsystems):
-            if lbl == label:
-                return i
         raise LabelUnknown(f"label {label!r} not in layout {self.labels}")
 
     def subset(self, keep: Sequence[str]) -> "SpaceLayout":
@@ -314,104 +300,10 @@ class Isometry:
         )
 
 
-# ---------------------------------------------------------------------------
-# tensor algebra
-# ---------------------------------------------------------------------------
-
-
-def tensor(a, b):
-    """Tensor product of two states of the same kind on disjoint labels."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        layout = a.layout.joined(b.layout)
-        return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        layout = a.layout.joined(b.layout)
-        return DensityMatrix(layout, np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor expects two PureStates or two DensityMatrices")
-
-
-def _ptrace_raw(mat: np.ndarray, dims: Sequence[int], keep_idx: Sequence[int]) -> np.ndarray:
-    """Partial trace by index contraction on the 2n-axis tensor view."""
-    n = len(dims)
-    keep = list(keep_idx)
-    t = mat.reshape(*dims, *dims)
-    row = list(range(n))
-    col = [i if i not in keep else n + i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    res = np.einsum(t, row + col, out)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return res.reshape(d_keep, d_keep)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out every subsystem not named in keep (original order preserved)."""
-    keep = list(keep)
-    if not keep:
-        raise EmptyKeep("must keep at least one subsystem")
-    for lbl in keep:
-        if lbl not in rho.layout.labels:
-            raise LabelUnknown(f"label {lbl!r} not in layout {rho.layout.labels}")
-    keep_idx = [i for i, (lbl, _) in enumerate(rho.layout.subsystems) if lbl in set(keep)]
-    reduced = _ptrace_raw(rho.matrix, rho.layout.dims, keep_idx)
-    return DensityMatrix(rho.layout.subset(keep), reduced)
-
-
-def _permutation(layout: SpaceLayout, new_order: Sequence[str]) -> list[int]:
-    if sorted(new_order) != sorted(layout.labels):
-        raise BadPermutation(
-            f"{tuple(new_order)} is not a permutation of {layout.labels}"
-        )
-    return [layout.index_of(lbl) for lbl in new_order]
-
-
-def permute(state, new_order: Sequence[str]):
-    """Reorder subsystems; the physical state is unchanged."""
-    if isinstance(state, PureState):
-        perm = _permutation(state.layout, new_order)
-        t = state.amplitudes.reshape(state.layout.dims).transpose(perm)
-        layout = SpaceLayout([state.layout.subsystems[i] for i in perm])
-        return PureState(layout, t.reshape(-1))
-    if isinstance(state, DensityMatrix):
-        perm = _permutation(state.layout, new_order)
-        n = len(state.layout.dims)
-        t = state.matrix.reshape(*state.layout.dims, *state.layout.dims)
-        t = t.transpose(perm + [n + i for i in perm])
-        layout = SpaceLayout([state.layout.subsystems[i] for i in perm])
-        d = layout.total_dim
-        return DensityMatrix(layout, t.reshape(d, d))
-    raise TypeError("permute expects a PureState or DensityMatrix")
-
-
-def apply_isometry(v: Isometry, state):
-    """Push a state through an isometry: |ψ⟩ ↦ V|ψ⟩ or ρ ↦ VρV†."""
-    if isinstance(state, PureState):
-        if state.layout != v.input_layout:
-            raise LayoutMismatch("state layout does not match isometry input")
-        return PureState(v.output_layout, v.matrix @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        if state.layout != v.input_layout:
-            raise LayoutMismatch("state layout does not match isometry input")
-        return DensityMatrix(v.output_layout, v.matrix @ state.matrix @ v.matrix.conj().T)
-    raise TypeError("apply_isometry expects a PureState or DensityMatrix")
-
-
-def purify(rho: DensityMatrix, env_label: str = "E") -> PureState:
-    """Standard purification with the smallest environment that works.
-
-    The environment dimension equals the numerical rank of rho (eigenvalues
-    above RANK_CUTOFF) and is appended as the last subsystem.
-    """
-    if env_label in rho.layout.labels:
-        raise LabelClash(f"environment label {env_label!r} already used")
-    w, v = rho._eigh
-    rank = max(int(np.sum(w > RANK_CUTOFF)), 1)
-    layout = rho.layout.joined(SpaceLayout([(env_label, rank)]))
-    return PureState(layout, _purification(w, v, rank).reshape(-1))
-
-
 def _purification(w: np.ndarray, v: np.ndarray, rank: int) -> np.ndarray:
     """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| over i < rank, from a
-    stack of eigh_desc pairs: the amplitudes of purify, env index last."""
+    stack of eigh_desc pairs: purifications with a rank-dim environment as
+    the last index."""
     block = v[..., :rank] * np.sqrt(np.clip(w[..., None, :rank], 0.0, None))
     return block / np.linalg.norm(block, axis=(-2, -1), keepdims=True)
 
@@ -450,8 +342,8 @@ def haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def haar_density_matrix(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """Unvalidated matrix of random_density: the normalised Gram matrix of a
-    (dim, rank) Ginibre matrix."""
+    """Random density matrix of at most the given rank, unvalidated: the
+    normalised Gram matrix of a (dim, rank) Ginibre matrix."""
     g = _ginibre(rng, dim, rank)
     m = g @ g.conj().T
     return m / np.trace(m).real
@@ -459,26 +351,3 @@ def haar_density_matrix(rng: np.random.Generator, dim: int, rank: int) -> np.nda
 
 def random_pure(layout: SpaceLayout, seed: int | np.random.Generator) -> PureState:
     return PureState(layout, haar_vector(_as_rng(seed), layout.total_dim))
-
-
-def random_density(
-    layout: SpaceLayout, rank: int, seed: int | np.random.Generator
-) -> DensityMatrix:
-    """Reduced state of a Haar-random purification with the given rank."""
-    n = layout.total_dim
-    if rank < 1 or rank > n:
-        raise BadRank(f"rank {rank} not in [1, {n}]")
-    return DensityMatrix(layout, haar_density_matrix(_as_rng(seed), n, rank))
-
-
-def random_isometry(
-    input_layout: SpaceLayout,
-    output_layout: SpaceLayout,
-    seed: int | np.random.Generator,
-) -> Isometry:
-    din = input_layout.total_dim
-    dout = output_layout.total_dim
-    if dout < din:
-        raise BadRank(f"no isometry from dim {din} into dim {dout}")
-    rng = _as_rng(seed)
-    return Isometry(input_layout, output_layout, haar_isometry_matrix(rng, dout, din))

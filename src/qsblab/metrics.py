@@ -1,19 +1,21 @@
 """Distance and closeness measures between states, plus their exact inequalities.
 
 Fidelity here is the squared-arccos-free convention F = (Tr sqrt(sqrt(rho)
-sigma sqrt(rho)))^2, so F(rho, |psi><psi|) reduces to <psi|rho|psi>. Every
-check_* helper returns a BoundCheck recording both sides of the inequality
-it verified; nothing is silently clamped away.
+sigma sqrt(rho)))^2, so F(rho, |psi><psi|) reduces to <psi|rho|psi>.
 
 The kernels behind fidelity, trace distance and the Uhlmann partner work on
-(..., d, d) stacks; the state-object functions call them with one member and
-the eigenpairs that member's DensityMatrix kept from its validation.
-property_sweep draws its random instances one after another from the seed,
-in the order of drawing each as a state object, so a seed always checks the
-same instances. It pools the drawn matrices by dimension and validates each
-pool once, which diagonalises every state exactly once; each (property,
-dimension) bucket then takes its matrices and eigenpairs from its pool, is
-checked as one stack, and builds a BoundCheck only for a failure.
+(..., d, d) stacks; fidelity and fidelity_pure apply them to one pair of
+state objects, fidelity with the eigenpairs each DensityMatrix kept from its
+validation.
+
+property_sweep checks the inequalities between these measures on random
+instances and reports each failure as a BoundCheck recording both sides;
+nothing is silently clamped away. It draws the instances one after another
+from the seed in a fixed order, so a seed always checks the same instances.
+It pools the drawn matrices by dimension and validates each pool once, which
+diagonalises every state exactly once; each (property, dimension) bucket
+then takes its matrices and eigenpairs from its pool, is checked as one
+stack, and builds a BoundCheck only for a failure.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .hilbert import (
     PureState,
     haar_density_matrix,
     haar_vector,
-    partial_trace,
-    permute,
     validate_density,
     _purification,
 )
@@ -45,11 +45,6 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Square roots from eigh_desc pairs of a stack, eigenvalues up to RANK_CUTOFF as zero."""
     roots = np.sqrt(np.where(w > RANK_CUTOFF, w, 0.0))
     return (v * roots[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _check_layouts(a, b) -> None:
-    if a.layout != b.layout:
-        raise LayoutMismatch(f"layouts differ: {a.layout.labels} vs {b.layout.labels}")
 
 
 def _fidelity(root_rho: np.ndarray, root_sigma: np.ndarray) -> np.ndarray:
@@ -66,7 +61,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     definition asks for, but SVD reaches them without the precision loss
     of rooting near-zero eigenvalues of the triple product.
     """
-    _check_layouts(rho, sigma)
+    if rho.layout != sigma.layout:
+        raise LayoutMismatch(f"layouts differ: {rho.layout.labels} vs {sigma.layout.labels}")
     return float(_fidelity(_root(*rho._eigh), _root(*sigma._eigh)))
 
 
@@ -83,22 +79,11 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     return float(_fidelity_pure(rho.matrix, psi.amplitudes))
 
 
-def fidelity_states(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for two pure states."""
-    return min(abs(a.overlap(b)) ** 2, 1.0)
-
-
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Half the trace norm of rho - sigma for (..., d, d) stacks."""
     diff = rho - sigma
     w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2.0)
     return np.clip(0.5 * np.sum(np.abs(w), axis=-1), 0.0, 1.0)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the trace norm of rho - sigma."""
-    _check_layouts(rho, sigma)
-    return float(_trace_distance(rho.matrix, sigma.matrix))
 
 
 @dataclass(frozen=True)
@@ -148,75 +133,6 @@ def _fvdg_bounds(f):
     return 1.0 - _dsqrt(f), _dsqrt(1.0 - f)
 
 
-def check_triangle(
-    rho: DensityMatrix, omega: DensityMatrix, sigma: DensityMatrix
-) -> BoundCheck:
-    """sqrt F(rho;omega) >= 1 - sqrt(1-F(rho;sigma)) - sqrt(1-F(sigma;omega)).
-
-    Chaining closeness through a middle state sigma; follows from the
-    two-sided trace-distance sandwich.
-    """
-    lhs = _dsqrt(fidelity(rho, omega))
-    rhs = _chain_rhs(fidelity(rho, sigma), fidelity(sigma, omega))
-    return BoundCheck.of(lhs, rhs, label="triangle")
-
-
-def check_triangle_pure(
-    rho: DensityMatrix, sigma: DensityMatrix, psi: PureState
-) -> BoundCheck:
-    """F(rho;|psi>) >= 1 - sqrt(1-F(rho;sigma)) - sqrt(1-F(sigma;|psi>)).
-
-    Sharper than the generic triangle because the target is pure: the
-    fidelity itself, not its square root, obeys the chain.
-    """
-    lhs = fidelity_pure(rho, psi)
-    rhs = _chain_rhs(fidelity(rho, sigma), fidelity_pure(sigma, psi))
-    return BoundCheck.of(lhs, rhs, label="triangle_pure")
-
-
-def check_monotonicity(
-    rho: DensityMatrix, sigma: DensityMatrix, keep: Sequence[str]
-) -> BoundCheck:
-    """Discarding subsystems never lowers fidelity: F(marginals) >= F(joint)."""
-    lhs = fidelity(partial_trace(rho, keep), partial_trace(sigma, keep))
-    rhs = fidelity(rho, sigma)
-    return BoundCheck.of(lhs, rhs, label="monotonicity")
-
-
-def check_fvdg(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[BoundCheck, BoundCheck]:
-    """Two-sided sandwich 1 - sqrt(F) <= D <= sqrt(1 - F)."""
-    floor, ceiling = _fvdg_bounds(fidelity(rho, sigma))
-    d = trace_distance(rho, sigma)
-    lower = BoundCheck.of(d, floor, label="fvdg_lower")
-    upper = BoundCheck.of(ceiling, d, label="fvdg_upper")
-    return lower, upper
-
-
-def uhlmann_partner(
-    rho_a: DensityMatrix, sigma_a: DensityMatrix, purification_of_rho: PureState
-) -> PureState:
-    """Purification of sigma_a on the same space achieving the fidelity overlap.
-
-    Given |phi> purifying rho_a, returns |chi> purifying sigma_a with
-    |<phi|chi>|^2 = F(rho_a, sigma_a). The maximiser is the polar isometry
-    of the cross-overlap operator M† sqrt(sigma), completed isometrically on
-    any support of sigma the overlap operator misses.
-    """
-    _check_layouts(rho_a, sigma_a)
-    a_labels = list(rho_a.layout.labels)
-    env_labels = [l for l in purification_of_rho.layout.labels if l not in set(a_labels)]
-    if not env_labels:
-        raise BadPurification("purification carries no environment subsystem")
-
-    ordered = permute(purification_of_rho, a_labels + env_labels)
-    d_a = rho_a.layout.total_dim
-    m = ordered.amplitudes.reshape(1, d_a, -1)
-    w_sig, v_sig = sigma_a._eigh
-    partner = _partner(m, rho_a.matrix[None], w_sig[None], v_sig[None])
-    chi = PureState(ordered.layout, partner.reshape(-1))
-    return permute(chi, list(purification_of_rho.layout.labels))
-
-
 def _partner(m: np.ndarray, rho: np.ndarray, w_sig: np.ndarray, v_sig: np.ndarray) -> np.ndarray:
     """Uhlmann partner matrices (n, d_a, d_e) for a stack of purification
     matrices m (n, d_a, d_e) of rho (n, d_a, d_a), against the states sigma
@@ -259,54 +175,10 @@ def _partner(m: np.ndarray, rho: np.ndarray, w_sig: np.ndarray, v_sig: np.ndarra
     return partner / np.linalg.norm(partner, axis=(-2, -1), keepdims=True)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Both spectral upper bounds on the fidelity against a pure target.
-
-    eigen_bound:     F(rho;psi) <= largest eigenvalue of rho.
-    component_bound: F(rho;psi) <= best overlap among the eigenvectors of
-                     rho's support (the fidelity is a convex mix of those
-                     overlaps); kernel eigenvectors are an arbitrary basis.
-    When F is close to one the best-overlap eigenvector is the top one.
-    """
-
-    lambda_max: float
-    top_eigenvector: PureState
-    best_overlap: float
-    best_eigenvalue: float
-    best_eigenvector: PureState
-    eigen_bound: BoundCheck
-    component_bound: BoundCheck
-
-    @property
-    def tighter(self) -> BoundCheck:
-        if self.component_bound.lhs <= self.eigen_bound.lhs:
-            return self.component_bound
-        return self.eigen_bound
-
-
 def _overlaps(w: np.ndarray, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """|<v_k|psi>|^2 for each eigh_desc pair with w_k > RANK_CUTOFF, else 0, on stacks."""
     o = np.abs((v.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]) ** 2
     return np.where(w > RANK_CUTOFF, o, 0.0)
-
-
-def max_eig_convexity(rho: DensityMatrix, psi: PureState) -> ConvexityReport:
-    if rho.layout != psi.layout:
-        raise LayoutMismatch("state layouts differ")
-    f = fidelity_pure(rho, psi)
-    w, v = rho._eigh
-    overlaps = _overlaps(w, v, psi.amplitudes)
-    best = int(np.argmax(overlaps))
-    return ConvexityReport(
-        lambda_max=float(w[0]),
-        top_eigenvector=PureState(rho.layout, v[:, 0]),
-        best_overlap=float(overlaps[best]),
-        best_eigenvalue=float(w[best]),
-        best_eigenvector=PureState(rho.layout, v[:, best]),
-        eigen_bound=BoundCheck.of(float(w[0]), f, label="eigenvalue_ceiling"),
-        component_bound=BoundCheck.of(float(overlaps[best]), f, label="component_ceiling"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,6 @@ def _deficit(
     return max(1.0 - float(min(f_ab.min(), f_ac.min())), 0.0), f_ab, f_ac
 
 
-def broadcast_fidelities(instance: QsbInstance, psi: PureState) -> FidelityPair:
-    """F(rho_AB; |psi_AB>) and F(rho_AC; |psi_AC>) for one input."""
-    if psi.layout != instance.source_layout:
-        raise LayoutMismatch("input does not live on the source layout")
-    return measure_eps(instance, [psi])[1][0]
-
-
 def measure_eps(
     instance: QsbInstance, states: Sequence[PureState]
 ) -> tuple[float, list[FidelityPair]]:

@@ -1,40 +1,29 @@
-"""Kraus channels and their Stinespring / Choi conversions."""
+"""Kraus channels, their Stinespring dilations and their mixtures."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _reference import channel_action, random_density
 from qsblab.channels import (
-    ChoiMatrix,
     KrausChannel,
-    apply,
-    choi_psd_check,
     depolarizing_channel,
     from_stinespring,
-    identity_channel,
-    kraus_from_choi,
     mix,
-    to_choi,
     to_stinespring,
     validate_cpt,
     validate_kraus_family,
 )
 from qsblab.errors import BadEnvLabels, InvariantViolation, LayoutMismatch
-from qsblab.hilbert import Isometry, SpaceLayout, random_density, random_pure
-
-
-def _haar_isometry(rows, cols, rng):
-    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from qsblab.hilbert import DensityMatrix, Isometry, SpaceLayout, haar_isometry_matrix, random_pure
 
 
 def _random_channel(din, dout, denv, seed):
     rng = np.random.default_rng(seed)
     lay_in = SpaceLayout([("S", din)])
     lay_out = SpaceLayout([("O", dout), ("E", denv)])
-    v = Isometry(lay_in, lay_out, _haar_isometry(dout * denv, din, rng))
+    v = Isometry(lay_in, lay_out, haar_isometry_matrix(rng, dout * denv, din))
     return from_stinespring(v, ["E"])
 
 
@@ -55,20 +44,21 @@ def test_kraus_family_must_be_complete():
 
 
 def test_kraus_ops_frozen():
-    chan = identity_channel(SpaceLayout([("Q", 2)]))
+    lay = SpaceLayout([("Q", 2)])
+    chan = KrausChannel(lay, lay, (np.eye(2),))
     with pytest.raises(ValueError):
         chan.kraus_ops[0][0, 0] = 5.0
 
 
 def test_identity_and_depolarizing_action():
     lay = SpaceLayout([("Q", 3)])
-    rho = random_density(lay, 2, 0)
-    out = apply(identity_channel(lay), rho)
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
+    rho = random_density(lay, 2, 0).matrix
+    out = channel_action(KrausChannel(lay, lay, (np.eye(3),)).kraus_ops, rho)
+    assert np.allclose(out, rho, atol=1e-12)
 
     lay_out = SpaceLayout([("R", 2)])
-    flat = apply(depolarizing_channel(lay, lay_out), rho)
-    assert np.allclose(flat.matrix, np.eye(2) / 2.0, atol=1e-12)
+    flat = channel_action(depolarizing_channel(lay, lay_out).kraus_ops, rho)
+    assert np.allclose(flat, np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_depolarizing_matches_loop():
@@ -85,13 +75,6 @@ def test_depolarizing_matches_loop():
         assert k.dtype == ref.dtype and k.tobytes() == ref.tobytes()
 
 
-def test_apply_rejects_wrong_layout():
-    lay = SpaceLayout([("Q", 2)])
-    rho = random_density(SpaceLayout([("R", 2)]), 2, 1)
-    with pytest.raises(LayoutMismatch):
-        apply(identity_channel(lay), rho)
-
-
 @given(
     din=st.integers(2, 3),
     dout=st.integers(2, 3),
@@ -104,7 +87,8 @@ def test_stinespring_roundtrip_choi_distance(din, dout, denv, seed):
     chan = _random_channel(din, dout, denv, seed)
     v = to_stinespring(chan, "V")
     back = from_stinespring(v, ["V"])
-    d = np.max(np.abs(to_choi(chan).matrix - to_choi(back).matrix))
+    units = np.eye(din * din).reshape(-1, din, din)  # every |i><j|, which fixes the map
+    d = np.max(np.abs(channel_action(chan.kraus_ops, units) - channel_action(back.kraus_ops, units)))
     assert d <= 1e-10
 
 
@@ -113,13 +97,18 @@ def test_stinespring_roundtrip_choi_distance(din, dout, denv, seed):
 )
 @settings(max_examples=25)
 def test_choi_roundtrip_and_trace(din, dout, seed):
+    # the depolariser's din * dout operators overflow the cap, so mix compresses the
+    # family; its action on every |i><j| (the Choi matrix) must survive, tracing to delta_ij
     chan = _random_channel(din, dout, 2, seed)
-    choi = to_choi(chan)
-    assert float(np.real(np.trace(choi.matrix))) == pytest.approx(din, abs=1e-9)
-    back = kraus_from_choi(choi)
-    assert len(back.kraus_ops) <= din * dout
-    d = np.max(np.abs(choi.matrix - to_choi(back).matrix))
-    assert d <= 1e-10
+    dep = depolarizing_channel(chan.input_layout, chan.output_layout)
+    back = mix(chan, dep, 0.25)
+    assert len(back.kraus_ops) == din * dout
+    units = np.eye(din * din).reshape(-1, din, din)  # every |i><j|, which fixes the map
+    out = channel_action(back.kraus_ops, units)
+    want = 0.75 * channel_action(chan.kraus_ops, units) + 0.25 * channel_action(dep.kraus_ops, units)
+    assert np.max(np.abs(out - want)) <= 1e-10
+    traces = np.trace(out, axis1=-2, axis2=-1).reshape(din, din)
+    assert np.max(np.abs(traces - np.eye(din))) <= 1e-9
 
 
 def test_stinespring_env_goes_last():
@@ -128,10 +117,10 @@ def test_stinespring_env_goes_last():
     assert v.output_layout.labels == ("O", "E2")
     assert v.output_layout.dim_of("E2") == len(chan.kraus_ops)
     # dilation and original act identically
-    rho = random_density(chan.input_layout, 2, 4)
-    direct = apply(chan, rho)
-    via = apply(from_stinespring(v, ["E2"]), rho)
-    assert np.allclose(direct.matrix, via.matrix, atol=1e-12)
+    rho = random_density(chan.input_layout, 2, 4).matrix
+    direct = channel_action(chan.kraus_ops, rho)
+    via = channel_action(from_stinespring(v, ["E2"]).kraus_ops, rho)
+    assert np.allclose(direct, via, atol=1e-12)
 
 
 def test_from_stinespring_bad_labels():
@@ -152,10 +141,10 @@ def test_from_stinespring_bad_labels():
 def test_mix_is_convex_in_action():
     a = _random_channel(2, 2, 2, 6)
     b = _random_channel(2, 2, 2, 7)
-    rho = random_density(a.input_layout, 2, 8)
+    rho = random_density(a.input_layout, 2, 8).matrix
     for w in (0.0, 0.3, 1.0):
-        blended = apply(mix(a, b, w), rho).matrix
-        expect = (1 - w) * apply(a, rho).matrix + w * apply(b, rho).matrix
+        blended = channel_action(mix(a, b, w).kraus_ops, rho)
+        expect = (1 - w) * channel_action(a.kraus_ops, rho) + w * channel_action(b.kraus_ops, rho)
         assert np.allclose(blended, expect, atol=1e-10)
 
 
@@ -179,41 +168,20 @@ def test_validate_cpt_grades_families():
     assert bad.rhs > 0.1  # residual actually measured, not clamped
 
 
-def test_choi_psd_check():
-    chan = _random_channel(2, 2, 1, 12)
-    assert choi_psd_check(to_choi(chan).matrix).satisfied
-    bad = np.diag([1.0, 1.0, 1.0, -0.2]).astype(np.complex128)
-    assert not choi_psd_check(bad).satisfied
-
-
-def test_choi_matrix_validation():
-    lay = SpaceLayout([("Q", 2)])
-    good = to_choi(identity_channel(lay)).matrix
-    with pytest.raises(LayoutMismatch):
-        ChoiMatrix(lay, lay, np.eye(3, dtype=np.complex128))
-    skew = good.copy()
-    skew[0, 1] += 1.0
-    with pytest.raises(InvariantViolation):
-        ChoiMatrix(lay, lay, skew)
-    with pytest.raises(InvariantViolation):
-        ChoiMatrix(lay, lay, 2.0 * good)  # PSD but not trace preserving
-    with pytest.raises(InvariantViolation):
-        ChoiMatrix(lay, lay, np.where(np.eye(4) > 0, np.nan, good))
-
-
 def test_channel_json_roundtrip():
     chan = _random_channel(2, 3, 2, 13)
     back = KrausChannel.from_json(chan.to_json())
     assert back.input_layout == chan.input_layout
     assert back.output_layout == chan.output_layout
-    d = np.max(np.abs(to_choi(chan).matrix - to_choi(back).matrix))
+    units = np.eye(4).reshape(-1, 2, 2)
+    d = np.max(np.abs(channel_action(chan.kraus_ops, units) - channel_action(back.kraus_ops, units)))
     assert d <= 1e-12
 
 
 def test_channel_outputs_valid_states():
     chan = _random_channel(3, 3, 2, 14)
     psi = random_pure(chan.input_layout, 15)
-    out = apply(chan, psi.density())
+    out = DensityMatrix(chan.output_layout, channel_action(chan.kraus_ops, psi.density().matrix))
     # DensityMatrix constructor re-validates trace and positivity
     assert float(np.real(np.trace(out.matrix))) == pytest.approx(1.0, abs=1e-10)
     assert out.eigenvalues()[-1] >= -1e-10

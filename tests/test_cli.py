@@ -4,9 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsblab import cli
 from qsblab.cli import main
@@ -233,8 +236,12 @@ def test_sweep_csv_and_monotonicity(workdir, capsys):
 
 def test_sweep_bad_ranges(workdir, capsys):
     base = ["sweep", "--ds", "2", "--db", "2", "--dc", "2"]
-    assert main(base + ["--da", "5..2"]) == 1
-    assert main(base + ["--da", "0..2"]) == 1
+    for bad in ("5..2", "0..2", "1..x"):
+        assert main(base + ["--da", bad]) == 1
+        assert capsys.readouterr().err == (
+            f"qsblab sweep: error: argument --da: bad range {bad!r}, expected lo..hi with 1 <= lo <= hi\n"
+        )
+    assert not list(workdir.iterdir())
 
 
 def test_sweep_rejects_env(workdir, capsys):
@@ -297,6 +304,55 @@ def test_version_flag(workdir, capsys):
 
 def test_no_subcommand_is_usage_error(workdir, capsys):
     assert main([]) == 1
+    assert capsys.readouterr().err == "qsblab: error: the following arguments are required: subcommand\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_with_dims("construct") + ["-o", "x.json"], ["verify", "x.json"], ["properties"],
+     _with_dims("optimize"), _with_dims("sweep")],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_usage_error(workdir, capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"qsblab {argv[0]}: error: argument --seed: must be >= 0, got -1\n"
+    assert not list(workdir.iterdir())  # no output, no manifest
+
+
+# Every integer flag of every subcommand, drawn from [-2, 3] (or omitted, or
+# not an integer); search budgets stay small enough for a quick run.
+_FUZZ_FLAGS = {
+    "construct": ("--ds", "--da", "--db", "--dc", "--seed"),
+    "verify": ("--samples", "--seed"),
+    "threshold": ("--da",),
+    "properties": ("--samples", "--dims", "--seed"),
+    "optimize": ("--ds", "--da", "--db", "--dc", "--env", "--restarts", "--iters", "--haar", "--seed"),
+    "sweep": ("--ds", "--da", "--db", "--dc", "--restarts", "--iters", "--haar", "--seed"),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_run_fails_cleanly(data):
+    sub = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)), label="subcommand")
+    argv = [sub, *{"construct": ["-o", "x.json"], "verify": ["inst.json"]}.get(sub, [])]
+    if sub == "verify":
+        argv += data.draw(st.lists(st.sampled_from(["--chain", "--allow-trivial"]), unique=True))
+    messy = data.draw(st.booleans(), label="messy")  # else every value is in [1, 3], so most runs go deep
+    for flag in _FUZZ_FLAGS[sub]:
+        top = 2 if flag == "--restarts" else 3
+        junk = st.none() | st.integers(-2, top).map(str) | st.sampled_from(["x", "1.5", "1..2"])
+        value = data.draw(junk if messy else st.integers(1, top).map(str), label=flag)
+        argv += [] if value is None else [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("inst.json", "w") as fh:
+            json.dump(perfect_qsb_construct(2, 2, 1, 1).to_json(), fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err.getvalue()
+    assert len(lines) <= 1 and (len(lines) == 1 or code not in (1, 2, 3)), (argv, lines)
 
 
 def test_consecutive_calls_get_their_own_flags(workdir, capsys):

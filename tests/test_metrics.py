@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import partial_trace, purify, random_density
 from qsblab import hilbert, metrics
 from qsblab.errors import BadPurification, LayoutMismatch
 from qsblab.hilbert import (
@@ -15,27 +16,18 @@ from qsblab.hilbert import (
     basis_state,
     haar_density_matrix,
     haar_vector,
-    partial_trace,
-    purify,
-    random_density,
     random_pure,
-    tensor,
     validate_density,
 )
 from qsblab.metrics import (
     PROPERTY_NAMES,
     BoundCheck,
-    check_fvdg,
-    check_monotonicity,
-    check_triangle,
-    check_triangle_pure,
+    _overlaps,
+    _partner,
+    _trace_distance,
     fidelity,
     fidelity_pure,
-    fidelity_states,
-    max_eig_convexity,
     property_sweep,
-    trace_distance,
-    uhlmann_partner,
 )
 
 QUBIT = SpaceLayout([("Q", 2)])
@@ -50,15 +42,14 @@ def test_commuting_diagonal_oracle():
     rho = _diag([0.5, 0.5])
     sigma = _diag([0.9, 0.1])
     assert fidelity(rho, sigma) == pytest.approx(0.8, abs=1e-12)
-    assert trace_distance(rho, sigma) == pytest.approx(0.4, abs=1e-12)
+    assert _trace_distance(rho.matrix, sigma.matrix) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_fidelity_self_and_orthogonal():
     rho = random_density(SpaceLayout([("Q", 4)]), 3, 11)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-10)
+    assert _trace_distance(rho.matrix, rho.matrix) == pytest.approx(0.0, abs=1e-10)
     e0, e1 = basis_state(QUBIT, 0), basis_state(QUBIT, 1)
-    assert fidelity_states(e0, e1) == 0.0
     assert fidelity_pure(e0.density(), e1) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -70,18 +61,11 @@ def test_pure_special_cases_agree():
     general = fidelity(rho, psi.density())
     assert direct == pytest.approx(general, abs=1e-8)
 
-    phi = random_pure(lay, 7)
-    assert fidelity_states(psi, phi) == pytest.approx(
-        fidelity(psi.density(), phi.density()), abs=1e-9
-    )
-
 
 def test_layout_mismatch_rejected():
     other = DensityMatrix(SpaceLayout([("R", 2)]), np.eye(2, dtype=np.complex128) / 2)
     with pytest.raises(LayoutMismatch):
         fidelity(_diag([0.5, 0.5]), other)
-    with pytest.raises(LayoutMismatch):
-        trace_distance(_diag([0.5, 0.5]), other)
     with pytest.raises(LayoutMismatch):
         fidelity_pure(other, basis_state(QUBIT, 0))
 
@@ -96,49 +80,27 @@ def test_fidelity_symmetric_and_in_range(d, seed):
     f_ab, f_ba = fidelity(a, b), fidelity(b, a)
     assert 0.0 <= f_ab <= 1.0
     assert f_ab == pytest.approx(f_ba, abs=1e-8)
-    assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-10)
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_triangle_chains_hold(seed):
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 7))
-    lay = SpaceLayout([("Q", d)])
-    states = [random_density(lay, int(rng.integers(1, d + 1)), rng) for _ in range(3)]
-    chk = check_triangle(*states)
-    assert chk.satisfied and chk.slack >= -1e-9
-
-    psi = random_pure(lay, rng)
-    chk_p = check_triangle_pure(states[0], states[1], psi)
-    assert chk_p.satisfied and chk_p.slack >= -1e-9
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_monotone_under_discard(seed):
-    rng = np.random.default_rng(seed)
-    lay = SpaceLayout([("Q", int(rng.integers(2, 4))), ("R", int(rng.integers(2, 4)))])
-    a = random_density(lay, int(rng.integers(1, lay.total_dim + 1)), rng)
-    b = random_density(lay, int(rng.integers(1, lay.total_dim + 1)), rng)
-    chk = check_monotonicity(a, b, ["Q"])
-    assert chk.satisfied
-    # marginal fidelity really is the lhs recorded on the check
-    assert chk.lhs == pytest.approx(
-        fidelity(partial_trace(a, ["Q"]), partial_trace(b, ["Q"])), abs=1e-12
+    assert _trace_distance(a.matrix, b.matrix) == pytest.approx(
+        _trace_distance(b.matrix, a.matrix), abs=1e-10
     )
 
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40)
+def test_triangle_chains_hold(seed):
+    assert property_sweep(3, 6, seed, names=("triangle", "triangle_pure")) == []
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_monotone_under_discard(seed):
+    assert property_sweep(3, 9, seed, names=("monotonicity",)) == []
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40)
 def test_distance_fidelity_sandwich(seed):
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 7))
-    lay = SpaceLayout([("Q", d)])
-    a = random_density(lay, int(rng.integers(1, d + 1)), rng)
-    b = random_density(lay, int(rng.integers(1, d + 1)), rng)
-    lower, upper = check_fvdg(a, b)
-    assert lower.satisfied and upper.satisfied
+    assert property_sweep(3, 6, seed, names=("fvdg",)) == []
 
 
 def test_sandwich_tight_for_pure_pair():
@@ -146,8 +108,13 @@ def test_sandwich_tight_for_pure_pair():
     lay = SpaceLayout([("Q", 3)])
     a = random_pure(lay, 1).density()
     b = random_pure(lay, 2).density()
-    _, upper = check_fvdg(a, b)
-    assert abs(upper.slack) < 1e-9
+    d = _trace_distance(a.matrix, b.matrix)
+    assert abs(np.sqrt(1.0 - fidelity(a, b)) - d) < 1e-9
+
+
+def _partner_of(rho, sigma, m):
+    """Uhlmann partner of the purification m (d_a, d_e) of rho, for sigma."""
+    return _partner(m[None], rho.matrix[None], *(x[None] for x in sigma._eigh))[0]
 
 
 def test_uhlmann_partner_achieves_fidelity():
@@ -156,13 +123,11 @@ def test_uhlmann_partner_achieves_fidelity():
         rng = np.random.default_rng(seed)
         rho = random_density(lay, d, rng)
         sigma = random_density(lay, int(rng.integers(1, d + 1)), rng)
-        phi = purify(rho, "E")
-        chi = uhlmann_partner(rho, sigma, phi)
-        assert chi.layout == phi.layout
-        assert abs(phi.overlap(chi)) ** 2 == pytest.approx(fidelity(rho, sigma), abs=1e-8)
+        phi = purify(rho.matrix)
+        chi = _partner_of(rho, sigma, phi)
+        assert abs(np.vdot(phi, chi)) ** 2 == pytest.approx(fidelity(rho, sigma), abs=1e-8)
         # the partner really purifies sigma
-        marg = partial_trace(chi.density(), ["Q"])
-        assert float(np.max(np.abs(marg.matrix - sigma.matrix))) < 1e-8
+        assert float(np.max(np.abs(chi @ chi.conj().T - sigma.matrix))) < 1e-8
 
 
 def test_uhlmann_partner_covers_support_the_overlap_misses():
@@ -172,52 +137,47 @@ def test_uhlmann_partner_covers_support_the_overlap_misses():
     rng = np.random.default_rng(4)
     for _ in range(3):
         v = random_pure(lay, rng)
-        phi = tensor(v, basis_state(SpaceLayout([("E", 3)]), 0))
+        phi = np.kron(v.amplitudes, np.eye(3)[0]).reshape(3, 3)
         sigma = random_density(lay, 3, rng)
-        chi = uhlmann_partner(v.density(), sigma, phi)
-        assert abs(phi.overlap(chi)) ** 2 == pytest.approx(fidelity_pure(sigma, v), abs=1e-12)
-        marg = partial_trace(chi.density(), ["Q"])
-        assert float(np.max(np.abs(marg.matrix - sigma.matrix))) < 1e-12
+        chi = _partner_of(v.density(), sigma, phi)
+        assert abs(np.vdot(phi, chi)) ** 2 == pytest.approx(fidelity_pure(sigma, v), abs=1e-12)
+        assert float(np.max(np.abs(chi @ chi.conj().T - sigma.matrix))) < 1e-12
 
 
 def test_uhlmann_partner_rejections():
     lay = SpaceLayout([("Q", 2)])
     rho = random_density(lay, 2, 3)
     sigma = random_density(lay, 2, 4)
+    wrong = random_pure(SpaceLayout([("Q", 4)]), 6).amplitudes.reshape(2, 2)
     with pytest.raises(BadPurification):
-        uhlmann_partner(rho, sigma, random_pure(lay, 5))  # no environment at all
-    big = SpaceLayout([("Q", 2), ("E", 2)])
-    with pytest.raises(BadPurification):
-        uhlmann_partner(rho, sigma, random_pure(big, 6))  # wrong marginal
+        _partner_of(rho, sigma, wrong)  # purifies some other state
     pure_rho = basis_state(lay, 0).density()
-    skinny = purify(pure_rho, "E")  # rank-1 source, environment dim 1
+    skinny = purify(pure_rho.matrix)  # rank-1 source, environment dim 1
     with pytest.raises(BadPurification):
-        uhlmann_partner(pure_rho, sigma, skinny)
+        _partner_of(pure_rho, sigma, skinny)
 
 
 def test_convexity_ceilings():
+    # F(rho; psi) is a convex mix of the support overlaps |<v_k|psi>|^2, so
+    # both the top eigenvalue and the best support overlap bound it
     lay = SpaceLayout([("Q", 4)])
     rng = np.random.default_rng(9)
     for _ in range(20):
         rho = random_density(lay, int(rng.integers(1, 5)), rng)
         psi = random_pure(lay, rng)
-        rep = max_eig_convexity(rho, psi)
+        w, v = rho._eigh
+        overlaps = _overlaps(w, v, psi.amplitudes)
         f = fidelity_pure(rho, psi)
-        assert rep.eigen_bound.satisfied
-        assert rep.component_bound.satisfied
-        assert rep.lambda_max >= f - 1e-9
-        assert rep.best_overlap >= f - 1e-9
-        assert rep.best_eigenvalue > RANK_CUTOFF  # the best overlap is over the support
-        assert rep.tighter.lhs == min(rep.eigen_bound.lhs, rep.component_bound.lhs)
+        assert w[0] >= f - 1e-9
+        assert overlaps.max() >= f - 1e-9
+        assert w[np.argmax(overlaps)] > RANK_CUTOFF  # the best overlap is over the support
 
 
 def test_convexity_near_pure_picks_top_eigenvector():
     # rho close to |0><0|: the best-overlap eigenvector is the dominant one.
-    lay = SpaceLayout([("Q", 2)])
-    mat = np.diag([0.99, 0.01]).astype(np.complex128)
-    rep = max_eig_convexity(DensityMatrix(lay, mat), basis_state(lay, 0))
-    assert rep.best_eigenvalue == pytest.approx(rep.lambda_max)
-    assert abs(rep.best_eigenvector.overlap(rep.top_eigenvector)) == pytest.approx(1.0)
+    rho = DensityMatrix(QUBIT, np.diag([0.99, 0.01]).astype(np.complex128))
+    w, v = rho._eigh
+    assert np.argmax(_overlaps(w, v, basis_state(QUBIT, 0).amplitudes)) == 0
 
 
 def test_bound_check_semantics():
@@ -245,37 +205,47 @@ def _rand_state(rng, lay):
     return random_density(lay, int(rng.integers(1, lay.total_dim + 1)), rng)
 
 
+def _chain_floor(f_first, f_second):
+    return 1.0 - np.sqrt(max(1.0 - f_first, 0.0)) - np.sqrt(max(1.0 - f_second, 0.0))
+
+
 def _sweep_reference(samples, dims_cap, seed):
-    """Every check of property_sweep, drawn and evaluated one state object at a time."""
+    """Every check of property_sweep, drawn and evaluated one state object at a
+    time; marginals, purifications and trace distances on plain arrays."""
     rng = np.random.default_rng(seed)
     out = {}
     for i in range(samples):
         d = int(rng.integers(2, dims_cap + 1))
         lay = SpaceLayout([("Q", d)])
-        out[i, "triangle"] = check_triangle(
-            _rand_state(rng, lay), _rand_state(rng, lay), _rand_state(rng, lay)
+        rho, omega, sigma = (_rand_state(rng, lay) for _ in range(3))
+        out[i, "triangle"] = BoundCheck.of(
+            np.sqrt(fidelity(rho, omega)), _chain_floor(fidelity(rho, sigma), fidelity(sigma, omega))
         )
-        out[i, "triangle_pure"] = check_triangle_pure(
-            _rand_state(rng, lay), _rand_state(rng, lay), random_pure(lay, rng)
+        rho, sigma, psi = _rand_state(rng, lay), _rand_state(rng, lay), random_pure(lay, rng)
+        out[i, "triangle_pure"] = BoundCheck.of(
+            fidelity_pure(rho, psi), _chain_floor(fidelity(rho, sigma), fidelity_pure(sigma, psi))
         )
         d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
         d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
-        lay2 = SpaceLayout([("Q", d1), ("R", d2)])
-        out[i, "monotonicity"] = check_monotonicity(
-            _rand_state(rng, lay2), _rand_state(rng, lay2), ["Q"]
-        )
+        a, b = (_rand_state(rng, SpaceLayout([("Q", d1), ("R", d2)])) for _ in range(2))
+        qa, qb = (DensityMatrix(SpaceLayout([("Q", d1)]), partial_trace(x.matrix, (d1, d2), [0])) for x in (a, b))
+        out[i, "monotonicity"] = BoundCheck.of(fidelity(qa, qb), fidelity(a, b))
         dp = int(rng.integers(2, 5))
-        layp = SpaceLayout([("Q", dp)])
-        r1 = random_density(layp, dp, rng)
-        s1 = random_density(layp, dp, rng)
-        phi = purify(r1, "E")
-        overlap = abs(phi.overlap(uhlmann_partner(r1, s1, phi))) ** 2
+        r1, s1 = (random_density(SpaceLayout([("Q", dp)]), dp, rng) for _ in range(2))
+        phi = purify(r1.matrix)
+        overlap = abs(np.vdot(phi, _partner_of(r1, s1, phi))) ** 2
         out[i, "partner_overlap"] = BoundCheck.of(overlap, fidelity(r1, s1), tol=1e-8)
-        rep = max_eig_convexity(_rand_state(rng, lay), random_pure(lay, rng))
-        out[i, "component_ceiling"] = rep.component_bound
-        out[i, "eigenvalue_ceiling"] = rep.eigen_bound
-        lower, upper = check_fvdg(_rand_state(rng, lay), _rand_state(rng, lay))
-        out[i, "fvdg_lower"], out[i, "fvdg_upper"] = lower, upper
+        rho, psi = _rand_state(rng, lay), random_pure(lay, rng)
+        w, v = rho._eigh
+        best = np.max((np.abs(v.conj().T @ psi.amplitudes) ** 2)[w > RANK_CUTOFF])
+        f = fidelity_pure(rho, psi)
+        out[i, "component_ceiling"] = BoundCheck.of(best, f)
+        out[i, "eigenvalue_ceiling"] = BoundCheck.of(w[0], f)
+        a, b = _rand_state(rng, lay), _rand_state(rng, lay)
+        f = fidelity(a, b)
+        dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
+        out[i, "fvdg_lower"] = BoundCheck.of(dist, 1.0 - np.sqrt(f))
+        out[i, "fvdg_upper"] = BoundCheck.of(np.sqrt(1.0 - f), dist)
     return out
 
 
@@ -333,10 +303,8 @@ def test_component_ceiling_ignores_the_kernel_basis():
     lay = SpaceLayout([("Q", 3)])
     psi = PureState(lay, np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
     rho = basis_state(lay, 0).density()
-    rep = max_eig_convexity(rho, psi)
     assert fidelity_pure(rho, psi) == 0.0
-    assert rep.best_overlap == 0.0
-    assert rep.best_eigenvalue == pytest.approx(1.0)
+    assert np.max(_overlaps(*rho._eigh, psi.amplitudes)) == 0.0
     w, v = validate_density(rho.matrix[None])[1:]
     rows = metrics._evaluate("ceilings", 3, rho.matrix[None, None], w[None], v[None],
                              psi.amplitudes[None, None], PROPERTY_NAMES)
@@ -366,11 +334,8 @@ def test_density_matrix_is_diagonalised_once(diagonalised):
     assert not np.array_equal(rho.matrix, tiny)  # clipped and rebuilt
     sigma = random_density(lay, 3, 5)
     assert len(diagonalised) == 2
-    phi = purify(rho)
     fidelity(rho, sigma)
-    max_eig_convexity(rho, random_pure(lay, 6))
-    uhlmann_partner(rho, rho, phi)
-    uhlmann_partner(sigma, rho, purify(sigma))
+    fidelity(sigma, rho)
     w = rho.eigenvalues()
     assert len(diagonalised) == 2
     assert w[-1] == 0.0  # the kept eigenvalues are those of the rebuilt matrix

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qsblab.channels as channels_module
 import qsblab.qsb as qsb_module
-from qsblab.channels import KrausChannel, apply
+from _reference import channel_action, partial_trace, purify
+from qsblab.channels import KrausChannel
 from qsblab.errors import (
     BadAmplitudes,
     BadDim,
@@ -27,15 +27,12 @@ from qsblab.hilbert import (
     Isometry,
     PureState,
     SpaceLayout,
-    apply_isometry,
     basis_state,
     eigh_desc,
-    partial_trace,
-    purify,
+    haar_isometry_matrix,
     random_pure,
-    tensor,
 )
-from qsblab.metrics import BoundCheck, fidelity_pure, fidelity_states
+from qsblab.metrics import BoundCheck, fidelity_pure
 from qsblab.qsb import (
     CLONING_CEILING,
     ProductApprox,
@@ -46,7 +43,6 @@ from qsblab.qsb import (
     _floor_check,
     _superposition_coeffs,
     asymptotic_ladder,
-    broadcast_fidelities,
     chain_constants,
     chain_verify,
     cloner_baseline,
@@ -64,12 +60,6 @@ from qsblab.qsb import (
 )
 
 
-def _haar_iso(rows, cols, rng):
-    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _random_instance(d_s, d_a, d_b, d_c, seed, env=1, labels=("A", "B", "C")):
     """Haar-random pieces (no optimisation): a Stinespring isometry S -> ABCE
     split into env Kraus operators, isometric for env = 1."""
@@ -77,10 +67,10 @@ def _random_instance(d_s, d_a, d_b, d_c, seed, env=1, labels=("A", "B", "C")):
     a, b, c = labels
     lay_s = SpaceLayout([("S", d_s)])
     lay_abc = SpaceLayout([(a, d_a), (b, d_b), (c, d_c)])
-    u = _haar_iso(d_a * d_b * d_c * env, d_s, rng).reshape(d_a * d_b * d_c, env, d_s)
+    u = haar_isometry_matrix(rng, d_a * d_b * d_c * env, d_s).reshape(d_a * d_b * d_c, env, d_s)
     chan = KrausChannel(lay_s, lay_abc, tuple(u[:, e, :] for e in range(env)))
-    vab = Isometry(lay_s, SpaceLayout([(a, d_a), (b, d_b)]), _haar_iso(d_a * d_b, d_s, rng))
-    vac = Isometry(lay_s, SpaceLayout([(a, d_a), (c, d_c)]), _haar_iso(d_a * d_c, d_s, rng))
+    vab = Isometry(lay_s, SpaceLayout([(a, d_a), (b, d_b)]), haar_isometry_matrix(rng, d_a * d_b, d_s))
+    vac = Isometry(lay_s, SpaceLayout([(a, d_a), (c, d_c)]), haar_isometry_matrix(rng, d_a * d_c, d_s))
     return QsbInstance(chan, vab, vac)
 
 
@@ -158,10 +148,12 @@ def test_fidelities_match_slow_path():
     rng = np.random.default_rng(6)
     for _ in range(10):
         psi = random_pure(inst.source_layout, rng)
-        fast = broadcast_fidelities(inst, psi)
-        rho = apply(inst.channel, psi.density())
-        slow_ab = fidelity_pure(partial_trace(rho, ["A", "B"]), apply_isometry(inst.v_abs, psi))
-        slow_ac = fidelity_pure(partial_trace(rho, ["A", "C"]), apply_isometry(inst.v_acs, psi))
+        fast = measure_eps(inst, [psi])[1][0]
+        rho = channel_action(inst.channel.kraus_ops, psi.density().matrix)
+        dims = (inst.d_a, inst.d_b, inst.d_c)
+        t_ab, t_ac = inst.v_abs.matrix @ psi.amplitudes, inst.v_acs.matrix @ psi.amplitudes
+        slow_ab = np.vdot(t_ab, partial_trace(rho, dims, [0, 1]) @ t_ab).real
+        slow_ac = np.vdot(t_ac, partial_trace(rho, dims, [0, 2]) @ t_ac).real
         assert fast.f_ab == pytest.approx(slow_ab, abs=1e-10)
         assert fast.f_ac == pytest.approx(slow_ac, abs=1e-10)
 
@@ -201,7 +193,7 @@ def test_measure_eps_matches_kraus_loop(make):
     assert np.max(np.abs(np.array([p.f_ab for p in pairs]) - f_ab)) <= 1e-13
     assert np.max(np.abs(np.array([p.f_ac for p in pairs]) - f_ac)) <= 1e-13
     assert eps_hat == pytest.approx(1.0 - min(f_ab.min(), f_ac.min()), abs=1e-13)
-    one = broadcast_fidelities(inst, probes[-1])
+    one = measure_eps(inst, [probes[-1]])[1][0]
     assert (one.f_ab, one.f_ac) == pytest.approx((f_ab[-1], f_ac[-1]), abs=1e-13)
 
 
@@ -299,39 +291,40 @@ def test_extraction_beats_floors_both_branches():
 
 
 def _object_extract(instance, psi, primary_branch):
-    # reference: the extraction through state objects; the channel output is
+    # reference: the extraction on plain arrays; the channel output is
     # purified by its own eigendecomposition and the marginals traced out.
     # Returns the ProductApprox and the top eigenvalue gap of each marginal.
-    lbl_a, lbl_b, lbl_c = instance.channel.output_layout.labels
-    lbl_x, lbl_y = (lbl_b, lbl_c) if primary_branch == "B" else (lbl_c, lbl_b)
-    psi_ab = apply_isometry(instance.v_abs, psi)
-    psi_ac = apply_isometry(instance.v_acs, psi)
-    psi_ay = psi_ac if primary_branch == "B" else psi_ab
-    rho_abc = apply(instance.channel, psi.density())
-    pure = purify(rho_abc, env_label="E")
-    dims = pure.layout.dims
-    pos = [pure.layout.index_of(l) for l in (lbl_a, lbl_y)]
-    small = psi_ay.amplitudes.conj().reshape([dims[i] for i in pos])
-    v_xe = np.einsum(small, pos, pure.amplitudes.reshape(dims), [0, 1, 2, 3], [i for i in range(4) if i not in pos])
-    psi_xe = PureState(pure.layout.subset([lbl_x, "E"]), v_xe.reshape(-1) / np.linalg.norm(v_xe))
+    d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
+    out_layout = instance.channel.output_layout
+    layouts = [out_layout.subset([label]) for label in out_layout.labels]
+    psi_ab = instance.v_abs.matrix @ psi.amplitudes
+    psi_ac = instance.v_acs.matrix @ psi.amplitudes
+    psi_ay, d_x, d_y = (psi_ac, d_b, d_c) if primary_branch == "B" else (psi_ab, d_c, d_b)
+    rho_abc = channel_action(instance.channel.kraus_ops, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    pure = purify(rho_abc).reshape(d_a, d_b, d_c, -1)
+    pure = pure if primary_branch == "B" else pure.transpose(0, 2, 1, 3)  # (A, X, Y, E)
+    v_xe = np.einsum("ay,axye->xe", psi_ay.conj().reshape(d_a, d_y), pure).reshape(-1)
+    v_xe /= np.linalg.norm(v_xe)
 
     def top(rho):
-        w, v = eigh_desc(rho.matrix)
-        return PureState(rho.layout, v[:, 0]), (w[0] - w[1] if len(w) > 1 else np.inf)
+        w, v = eigh_desc(rho)
+        return v[:, 0], (w[0] - w[1] if len(w) > 1 else np.inf)
 
+    ay = np.outer(psi_ay, psi_ay.conj())
     (phi_a, g_a), (phi_x, g_x), (phi_y, g_y) = (
-        top(partial_trace(psi_ay.density(), [lbl_a])),
-        top(partial_trace(psi_xe.density(), [lbl_x])),
-        top(partial_trace(psi_ay.density(), [lbl_y])),
+        top(partial_trace(ay, (d_a, d_y), [0])),
+        top(partial_trace(np.outer(v_xe, v_xe.conj()), (d_x, len(v_xe) // d_x), [0])),
+        top(partial_trace(ay, (d_a, d_y), [1])),
     )
     (phi_b, g_b), (phi_c, g_c) = ((phi_x, g_x), (phi_y, g_y))[:: 1 if primary_branch == "B" else -1]
+    product = np.kron(np.kron(phi_a, phi_b), phi_c)
     ext = ProductApprox(
-        phi_a=phi_a,
-        phi_b=phi_b,
-        phi_c=phi_c,
-        fidelity_product_abc=fidelity_pure(rho_abc, tensor(tensor(phi_a, phi_b), phi_c)),
-        fidelity_ab=fidelity_states(psi_ab, tensor(phi_a, phi_b)),
-        fidelity_ac=fidelity_states(psi_ac, tensor(phi_a, phi_c)),
+        phi_a=PureState(layouts[0], phi_a),
+        phi_b=PureState(layouts[1], phi_b),
+        phi_c=PureState(layouts[2], phi_c),
+        fidelity_product_abc=np.vdot(product, rho_abc @ product).real,
+        fidelity_ab=abs(np.vdot(psi_ab, np.kron(phi_a, phi_b))) ** 2,
+        fidelity_ac=abs(np.vdot(psi_ac, np.kron(phi_a, phi_c))) ** 2,
         primary_branch=primary_branch,
     )
     return ext, (g_a, g_b, g_c)
@@ -688,9 +681,9 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         )
     )
     theta, degenerate = {}, []
-    for branch, phis, v_rep, edp, etp, eiv, admissible, lbl in (
-        ("b", phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b, "B"),
-        ("c", phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c, "C"),
+    for branch, phis, v_rep, edp, etp, eiv, admissible, keep in (
+        ("b", phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b, 1),
+        ("c", phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c, 2),
     ):
         cond = guaranteed and admissible
         x1, x2 = phis[k1], phis[k2]
@@ -704,9 +697,9 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
             continue
         t1 = np.kron(phi_as[k1].amplitudes, x1.amplitudes)
         t2 = np.kron(phi_as[k2].amplitudes, resid0.amplitudes)
-        psi_reps = [apply_isometry(v_rep, s) for s in sup_states]
-        xs = np.array([np.conj(al) * np.vdot(t1, p.amplitudes) for (al, _), p in zip(coeffs, psi_reps)])
-        ys = np.array([np.conj(be) * np.vdot(t2, p.amplitudes) for (_, be), p in zip(coeffs, psi_reps)])
+        psi_reps = [v_rep.matrix @ s.amplitudes for s in sup_states]
+        xs = np.array([np.conj(al) * np.vdot(t1, p) for (al, _), p in zip(coeffs, psi_reps)])
+        ys = np.array([np.conj(be) * np.vdot(t2, p) for (_, be), p in zip(coeffs, psi_reps)])
         offsets = np.abs(xs) ** 2 + np.abs(ys) ** 2
         cross = xs * np.conj(ys)
         th, _ = _best_phase(offsets, cross)
@@ -714,7 +707,9 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         for i, f in enumerate(offsets + 2.0 * np.real(cross * np.exp(1j * th))):
             checks.append(_floor_check(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
         resid = gram_schmidt_residual(x1, x2, th)
-        rho_x = [partial_trace(apply(instance.channel, s.density()), [lbl]).matrix for s in sup_states]
+        dims = instance.channel.output_layout.dims
+        outs = [channel_action(instance.channel.kraus_ops, s.density().matrix) for s in sup_states]
+        rho_x = [partial_trace(r, dims, [keep]) for r in outs]
         parts = [(al * x1.amplitudes, be * resid.amplitudes, r) for (al, be), r in zip(coeffs, rho_x)]
         offs = np.array([np.real(np.vdot(u, r @ u) + np.vdot(v, r @ v)) for u, v, r in parts])
         crs = np.array([np.vdot(u, r @ v) for u, v, r in parts])
@@ -757,18 +752,12 @@ def test_chain_verify_matches_per_sample_reference(make, primary_branch):
 def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatch):
     # basis states and superpositions alike go through the Stinespring matrix
     calls = []
-    apply_channel = channels_module.apply
     validate = DensityMatrix.__post_init__
-
-    def counting_apply(channel, rho):
-        calls.append("apply")
-        return apply_channel(channel, rho)
 
     def counting_validate(self):
         calls.append("DensityMatrix")
         validate(self)
 
-    monkeypatch.setattr(channels_module, "apply", counting_apply)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_validate)
     inst = _random_instance(4, 2, 2, 2, seed=30, env=4)
     basis = [basis_state(inst.source_layout, k) for k in range(4)]
