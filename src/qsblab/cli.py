@@ -119,7 +119,7 @@ def _load_instance(path: str) -> QsbInstance:
         return QsbInstance.from_json(data)
     except QsbError:
         raise  # parsed, but the instance breaks an invariant: exit 4, not 3
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise _IoFailure(f"instance file {path} is malformed: {exc}") from exc
 
 

@@ -12,6 +12,7 @@ eigenpairs; the metrics read them instead of diagonalising again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -79,9 +80,9 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Raises InvariantViolation, naming the first offending member, if any
     member is not Hermitian to TOL_HERM, else if any trace is off 1 by more
     than TOL_NORM, else if any eigenvalue lies below -TOL_PSD. A member whose
-    smallest eigenvalue lies in [-TOL_PSD, 0) is rebuilt with its
-    eigenvalues clipped to zero. Returns the matrices (rebuilt where
-    clipped) and eigh_desc of the input.
+    smallest eigenvalue lies in [-TOL_PSD, 0) is rebuilt in place with its
+    eigenvalues clipped to zero, so pass a complex128 stack the caller owns.
+    Returns the matrices (rebuilt where clipped) and eigh_desc of the input.
     """
     m = np.asarray(m, dtype=np.complex128)
     # a non-finite entry gives a non-finite residual, which the tests reject
@@ -102,8 +103,8 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise InvariantViolation(f"negative eigenvalue {float(lo[bad][0])} below -{TOL_PSD}")
     clip = lo < 0.0
     if np.count_nonzero(clip):
-        rebuilt = (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        m = np.where(clip[..., None, None], rebuilt, m)
+        vc = v[clip]
+        m[clip] = (vc * np.maximum(w[clip], 0.0)[..., None, :]) @ vc.conj().swapaxes(-1, -2)
     return m, w, v
 
 
@@ -114,7 +115,13 @@ class SpaceLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __init__(self, subsystems: Iterable[tuple[str, int]]):
-        subs = tuple((str(lbl), int(dim)) for lbl, dim in subsystems)
+        subs = []
+        for lbl, dim in subsystems:
+            if isinstance(dim, bool):
+                raise TypeError(f"subsystem {lbl!r} has boolean dim {dim}")
+            # a float or string dim is refused, not truncated: 2.5 is no dim 2
+            subs.append((str(lbl), operator.index(dim)))
+        subs = tuple(subs)
         if not subs:
             raise InvariantViolation("layout needs at least one subsystem")
         labels = [lbl for lbl, _ in subs]
@@ -165,7 +172,7 @@ class SpaceLayout:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence]) -> "SpaceLayout":
-        return cls([(str(l), int(d)) for l, d in data])
+        return cls(data)
 
 
 def _c2j(z: complex) -> list[float]:
@@ -240,15 +247,15 @@ class DensityMatrix:
     _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)  # validation may rebuild it in place
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise LayoutMismatch(f"matrix shape {m.shape} for layout of dim {n}")
         m, w, v = validate_density(m)
         w = np.maximum(w, 0.0)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "matrix", _frozen(m))
+        for a in (m, w, v):
+            a.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigh", (w, v))
 
     def eigenvalues(self) -> np.ndarray:

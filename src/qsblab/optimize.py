@@ -7,14 +7,17 @@ Worst-case fidelity over a fixed probe family is maximized through a
 temperature-annealed soft minimum of qsb.branch_values, the kernel that
 measure_eps also runs, on the probe operand qsb.search_probes picks for the
 search's shape; the reported value is always the hard minimum re-measured on
-the returned instance. A restart keeps (U, V_AB, V_AC) in one zero-padded
-(3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the
-positive-diagonal QR factor, as a tangent step M = X + t xi has M^H M = I +
-t^2 xi^H xi >= I; its orthonormality error grows like (1 + |t xi|^2) * 1e-16.
+the returned instance. Both receivers' fidelities travel as the kernel's one
+(2, n) stack; a point's hard minimum is taken once, when it is evaluated. A
+restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack. Its
+retraction, Cholesky QR, gives exactly the positive-diagonal QR factor, as a
+tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
+orthonormality error grows like (1 + |t xi|^2) * 1e-16.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -154,16 +157,12 @@ class FrontierPoint:
 # ---------------------------------------------------------------------------
 
 
-def _soft_min(
-    f_ab: np.ndarray, f_ac: np.ndarray, temp: float
-) -> tuple[float, float, np.ndarray]:
-    """Hard minimum over both branches, the soft minimum shifted by it, and
-    the soft minimum's weights as a (2, n) stack."""
-    f = np.concatenate((f_ab, f_ac))
-    hard = f.min()
-    e = np.exp(-temp * (f - hard))
-    z = e.sum()
-    return float(hard), float(hard - np.log(z) / temp), (e / z).reshape(2, -1)
+def _soft_min(f: np.ndarray, hard: float, temp: float) -> tuple[float, np.ndarray, float]:
+    """Soft minimum of the (2, n) fidelity stack f with hard minimum `hard`, and
+    its weights e / z as the shifted exponentials e and their sum z."""
+    e = np.exp((hard - f) * temp)
+    z = float(e.sum())
+    return hard - math.log(z) / temp, e, z
 
 
 def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -172,24 +171,25 @@ def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     `cached` is the factor tuple `branch_values` returns for the point, and
     the real rows of the padded (3, N_U, d_s) stack g receive the gradients.
     With A = sum_n w[n] p_n p_n^H per branch, read as (w @ F).view(complex128)
-    from a probe matrix F or as (P w) P^H from outer products P, and
-    G_B = K_B A as [ce, s', s], g_U[abce, s] = sum_s' V_AB[ab, s'] G_B and
-    g_VAB[ab, s'] = sum_{ce,s} conj(G_B) U[abce, s]; C adds to g_U likewise.
+    from a probe matrix F or as (P w) P^H from outer products P, one product
+    gives both branches' G = K A as [ce s, s'] matrices. As K_B is
+    conj(U_B)^T V_AB for U_B = U[ab, ce s], g_U = V_AB conj(G_B)^T and
+    g_VAB = U_B G_B; C's terms add likewise, with U's B and C axes swapped.
     """
-    k, u_b, u_c, vab, vac, probes, (d_a, d_b, d_c, d_e) = cached
+    k, u, uc_c, vab, vac, probes, gram, (d_a, d_b, d_c, d_e) = cached
     d_s = vab.shape[1]
-    if np.isrealobj(probes):
+    if gram:
         a = (w @ probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
     else:
         a = (probes * w[:, None, :]) @ probes.conj().T
-    gk = (k @ a).reshape(2, -1, d_s, d_s)
-    gb, gc = gk[0, : d_c * d_e], gk[1, : d_b * d_e]
-    np.matmul(vab, gb.transpose(1, 0, 2).reshape(d_s, -1), out=g[0].reshape(d_a * d_b, -1))
-    g_uc = (vac @ gc.transpose(1, 0, 2).reshape(d_s, -1)).reshape(d_a, d_c, d_b, -1)
+    gk = (k @ a).reshape(2, -1, d_s)
+    gh = gk.conj().swapaxes(1, 2)
+    rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
+    np.matmul(vab, gh[0, :, :rb], out=g[0].reshape(d_a * d_b, -1))
     g_u = g[0].reshape(d_a, d_b, d_c, -1)
-    g_u += g_uc.transpose(0, 2, 1, 3)
-    np.matmul(u_b, gb.transpose(0, 2, 1).reshape(-1, d_s).conj(), out=g[1, : vab.shape[0]])
-    np.matmul(u_c, gc.transpose(0, 2, 1).reshape(-1, d_s).conj(), out=g[2, : vac.shape[0]])
+    g_u += (vac @ gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
+    np.matmul(u.reshape(d_a * d_b, -1), gk[0, :rb], out=g[1, : vab.shape[0]])
+    np.conjugate(uc_c @ gh[1, :, :rc].T, out=g[2, : vac.shape[0]])
     return g
 
 
@@ -207,9 +207,9 @@ def objective_value_and_grads(
     entry moves the objective by 2*Re(g) per unit and an imaginary one by
     2*Im(g); that is the convention the finite-difference check uses.
     """
-    f_ab, f_ac, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
-    _, value, w = _soft_min(f_ab, f_ac, temp)
-    g = _weighted_grads(cached, w, np.zeros((3, *u.shape), dtype=np.complex128))
+    f, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
+    value, e, z = _soft_min(f, float(f.min()), temp)
+    g = _weighted_grads(cached, e / z, np.zeros((3, *u.shape), dtype=np.complex128))
     return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
 
 
@@ -283,13 +283,14 @@ def _run_restart(
     best_x = x
     max_seen = 0.0
     iters = 0
-    f_ab, f_ac, cached = branch_values(*unpad(x), probes, config.dims4)
+    f, cached = branch_values(*unpad(x), probes, config.dims4)
+    hard = float(f.min())
 
     for it in range(config.max_iters):
         iters = it + 1
         temp = float(temps[it])
-        hard, value, w = _soft_min(f_ab, f_ac, temp)
-        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
+        value, e, z = _soft_min(f, hard, temp)
+        max_seen = max(max_seen, float(f.max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
@@ -297,36 +298,32 @@ def _run_restart(
             stop = "perfect"
             break
 
-        xi = _tangent(x, _weighted_grads(cached, w, g))
+        xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
         gnorm2 = float(np.vdot(xi, xi).real)
-        if np.sqrt(gnorm2) < 1e-10:
+        if math.sqrt(gnorm2) < 1e-10:
             stop = "grad_small"
             break
 
         # Armijo backtracking on the smoothed objective; directional
-        # derivative along the tangent triple is 2*gnorm2.
+        # derivative along the tangent triple is 2*gnorm2. A trial needs only
+        # its soft value; the accepted one's f and hard minimum carry over.
         step = min(step * 1.3, 10.0)
-        accepted = False
         trial = step
         while trial > 1e-14:
             x2 = _qr_positive(x + trial * xi)
-            trial_eval = branch_values(*unpad(x2), probes, config.dims4)
-            _, value2, _ = _soft_min(trial_eval[0], trial_eval[1], temp)
-            if value2 >= value + 1e-4 * trial * 2.0 * gnorm2:
-                x = x2
-                f_ab, f_ac, cached = trial_eval
-                step = trial
-                accepted = True
+            f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)
+            hard2 = float(f2.min())
+            if _soft_min(f2, hard2, temp)[0] >= value + 1e-4 * trial * 2.0 * gnorm2:
+                x, f, cached, hard, step = x2, f2, cached2, hard2, trial
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             stop = "line_search_exhausted"
             break
     else:
         # the budget ran out right after an accepted step: score that point too
         stop = "max_iters"
-        max_seen = max(max_seen, float(f_ab.max()), float(f_ac.max()))
-        hard = float(min(f_ab.min(), f_ac.min()))
+        max_seen = max(max_seen, float(f.max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x

@@ -10,10 +10,11 @@ deficit everywhere else, and evaluates the chain of bounds that turns a
 small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
 
-Both receiver fidelities come from one kernel, branch_values, on one factor
-stack K (_factors): the channel's Stinespring matrix contracted with the two
-representation isometries, which meets the inputs only through their outer
-products p = conj(psi) (x) psi, as f = |K p|^2. It has two contractions.
+Both receiver fidelities come from one kernel, branch_values, as one (2, n)
+stack over the n inputs. It builds one factor stack K, the channel's
+Stinespring matrix contracted with the two representation isometries, which
+meets the inputs only through their outer products p = conj(psi) (x) psi, as
+f = |K p|^2. It has two contractions.
 measure_eps and chain_verify evaluate their probes once and read |K P|^2
 from the (d_s^2, n) outer products. A search evaluates one probe set
 thousands of times; where the probes are many and d_s is small
@@ -206,27 +207,6 @@ def search_probes(cols: np.ndarray) -> np.ndarray:
     return _outer_columns(cols)
 
 
-def _factors(
-    u: np.ndarray, vab: np.ndarray, vac: np.ndarray, dims4: tuple[int, int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U with (A, B) and with (A, C) leading as matrices, and the factor stack K.
-
-    u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
-    representation matrices. K_B[ce, s' s] = sum_ab conj(V_AB[ab, s']) U[abce, s],
-    so f_AB = |K_B p|^2 for p = conj(psi) (x) psi; K_C swaps U's B and C axes.
-    Both share one zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack, whose
-    zero rows add nothing to either contraction.
-    """
-    d_a, d_b, d_c, d_e = dims4
-    d_s = vab.shape[1]
-    u_b = u.reshape(d_a * d_b, -1)
-    u_c = u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    k = np.zeros((2, max(d_b, d_c) * d_e, d_s, d_s), dtype=np.complex128)
-    k[0, : d_c * d_e] = (vab.conj().T @ u_b).reshape(d_s, -1, d_s).transpose(1, 0, 2)
-    k[1, : d_b * d_e] = (vac.conj().T @ u_c).reshape(d_s, -1, d_s).transpose(1, 0, 2)
-    return u_b, u_c, k.reshape(2, -1, d_s * d_s)
-
-
 def branch_values(
     u: np.ndarray,
     vab: np.ndarray,
@@ -234,24 +214,42 @@ def branch_values(
     probes: np.ndarray,
     dims4: tuple[int, int, int, int],
 ):
-    """Both receiver fidelities and the cached factors for gradients.
+    """Both receiver fidelities as one (2, n) stack, and the factors a gradient needs.
+
+    u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
+    representation matrices. K_B[ce, s s'] = sum_ab conj(U[abce, s]) V_AB[ab, s']
+    maps p = conj(psi) (x) psi to the conjugated overlaps of V_AB psi with
+    U psi over AB, so f_AB = |K_B p|^2; K_C swaps U's B and C axes. Each is
+    one product with a transposed view of conj(U), written into one
+    zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack K whose zero rows add
+    nothing to either contraction.
 
     probes is either the real probe_matrix F of the inputs or their complex
     (d_s^2, n) outer products P. Against F the kernel takes the Gram form
     H = K^H K, f[n] = p^H H p = Re <H, p p^H>, one real product of H's float
     view with F for both receivers; against P it reads f = |K P|^2. Building
     F costs n * d_s^4, so only a search, which evaluates one probe set
-    thousands of times, hands it in (search_probes). The cache is
-    (K, U_B, U_C, V_AB, V_AC, probes, dims4).
+    thousands of times, hands it in (search_probes). The cache is (K, U,
+    conj(U) with (A, C) leading, V_AB, V_AC, probes, whether they are F, dims4).
     """
-    u_b, u_c, k = _factors(u, vab, vac, dims4)
-    if np.isrealobj(probes):
+    d_a, d_b, d_c, d_e = dims4
+    d_s = vab.shape[1]
+    uc = u.conj()
+    uc_c = uc.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
+    k = np.zeros((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
+    np.matmul(uc.reshape(d_a * d_b, -1).T, vab, out=k[0, : d_c * d_e * d_s])
+    np.matmul(uc_c.T, vac, out=k[1, : d_b * d_e * d_s])
+    k = k.reshape(2, -1, d_s * d_s)
+    gram = probes.dtype == np.float64
+    if gram:
         h = k.conj().swapaxes(1, 2) @ k
         f = h.reshape(2, -1).view(np.float64) @ probes.T
     else:
-        w = (k.reshape(-1, k.shape[2]) @ probes).reshape(2, -1, probes.shape[1])
-        f = (w.real**2 + w.imag**2).sum(axis=1)
-    return f[0], f[1], (k, u_b, u_c, vab, vac, probes, dims4)
+        w = (k.reshape(-1, d_s * d_s) @ probes).view(np.float64)
+        np.square(w, out=w)
+        f = w.reshape(2, -1, 2 * probes.shape[1]).sum(axis=1)
+        f = f[:, 0::2] + f[:, 1::2]
+    return f, (k, u, uc_c, vab, vac, probes, gram, dims4)
 
 
 def _deficit(
@@ -265,11 +263,11 @@ def _deficit(
     build, so this reads f = |K P|^2 from the (d_s^2, n) outer products.
     """
     dims4 = (instance.d_a, instance.d_b, instance.d_c, len(instance.channel.kraus_ops))
-    f_ab, f_ac, _ = branch_values(
+    f, _ = branch_values(
         u, instance.v_abs.matrix, instance.v_acs.matrix, _outer_columns(cols), dims4
     )
-    f_ab, f_ac = np.clip(f_ab, 0.0, 1.0), np.clip(f_ac, 0.0, 1.0)
-    return max(1.0 - float(min(f_ab.min(), f_ac.min())), 0.0), f_ab, f_ac
+    f = np.clip(f, 0.0, 1.0)
+    return max(1.0 - float(f.min()), 0.0), f[0], f[1]
 
 
 def measure_eps(

@@ -114,6 +114,64 @@ def test_verify_invariant_breaking_instance(workdir, capsys):
         assert err.count("\n") == 1 and err.startswith("invariant violation: "), err
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, code",
+    [
+        # the Kraus family: empty is a channel without operators, else unreadable
+        (("kraus",), [], 4),
+        (("kraus",), "x", 3),
+        (("kraus",), 5, 3),
+        # dimensions: out of range is an invariant, anything but an integer is malformed
+        (("in", 0, 1), 0, 4),
+        (("in", 0, 1), -2, 4),
+        (("in", 0, 1), 2.5, 3),
+        (("in", 0, 1), 2.9999, 3),
+        (("in", 0, 1), 2.0, 3),
+        (("in", 0, 1), True, 3),
+        (("out", 1, 1), True, 3),
+        (("in", 0, 1), "2", 3),
+        # missing or null parts
+        (("out",), _DROP, 3),
+        (("out",), None, 3),
+        (("v_abs",), _DROP, 3),
+        (("v_abs",), None, 3),
+        # matrix entries: short, string, null, nested, beyond float64, too large to square
+        (("kraus", 0, 0, 0), [1.0], 3),
+        (("kraus", 0, 0, 0), "10", 3),
+        (("kraus", 0, 0, 0), None, 3),
+        (("kraus", 0, 0, 0), [[1.0, 0.0], [0.0, 0.0]], 3),
+        (("kraus", 0, 0, 0), [10**400, 0], 3),
+        (("v_abs", "matrix", 0, 0), [1e300, 0.0], 4),
+        # a ragged row, a duplicate label, a list at the top level
+        (("kraus", 0, 0), [[1.0, 0.0]], 3),
+        (("out", 1, 0), "A", 4),
+        ((), None, 3),
+    ],
+)
+def test_malformed_instance_fails_cleanly(workdir, capsys, path, value, code):
+    data = perfect_qsb_construct(2, 2, 1, 1).to_json()
+    if not path:
+        data = [data]
+    else:
+        *outer, last = path
+        target = data
+        for key in outer:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    (workdir / "mutated.json").write_text(json.dumps(data))
+    assert main(["verify", "mutated.json"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("instance file" if code == 3 else "invariant violation: "), err
+
+
 def test_verify_chain_gating(workdir, capsys):
     path = _construct(workdir)
     capsys.readouterr()

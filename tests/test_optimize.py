@@ -296,7 +296,7 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         u, vab, vac = _params_for(cfg, rng)
         cols = _probe_cols(cfg, rng, n=25)
         f_ab, f_ac, value, grads = _einsum_reference(u, vab, vac, cols, cfg.dims4, 25.0)
-        got_ab, got_ac, _ = branch_values(u, vab, vac, probe_matrix(cols), cfg.dims4)
+        (got_ab, got_ac), _ = branch_values(u, vab, vac, probe_matrix(cols), cfg.dims4)
         got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
         assert np.max(np.abs(got_ab - f_ab)) <= 1e-13
         assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
@@ -425,6 +425,25 @@ def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_win
     assert point.winner_restart == want_winner
     assert point.iterations_used == 300
     assert point.stop_reasons[want_winner] == "max_iters"
+
+
+@pytest.mark.parametrize(
+    "dims, seed, operand, want_value",
+    [
+        # d_b < d_c and d_a > 1 on the Gram form: K_B carries padding rows
+        ((3, 2, 2, 3), 11, "search_probes", 0.784989107170103),
+        # d_b > d_c on |K P|^2, which the default probes never pick at d_s = 2
+        ((2, 1, 3, 2), 12, "_outer_columns", 0.8327535410271729),
+    ],
+)
+def test_asymmetric_search_trajectory_is_pinned(monkeypatch, dims, seed, operand, want_value):
+    # reference trajectories outside the symmetric, Gram-form pins above
+    monkeypatch.setattr(optimize_module, "search_probes", getattr(qsb_module, operand))
+    cfg = OptimizeConfig(*dims, restarts=1, max_iters=300, sample_spec=SMALL, seed=seed)
+    point = optimize_qsb(cfg)
+    assert point.restart_values == pytest.approx((want_value,), rel=0, abs=1e-12)
+    assert point.iterations_used == 300
+    assert point.stop_reasons == ("max_iters",)
 
 
 def test_no_point_is_evaluated_twice(monkeypatch):
