@@ -2,7 +2,7 @@
 
 The package splits into layers: `hilbert` (states, layouts, isometries),
 `metrics` (fidelity and the randomized inequality sweep), `channels` (Kraus
-channels, their Stinespring dilations and mixtures), `qsb` (broadcast
+channels read off Stinespring isometries, and their mixtures), `qsb` (broadcast
 instances, the deficit chain, the cloning baseline), `optimize`
 (variational frontier search) and `cli` (the qsblab command).
 """
@@ -17,8 +17,6 @@ from .channels import (
     depolarizing_channel,
     from_stinespring,
     mix,
-    to_stinespring,
-    validate_cpt,
 )
 from .qsb import (
     EpsilonChainReport,
@@ -31,7 +29,6 @@ from .qsb import (
     default_probe_states,
     epsilon_threshold,
     extract_product_approx,
-    gram_schmidt_residual,
     lambda_max_rank2,
     max_overlap_pair,
     measure_eps,
@@ -45,7 +42,6 @@ from .optimize import (
     SampleSpec,
     frontier_sweep,
     optimize_qsb,
-    riemannian_step,
 )
 
 __all__ = [
@@ -62,8 +58,6 @@ __all__ = [
     "property_sweep",
     "KrausChannel",
     "from_stinespring",
-    "to_stinespring",
-    "validate_cpt",
     "mix",
     "depolarizing_channel",
     "QsbInstance",
@@ -77,7 +71,6 @@ __all__ = [
     "extract_product_approx",
     "overlap_lower_bound",
     "max_overlap_pair",
-    "gram_schmidt_residual",
     "lambda_max_rank2",
     "cloner_baseline",
     "chain_constants",
@@ -88,5 +81,4 @@ __all__ = [
     "FrontierPoint",
     "optimize_qsb",
     "frontier_sweep",
-    "riemannian_step",
 ]

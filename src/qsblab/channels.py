@@ -1,20 +1,21 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-A channel converts to and from a Stinespring isometry whose environment is
-the last output factor, and two channels mix by concatenating their
-weighted Kraus families.
+A channel is read off a Stinespring isometry by tracing out named output
+factors; the other way, its Stinespring matrix stacks the Kraus family with
+the environment as the last output index. Two channels mix by concatenating
+their weighted Kraus families. Construction bounds the completeness residual
+|sum K^H K - 1|, so every KrausChannel is trace preserving to TOL_ISO.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import BadEnvLabels, InvariantViolation, LayoutMismatch
 from .hilbert import TOL_ISO, Isometry, SpaceLayout, _mat_from_json, _mat_to_json
-from .metrics import BoundCheck
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,14 @@ class KrausChannel:
 
     @classmethod
     def from_json(cls, data: dict) -> "KrausChannel":
+        kraus = data["kraus"]
+        # a JSON object would iterate as its keys, so only an array is read
+        if not isinstance(kraus, list):
+            raise TypeError("kraus is not a JSON array")
         return cls(
-            SpaceLayout.from_json(data["in"]),
-            SpaceLayout.from_json(data["out"]),
-            tuple(_mat_from_json(k) for k in data["kraus"]),
+            SpaceLayout(data["in"]),
+            SpaceLayout(data["out"]),
+            tuple(_mat_from_json(k) for k in kraus),
         )
 
 
@@ -102,36 +107,9 @@ def from_stinespring(v: Isometry, env_labels: Iterable[str]) -> KrausChannel:
     return KrausChannel(v.input_layout, out_layout, ops)
 
 
-def to_stinespring(channel: KrausChannel, env_label: str = "E") -> Isometry:
-    """Dilate the channel to an isometry with the environment appended last."""
-    if env_label in channel.output_layout.labels:
-        raise BadEnvLabels(f"environment label {env_label!r} already in output")
-    out_layout = channel.output_layout.joined(SpaceLayout([(env_label, len(channel.kraus_ops))]))
-    return Isometry(channel.input_layout, out_layout, _stinespring_matrix(channel))
-
-
 def _stinespring_matrix(channel: KrausChannel) -> np.ndarray:
-    """The dilation as a raw matrix: output index (o, e) is row o * r + e."""
+    """The Stinespring matrix: with r Kraus operators, output index (o, e) is row o * r + e."""
     return np.stack(channel.kraus_ops, axis=1).reshape(-1, channel.input_layout.total_dim)
-
-
-def validate_cpt(channel: KrausChannel) -> BoundCheck:
-    """Completeness diagnostic: residual ||sum K†K - 1|| against TOL_ISO.
-
-    Runs on the raw Kraus list without reconstructing the channel, so it
-    can grade candidate families that would fail construction.
-    """
-    return validate_kraus_family(
-        channel.kraus_ops, channel.input_layout.total_dim
-    )
-
-
-def validate_kraus_family(ops: Sequence[np.ndarray], din: int) -> BoundCheck:
-    acc = np.zeros((din, din), dtype=np.complex128)
-    for k in ops:
-        acc += np.asarray(k).conj().T @ np.asarray(k)
-    residual = float(np.max(np.abs(acc - np.eye(din))))
-    return BoundCheck.of(TOL_ISO, residual, label="kraus_completeness")
 
 
 def mix(a: KrausChannel, b: KrausChannel, weight: float) -> KrausChannel:

@@ -17,7 +17,7 @@ class InvariantViolation(QsbError):
 
 
 class LabelClash(QsbError):
-    """Two layouts being joined share a subsystem label."""
+    """A layout names two subsystems with one label."""
 
 
 class LabelUnknown(QsbError):
@@ -50,10 +50,6 @@ class EmptyInput(QsbError):
 
 class BoundVacuous(QsbError):
     """The requested bound carries no information at these parameters."""
-
-
-class DegenerateResidual(QsbError):
-    """Gram-Schmidt residual undefined: the two vectors are (nearly) parallel."""
 
 
 class BadAmplitudes(QsbError):

@@ -117,10 +117,13 @@ class SpaceLayout:
     def __init__(self, subsystems: Iterable[tuple[str, int]]):
         subs = []
         for lbl, dim in subsystems:
+            # a null or numeric label is refused, not renamed: None is no label "None"
+            if not isinstance(lbl, str):
+                raise TypeError(f"subsystem label {lbl!r} is not a string")
             if isinstance(dim, bool):
                 raise TypeError(f"subsystem {lbl!r} has boolean dim {dim}")
             # a float or string dim is refused, not truncated: 2.5 is no dim 2
-            subs.append((str(lbl), operator.index(dim)))
+            subs.append((lbl, operator.index(dim)))
         subs = tuple(subs)
         if not subs:
             raise InvariantViolation("layout needs at least one subsystem")
@@ -147,12 +150,6 @@ class SpaceLayout:
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    def dim_of(self, label: str) -> int:
-        for lbl, d in self.subsystems:
-            if lbl == label:
-                return d
-        raise LabelUnknown(f"label {label!r} not in layout {self.labels}")
-
     def subset(self, keep: Sequence[str]) -> "SpaceLayout":
         """Sub-layout with the kept labels, preserving this layout's order."""
         keep_set = set(keep)
@@ -161,30 +158,12 @@ class SpaceLayout:
             raise LabelUnknown(f"labels {sorted(unknown)} not in layout {self.labels}")
         return SpaceLayout([(l, d) for l, d in self.subsystems if l in keep_set])
 
-    def joined(self, other: "SpaceLayout") -> "SpaceLayout":
-        overlap = set(self.labels) & set(other.labels)
-        if overlap:
-            raise LabelClash(f"labels {sorted(overlap)} appear on both sides")
-        return SpaceLayout(self.subsystems + other.subsystems)
-
     def to_json(self) -> list[list]:
         return [[lbl, d] for lbl, d in self.subsystems]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence]) -> "SpaceLayout":
-        return cls(data)
 
 
 def _c2j(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _vec_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_c2j(z) for z in v]
-
-
-def _vec_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
 
 
 def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -192,6 +171,9 @@ def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _mat_from_json(data) -> np.ndarray:
+    # a JSON object would iterate as its keys, so only arrays are read
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise TypeError("matrix is not a JSON array of arrays")
     return np.array(
         [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
     )
@@ -214,21 +196,6 @@ class PureState:
         if not abs(nrm - 1.0) <= TOL_NORM:
             raise InvariantViolation(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
         object.__setattr__(self, "amplitudes", _frozen(amp))
-
-    def overlap(self, other: "PureState") -> complex:
-        if self.layout != other.layout:
-            raise LayoutMismatch("overlap needs identical layouts")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def to_json(self) -> dict:
-        return {"layout": self.layout.to_json(), "amplitudes": _vec_to_json(self.amplitudes)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PureState":
-        return cls(SpaceLayout.from_json(data["layout"]), _vec_from_json(data["amplitudes"]))
 
 
 @dataclass(frozen=True)
@@ -257,16 +224,6 @@ class DensityMatrix:
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigh", (w, v))
-
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0]
-
-    def to_json(self) -> dict:
-        return {"layout": self.layout.to_json(), "matrix": _mat_to_json(self.matrix)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DensityMatrix":
-        return cls(SpaceLayout.from_json(data["layout"]), _mat_from_json(data["matrix"]))
 
 
 @dataclass(frozen=True)
@@ -301,8 +258,8 @@ class Isometry:
     @classmethod
     def from_json(cls, data: dict) -> "Isometry":
         return cls(
-            SpaceLayout.from_json(data["in"]),
-            SpaceLayout.from_json(data["out"]),
+            SpaceLayout(data["in"]),
+            SpaceLayout(data["out"]),
             _mat_from_json(data["matrix"]),
         )
 

@@ -111,13 +111,6 @@ class BoundCheck:
         slack = lhs - rhs
         return cls(lhs, rhs, slack, slack >= -tol, label, vacuous)
 
-    def row(self, seed: int | None = None) -> list:
-        """Flat CSV-friendly row."""
-        out = [self.label, self.lhs, self.rhs, self.slack, self.satisfied, self.vacuous]
-        if seed is not None:
-            out.append(seed)
-        return out
-
 
 def _dsqrt(x):
     return np.sqrt(np.maximum(x, 0.0))

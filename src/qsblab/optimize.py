@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import from_stinespring, to_stinespring, validate_cpt
+from .channels import _stinespring_matrix, from_stinespring
 from .errors import InvariantViolation, TooLarge
 from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix
 from .qsb import (
@@ -37,7 +37,6 @@ from .qsb import (
 
 DIM_CAP = 4096
 ENV_CAP = 16
-STEP_CAP = 100.0  # largest |t xi| riemannian_step retracts: error <= ~1e-12
 
 
 @dataclass(frozen=True)
@@ -223,27 +222,6 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Project g onto the tangent space at the (..., N, k) isometry stack v."""
     vg = v.conj().swapaxes(-1, -2) @ g
     return g - v @ ((vg + vg.conj().swapaxes(-1, -2)) * 0.5)
-
-
-def riemannian_step(isometry: Isometry, euclidean_gradient: np.ndarray, step: float) -> Isometry:
-    """Project the gradient to the tangent space, step, and re-orthonormalize.
-
-    With the positive-diagonal convention the retraction of a zero step is
-    the input itself up to roundoff. The step must keep |t xi| <= STEP_CAP.
-    """
-    v = isometry.matrix
-    if euclidean_gradient.shape != v.shape:
-        raise InvariantViolation(
-            f"gradient shape {euclidean_gradient.shape} does not match {v.shape}"
-        )
-    xi = _tangent(v, np.asarray(euclidean_gradient, dtype=np.complex128))
-    if not abs(step) * np.linalg.norm(xi) <= STEP_CAP:
-        raise InvariantViolation(f"step {step} makes |t xi| non-finite or > {STEP_CAP:g}")
-    return Isometry(
-        isometry.input_layout,
-        isometry.output_layout,
-        _qr_positive(v + step * xi),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +457,7 @@ def frontier_sweep(
             point0, cfg0 = prev
             inst0 = point0.best_instance
             params0 = (
-                to_stinespring(inst0.channel).matrix,
+                _stinespring_matrix(inst0.channel),
                 inst0.v_abs.matrix,
                 inst0.v_acs.matrix,
             )
@@ -491,9 +469,6 @@ def frontier_sweep(
                 )
             )
         point = optimize_qsb(cfg, initial_points=warm)
-        for check in (validate_cpt(point.best_instance.channel),):
-            if not check.satisfied:
-                raise InvariantViolation(f"swept instance failed {check.label}")
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
             raise InvariantViolation(
                 "frontier decreased with growing shared dimension despite embedding"

@@ -13,6 +13,11 @@ def random_density(layout, rank, seed):
     return DensityMatrix(layout, haar_density_matrix(np.random.default_rng(seed), layout.total_dim, rank))
 
 
+def pure_density(psi):
+    """|psi><psi| of a PureState, as a DensityMatrix on its layout."""
+    return DensityMatrix(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
 def channel_action(kraus_ops, rho):
     """sum_i K_i rho K_i^H, on one matrix or a stack."""
     return sum(k @ rho @ k.conj().T for k in kraus_ops)

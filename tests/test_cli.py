@@ -149,6 +149,13 @@ _DROP = object()
         (("kraus", 0, 0), [[1.0, 0.0]], 3),
         (("out", 1, 0), "A", 4),
         ((), None, 3),
+        # labels that are not strings, and a family or matrix that is a JSON object
+        (("in", 0, 0), None, 3),
+        (("in", 0, 0), 7, 3),
+        (("out", 0, 0), ["A"], 3),
+        (("kraus",), {}, 3),
+        (("kraus",), [{}], 3),
+        (("v_abs", "matrix"), {}, 3),
     ],
 )
 def test_malformed_instance_fails_cleanly(workdir, capsys, path, value, code):
@@ -198,6 +205,15 @@ def test_verify_chain_gating(workdir, capsys):
     out = capsys.readouterr().out
     assert "d_a 2" in out
     assert "all_satisfied True" in out
+
+
+def test_verify_chain_needs_two_basis_states(workdir, capsys):
+    # a one-dimensional source offers no pair: impossible, not a violation
+    path = _construct(workdir, dims=("1", "1", "1", "1"))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--chain", "--allow-trivial"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("impossible: "), err
 
 
 def test_threshold_exact_arithmetic(workdir, capsys):

@@ -27,7 +27,6 @@ def test_layout_basics():
     assert lay.total_dim == 6
     assert lay.labels == ("A", "B")
     assert lay.dims == (2, 3)
-    assert lay.dim_of("B") == 3
 
 
 def test_layout_rejects_duplicates_and_bad_dims():
@@ -35,6 +34,10 @@ def test_layout_rejects_duplicates_and_bad_dims():
         SpaceLayout([("A", 2), ("A", 3)])
     with pytest.raises(InvariantViolation):
         SpaceLayout([("A", 0)])
+    # a label that is not a string is refused, not renamed by str()
+    for label in (None, 7, ["A"]):
+        with pytest.raises(TypeError, match="not a string"):
+            SpaceLayout([(label, 2)])
 
 
 def test_layout_subset_preserves_order():
@@ -44,15 +47,9 @@ def test_layout_subset_preserves_order():
     assert sub.labels == ("A", "C")
 
 
-def test_layout_joined_clash():
-    a = SpaceLayout([("A", 2)])
-    with pytest.raises(LabelClash):
-        a.joined(SpaceLayout([("A", 3)]))
-
-
 def test_layout_json_roundtrip():
     lay = SpaceLayout([("S", 5), ("E", 2)])
-    assert SpaceLayout.from_json(lay.to_json()) == lay
+    assert SpaceLayout(lay.to_json()) == lay
 
 
 def test_pure_state_norm_enforced():
@@ -62,7 +59,7 @@ def test_pure_state_norm_enforced():
     with pytest.raises(InvariantViolation):
         PureState(lay, np.array([np.nan, 0.0]))
     psi = PureState(lay, np.array([1.0, 1.0]) / np.sqrt(2))
-    assert abs(abs(psi.overlap(basis_state(lay, 0))) ** 2 - 0.5) < 1e-12
+    assert abs(abs(np.vdot(psi.amplitudes, basis_state(lay, 0).amplitudes)) ** 2 - 0.5) < 1e-12
 
 
 def test_density_validation(rng):
@@ -107,7 +104,7 @@ def test_purify_env_dim_is_rank(rng):
     # purifying with exactly rank environment columns loses nothing
     for rank in (1, 2):
         rho = random_density(SpaceLayout([("A", 4)]), rank, rng)
-        assert int(np.sum(rho.eigenvalues() > RANK_CUTOFF)) == rank
+        assert int(np.sum(rho._eigh[0] > RANK_CUTOFF)) == rank
         m = _purification(*rho._eigh, rank)
         assert m.shape == (4, rank) and np.abs(m @ m.conj().T - rho.matrix).max() < 1e-10
 
@@ -201,11 +198,8 @@ def test_validate_density_clips_like_density_matrix(rng):
 
 
 def test_state_json_roundtrips(rng):
+    # instance files carry isometries; states and density matrices are never written
     lay = SpaceLayout([("A", 2), ("B", 2)])
-    psi = random_pure(lay, rng)
-    assert np.abs(PureState.from_json(psi.to_json()).amplitudes - psi.amplitudes).max() < 1e-15
-    rho = random_density(lay, 4, rng)
-    assert np.abs(DensityMatrix.from_json(rho.to_json()).matrix - rho.matrix).max() < 1e-15
     v = Isometry(SpaceLayout([("S", 2)]), lay, haar_isometry_matrix(rng, 4, 2))
     v2 = Isometry.from_json(v.to_json())
     assert v2.input_layout == v.input_layout

@@ -1,5 +1,5 @@
 """Source hygiene: every name a package module imports is used, and every
-top-level definition has a caller."""
+top-level definition and method has a caller."""
 
 import ast
 from pathlib import Path
@@ -12,7 +12,7 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # Public names kept although neither the CLI nor the acceptance suite reaches them.
 EXTRA_ROOTS = {
     "fidelity": "mixed-state fidelity of two DensityMatrix objects, the sweep's kernel on one pair",
-    "riemannian_step": "one retraction step on an Isometry, the update the search applies to its stack",
+    "error": "the CLI parser's override, which argparse calls on a usage error",
 }
 
 
@@ -52,6 +52,15 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def _loads(tree: ast.AST) -> set[str]:
+    """Attribute names a syntax tree loads, as in obj.name or obj.name()."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def _defined(node: ast.stmt) -> list[str]:
     """Names a top-level statement defines; dunders such as __all__ are not definitions."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -60,32 +69,52 @@ def _defined(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def unreached(sources: dict[str, str], roots: set[str]) -> list[str]:
-    """Top-level definitions ("module: name") that nothing reaches.
+def unreached(sources: dict[str, str], roots: set[str], loaded: set[str] = frozenset()) -> list[str]:
+    """Top-level definitions ("module: name") and methods of reached classes
+    ("module: Class.name") that nothing reaches.
 
-    A def, class or assigned constant is reached when a root names it or a
-    reached definition reads its name. Names match across modules, as the
-    package imports them unrenamed. Imports reach nothing, so a re-export
-    in __init__ keeps no name alive; any other top-level statement runs on
-    import and reads its names as roots.
+    A def, class or assigned constant is reached when a root names it or
+    reached code reads its name. Names match across modules, as the package
+    imports them unrenamed. Imports reach nothing, so a re-export in __init__
+    keeps no name alive; any other top-level statement runs on import and
+    reads its names as roots. A method or property of a reached class is
+    reached when it is a dunder (dataclass hooks such as __post_init__ are
+    dunders) or when reached code, `loaded` or a root loads an attribute of
+    its name; the class's other statements are read with the class.
     """
-    defs: dict[str, list[ast.stmt]] = {}
-    where, todo = [], set(roots)
+    names, attrs = set(roots), set(roots) | set(loaded)
+
+    def read(nodes: list[ast.AST]) -> None:
+        for node in nodes:
+            names.update(_reads(node))
+            attrs.update(_loads(node))
+
+    def reached(cls: str | None, name: str) -> bool:
+        if cls is None:
+            return name in names
+        return cls in names and (name[:2] == name[-2:] == "__" or name in attrs)
+
+    units = []  # (label, class or None, name, the nodes read once it is reached)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = _defined(node)
-            where += [(module, name) for name in names]
-            for name in names:
-                defs.setdefault(name, []).append(node)
-            if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
-                todo |= _reads(node)
-    reached: set[str] = set()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for node in defs.get(name, []):
-            todo |= _reads(node) - reached
-    return sorted(f"{module}: {name}" for module, name in where if name not in reached)
+            defined = _defined(node)
+            if not defined and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                read([node])
+            if not isinstance(node, ast.ClassDef):
+                units += [(f"{module}: {name}", None, name, [node]) for name in defined]
+                continue
+            methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+            own = node.bases + node.keywords + node.decorator_list
+            units.append((f"{module}: {node.name}", None, node.name, own + [s for s in node.body if s not in methods]))
+            units += [(f"{module}: {node.name}.{f.name}", node.name, f.name, [f]) for f in methods]
+    while True:
+        hits = [reached(cls, name) for _, cls, name, _ in units]
+        if not any(hits):
+            return sorted(label for label, cls, _, _ in units if cls is None or cls in names)
+        for unit, hit in zip(units, hits):
+            if hit:
+                read(unit[3])
+        units = [unit for unit, hit in zip(units, hits) if not hit]
 
 
 def test_checker_sees_what_it_should():
@@ -115,6 +144,23 @@ def test_reachability_checker_sees_what_it_should():
     assert unreached(sources, set()) == ["a.py: orphan", "b.py: dead"]
     assert unreached(sources, {"orphan"}) == []
 
+    # methods of a reached class
+    sources = {
+        "a.py": "from .b import Box\nprint(Box().size)\n",
+        "b.py": "class Box:\n    LIMIT = bound()\n"
+        "    def __post_init__(self):\n        check()\n"
+        "    @property\n    def size(self):\n        return self.grow()\n"
+        "    def grow(self):\n        return 1\n"
+        "    def shrink(self):\n        return dead()\n"
+        "class Gone:\n    def size(self): ...\n"
+        "def bound(): ...\ndef check(): ...\ndef dead(): ...\n",
+    }
+    # size is loaded on import, grow by size, __post_init__ as a dunder,
+    # LIMIT's initialiser with the class; Gone's methods go with Gone
+    assert unreached(sources, set()) == ["b.py: Box.shrink", "b.py: Gone", "b.py: dead"]
+    assert unreached(sources, {"shrink"}) == ["b.py: Gone"]
+    assert unreached(sources, set(), loaded={"shrink"}) == ["b.py: Gone"]
+
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -122,12 +168,14 @@ def test_no_unused_imports(path):
 
 
 def test_every_definition_has_a_caller():
-    # roots: the CLI (run on import), the names the acceptance suite gates, EXTRA_ROOTS
+    # roots: the CLI (run on import), the names the acceptance suite gates and
+    # the attributes it loads, EXTRA_ROOTS
+    acceptance = ast.parse(ACCEPTANCE.read_text())
     gated = {
         alias.name
-        for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+        for node in ast.walk(acceptance)
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qsblab")
         for alias in node.names
     }
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreached(sources, gated | set(EXTRA_ROOTS)) == []
+    assert unreached(sources, gated | set(EXTRA_ROOTS), _loads(acceptance)) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import partial_trace, purify, random_density
+from _reference import partial_trace, pure_density, purify, random_density
 from qsblab import hilbert, metrics
 from qsblab.errors import BadPurification, LayoutMismatch
 from qsblab.hilbert import (
@@ -50,7 +50,7 @@ def test_fidelity_self_and_orthogonal():
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
     assert _trace_distance(rho.matrix, rho.matrix) == pytest.approx(0.0, abs=1e-10)
     e0, e1 = basis_state(QUBIT, 0), basis_state(QUBIT, 1)
-    assert fidelity_pure(e0.density(), e1) == pytest.approx(0.0, abs=1e-14)
+    assert fidelity_pure(pure_density(e0), e1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pure_special_cases_agree():
@@ -58,7 +58,7 @@ def test_pure_special_cases_agree():
     rho = random_density(lay, 2, 5)
     psi = random_pure(lay, 6)
     direct = fidelity_pure(rho, psi)
-    general = fidelity(rho, psi.density())
+    general = fidelity(rho, pure_density(psi))
     assert direct == pytest.approx(general, abs=1e-8)
 
 
@@ -106,8 +106,8 @@ def test_distance_fidelity_sandwich(seed):
 def test_sandwich_tight_for_pure_pair():
     # D = sqrt(1 - F) exactly when both states are pure.
     lay = SpaceLayout([("Q", 3)])
-    a = random_pure(lay, 1).density()
-    b = random_pure(lay, 2).density()
+    a = pure_density(random_pure(lay, 1))
+    b = pure_density(random_pure(lay, 2))
     d = _trace_distance(a.matrix, b.matrix)
     assert abs(np.sqrt(1.0 - fidelity(a, b)) - d) < 1e-9
 
@@ -139,7 +139,7 @@ def test_uhlmann_partner_covers_support_the_overlap_misses():
         v = random_pure(lay, rng)
         phi = np.kron(v.amplitudes, np.eye(3)[0]).reshape(3, 3)
         sigma = random_density(lay, 3, rng)
-        chi = _partner_of(v.density(), sigma, phi)
+        chi = _partner_of(pure_density(v), sigma, phi)
         assert abs(np.vdot(phi, chi)) ** 2 == pytest.approx(fidelity_pure(sigma, v), abs=1e-12)
         assert float(np.max(np.abs(chi @ chi.conj().T - sigma.matrix))) < 1e-12
 
@@ -151,7 +151,7 @@ def test_uhlmann_partner_rejections():
     wrong = random_pure(SpaceLayout([("Q", 4)]), 6).amplitudes.reshape(2, 2)
     with pytest.raises(BadPurification):
         _partner_of(rho, sigma, wrong)  # purifies some other state
-    pure_rho = basis_state(lay, 0).density()
+    pure_rho = pure_density(basis_state(lay, 0))
     skinny = purify(pure_rho.matrix)  # rank-1 source, environment dim 1
     with pytest.raises(BadPurification):
         _partner_of(pure_rho, sigma, skinny)
@@ -188,9 +188,6 @@ def test_bound_check_semantics():
     assert BoundCheck.of(1.0, 1.0 + 5e-10).satisfied
     assert not BoundCheck.of(1.0, 1.0 + 5e-9).satisfied
     assert BoundCheck.of(0.0, 1.0, tol=2.0).satisfied
-    row = BoundCheck.of(0.2, 0.1, label="r").row(seed=7)
-    assert row[0] == "r" and row[-1] == 7 and len(row) == 7
-    assert len(BoundCheck.of(0.2, 0.1).row()) == 6
 
 
 def test_property_sweep_clean_small():
@@ -302,7 +299,7 @@ def test_component_ceiling_ignores_the_kernel_basis():
     # eigenvector may stand in for the best overlap
     lay = SpaceLayout([("Q", 3)])
     psi = PureState(lay, np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0))
-    rho = basis_state(lay, 0).density()
+    rho = pure_density(basis_state(lay, 0))
     assert fidelity_pure(rho, psi) == 0.0
     assert np.max(_overlaps(*rho._eigh, psi.amplitudes)) == 0.0
     w, v = validate_density(rho.matrix[None])[1:]
@@ -336,7 +333,7 @@ def test_density_matrix_is_diagonalised_once(diagonalised):
     assert len(diagonalised) == 2
     fidelity(rho, sigma)
     fidelity(sigma, rho)
-    w = rho.eigenvalues()
+    w = rho._eigh[0]
     assert len(diagonalised) == 2
     assert w[-1] == 0.0  # the kept eigenvalues are those of the rebuilt matrix
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsblab.qsb as qsb_module
-from _reference import channel_action, partial_trace, purify
+from _reference import channel_action, partial_trace, pure_density, purify
 from qsblab.channels import KrausChannel
 from qsblab.errors import (
     BadAmplitudes,
@@ -16,7 +16,6 @@ from qsblab.errors import (
     BadEpsilon,
     BoundVacuous,
     ChainNotApplicable,
-    DegenerateResidual,
     EmptyInput,
     InvariantViolation,
     LayoutMismatch,
@@ -38,9 +37,6 @@ from qsblab.qsb import (
     ProductApprox,
     QsbInstance,
     _best_phase,
-    _ceiling_check,
-    _check_orthonormal_basis,
-    _floor_check,
     _superposition_coeffs,
     asymptotic_ladder,
     chain_constants,
@@ -49,7 +45,6 @@ from qsblab.qsb import (
     default_probe_states,
     epsilon_threshold,
     extract_product_approx,
-    gram_schmidt_residual,
     lambda_max_rank2,
     max_overlap_pair,
     measure_eps,
@@ -149,7 +144,7 @@ def test_fidelities_match_slow_path():
     for _ in range(10):
         psi = random_pure(inst.source_layout, rng)
         fast = measure_eps(inst, [psi])[1][0]
-        rho = channel_action(inst.channel.kraus_ops, psi.density().matrix)
+        rho = channel_action(inst.channel.kraus_ops, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         dims = (inst.d_a, inst.d_b, inst.d_c)
         t_ab, t_ac = inst.v_abs.matrix @ psi.amplitudes, inst.v_acs.matrix @ psi.amplitudes
         slow_ab = np.vdot(t_ab, partial_trace(rho, dims, [0, 1]) @ t_ab).real
@@ -427,19 +422,6 @@ def test_crowded_vectors_always_meet_bound(seed):
     assert val >= overlap_lower_bound(5, 2) - 1e-12
 
 
-def test_gram_schmidt_residual_geometry():
-    lay = SpaceLayout([("Q", 3)])
-    phi1 = random_pure(lay, 8)
-    phi2 = random_pure(lay, 9)
-    res = gram_schmidt_residual(phi1, phi2, 0.0)
-    assert abs(phi1.overlap(res)) < 1e-12
-    assert np.linalg.norm(res.amplitudes) == pytest.approx(1.0)
-    rot = gram_schmidt_residual(phi1, phi2, 0.7)
-    assert np.allclose(rot.amplitudes, np.exp(0.7j) * res.amplitudes)
-    with pytest.raises(DegenerateResidual):
-        gram_schmidt_residual(phi1, phi1, 0.0)
-
-
 @given(
     a=st.floats(0.05, 0.95),
     f12=st.floats(0.0, 1.0),
@@ -514,8 +496,7 @@ def test_chain_constants_exact_values():
 
     data = rep.to_json()
     assert data["constants"]["eps_prime_b"] == 2e-8
-    assert data["all_satisfied"] is True  # no checks recorded yet
-    assert rep.csv_rows() == []
+    assert data["all_satisfied"] is True and data["checks"] == []  # no checks recorded yet
 
 
 def test_chain_constants_guards():
@@ -586,6 +567,13 @@ def test_chain_verify_guards():
         chain_verify(inst, basis[:1], 0.0, allow_trivial=True)
     with pytest.raises(InvariantViolation):
         chain_verify(inst, [basis[0], basis[0]], 0.0, allow_trivial=True)
+    # a one-dimensional source has no pair to build the chain on; it is
+    # refused before anything else is looked at, even with allow_trivial
+    tiny = perfect_qsb_construct(1, 1, 1, 1)
+    with pytest.raises(ChainNotApplicable, match="two basis states"):
+        chain_verify(tiny, [basis_state(tiny.source_layout, 0)], 0.0, allow_trivial=True)
+    with pytest.raises(ChainNotApplicable):
+        chain_verify(tiny, [], 1.5, allow_trivial=True)
 
 
 def test_chain_verify_trivial_instance_all_clear():
@@ -629,17 +617,36 @@ def test_chain_verify_enforced_on_optimized_instance():
     assert not sel.vacuous and sel.lhs >= 0.25 - 1e-9
 
 
+def _ref_floor(label, value, floor, enforced=True):
+    return BoundCheck.of(value, min(max(floor, 0.0), 1.0), label=label, vacuous=floor <= 0.0 or not enforced)
+
+
+def _ref_ceiling(label, value, ceiling, enforced=True):
+    return BoundCheck.of(min(max(ceiling, 0.0), 1.0), value, label=label, vacuous=ceiling >= 1.0 or not enforced)
+
+
+def _overlap(phi, chi):
+    return complex(np.vdot(phi.amplitudes, chi.amplitudes))
+
+
 def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     # reference: chain_verify with one state object per sampled input, the
-    # channel applied to each and its marginal traced out
+    # channel applied to each and its marginal traced out; its pair scan,
+    # residuals and floor clamps are its own
     d_s, d_a = instance.d_s, instance.d_a
-    _check_orthonormal_basis(basis, d_s)
+    for i in range(d_s):
+        for j in range(d_s):
+            assert abs(abs(_overlap(basis[i], basis[j])) - (i == j)) <= 1e-9
     rng = np.random.default_rng(seed)
     extractions = [_object_extract(instance, b, primary_branch)[0] for b in basis]
     phi_as = [e.phi_a for e in extractions]
     phi_bs = [e.phi_b for e in extractions]
     phi_cs = [e.phi_c for e in extractions]
-    (k1, k2), a_overlap = max_overlap_pair(phi_as)
+    (k1, k2), a_overlap = (0, 1), -1.0
+    for i in range(d_s):
+        for j in range(i + 1, d_s):
+            if abs(_overlap(phi_as[i], phi_as[j])) > a_overlap:
+                (k1, k2), a_overlap = (i, j), abs(_overlap(phi_as[i], phi_as[j]))
     coeffs = list(zip(*_superposition_coeffs(8, 24, rng)))
     sup_states = []
     for al, be in coeffs:
@@ -651,14 +658,14 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     checks = []
     floors = product_floors(eps_eff, primary_branch)
     for k, e in enumerate(extractions):
-        checks.append(_floor_check(f"product_floor_abc[{k}]", e.fidelity_product_abc, 1.0 - 3.0 * eps_eff ** 0.125))
-        checks.append(_floor_check(f"product_floor_ab[{k}]", e.fidelity_ab, floors["floor_ab"]))
-        checks.append(_floor_check(f"product_floor_ac[{k}]", e.fidelity_ac, floors["floor_ac"]))
+        checks.append(_ref_floor(f"product_floor_abc[{k}]", e.fidelity_product_abc, 1.0 - 3.0 * eps_eff ** 0.125))
+        checks.append(_ref_floor(f"product_floor_ab[{k}]", e.fidelity_ab, floors["floor_ab"]))
+        checks.append(_ref_floor(f"product_floor_ac[{k}]", e.fidelity_ac, floors["floor_ac"]))
     for branch, phis, cap in (("b", phi_bs, consts.eps_dprime_b), ("c", phi_cs, consts.eps_dprime_c)):
         for i in range(d_s):
             for j in range(i + 1, d_s):
-                val = abs(phi_as[i].overlap(phi_as[j])) * abs(phis[i].overlap(phis[j]))
-                checks.append(_ceiling_check(f"pair_product_overlap_{branch}[{i},{j}]", val, cap))
+                val = abs(_overlap(phi_as[i], phi_as[j])) * abs(_overlap(phis[i], phis[j]))
+                checks.append(_ref_ceiling(f"pair_product_overlap_{branch}[{i},{j}]", val, cap))
     guaranteed = d_s > d_a
     checks.append(
         BoundCheck.of(
@@ -673,7 +680,7 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
             BoundCheck.of(a_overlap, overlap_lower_bound(d_s, d_a) - 1e-12, label="crowding_overlap_floor")
         )
     checks.append(
-        _floor_check(
+        _ref_floor(
             "shared_closeness_floor",
             a_overlap ** 2,
             1.0 - consts.shared_closeness_deficit,
@@ -687,16 +694,15 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     ):
         cond = guaranteed and admissible
         x1, x2 = phis[k1], phis[k2]
-        checks.append(
-            _ceiling_check(f"outer_overlap_ceiling_{branch}", abs(x1.overlap(x2)), math.sqrt(edp), enforced=cond)
-        )
-        try:
-            resid0 = gram_schmidt_residual(x1, x2, 0.0)
-        except DegenerateResidual:
+        c = _overlap(x1, x2)
+        checks.append(_ref_ceiling(f"outer_overlap_ceiling_{branch}", abs(c), math.sqrt(edp), enforced=cond))
+        if abs(c) >= 1.0 - 1e-9:
             degenerate.append(branch)
             continue
+        resid = PureState(x1.layout, (x2.amplitudes - c * x1.amplitudes) / math.sqrt(1.0 - abs(c) ** 2))
+        assert abs(_overlap(x1, resid)) <= 1e-12
         t1 = np.kron(phi_as[k1].amplitudes, x1.amplitudes)
-        t2 = np.kron(phi_as[k2].amplitudes, resid0.amplitudes)
+        t2 = np.kron(phi_as[k2].amplitudes, resid.amplitudes)
         psi_reps = [v_rep.matrix @ s.amplitudes for s in sup_states]
         xs = np.array([np.conj(al) * np.vdot(t1, p) for (al, _), p in zip(coeffs, psi_reps)])
         ys = np.array([np.conj(be) * np.vdot(t2, p) for (_, be), p in zip(coeffs, psi_reps)])
@@ -705,10 +711,10 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         th, _ = _best_phase(offsets, cross)
         theta[branch] = th
         for i, f in enumerate(offsets + 2.0 * np.real(cross * np.exp(1j * th))):
-            checks.append(_floor_check(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
-        resid = gram_schmidt_residual(x1, x2, th)
+            checks.append(_ref_floor(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
+        resid = PureState(x1.layout, np.exp(1j * th) * resid.amplitudes)
         dims = instance.channel.output_layout.dims
-        outs = [channel_action(instance.channel.kraus_ops, s.density().matrix) for s in sup_states]
+        outs = [channel_action(instance.channel.kraus_ops, pure_density(s).matrix) for s in sup_states]
         rho_x = [partial_trace(r, dims, [keep]) for r in outs]
         parts = [(al * x1.amplitudes, be * resid.amplitudes, r) for (al, be), r in zip(coeffs, rho_x)]
         offs = np.array([np.real(np.vdot(u, r @ u) + np.vdot(v, r @ v)) for u, v, r in parts])
@@ -716,7 +722,7 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         thp, _ = _best_phase(offs, crs)
         theta[branch + "_prime"] = thp
         for i, f in enumerate(offs + 2.0 * np.real(crs * np.exp(1j * thp))):
-            checks.append(_floor_check(f"copy_map_floor_{branch}[{i}]", float(f), 1.0 - eiv, enforced=cond))
+            checks.append(_ref_floor(f"copy_map_floor_{branch}[{i}]", float(f), 1.0 - eiv, enforced=cond))
     return consts.eps, (k1, k2), checks, theta, degenerate
 
 
@@ -750,21 +756,22 @@ def test_chain_verify_matches_per_sample_reference(make, primary_branch):
 
 
 def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatch):
-    # basis states and superpositions alike go through the Stinespring matrix
+    # basis states and superpositions alike go through the Stinespring matrix,
+    # and past its arguments the chain builds no state object at all
     calls = []
-    validate = DensityMatrix.__post_init__
+    for cls in (DensityMatrix, PureState):
+        def counting_validate(self, validate=cls.__post_init__, name=cls.__name__):
+            calls.append(name)
+            validate(self)
 
-    def counting_validate(self):
-        calls.append("DensityMatrix")
-        validate(self)
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_validate)
+        monkeypatch.setattr(cls, "__post_init__", counting_validate)
     inst = _random_instance(4, 2, 2, 2, seed=30, env=4)
     basis = [basis_state(inst.source_layout, k) for k in range(4)]
+    calls.clear()
     for branch in ("B", "C"):
         chain_verify(inst, basis, 0.0, primary_branch=branch, seed=1)
     assert calls == []
-    basis[0].density()  # the counter does see a construction
+    pure_density(basis[0])  # the counter does see a construction
     assert calls == ["DensityMatrix"]
 
 
