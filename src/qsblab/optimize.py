@@ -12,7 +12,8 @@ the returned instance. Both receivers' fidelities travel as the kernel's one
 restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack. Its
 retraction, Cholesky QR, gives exactly the positive-diagonal QR factor, as a
 tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
-orthonormality error grows like (1 + |t xi|^2) * 1e-16.
+orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
+never tries a step with |t xi| > STEP_CAP.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .qsb import (
 
 DIM_CAP = 4096
 ENV_CAP = 16
+STEP_CAP = 100.0  # largest |t xi| the search retracts: error <= ~1e-12
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ def _run_restart(
         # derivative along the tangent triple is 2*gnorm2. A trial needs only
         # its soft value; the accepted one's f and hard minimum carry over.
         step = min(step * 1.3, 10.0)
-        trial = step
+        trial = min(step, STEP_CAP / math.sqrt(gnorm2))
         while trial > 1e-14:
             x2 = _qr_positive(x + trial * xi)
             f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)

@@ -147,14 +147,40 @@ def test_step_preserves_isometry():
         g = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
         out = _step(v, g, 0.7)
         assert np.max(np.abs(out.conj().T @ out - np.eye(3))) <= 1e-10
+
+
+def test_step_beyond_the_retraction_range_is_refused(monkeypatch):
     # a rank-1 gradient is the worst case: Cholesky QR loses ~|t xi|^2 * 1e-16,
-    # which at |t xi| = 100 still leaves the columns orthonormal to 1e-11
+    # which at |t xi| = STEP_CAP still leaves the columns orthonormal to 1e-11
     rng = np.random.default_rng(5)
     v = _haar(8, 2, rng)
     g = np.outer(rng.normal(size=8) + 1j * rng.normal(size=8), [1.0, 0.5])
     size = np.linalg.norm(optimize_module._tangent(v, g))
-    out = _step(v, g, 100.0 / size)
+    out = _step(v, g, 0.999 * optimize_module.STEP_CAP / size)
     assert np.max(np.abs(out.conj().T @ out - np.eye(2))) <= 1e-11
+
+    # the same worst case inside the search, scaled far past the cap: the line
+    # search retracts no trial beyond the range, so every trial is an isometry
+    tangent = optimize_module._tangent
+    retract = optimize_module._qr_positive
+    errors: list[float] = []
+
+    def steep_rank_one_tangent(x, g):
+        xi = tangent(x, g)[..., :1]
+        xi = xi - x @ (x.conj().swapaxes(-1, -2) @ xi)
+        return 1e8 * xi * np.array([1.0, 0.5])
+
+    def checked_retraction(m):
+        q = retract(m)
+        errors.append(float(np.max(np.abs(q[0].conj().T @ q[0] - np.eye(q.shape[-1])))))
+        return q
+
+    monkeypatch.setattr(optimize_module, "_tangent", steep_rank_one_tangent)
+    monkeypatch.setattr(optimize_module, "_qr_positive", checked_retraction)
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=5, sample_spec=SMALL)
+    cols = _probe_cols(cfg, np.random.default_rng(6), n=30)
+    optimize_module._run_restart(cfg, probe_matrix(cols), _params_for(cfg, rng), 0)
+    assert errors and max(errors) <= 1e-11
 
 
 def _householder_positive(m):
