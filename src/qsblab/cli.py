@@ -26,6 +26,7 @@ from .optimize import FrontierPoint, OptimizeConfig, SampleSpec, frontier_sweep,
 from .qsb import (
     QsbInstance,
     chain_verify,
+    check_chain_premise,
     default_probe_states,
     epsilon_threshold,
     measure_eps,
@@ -130,6 +131,8 @@ class _IoFailure(Exception):
 def _cmd_verify(args) -> int:
     started = time.time()
     inst = _load_instance(args.instance)
+    if args.chain:
+        check_chain_premise(inst, args.allow_trivial)  # refuse before measuring anything
     probes = default_probe_states(inst.source_layout, args.seed, haar_count=args.samples)
     eps_hat, pairs = measure_eps(inst, probes)
     print(f"eps_hat {eps_hat:.6g}")

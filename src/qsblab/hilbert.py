@@ -299,19 +299,25 @@ def haar_isometry_matrix(rng: np.random.Generator, dout: int, din: int) -> np.nd
     return q * ph
 
 
-def haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unit vector, the amplitudes random_pure wraps."""
-    g = _ginibre(rng, dim, 1).ravel()
-    return g / np.linalg.norm(g)
+def _haar_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n Haar-random unit vectors as rows of an (n, d) array, each bit-identical
+    to the amplitudes of the random_pure drawn next from the same stream."""
+    g = rng.standard_normal((n, 2, d))
+    g = g[:, 0] + 1j * g[:, 1]
+    # per-row dots in the order np.linalg.norm takes them
+    re, im = g.real[:, None, :], g.imag[:, None, :]
+    return g / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
-def haar_density_matrix(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """Random density matrix of at most the given rank, unvalidated: the
-    normalised Gram matrix of a (dim, rank) Ginibre matrix."""
-    g = _ginibre(rng, dim, rank)
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+def haar_density_matrix(rng: np.random.Generator, dim: int, ranks) -> np.ndarray:
+    """Unvalidated (*shape of ranks, dim, dim) density matrices G G^H / tr, each G a (dim, dim)
+    Ginibre matrix with its columns from its rank r on zero: the rank-r induced measure."""
+    g = rng.standard_normal((*np.shape(ranks), dim, dim, 2)).view(np.complex128)[..., 0]
+    g *= np.arange(dim) < np.expand_dims(ranks, (-2, -1))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_pure(layout: SpaceLayout, seed: int | np.random.Generator) -> PureState:
-    return PureState(layout, haar_vector(_as_rng(seed), layout.total_dim))
+    g = _ginibre(_as_rng(seed), layout.total_dim, 1).ravel()
+    return PureState(layout, g / np.linalg.norm(g))

@@ -10,17 +10,16 @@ validation.
 
 property_sweep checks the inequalities between these measures on random
 instances and reports each failure as a BoundCheck recording both sides;
-nothing is silently clamped away. It draws the instances one after another
-from the seed in a fixed order, so a seed always checks the same instances.
-It pools the drawn matrices by dimension and validates each pool once, which
-diagonalises every state exactly once; each (property, dimension) bucket
-then takes its matrices and eigenpairs from its pool, is checked as one
-stack, and builds a BoundCheck only for a failure.
+nothing is silently clamped away. It buckets each block of samples by property
+and dimension and draws all states of one dimension as one Ginibre stack, so a
+seed always checks the same instances. Validating that pool once diagonalises
+each state exactly once; each bucket is checked as one stack on its slice of
+the pool and builds a BoundCheck only for a failure.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +32,8 @@ from .hilbert import (
     DensityMatrix,
     PureState,
     haar_density_matrix,
-    haar_vector,
     validate_density,
+    _haar_rows,
     _purification,
 )
 
@@ -198,39 +197,36 @@ _SWEEP_BLOCK = 512
 
 _PARTNER_TOL = 1e-8
 
+# States per sample of each bucket property; triangle_pure and ceilings also draw a Haar vector.
+_STATES = {"triangle": 3, "triangle_pure": 2, "monotonicity": 2, "partner_overlap": 2, "ceilings": 1, "fvdg": 2}
+
 
 def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequence[str]):
-    """Draw `count` samples into buckets[n][property, dims], n the dimension of their matrices.
+    """Yield `count` samples as one (states, buckets) pool per matrix dimension n.
 
-    The rng calls and their order are those of drawing each instance as a
-    validated state object, so a seed always yields the same instances.
-    Each bucket entry is (sample index, matrices, vectors).
+    states, an unvalidated (N, n, n) stack, holds its buckets' states in order, a sample's
+    together; a bucket is (property, dims, sample indices, Haar vectors (samples, 1, n) or
+    None). Ranks are uniform in [1, n], except that partner_overlap states are full rank.
     """
-    buckets: dict[int, dict] = defaultdict(lambda: defaultdict(list))
-
-    def state(dim: int) -> np.ndarray:
-        return haar_density_matrix(rng, dim, int(rng.integers(1, dim + 1)))
-
-    for i in range(count):
-        d = int(rng.integers(2, dims_cap + 1))
-        if "triangle" in names:
-            buckets[d]["triangle", d].append((i, [state(d), state(d), state(d)], []))
-        if "triangle_pure" in names:
-            buckets[d]["triangle_pure", d].append((i, [state(d), state(d)], [haar_vector(rng, d)]))
-        if "monotonicity" in names:
-            d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
-            d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
-            pair = [state(d1 * d2), state(d1 * d2)]
-            buckets[d1 * d2]["monotonicity", (d1, d2)].append((i, pair, []))
-        if "partner_overlap" in names:
-            dp = int(rng.integers(2, 5))
-            pair = [haar_density_matrix(rng, dp, dp), haar_density_matrix(rng, dp, dp)]
-            buckets[dp]["partner_overlap", dp].append((i, pair, []))
-        if "component_ceiling" in names or "eigenvalue_ceiling" in names:
-            buckets[d]["ceilings", d].append((i, [state(d)], [haar_vector(rng, d)]))
-        if "fvdg" in names:
-            buckets[d]["fvdg", d].append((i, [state(d), state(d)], []))
-    return buckets
+    d = rng.integers(2, dims_cap + 1, size=count)
+    d1 = rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1, size=count)
+    d2 = rng.integers(2, np.maximum(2, dims_cap // d1) + 1)
+    dp = rng.integers(2, 5, size=count)
+    # each bucket's dims as one integer per sample; (d1, d2) is d1 * (dims_cap + 1) + d2
+    codes = {"monotonicity": d1 * (dims_cap + 1) + d2, "partner_overlap": dp}
+    pools: dict[int, list] = {}  # n: [(property, dims, sample indices)]
+    for prop in _STATES:
+        if prop in names or prop == "ceilings" and not {"component_ceiling", "eigenvalue_ceiling"}.isdisjoint(names):
+            code = codes.get(prop, d)
+            for c in np.unique(code):
+                dims = divmod(int(c), dims_cap + 1) if prop == "monotonicity" else (int(c),)
+                pools.setdefault(math.prod(dims), []).append((prop, dims, np.flatnonzero(code == c)))
+    for n, mine in sorted(pools.items()):
+        lowest = [n if prop == "partner_overlap" else 1 for prop, _, _ in mine]
+        sizes = [len(idx) * _STATES[prop] for prop, _, idx in mine]
+        states = haar_density_matrix(rng, n, rng.integers(np.repeat(lowest, sizes), n + 1))
+        vecs = (_haar_rows(rng, len(i), n)[:, None] if p in ("triangle_pure", "ceilings") else None for p, _, i in mine)
+        yield states, [b + (v,) for b, v in zip(mine, vecs)]
 
 
 def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,16 +287,14 @@ def _sweep_checks(samples: int, dims_cap: int, seed: int, names: Sequence[str]):
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _SWEEP_BLOCK):
         count = min(_SWEEP_BLOCK, samples - start)
-        for by_key in _draw_block(rng, count, dims_cap, names).values():
-            pool = _validated(np.array([m for e in by_key.values() for _, ms, _ in e for m in ms]))
+        for states, buckets in _draw_block(rng, count, dims_cap, names):
+            pool = _validated(states)
             end = 0
-            for (prop, dims), entries in by_key.items():
-                idx = start + np.array([i for i, _, _ in entries])
-                vecs = np.array([v for _, _, v in entries])
-                begin, end = end, end + len(entries) * len(entries[0][1])
-                mats, w, v = (a[begin:end].reshape(len(entries), -1, *a.shape[1:]) for a in pool)
+            for prop, dims, idx, vecs in buckets:
+                begin, end = end, end + len(idx) * _STATES[prop]
+                mats, w, v = (a[begin:end].reshape(len(idx), -1, *a.shape[1:]) for a in pool)
                 for label, lhs, rhs, tol in _evaluate(prop, dims, mats, w, v, vecs, names):
-                    yield idx, label, lhs, rhs, tol
+                    yield start + idx, label, lhs, rhs, tol
 
 
 def property_sweep(

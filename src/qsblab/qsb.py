@@ -54,6 +54,7 @@ from .hilbert import (
     SpaceLayout,
     eigh_desc,
     _as_rng,
+    _haar_rows,
 )
 from .metrics import BoundCheck
 
@@ -315,16 +316,6 @@ def default_probe_states(
 def _phases(count: int) -> np.ndarray:
     """exp(2 pi i p / count) for p < count, each as the scalar expression gives it."""
     return np.array([np.exp(2j * np.pi * p / count) for p in range(count)], dtype=np.complex128)
-
-
-def _haar_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n Haar-random unit vectors as rows of an (n, d) array, each bit-identical
-    to the haar_vector drawn next from the same stream."""
-    g = rng.standard_normal((n, 2, d))
-    g = g[:, 0] + 1j * g[:, 1]
-    # per-row dots in the order np.linalg.norm takes them
-    re, im = g.real[:, None, :], g.imag[:, None, :]
-    return g / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +796,18 @@ def _basis_columns(basis: Sequence[PureState], layout: SpaceLayout) -> np.ndarra
     return cols
 
 
+def check_chain_premise(instance: QsbInstance, allow_trivial: bool) -> None:
+    """Raise ChainNotApplicable unless the chain can run on the instance: it
+    needs d_S >= 2 and, unless allow_trivial, d_S > d_A."""
+    d_s, d_a = instance.d_s, instance.d_a
+    if d_s < 2:
+        raise ChainNotApplicable(f"chain needs two basis states, the source has dim {d_s}")
+    if d_s <= d_a and not allow_trivial:
+        raise ChainNotApplicable(
+            f"chain needs a source ({d_s}) strictly larger than the shared part ({d_a})"
+        )
+
+
 def chain_verify(
     instance: QsbInstance,
     basis: Sequence[PureState],
@@ -826,12 +829,7 @@ def chain_verify(
     """
     basis = list(basis)
     d_s, d_a = instance.d_s, instance.d_a
-    if d_s < 2:
-        raise ChainNotApplicable(f"chain needs two basis states, the source has dim {d_s}")
-    if d_s <= d_a and not allow_trivial:
-        raise ChainNotApplicable(
-            f"chain needs a source ({d_s}) strictly larger than the shared part ({d_a})"
-        )
+    check_chain_premise(instance, allow_trivial)
     if not 0.0 <= eps_hat <= 1.0:
         raise BadEpsilon(f"eps_hat = {eps_hat} outside [0, 1]")
     basis_cols = _basis_columns(basis, instance.source_layout)

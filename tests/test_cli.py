@@ -216,6 +216,21 @@ def test_verify_chain_needs_two_basis_states(workdir, capsys):
     assert err.count("\n") == 1 and err.startswith("impossible: "), err
 
 
+@pytest.mark.parametrize(
+    "dims, flags",
+    [(("1", "1", "1", "1"), ["--allow-trivial"]), (("2", "2", "2", "2"), [])],
+    ids=["single-basis-state", "source-not-larger"],
+)
+def test_verify_chain_refuses_before_measuring(workdir, capsys, dims, flags):
+    # an impossible chain prints no fidelity report before it exits
+    path = _construct(workdir, dims=dims)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--chain", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("impossible: "), err
+
+
 def test_threshold_exact_arithmetic(workdir, capsys):
     for d in (1, 2, 10, 10**21):
         assert main(["threshold", "--da", str(d)]) == 0

@@ -207,8 +207,21 @@ def test_state_json_roundtrips(rng):
 
 
 def test_random_density_rank_control(rng):
-    vals = np.linalg.eigvalsh(haar_density_matrix(rng, 5, 2))
-    assert (vals > 1e-10).sum() == 2
+    assert np.sum(np.linalg.eigvalsh(haar_density_matrix(rng, 5, 2)) > 1e-10) == 2
+    ranks = np.array([[1, 2, 3], [4, 5, 2]])
+    stack = haar_density_matrix(rng, 5, ranks)
+    assert stack.shape == (2, 3, 5, 5)
+    assert np.array_equal(np.sum(np.linalg.eigvalsh(stack) > RANK_CUTOFF, axis=-1), ranks)
+
+
+def test_random_density_follows_the_induced_measure():
+    # E tr(rho^2) = (d + r) / (d r + 1) for the rank-r induced measure on C^d
+    # (Zyczkowski and Sommers 2001): 2/3 at d = 4, r = 2
+    rho = haar_density_matrix(np.random.default_rng(3), 4, np.full(20_000, 2))
+    purity = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    sigma = purity.std() / np.sqrt(len(purity))
+    assert abs(purity.mean() - 6 / 9) < 5 * sigma
+    assert np.abs(rho.mean(axis=0) - np.eye(4) / 4).max() < 0.01  # unitarily invariant
 
 
 def test_random_sampling_deterministic():

@@ -15,7 +15,6 @@ from qsblab.hilbert import (
     SpaceLayout,
     basis_state,
     haar_density_matrix,
-    haar_vector,
     random_pure,
     validate_density,
 )
@@ -198,51 +197,69 @@ def test_property_sweep_subset_names():
     assert property_sweep(50, 8, seed=3, names=("fvdg",)) == []
 
 
-def _rand_state(rng, lay):
-    return random_density(lay, int(rng.integers(1, lay.total_dim + 1)), rng)
-
-
 def _chain_floor(f_first, f_second):
     return 1.0 - np.sqrt(max(1.0 - f_first, 0.0)) - np.sqrt(max(1.0 - f_second, 0.0))
 
 
-def _sweep_reference(samples, dims_cap, seed):
-    """Every check of property_sweep, drawn and evaluated one state object at a
-    time; marginals, purifications and trace distances on plain arrays."""
+def _sweep_draw(samples, dims_cap, seed):
+    """The sweep's instances from its own draw, block by block, as
+    {(sample, bucket property): (dims, unvalidated states, Haar vector or None)}."""
     rng = np.random.default_rng(seed)
+    drawn = {}
+    for start in range(0, samples, metrics._SWEEP_BLOCK):
+        count = min(metrics._SWEEP_BLOCK, samples - start)
+        for states, buckets in metrics._draw_block(rng, count, dims_cap, PROPERTY_NAMES):
+            end = 0
+            for prop, dims, idx, vecs in buckets:
+                k = metrics._STATES[prop]
+                for j, i in enumerate(idx):
+                    vec = None if vecs is None else vecs[j, 0]
+                    drawn[start + i, prop] = (dims, states[end + k * j : end + k * (j + 1)], vec)
+                end += k * len(idx)
+    return drawn
+
+
+def _sweep_reference(samples, dims_cap, seed):
+    """Every check of property_sweep on the sweep's own instances, evaluated one
+    state object at a time; marginals, purifications and trace distances on
+    plain arrays."""
     out = {}
-    for i in range(samples):
-        d = int(rng.integers(2, dims_cap + 1))
-        lay = SpaceLayout([("Q", d)])
-        rho, omega, sigma = (_rand_state(rng, lay) for _ in range(3))
-        out[i, "triangle"] = BoundCheck.of(
-            np.sqrt(fidelity(rho, omega)), _chain_floor(fidelity(rho, sigma), fidelity(sigma, omega))
-        )
-        rho, sigma, psi = _rand_state(rng, lay), _rand_state(rng, lay), random_pure(lay, rng)
-        out[i, "triangle_pure"] = BoundCheck.of(
-            fidelity_pure(rho, psi), _chain_floor(fidelity(rho, sigma), fidelity_pure(sigma, psi))
-        )
-        d1 = int(rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1))
-        d2 = int(rng.integers(2, max(2, dims_cap // d1) + 1))
-        a, b = (_rand_state(rng, SpaceLayout([("Q", d1), ("R", d2)])) for _ in range(2))
-        qa, qb = (DensityMatrix(SpaceLayout([("Q", d1)]), partial_trace(x.matrix, (d1, d2), [0])) for x in (a, b))
-        out[i, "monotonicity"] = BoundCheck.of(fidelity(qa, qb), fidelity(a, b))
-        dp = int(rng.integers(2, 5))
-        r1, s1 = (random_density(SpaceLayout([("Q", dp)]), dp, rng) for _ in range(2))
-        phi = purify(r1.matrix)
-        overlap = abs(np.vdot(phi, _partner_of(r1, s1, phi))) ** 2
-        out[i, "partner_overlap"] = BoundCheck.of(overlap, fidelity(r1, s1), tol=1e-8)
-        rho, psi = _rand_state(rng, lay), random_pure(lay, rng)
-        w, v = rho._eigh
-        best = np.max((np.abs(v.conj().T @ psi.amplitudes) ** 2)[w > RANK_CUTOFF])
-        f = fidelity_pure(rho, psi)
-        out[i, "component_ceiling"] = BoundCheck.of(best, f)
-        out[i, "eigenvalue_ceiling"] = BoundCheck.of(w[0], f)
-        a, b = _rand_state(rng, lay), _rand_state(rng, lay)
-        f = fidelity(a, b)
-        dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
-        out[i, "fvdg_lower"] = BoundCheck.of(dist, 1.0 - np.sqrt(f))
-        out[i, "fvdg_upper"] = BoundCheck.of(np.sqrt(1.0 - f), dist)
+    for (i, prop), (dims, mats, vec) in _sweep_draw(samples, dims_cap, seed).items():
+        lay = SpaceLayout([(f"Q{k}", x) for k, x in enumerate(dims)])
+        states = [DensityMatrix(lay, m) for m in mats]
+        psi = None if vec is None else PureState(lay, vec)
+        if prop == "triangle":
+            rho, omega, sigma = states
+            out[i, "triangle"] = BoundCheck.of(
+                np.sqrt(fidelity(rho, omega)), _chain_floor(fidelity(rho, sigma), fidelity(sigma, omega))
+            )
+        elif prop == "triangle_pure":
+            rho, sigma = states
+            out[i, "triangle_pure"] = BoundCheck.of(
+                fidelity_pure(rho, psi), _chain_floor(fidelity(rho, sigma), fidelity_pure(sigma, psi))
+            )
+        elif prop == "monotonicity":
+            (d1, d2), (a, b) = dims, states
+            qa, qb = (DensityMatrix(SpaceLayout([("Q", d1)]), partial_trace(x.matrix, (d1, d2), [0])) for x in (a, b))
+            out[i, "monotonicity"] = BoundCheck.of(fidelity(qa, qb), fidelity(a, b))
+        elif prop == "partner_overlap":
+            r1, s1 = states
+            phi = purify(r1.matrix)
+            overlap = abs(np.vdot(phi, _partner_of(r1, s1, phi))) ** 2
+            out[i, "partner_overlap"] = BoundCheck.of(overlap, fidelity(r1, s1), tol=1e-8)
+        elif prop == "ceilings":
+            (rho,) = states
+            w, v = rho._eigh
+            best = np.max((np.abs(v.conj().T @ psi.amplitudes) ** 2)[w > RANK_CUTOFF])
+            f = fidelity_pure(rho, psi)
+            out[i, "component_ceiling"] = BoundCheck.of(best, f)
+            out[i, "eigenvalue_ceiling"] = BoundCheck.of(w[0], f)
+        else:
+            a, b = states
+            f = fidelity(a, b)
+            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
+            out[i, "fvdg_lower"] = BoundCheck.of(dist, 1.0 - np.sqrt(f))
+            out[i, "fvdg_upper"] = BoundCheck.of(np.sqrt(1.0 - f), dist)
     return out
 
 
@@ -286,7 +303,7 @@ def test_fidelity_against_pure_state_is_exact_on_rank_deficient_states():
         m = haar_density_matrix(rng, d, int(rng.integers(1, d)))
         kinds.add(bool(validate_density(m)[1][-1] < 0.0))
         rho = DensityMatrix(lay, m)
-        u = haar_vector(rng, d)
+        u = random_pure(lay, rng).amplitudes
         exact = float(np.real(u.conj() @ rho.matrix @ u))
         target = DensityMatrix(lay, np.outer(u, u.conj()))
         assert fidelity(rho, target) == pytest.approx(exact, abs=1e-12, rel=0)
@@ -339,11 +356,45 @@ def test_density_matrix_is_diagonalised_once(diagonalised):
 
 
 def test_sweep_diagonalises_each_drawn_state_once(diagonalised):
-    pools = metrics._draw_block(np.random.default_rng(9), 50, 16, PROPERTY_NAMES)
-    buckets = [(prop, e) for by_key in pools.values() for (prop, _), e in by_key.items()]
-    drawn = sum(len(ms) for _, e in buckets for _, ms, _ in e)
-    marginal = [len(e) for prop, e in buckets if prop == "monotonicity"]
+    pools = list(metrics._draw_block(np.random.default_rng(9), 50, 16, PROPERTY_NAMES))
+    buckets = [b for _, bs in pools for b in bs]
+    drawn = sum(len(states) for states, _ in pools)
+    marginal = [len(idx) for prop, _, idx, _ in buckets if prop == "monotonicity"]
     list(metrics._sweep_checks(50, 16, 9, PROPERTY_NAMES))
     # one call per dimension pool and per stack of monotonicity marginals
     assert len(diagonalised) == len(pools) + len(marginal) < len(buckets)
     assert sum(diagonalised) == drawn + 2 * sum(marginal)
+
+
+def test_sweep_draws_what_it_promises(monkeypatch):
+    calls = []  # (ranks, states) of every stacked draw
+    inner = metrics.haar_density_matrix
+
+    def recorded(rng, dim, ranks):
+        calls.append((ranks, inner(rng, dim, ranks)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(metrics, "haar_density_matrix", recorded)
+    drawn = _sweep_draw(300, 16, 21)
+    assert sum(len(ranks) for ranks, _ in calls) == 300 * sum(metrics._STATES.values())
+    for ranks, states in calls:
+        assert np.abs(states - states.conj().swapaxes(-1, -2)).max() <= 1e-12
+        assert np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
+        assert np.array_equal(np.sum(np.linalg.eigvalsh(states) > RANK_CUTOFF, axis=-1), ranks)
+    assert set(drawn) == {(i, prop) for i in range(300) for prop in metrics._STATES}
+    for (_, prop), (dims, mats, vec) in drawn.items():
+        n = mats.shape[-1]
+        assert n == np.prod(dims) and min(dims) >= 2 and (vec is None or vec.shape == (n,))
+        if prop == "partner_overlap":
+            assert n <= 4
+            assert np.all(np.sum(np.linalg.eigvalsh(mats) > RANK_CUTOFF, axis=-1) == n)
+        else:
+            assert n <= 16  # d <= cap, and d1 d2 <= cap for monotonicity
+
+
+def test_sweep_repeats_its_checks_for_a_seed():
+    first, second = (list(metrics._sweep_checks(120, 12, 4, PROPERTY_NAMES)) for _ in range(2))
+    assert len(first) == len(second)
+    for (i1, l1, lhs1, rhs1, t1), (i2, l2, lhs2, rhs2, t2) in zip(first, second):
+        assert (l1, t1) == (l2, t2)
+        assert np.array_equal(i1, i2) and np.array_equal(lhs1, lhs2) and np.array_equal(rhs1, rhs2)
