@@ -2,9 +2,9 @@
 
 The package splits into layers: `hilbert` (states, layouts, isometries),
 `metrics` (fidelity and the randomized inequality sweep), `channels` (Kraus
-channels read off Stinespring isometries, and their mixtures), `qsb` (broadcast
-instances, the deficit chain, the cloning baseline), `optimize`
-(variational frontier search) and `cli` (the qsblab command).
+channels, their Stinespring matrices and mixtures), `qsb` (broadcast
+instances, their constructions, the deficit chain, the cloning baseline),
+`optimize` (variational frontier search) and `cli` (the qsblab command).
 """
 
 __version__ = "0.1.0"
@@ -12,12 +12,7 @@ __version__ = "0.1.0"
 from .errors import QsbError
 from .hilbert import DensityMatrix, Isometry, PureState, SpaceLayout, basis_state, random_pure
 from .metrics import BoundCheck, fidelity, fidelity_pure, property_sweep
-from .channels import (
-    KrausChannel,
-    depolarizing_channel,
-    from_stinespring,
-    mix,
-)
+from .channels import KrausChannel, depolarizing_channel, mix
 from .qsb import (
     EpsilonChainReport,
     FidelityPair,
@@ -35,6 +30,7 @@ from .qsb import (
     overlap_lower_bound,
     perfect_qsb_construct,
     perturbed_perfect_instance,
+    werner_cloner_construct,
 )
 from .optimize import (
     FrontierPoint,
@@ -57,7 +53,6 @@ __all__ = [
     "BoundCheck",
     "property_sweep",
     "KrausChannel",
-    "from_stinespring",
     "mix",
     "depolarizing_channel",
     "QsbInstance",
@@ -66,6 +61,7 @@ __all__ = [
     "EpsilonChainReport",
     "perfect_qsb_construct",
     "perturbed_perfect_instance",
+    "werner_cloner_construct",
     "measure_eps",
     "default_probe_states",
     "extract_product_approx",

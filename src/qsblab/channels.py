@@ -1,21 +1,19 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-A channel is read off a Stinespring isometry by tracing out named output
-factors; the other way, its Stinespring matrix stacks the Kraus family with
-the environment as the last output index. Two channels mix by concatenating
-their weighted Kraus families. Construction bounds the completeness residual
-|sum K^H K - 1|, so every KrausChannel is trace preserving to TOL_ISO.
+A channel's Stinespring matrix stacks its Kraus family with the environment
+as the last output index; qsb.QsbInstance.from_stinespring reads a broadcast
+channel back from one. Two channels mix by concatenating their weighted Kraus
+families. Construction bounds the completeness residual |sum K^H K - 1|, so
+every KrausChannel is trace preserving to TOL_ISO.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
-from .errors import BadEnvLabels, InvariantViolation, LayoutMismatch
-from .hilbert import TOL_ISO, Isometry, SpaceLayout, _mat_from_json, _mat_to_json
+from .errors import InvariantViolation, LayoutMismatch
+from .hilbert import TOL_ISO, SpaceLayout, _mat_from_json, _mat_to_json
 
 
 @dataclass(frozen=True)
@@ -72,39 +70,6 @@ class KrausChannel:
             SpaceLayout(data["out"]),
             tuple(_mat_from_json(k) for k in kraus),
         )
-
-
-def from_stinespring(v: Isometry, env_labels: Iterable[str]) -> KrausChannel:
-    """Trace the named environment subsystems out of an isometry.
-
-    The Kraus family is indexed by the environment basis; an empty label
-    set returns the single-operator (isometric) channel.
-    """
-    env = list(env_labels)
-    out_labels = v.output_layout.labels
-    unknown = set(env) - set(out_labels)
-    if unknown:
-        raise BadEnvLabels(f"labels {sorted(unknown)} not in isometry output")
-    keep = [l for l in out_labels if l not in set(env)]
-    if not keep:
-        raise BadEnvLabels("tracing out the whole output leaves no channel")
-    if not env:
-        return KrausChannel(v.input_layout, v.output_layout, (v.matrix,))
-
-    dims = v.output_layout.dims
-    n = len(dims)
-    keep_idx = [i for i, l in enumerate(out_labels) if l not in set(env)]
-    env_idx = [i for i, l in enumerate(out_labels) if l in set(env)]
-    din = v.input_layout.total_dim
-    d_keep = int(np.prod([dims[i] for i in keep_idx]))
-    d_env = int(np.prod([dims[i] for i in env_idx]))
-
-    # move kept axes first, environment axes last, then slice over env basis
-    t = v.matrix.reshape(*dims, din).transpose(keep_idx + env_idx + [n])
-    t = t.reshape(d_keep, d_env, din)
-    ops = tuple(np.ascontiguousarray(t[:, e, :]) for e in range(d_env))
-    out_layout = v.output_layout.subset(keep)
-    return KrausChannel(v.input_layout, out_layout, ops)
 
 
 def _stinespring_matrix(channel: KrausChannel) -> np.ndarray:

@@ -20,10 +20,6 @@ class LabelClash(QsbError):
     """A layout names two subsystems with one label."""
 
 
-class LabelUnknown(QsbError):
-    """A referenced subsystem label is not present in the layout."""
-
-
 class LayoutMismatch(QsbError):
     """Two operands live on different layouts."""
 
@@ -34,10 +30,6 @@ class BadRank(QsbError):
 
 class BadPurification(QsbError):
     """Supplied purification is inconsistent with the reduced state."""
-
-
-class BadEnvLabels(QsbError):
-    """Environment labels are not a subset of the isometry output."""
 
 
 class NoPerfectQsb(QsbError):
@@ -62,10 +54,6 @@ class BadEpsilon(QsbError):
 
 class ChainNotApplicable(QsbError):
     """The deficit chain needs a source strictly larger than the shared output."""
-
-
-class BadDim(QsbError):
-    """Operation only defined for qubit inputs."""
 
 
 class TooLarge(QsbError):

@@ -15,11 +15,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BadRank, InvariantViolation, LabelClash, LabelUnknown, LayoutMismatch
+from .errors import BadRank, InvariantViolation, LabelClash, LayoutMismatch
 
 # Shared numerical tolerances. One knob per invariant family.
 TOL_NORM = 1e-9
@@ -149,14 +149,6 @@ class SpaceLayout:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
-
-    def subset(self, keep: Sequence[str]) -> "SpaceLayout":
-        """Sub-layout with the kept labels, preserving this layout's order."""
-        keep_set = set(keep)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise LabelUnknown(f"labels {sorted(unknown)} not in layout {self.labels}")
-        return SpaceLayout([(l, d) for l, d in self.subsystems if l in keep_set])
 
     def to_json(self) -> list[list]:
         return [[lbl, d] for lbl, d in self.subsystems]

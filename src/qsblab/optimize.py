@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _stinespring_matrix, from_stinespring
+from .channels import _stinespring_matrix
 from .errors import InvariantViolation, TooLarge
-from .hilbert import Isometry, PureState, SpaceLayout, haar_isometry_matrix
+from .hilbert import PureState, SpaceLayout, haar_isometry_matrix
 from .qsb import (
     QsbInstance,
     branch_values,
@@ -39,6 +39,8 @@ from .qsb import (
 DIM_CAP = 4096
 ENV_CAP = 16
 STEP_CAP = 100.0  # largest |t xi| the search retracts: error <= ~1e-12
+STEP_INIT = 0.5  # the first Armijo step of a restart
+TEMP_INIT, TEMP_FINAL = 10.0, 1000.0  # soft-min temperature, geometric over the iterations
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,8 @@ class OptimizeConfig:
     env_dim: int | None = None
     restarts: int = 16
     max_iters: int = 2000
-    step_init: float = 0.5
     sample_spec: SampleSpec = field(default_factory=SampleSpec)
     seed: int = 42
-    temp_init: float = 10.0
-    temp_final: float = 1000.0
 
     def __post_init__(self):
         for name in ("d_s", "d_a", "d_b", "d_c"):
@@ -79,10 +78,6 @@ class OptimizeConfig:
                 raise InvariantViolation(f"{name} must be >= 1")
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantViolation("restarts and max_iters must be >= 1")
-        for name in ("step_init", "temp_init", "temp_final"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise InvariantViolation(f"{name} must be finite and positive, got {value}")
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
             raise InvariantViolation(
@@ -257,8 +252,8 @@ def _run_restart(
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
     g = np.zeros_like(x)
-    temps = np.geomspace(config.temp_init, config.temp_final, config.max_iters)
-    step = config.step_init
+    temps = np.geomspace(TEMP_INIT, TEMP_FINAL, config.max_iters)
+    step = STEP_INIT
     best_hard = -np.inf
     best_x = x
     max_seen = 0.0
@@ -332,24 +327,6 @@ def _perfect_init(config: OptimizeConfig) -> tuple[np.ndarray, np.ndarray, np.nd
     return (u, inst.v_abs.matrix.copy(), inst.v_acs.matrix.copy())
 
 
-def _instance_from_params(
-    config: OptimizeConfig, params: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> QsbInstance:
-    u, vab, vac = params
-    lay_s = SpaceLayout([("S", config.d_s)])
-    lay_abce = SpaceLayout(
-        [("A", config.d_a), ("B", config.d_b), ("C", config.d_c), ("E", config.resolved_env)]
-    )
-    lay_ab = SpaceLayout([("A", config.d_a), ("B", config.d_b)])
-    lay_ac = SpaceLayout([("A", config.d_a), ("C", config.d_c)])
-    channel = from_stinespring(Isometry(lay_s, lay_abce, u), ["E"])
-    return QsbInstance(
-        channel,
-        Isometry(lay_s, lay_ab, vab),
-        Isometry(lay_s, lay_ac, vac),
-    )
-
-
 def optimize_qsb(
     config: OptimizeConfig,
     initial_points: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
@@ -389,7 +366,7 @@ def optimize_qsb(
     outcomes = [_run_restart(config, operand, init, i) for i, init in enumerate(inits)]
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
-    instance = _instance_from_params(config, winner.params)
+    instance = QsbInstance.from_stinespring(*winner.params, config.d_a, config.d_b, config.d_c)
     eps_hat, _ = measure_eps(instance, probes)
     return FrontierPoint(
         dims=(config.d_s, config.d_a, config.d_b, config.d_c),

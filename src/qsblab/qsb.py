@@ -38,7 +38,6 @@ import numpy as np
 from .channels import KrausChannel, _stinespring_matrix, depolarizing_channel, mix
 from .errors import (
     BadAmplitudes,
-    BadDim,
     BadEpsilon,
     BoundVacuous,
     ChainNotApplicable,
@@ -118,6 +117,27 @@ class QsbInstance:
         return data
 
     @classmethod
+    def from_stinespring(
+        cls, u: np.ndarray, vab: np.ndarray, vac: np.ndarray, d_a: int, d_b: int, d_c: int
+    ) -> "QsbInstance":
+        """The instance on source S and outputs (A, B, C) with channel
+        Stinespring matrix u: S -> ABCE, environment last, and representation
+        matrices vab: S -> AB and vac: S -> AC.
+
+        Kraus operator e is u.reshape(d_a * d_b * d_c, d_e, d_s)[:, e], which
+        inverts _stinespring_matrix bit for bit. The channel's completeness
+        residual is U^H U - 1, and both representations are checked as Isometry.
+        """
+        d_s = u.shape[1]
+        lay_s = SpaceLayout([("S", d_s)])
+        ops = u.reshape(d_a * d_b * d_c, -1, d_s).swapaxes(0, 1)
+        return cls(
+            KrausChannel(lay_s, SpaceLayout([("A", d_a), ("B", d_b), ("C", d_c)]), tuple(ops)),
+            Isometry(lay_s, SpaceLayout([("A", d_a), ("B", d_b)]), vab),
+            Isometry(lay_s, SpaceLayout([("A", d_a), ("C", d_c)]), vac),
+        )
+
+    @classmethod
     def from_json(cls, data: dict) -> "QsbInstance":
         channel = KrausChannel.from_json(
             {"in": data["in"], "out": data["out"], "kraus": data["kraus"]}
@@ -144,11 +164,6 @@ def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance
             f"source dim {d_s} exceeds shared dim {d_a}: perfect shared "
             "broadcasting needs the source to fit in the shared subsystem"
         )
-    lay_s = SpaceLayout([("S", d_s)])
-    lay_abc = SpaceLayout([("A", d_a), ("B", d_b), ("C", d_c)])
-    lay_ab = SpaceLayout([("A", d_a), ("B", d_b)])
-    lay_ac = SpaceLayout([("A", d_a), ("C", d_c)])
-
     m_abc = np.zeros((d_a * d_b * d_c, d_s), dtype=np.complex128)
     m_ab = np.zeros((d_a * d_b, d_s), dtype=np.complex128)
     m_ac = np.zeros((d_a * d_c, d_s), dtype=np.complex128)
@@ -156,13 +171,24 @@ def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance
         m_abc[k * d_b * d_c, k] = 1.0
         m_ab[k * d_b, k] = 1.0
         m_ac[k * d_c, k] = 1.0
+    return QsbInstance.from_stinespring(m_abc, m_ab, m_ac, d_a, d_b, d_c)
 
-    channel = KrausChannel(lay_s, lay_abc, (m_abc,))
-    return QsbInstance(
-        channel,
-        Isometry(lay_s, lay_ab, m_ab),
-        Isometry(lay_s, lay_ac, m_ac),
-    )
+
+def werner_cloner_construct(d: int) -> QsbInstance:
+    """Werner's optimal symmetric 1 -> 2 cloner as a (d, 1, d, d) instance.
+
+    U|i> = sqrt(2/(d+1)) sum_j S(|i>|j>) (x) |j>_E with S the projector onto
+    the symmetric subspace of B (x) C, and V_AB = V_AC = I. Both receivers
+    read (d+3)/(2(d+1)) on every input, the largest value a universal 1 -> 2
+    cloner reaches (Werner, PRA 58, 1827 (1998)); at d = 2 it is the
+    Buzek-Hillery copier with 5/6.
+    """
+    # S[b, c, i, j] = (delta_bi delta_cj + delta_bj delta_ci) / 2 is symmetric
+    # in (i, j), so it is already U's [b, c, e, i] tensor up to the scale
+    t = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
+    u = math.sqrt(2.0 / (d + 1)) * (0.5 * (t + t.transpose(0, 1, 3, 2))).reshape(d**3, d)
+    eye = np.eye(d, dtype=np.complex128)
+    return QsbInstance.from_stinespring(u, eye, eye, 1, d, d)
 
 
 @dataclass(frozen=True)
@@ -338,12 +364,9 @@ class ProductApprox:
     fidelity_product_abc: float
     fidelity_ab: float
     fidelity_ac: float
-    primary_branch: str = "B"
 
 
-def _extract(
-    instance: QsbInstance, image: np.ndarray, cols: np.ndarray, primary_branch: str
-) -> tuple[np.ndarray, ...]:
+def _extract(instance: QsbInstance, image: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """extract_product_approx for source columns (d_s, n), on raw arrays.
 
     image = U @ cols for the channel's _stinespring_matrix U. As an
@@ -352,36 +375,28 @@ def _extract(
     phi_b, phi_c as (n, d) stacks of top eigenvectors in the eigh_desc gauge,
     then the fidelities f_abc, f_ab, f_ac per column.
     """
-    if primary_branch not in ("B", "C"):
-        raise InvariantViolation(f"primary_branch must be 'B' or 'C', got {primary_branch!r}")
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
     n = cols.shape[1]
     out = image.T.reshape(n, d_a, d_b, d_c, -1)
     psi_ab = (instance.v_abs.matrix @ cols).T.reshape(n, d_a, d_b)
     psi_ac = (instance.v_acs.matrix @ cols).T.reshape(n, d_a, d_c)
-    # the secondary image psi_ay and the purification with (A, Y) leading
-    if primary_branch == "B":
-        psi_ay, out_ay = psi_ac, out.transpose(0, 1, 3, 2, 4)
-    else:
-        psi_ay, out_ay = psi_ab, out
-    d_y, d_x = psi_ay.shape[2], out_ay.shape[3]
-    # Factorise the purification against the secondary image: the partial
-    # overlap is (up to norm) the best pure companion on (X, E).
-    m_xe = (psi_ay.reshape(n, 1, -1).conj() @ out_ay.reshape(n, d_a * d_y, -1)).reshape(n, d_x, -1)
-    nrm = np.linalg.norm(m_xe, axis=(1, 2))
+    # Factorise the purification, (A, C) leading, against the secondary image
+    # psi_ac: the partial overlap is (up to norm) the best pure companion on (B, E).
+    out_ac = out.transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_c, -1)
+    m_be = (psi_ac.reshape(n, 1, -1).conj() @ out_ac).reshape(n, d_b, -1)
+    nrm = np.linalg.norm(m_be, axis=(1, 2))
     if np.count_nonzero(nrm < 1e-12):
         raise InvariantViolation(
             "purified output is orthogonal to the secondary representation image"
         )
-    m_xe = m_xe / nrm[:, None, None]
-    # marginals on A, X and Y as M M^H, zero-padded into one eigh_desc stack
-    dims = (d_a, d_x, d_y)
+    m_be = m_be / nrm[:, None, None]
+    # marginals on A, B and C as M M^H, zero-padded into one eigh_desc stack
+    dims = (d_a, d_b, d_c)
     marg = np.zeros((3, n, max(dims), max(dims)), dtype=np.complex128)
-    for k, mat in enumerate((psi_ay, m_xe, psi_ay.swapaxes(1, 2))):
+    for k, mat in enumerate((psi_ac, m_be, psi_ac.swapaxes(1, 2))):
         marg[k, :, : dims[k], : dims[k]] = mat @ mat.conj().swapaxes(1, 2)
     top = eigh_desc(marg)[1][..., 0]
-    phi_a, phi_x, phi_y = (top[k, :, : dims[k]] for k in range(3))
-    phi_b, phi_c = (phi_x, phi_y) if primary_branch == "B" else (phi_y, phi_x)
+    phi_a, phi_b, phi_c = (top[k, :, : dims[k]] for k in range(3))
 
     prod = (phi_a[:, :, None, None] * phi_b[:, None, :, None] * phi_c[:, None, None, :]).reshape(n, 1, -1)
     w = prod.conj() @ out.reshape(n, d_a * d_b * d_c, -1)
@@ -393,24 +408,20 @@ def _extract(
     return phi_a, phi_b, phi_c, np.minimum(f_abc, 1.0), np.minimum(f_ab, 1.0), np.minimum(f_ac, 1.0)
 
 
-def extract_product_approx(
-    instance: QsbInstance, psi: PureState, primary_branch: str = "B"
-) -> ProductApprox:
+def extract_product_approx(instance: QsbInstance, psi: PureState) -> ProductApprox:
     """Pull near-product structure out of one broadcast output.
 
-    phi_a and the secondary receiver's state are top eigenvectors of the
-    marginals of the secondary representation image; the primary receiver's
-    state comes from factorising the channel's Stinespring image U|psi>, a
-    purification of its output, against that image. primary_branch chooses
-    which of the two private subsystems gets the purification route (the
-    bound there is tighter).
+    phi_a and phi_c are top eigenvectors of the marginals of the secondary
+    representation image V_AC|psi>; phi_b comes from factorising the
+    channel's Stinespring image U|psi>, a purification of its output, against
+    that image. B, the primary receiver, gets this purification route and
+    the tighter bound. To make C primary, run on the instance with B and C
+    swapped: relabel the private outputs and exchange V_AB and V_AC.
     """
     if psi.layout != instance.source_layout:
         raise LayoutMismatch("input does not live on the source layout")
     col = psi.amplitudes.reshape(-1, 1)
-    *phis, f_abc, f_ab, f_ac = _extract(
-        instance, _stinespring_matrix(instance.channel) @ col, col, primary_branch
-    )
+    *phis, f_abc, f_ab, f_ac = _extract(instance, _stinespring_matrix(instance.channel) @ col, col)
     subs = instance.channel.output_layout.subsystems
     phi_a, phi_b, phi_c = (PureState(SpaceLayout([sub]), v[0]) for sub, v in zip(subs, phis))
     return ProductApprox(
@@ -420,24 +431,23 @@ def extract_product_approx(
         fidelity_product_abc=float(f_abc[0]),
         fidelity_ab=float(f_ab[0]),
         fidelity_ac=float(f_ac[0]),
-        primary_branch=primary_branch,
     )
 
 
-def product_floors(eps: float, primary_branch: str = "B") -> dict[str, float]:
+def product_floors(eps: float) -> dict[str, float]:
     """Extraction guarantees at deficit eps, before clamping.
 
-    The purification-route receiver keeps 1 - 2*sqrt(eps); the direct-route
-    receiver and the full product keep 1 - 3.4*eps^(1/8) and 1 - 3*eps^(1/8).
+    B, the purification-route receiver, keeps 1 - 2*sqrt(eps); C, the
+    direct-route receiver, and the full product keep 1 - 3.4*eps^(1/8) and
+    1 - 3*eps^(1/8).
     """
     if not 0.0 < eps <= 1.0:
         raise BadEpsilon(f"eps = {eps} outside (0, 1]")
-    tight = 1.0 - 2.0 * math.sqrt(eps)
-    loose = 1.0 - 3.4 * eps ** 0.125
-    product = 1.0 - 3.0 * eps ** 0.125
-    if primary_branch == "B":
-        return {"floor_ab": tight, "floor_ac": loose, "floor_abc": product}
-    return {"floor_ab": loose, "floor_ac": tight, "floor_abc": product}
+    return {
+        "floor_ab": 1.0 - 2.0 * math.sqrt(eps),
+        "floor_ac": 1.0 - 3.4 * eps ** 0.125,
+        "floor_abc": 1.0 - 3.0 * eps ** 0.125,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -513,36 +523,23 @@ def lambda_max_rank2(alpha: complex, beta: complex, f12: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# qubit cloning baseline
+# cloning baseline
 # ---------------------------------------------------------------------------
 
 
-def _cloner_isometry() -> np.ndarray:
-    """Symmetric universal qubit copier, source -> (copy1, copy2, ancilla)."""
-    v = np.zeros((8, 2), dtype=np.complex128)
-    s23 = math.sqrt(2.0 / 3.0)
-    s16 = math.sqrt(1.0 / 6.0)
-    # |0> -> s23|000> + s16(|011> + |101>);  |1> -> s23|111> + s16(|010> + |100>)
-    v[0b000, 0] = s23
-    v[0b011, 0] = s16
-    v[0b101, 0] = s16
-    v[0b111, 1] = s23
-    v[0b010, 1] = s16
-    v[0b100, 1] = s16
-    return v
-
-
 def cloner_baseline(psi: PureState) -> tuple[DensityMatrix, DensityMatrix]:
-    """Marginals of the optimal symmetric universal cloner on a qubit.
+    """Both copies of Werner's optimal symmetric cloner on psi.
 
-    Both outputs are returned on the input's own layout so their fidelity
-    against |psi> can be read off directly; it equals 5/6 for every input.
+    The marginals on B and C are read from werner_cloner_construct's
+    Stinespring image U|psi> and returned on the input's own layout, so their
+    fidelity against |psi> can be read off directly; it equals
+    (d+3)/(2(d+1)) for every input of dimension d, 5/6 for a qubit.
     """
-    if psi.layout.total_dim != 2:
-        raise BadDim("cloning baseline is defined for qubit inputs")
-    t = (_cloner_isometry() @ psi.amplitudes).reshape(2, 2, 2)
-    rho_b = np.einsum("bca,dca->bd", t, t.conj())
-    rho_c = np.einsum("bca,bda->cd", t, t.conj())
+    d = psi.layout.total_dim
+    inst = werner_cloner_construct(d)
+    t = (_stinespring_matrix(inst.channel) @ psi.amplitudes).reshape(d, d, d)
+    rho_b = np.einsum("bce,dce->bd", t, t.conj())
+    rho_c = np.einsum("bce,bde->cd", t, t.conj())
     return (
         DensityMatrix(psi.layout, rho_b),
         DensityMatrix(psi.layout, rho_c),
@@ -812,7 +809,6 @@ def chain_verify(
     instance: QsbInstance,
     basis: Sequence[PureState],
     eps_hat: float,
-    primary_branch: str = "B",
     seed: int = 0,
     allow_trivial: bool = False,
 ) -> EpsilonChainReport:
@@ -836,9 +832,7 @@ def chain_verify(
     rng = np.random.default_rng(seed)
 
     u = _stinespring_matrix(instance.channel)
-    phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(
-        instance, u @ basis_cols, basis_cols, primary_branch
-    )
+    phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, u @ basis_cols, basis_cols)
 
     # Pair selection on the shared subsystem happens before any deficit
     # information is used; it only needs the extracted states.
@@ -857,7 +851,7 @@ def chain_verify(
     checks: list[BoundCheck] = []
 
     # per-element extraction floors
-    floors = product_floors(eps_eff, primary_branch)
+    floors = product_floors(eps_eff)
     for k in range(d_s):
         checks.append(
             _floor_check(f"product_floor_abc[{k}]", float(f_abc[k]), floors["floor_abc"])

@@ -1,34 +1,25 @@
-"""Kraus channels, their Stinespring dilations and their mixtures."""
+"""Kraus channels, their Stinespring matrices and their mixtures."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _reference import channel_action, random_density
-from qsblab.channels import (
-    KrausChannel,
-    _stinespring_matrix,
-    depolarizing_channel,
-    from_stinespring,
-    mix,
-)
-from qsblab.errors import BadEnvLabels, InvariantViolation, LayoutMismatch
-from qsblab.hilbert import DensityMatrix, Isometry, SpaceLayout, haar_isometry_matrix, random_pure
+from _reference import channel_action, partial_trace, random_density
+from qsblab.channels import KrausChannel, _stinespring_matrix, depolarizing_channel, mix
+from qsblab.errors import InvariantViolation, LayoutMismatch
+from qsblab.hilbert import DensityMatrix, SpaceLayout, haar_isometry_matrix, random_pure
 
 
-def _dilation(chan, env_label):
-    """The channel's Stinespring isometry, its environment appended last as env_label."""
-    out = SpaceLayout(chan.output_layout.subsystems + ((env_label, len(chan.kraus_ops)),))
-    return Isometry(chan.input_layout, out, _stinespring_matrix(chan))
+def _haar_stinespring(din, dout, denv, seed):
+    """A Haar-random isometry from dim din into (O, E), the environment E last."""
+    return haar_isometry_matrix(np.random.default_rng(seed), dout * denv, din)
 
 
 def _random_channel(din, dout, denv, seed):
-    rng = np.random.default_rng(seed)
-    lay_in = SpaceLayout([("S", din)])
-    lay_out = SpaceLayout([("O", dout), ("E", denv)])
-    v = Isometry(lay_in, lay_out, haar_isometry_matrix(rng, dout * denv, din))
-    return from_stinespring(v, ["E"])
+    """The channel S -> O whose Kraus operator e is the E = e slice of _haar_stinespring."""
+    u = _haar_stinespring(din, dout, denv, seed).reshape(dout, denv, din)
+    return KrausChannel(SpaceLayout([("S", din)]), SpaceLayout([("O", dout)]), tuple(u.swapaxes(0, 1)))
 
 
 def test_kraus_family_must_be_complete():
@@ -88,11 +79,14 @@ def test_depolarizing_matches_loop():
 @settings(max_examples=25)
 def test_stinespring_roundtrip_choi_distance(din, dout, denv, seed):
     assume(dout * denv >= din)
+    u = _haar_stinespring(din, dout, denv, seed)
     chan = _random_channel(din, dout, denv, seed)
-    back = from_stinespring(_dilation(chan, "V"), ["V"])
-    units = np.eye(din * din).reshape(-1, din, din)  # every |i><j|, which fixes the map
-    d = np.max(np.abs(channel_action(chan.kraus_ops, units) - channel_action(back.kraus_ops, units)))
-    assert d <= 1e-10
+    # the Stinespring matrix is the isometry the family was read from, bit for bit
+    assert np.array_equal(_stinespring_matrix(chan), u)
+    # and the family acts as Tr_E U X U^H on every |i><j|, which fixes the map
+    units = np.eye(din * din).reshape(-1, din, din)
+    traced = [partial_trace(u @ x @ u.conj().T, (dout, denv), [0]) for x in units]
+    assert np.max(np.abs(channel_action(chan.kraus_ops, units) - traced)) <= 1e-10
 
 
 @given(
@@ -120,25 +114,6 @@ def test_stinespring_env_goes_last():
     u = _stinespring_matrix(chan).reshape(chan.output_layout.total_dim, len(chan.kraus_ops), -1)
     for e, k in enumerate(chan.kraus_ops):
         assert np.array_equal(u[:, e, :], k)
-    v = _dilation(chan, "E2")
-    # dilation and original act identically
-    rho = random_density(chan.input_layout, 2, 4).matrix
-    direct = channel_action(chan.kraus_ops, rho)
-    via = channel_action(from_stinespring(v, ["E2"]).kraus_ops, rho)
-    assert np.allclose(direct, via, atol=1e-12)
-
-
-def test_from_stinespring_bad_labels():
-    chan = _random_channel(2, 2, 2, 5)
-    v = _dilation(chan, "E")
-    with pytest.raises(BadEnvLabels):
-        from_stinespring(v, ["NOPE"])
-    with pytest.raises(BadEnvLabels):
-        from_stinespring(v, ["O", "E"])  # nothing left after tracing
-
-    iso_chan = from_stinespring(v, [])
-    assert len(iso_chan.kraus_ops) == 1
-    assert iso_chan.output_layout == v.output_layout
 
 
 def test_mix_is_convex_in_action():

@@ -40,13 +40,6 @@ def test_layout_rejects_duplicates_and_bad_dims():
             SpaceLayout([(label, 2)])
 
 
-def test_layout_subset_preserves_order():
-    lay = SpaceLayout([("A", 2), ("B", 3), ("C", 4)])
-    sub = lay.subset(["C", "A"])
-    # original order wins, not the request order
-    assert sub.labels == ("A", "C")
-
-
 def test_layout_json_roundtrip():
     lay = SpaceLayout([("S", 5), ("E", 2)])
     assert SpaceLayout(lay.to_json()) == lay

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 import qsblab.qsb as qsb_module
 from _reference import channel_action, partial_trace, pure_density, purify
-from qsblab.channels import KrausChannel
+from qsblab.channels import KrausChannel, _stinespring_matrix
 from qsblab.errors import (
     BadAmplitudes,
-    BadDim,
     BadEpsilon,
     BoundVacuous,
     ChainNotApplicable,
@@ -32,6 +31,7 @@ from qsblab.hilbert import (
     random_pure,
 )
 from qsblab.metrics import BoundCheck, fidelity_pure
+from qsblab.optimize import OptimizeConfig, SampleSpec, optimize_qsb
 from qsblab.qsb import (
     CLONING_CEILING,
     ProductApprox,
@@ -52,6 +52,7 @@ from qsblab.qsb import (
     perfect_qsb_construct,
     perturbed_perfect_instance,
     product_floors,
+    werner_cloner_construct,
 )
 
 
@@ -67,6 +68,16 @@ def _random_instance(d_s, d_a, d_b, d_c, seed, env=1, labels=("A", "B", "C")):
     vab = Isometry(lay_s, SpaceLayout([(a, d_a), (b, d_b)]), haar_isometry_matrix(rng, d_a * d_b, d_s))
     vac = Isometry(lay_s, SpaceLayout([(a, d_a), (c, d_c)]), haar_isometry_matrix(rng, d_a * d_c, d_s))
     return QsbInstance(chan, vab, vac)
+
+
+def _swap_private(instance):
+    """The instance with its private outputs B and C exchanged, V_AB and V_AC
+    with them: the way to make C the purification-route receiver."""
+    d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
+    u = _stinespring_matrix(instance.channel).reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3)
+    return QsbInstance.from_stinespring(
+        u.reshape(-1, instance.d_s), instance.v_acs.matrix, instance.v_abs.matrix, d_a, d_c, d_b
+    )
 
 
 # the chain-verify benchmark's dimensions, with a Stinespring environment of d_s
@@ -275,43 +286,39 @@ def test_extraction_beats_floors_both_branches():
     eps_hat, _ = measure_eps(inst, probes)
     assert eps_hat > 0.0
     states = [basis_state(inst.source_layout, k) for k in range(2)] + [probes[3]]
-    for branch in ("B", "C"):
-        floors = product_floors(eps_hat, branch)
+    floors = product_floors(eps_hat)
+    # C takes the tight floor on the instance with B and C swapped
+    for make in (inst, _swap_private(inst)):
         for psi in states:
-            ext = extract_product_approx(inst, psi, branch)
-            assert ext.primary_branch == branch
+            ext = extract_product_approx(make, psi)
             assert ext.fidelity_ab >= max(floors["floor_ab"], 0.0) - 1e-12
             assert ext.fidelity_ac >= max(floors["floor_ac"], 0.0) - 1e-12
             assert ext.fidelity_product_abc >= max(floors["floor_abc"], 0.0) - 1e-12
 
 
-def _object_extract(instance, psi, primary_branch):
+def _object_extract(instance, psi):
     # reference: the extraction on plain arrays; the channel output is
     # purified by its own eigendecomposition and the marginals traced out.
     # Returns the ProductApprox and the top eigenvalue gap of each marginal.
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
-    out_layout = instance.channel.output_layout
-    layouts = [out_layout.subset([label]) for label in out_layout.labels]
+    layouts = [SpaceLayout([sub]) for sub in instance.channel.output_layout.subsystems]
     psi_ab = instance.v_abs.matrix @ psi.amplitudes
     psi_ac = instance.v_acs.matrix @ psi.amplitudes
-    psi_ay, d_x, d_y = (psi_ac, d_b, d_c) if primary_branch == "B" else (psi_ab, d_c, d_b)
     rho_abc = channel_action(instance.channel.kraus_ops, np.outer(psi.amplitudes, psi.amplitudes.conj()))
     pure = purify(rho_abc).reshape(d_a, d_b, d_c, -1)
-    pure = pure if primary_branch == "B" else pure.transpose(0, 2, 1, 3)  # (A, X, Y, E)
-    v_xe = np.einsum("ay,axye->xe", psi_ay.conj().reshape(d_a, d_y), pure).reshape(-1)
-    v_xe /= np.linalg.norm(v_xe)
+    v_be = np.einsum("ac,abce->be", psi_ac.conj().reshape(d_a, d_c), pure).reshape(-1)
+    v_be /= np.linalg.norm(v_be)
 
     def top(rho):
         w, v = eigh_desc(rho)
         return v[:, 0], (w[0] - w[1] if len(w) > 1 else np.inf)
 
-    ay = np.outer(psi_ay, psi_ay.conj())
-    (phi_a, g_a), (phi_x, g_x), (phi_y, g_y) = (
-        top(partial_trace(ay, (d_a, d_y), [0])),
-        top(partial_trace(np.outer(v_xe, v_xe.conj()), (d_x, len(v_xe) // d_x), [0])),
-        top(partial_trace(ay, (d_a, d_y), [1])),
+    ac = np.outer(psi_ac, psi_ac.conj())
+    (phi_a, g_a), (phi_b, g_b), (phi_c, g_c) = (
+        top(partial_trace(ac, (d_a, d_c), [0])),
+        top(partial_trace(np.outer(v_be, v_be.conj()), (d_b, len(v_be) // d_b), [0])),
+        top(partial_trace(ac, (d_a, d_c), [1])),
     )
-    (phi_b, g_b), (phi_c, g_c) = ((phi_x, g_x), (phi_y, g_y))[:: 1 if primary_branch == "B" else -1]
     product = np.kron(np.kron(phi_a, phi_b), phi_c)
     ext = ProductApprox(
         phi_a=PureState(layouts[0], phi_a),
@@ -320,12 +327,12 @@ def _object_extract(instance, psi, primary_branch):
         fidelity_product_abc=np.vdot(product, rho_abc @ product).real,
         fidelity_ab=abs(np.vdot(psi_ab, np.kron(phi_a, phi_b))) ** 2,
         fidelity_ac=abs(np.vdot(psi_ac, np.kron(phi_a, phi_c))) ** 2,
-        primary_branch=primary_branch,
     )
     return ext, (g_a, g_b, g_c)
 
 
-@pytest.mark.parametrize("primary_branch", ["B", "C"])
+# "C" runs the instance with B and C swapped, which makes C the primary receiver
+@pytest.mark.parametrize("primary", ["B", "C"])
 @pytest.mark.parametrize(
     "make",
     [
@@ -338,15 +345,14 @@ def _object_extract(instance, psi, primary_branch):
         lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
     ],
 )
-def test_extraction_matches_object_path(make, primary_branch):
-    inst = make()
+def test_extraction_matches_object_path(make, primary):
+    inst = make() if primary == "B" else _swap_private(make())
     rng = np.random.default_rng(41)
     states = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
     states += [random_pure(inst.source_layout, rng) for _ in range(3)]
     for psi in states:
-        got = extract_product_approx(inst, psi, primary_branch)
-        want, gaps = _object_extract(inst, psi, primary_branch)
-        assert got.primary_branch == primary_branch
+        got = extract_product_approx(inst, psi)
+        want, gaps = _object_extract(inst, psi)
         for name in ("fidelity_product_abc", "fidelity_ab", "fidelity_ac"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12), name
         for name, gap in zip(("phi_a", "phi_b", "phi_c"), gaps):
@@ -358,20 +364,15 @@ def test_extraction_matches_object_path(make, primary_branch):
 
 def test_extraction_guards():
     inst = perfect_qsb_construct(2, 2, 2, 2)
-    psi = basis_state(inst.source_layout, 0)
-    with pytest.raises(InvariantViolation):
-        extract_product_approx(inst, psi, primary_branch="A")
     with pytest.raises(LayoutMismatch):
         extract_product_approx(inst, random_pure(SpaceLayout([("X", 2)]), 0))
 
 
-def test_product_floor_values_and_swap():
-    fb = product_floors(1e-8, "B")
+def test_product_floor_values():
+    fb = product_floors(1e-8)
     assert fb["floor_ab"] == pytest.approx(1.0 - 2e-4, abs=1e-12)
     assert fb["floor_ac"] == pytest.approx(1.0 - 3.4 * 1e-1, abs=1e-12)
     assert fb["floor_abc"] == pytest.approx(1.0 - 3.0 * 1e-1, abs=1e-12)
-    fc = product_floors(1e-8, "C")
-    assert fc["floor_ac"] == fb["floor_ab"] and fc["floor_ab"] == fb["floor_ac"]
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(BadEpsilon):
             product_floors(bad)
@@ -468,9 +469,56 @@ def test_cloner_hits_five_sixths_everywhere():
         assert np.allclose(rho_b.matrix, rho_c.matrix, atol=1e-12)
 
 
-def test_cloner_rejects_non_qubits():
-    with pytest.raises(BadDim):
-        cloner_baseline(random_pure(SpaceLayout([("Q", 3)]), 0))
+def test_cloner_gives_three_quarters_on_a_qutrit():
+    lay = SpaceLayout([("Q", 3)])
+    rng = np.random.default_rng(11)
+    for psi in [basis_state(lay, 2)] + [random_pure(lay, rng) for _ in range(5)]:
+        for rho in cloner_baseline(psi):
+            assert fidelity_pure(rho, psi) == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_werner_cloner_reaches_the_optimal_cloning_fidelity(d):
+    inst = werner_cloner_construct(d)
+    assert (inst.d_s, inst.d_a, inst.d_b, inst.d_c, len(inst.channel.kraus_ops)) == (d, 1, d, d, d)
+    u = _stinespring_matrix(inst.channel)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-15
+    # every probe, on both branches, reads (d+3)/(2(d+1))
+    _, pairs = measure_eps(inst, default_probe_states(inst.source_layout, seed=d, haar_count=500))
+    f = np.array([(p.f_ab, p.f_ac) for p in pairs])
+    assert np.max(np.abs(f - (d + 3) / (2.0 * (d + 1)))) <= 1e-12
+
+
+def test_werner_cloner_is_the_buzek_hillery_copier_at_d_2():
+    # Buzek and Hillery, PRA 54, 1844 (1996), copies then ancilla:
+    # |0> -> sqrt(2/3)|000> + sqrt(1/6)(|011> + |101>)
+    # |1> -> sqrt(2/3)|111> + sqrt(1/6)(|010> + |100>)
+    want = np.zeros((8, 2))
+    want[[0b000, 0b011, 0b101], 0] = math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0)
+    want[[0b111, 0b010, 0b100], 1] = math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0)
+    assert np.array_equal(_stinespring_matrix(werner_cloner_construct(2).channel), want)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
+        lambda: optimize_qsb(
+            OptimizeConfig(3, 2, 2, 3, env_dim=5, restarts=1, max_iters=20, sample_spec=SampleSpec(10))
+        ).best_instance,
+    ],
+)
+def test_from_stinespring_rebuilds_an_instance_bit_for_bit(make):
+    inst = make()
+    back = QsbInstance.from_stinespring(
+        _stinespring_matrix(inst.channel), inst.v_abs.matrix, inst.v_acs.matrix, inst.d_a, inst.d_b, inst.d_c
+    )
+    assert back.channel.output_layout == inst.channel.output_layout
+    assert len(back.channel.kraus_ops) == len(inst.channel.kraus_ops)
+    for got, want in zip(back.channel.kraus_ops, inst.channel.kraus_ops):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(back.v_abs.matrix, inst.v_abs.matrix)
+    assert np.array_equal(back.v_acs.matrix, inst.v_acs.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +639,6 @@ def test_chain_verify_trivial_instance_all_clear():
 
 
 def test_chain_verify_enforced_on_optimized_instance():
-    from qsblab.optimize import OptimizeConfig, SampleSpec, optimize_qsb
-
     cfg = OptimizeConfig(
         d_s=3,
         d_a=2,
@@ -629,7 +675,7 @@ def _overlap(phi, chi):
     return complex(np.vdot(phi.amplitudes, chi.amplitudes))
 
 
-def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
+def _per_sample_chain(instance, basis, eps_hat, seed):
     # reference: chain_verify with one state object per sampled input, the
     # channel applied to each and its marginal traced out; its pair scan,
     # residuals and floor clamps are its own
@@ -638,7 +684,7 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         for j in range(d_s):
             assert abs(abs(_overlap(basis[i], basis[j])) - (i == j)) <= 1e-9
     rng = np.random.default_rng(seed)
-    extractions = [_object_extract(instance, b, primary_branch)[0] for b in basis]
+    extractions = [_object_extract(instance, b)[0] for b in basis]
     phi_as = [e.phi_a for e in extractions]
     phi_bs = [e.phi_b for e in extractions]
     phi_cs = [e.phi_c for e in extractions]
@@ -656,7 +702,7 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
     checks = []
-    floors = product_floors(eps_eff, primary_branch)
+    floors = product_floors(eps_eff)
     for k, e in enumerate(extractions):
         checks.append(_ref_floor(f"product_floor_abc[{k}]", e.fidelity_product_abc, 1.0 - 3.0 * eps_eff ** 0.125))
         checks.append(_ref_floor(f"product_floor_ab[{k}]", e.fidelity_ab, floors["floor_ab"]))
@@ -726,7 +772,8 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
     return consts.eps, (k1, k2), checks, theta, degenerate
 
 
-@pytest.mark.parametrize("primary_branch", ["B", "C"])
+# "C" runs the instance with B and C swapped, which makes C the primary receiver
+@pytest.mark.parametrize("primary", ["B", "C"])
 @pytest.mark.parametrize(
     "make",
     [
@@ -739,11 +786,11 @@ def _per_sample_chain(instance, basis, eps_hat, primary_branch, seed):
         lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
     ],
 )
-def test_chain_verify_matches_per_sample_reference(make, primary_branch):
-    inst = make()
+def test_chain_verify_matches_per_sample_reference(make, primary):
+    inst = make() if primary == "B" else _swap_private(make())
     basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
-    report = chain_verify(inst, basis, 0.0, primary_branch=primary_branch, seed=5, allow_trivial=True)
-    eps, pair, checks, theta, degenerate = _per_sample_chain(inst, basis, 0.0, primary_branch, seed=5)
+    report = chain_verify(inst, basis, 0.0, seed=5, allow_trivial=True)
+    eps, pair, checks, theta, degenerate = _per_sample_chain(inst, basis, 0.0, seed=5)
     assert report.eps == pytest.approx(eps, rel=1e-12, abs=1e-15)
     assert report.selected_pair == pair
     assert list(report.residual_degenerate) == degenerate
@@ -767,9 +814,10 @@ def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatc
         monkeypatch.setattr(cls, "__post_init__", counting_validate)
     inst = _random_instance(4, 2, 2, 2, seed=30, env=4)
     basis = [basis_state(inst.source_layout, k) for k in range(4)]
+    swapped = _swap_private(inst)
     calls.clear()
-    for branch in ("B", "C"):
-        chain_verify(inst, basis, 0.0, primary_branch=branch, seed=1)
+    for make in (inst, swapped):
+        chain_verify(make, basis, 0.0, seed=1)
     assert calls == []
     pure_density(basis[0])  # the counter does see a construction
     assert calls == ["DensityMatrix"]
@@ -787,15 +835,12 @@ def test_one_shot_measurements_build_no_probe_matrix(monkeypatch, dims):
     eps, pairs = measure_eps(inst, default_probe_states(inst.source_layout, 3, haar_count=20))
     assert 0.0 < eps <= 1.0 and len(pairs) == dims[0] + 8 * dims[0] * (dims[0] - 1) // 2 + 20
     basis = [basis_state(inst.source_layout, k) for k in range(dims[0])]
-    for branch in ("B", "C"):
-        assert chain_verify(inst, basis, 0.0, primary_branch=branch, seed=1).checks
+    for make in (inst, _swap_private(inst)):
+        assert chain_verify(make, basis, 0.0, seed=1).checks
 
 
-def test_chain_verify_rejects_bad_branch_and_foreign_basis():
+def test_chain_verify_rejects_foreign_basis():
     inst = _random_instance(3, 2, 2, 2, seed=31)
-    basis = [basis_state(inst.source_layout, k) for k in range(3)]
-    with pytest.raises(InvariantViolation):
-        chain_verify(inst, basis, 0.0, primary_branch="A")
     other = SpaceLayout([("X", 3)])
     with pytest.raises(LayoutMismatch):
         chain_verify(inst, [basis_state(other, k) for k in range(3)], 0.0)
@@ -809,10 +854,11 @@ def test_extraction_rejects_an_output_orthogonal_to_the_secondary_image():
     inst = QsbInstance(base.channel, base.v_abs, Isometry(base.source_layout, base.v_acs.output_layout, m_ac))
     basis = [basis_state(inst.source_layout, k) for k in range(2)]
     with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
-        extract_product_approx(inst, basis[0], "B")
+        extract_product_approx(inst, basis[0])
     with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
         chain_verify(inst, basis, 0.0, allow_trivial=True)
-    assert extract_product_approx(inst, basis[0], "C").fidelity_ab == pytest.approx(1.0, abs=1e-15)
+    # with B and C swapped the secondary image is the old V_AB one, which the output meets
+    assert extract_product_approx(_swap_private(inst), basis[0]).fidelity_ac == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chain_verify_accepts_an_output_named_e():
