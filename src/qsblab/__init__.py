@@ -1,18 +1,19 @@
 """Shared broadcasting of quantum states: constructions, metrics, bounds.
 
-The package splits into layers: `hilbert` (states, layouts, isometries),
-`metrics` (fidelity and the randomized inequality sweep), `channels` (Kraus
-channels, their Stinespring matrices and mixtures), `qsb` (broadcast
-instances, their constructions, the deficit chain, the cloning baseline),
-`optimize` (variational frontier search) and `cli` (the qsblab command).
+The package splits into layers: `hilbert` (layouts, states, Haar sampling),
+`metrics` (fidelity and the randomized inequality sweep), `channels` (mixing
+channels held as Stinespring tensors), `qsb` (broadcast instances as three
+validated matrices, their constructions, the deficit chain, the cloning
+baseline), `optimize` (variational frontier search) and `cli` (the qsblab
+command).
 """
 
 __version__ = "0.1.0"
 
 from .errors import QsbError
-from .hilbert import DensityMatrix, Isometry, PureState, SpaceLayout, basis_state, random_pure
+from .hilbert import DensityMatrix, PureState, SpaceLayout, basis_state, random_pure
 from .metrics import BoundCheck, fidelity, fidelity_pure, property_sweep
-from .channels import KrausChannel, depolarizing_channel, mix
+from .channels import depolarizing_channel, mix
 from .qsb import (
     EpsilonChainReport,
     FidelityPair,
@@ -45,14 +46,12 @@ __all__ = [
     "SpaceLayout",
     "PureState",
     "DensityMatrix",
-    "Isometry",
     "basis_state",
     "random_pure",
     "fidelity",
     "fidelity_pure",
     "BoundCheck",
     "property_sweep",
-    "KrausChannel",
     "mix",
     "depolarizing_channel",
     "QsbInstance",

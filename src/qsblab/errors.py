@@ -24,10 +24,6 @@ class LayoutMismatch(QsbError):
     """Two operands live on different layouts."""
 
 
-class BadRank(QsbError):
-    """Requested rank (or embedding) exceeds what the dimensions allow."""
-
-
 class BadPurification(QsbError):
     """Supplied purification is inconsistent with the reduced state."""
 

@@ -6,7 +6,9 @@ and the composite index follows the layout order (first label varies
 slowest), which makes np.kron and .reshape line up with the convention.
 
 A DensityMatrix is diagonalised once, by its validation, and keeps those
-eigenpairs; the metrics read them instead of diagonalising again.
+eigenpairs; the metrics read them instead of diagonalising again. Maps are
+plain matrices: haar_isometry_matrix draws one, and qsb.QsbInstance
+validates the three an instance holds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadRank, InvariantViolation, LabelClash, LayoutMismatch
+from .errors import InvariantViolation, LabelClash, LayoutMismatch
 
 # Shared numerical tolerances. One knob per invariant family.
 TOL_NORM = 1e-9
@@ -146,29 +148,8 @@ class SpaceLayout:
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.subsystems)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.subsystems)
-
     def to_json(self) -> list[list]:
         return [[lbl, d] for lbl, d in self.subsystems]
-
-
-def _c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c2j(z) for z in row] for row in m]
-
-
-def _mat_from_json(data) -> np.ndarray:
-    # a JSON object would iterate as its keys, so only arrays are read
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise TypeError("matrix is not a JSON array of arrays")
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
 
 
 @dataclass(frozen=True)
@@ -216,44 +197,6 @@ class DensityMatrix:
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigh", (w, v))
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """Inner-product preserving map between two layouts (V†V = 1)."""
-
-    input_layout: SpaceLayout
-    output_layout: SpaceLayout
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        din = self.input_layout.total_dim
-        dout = self.output_layout.total_dim
-        if m.shape != (dout, din):
-            raise LayoutMismatch(f"matrix shape {m.shape}, expected {(dout, din)}")
-        if dout < din:
-            raise BadRank(f"no isometry from dim {din} into dim {dout}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = float(np.max(np.abs(m.conj().T @ m - np.eye(din))))
-        if not err <= TOL_ISO:
-            raise InvariantViolation(f"V†V deviates from identity by {err}")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    def to_json(self) -> dict:
-        return {
-            "in": self.input_layout.to_json(),
-            "out": self.output_layout.to_json(),
-            "matrix": _mat_to_json(self.matrix),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Isometry":
-        return cls(
-            SpaceLayout(data["in"]),
-            SpaceLayout(data["out"]),
-            _mat_from_json(data["matrix"]),
-        )
 
 
 def _purification(w: np.ndarray, v: np.ndarray, rank: int) -> np.ndarray:

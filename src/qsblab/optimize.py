@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import _stinespring_matrix
 from .errors import InvariantViolation, TooLarge
 from .hilbert import PureState, SpaceLayout, haar_isometry_matrix
 from .qsb import (
@@ -318,15 +317,6 @@ def _random_init(
     )
 
 
-def _perfect_init(config: OptimizeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    inst = perfect_qsb_construct(config.d_s, config.d_a, config.d_b, config.d_c)
-    d_a, d_b, d_c, d_e = config.dims4
-    u = np.zeros((d_a * d_b * d_c * d_e, config.d_s), dtype=np.complex128)
-    # single-Kraus channel sits in the env=0 slice; env index is last
-    u[0::d_e, :] = inst.channel.kraus_ops[0]
-    return (u, inst.v_abs.matrix.copy(), inst.v_acs.matrix.copy())
-
-
 def optimize_qsb(
     config: OptimizeConfig,
     initial_points: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
@@ -343,11 +333,11 @@ def optimize_qsb(
         raise InvariantViolation("sample_spec produced no probe states")
     operand = search_probes(np.stack([s.amplitudes for s in probes], axis=1))
 
+    d_a, d_b, d_c, d_e = config.dims4
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    if config.d_s <= config.d_a:
-        inits.append(_perfect_init(config))
+    if config.d_s <= d_a:
+        inits.append(_embed_params(perfect_qsb_construct(config.d_s, d_a, d_b, d_c), d_a, d_e))
     for u, vab, vac in initial_points:
-        d_a, d_b, d_c, d_e = config.dims4
         want = (
             (d_a * d_b * d_c * d_e, config.d_s),
             (d_a * d_b, config.d_s),
@@ -384,28 +374,22 @@ def optimize_qsb(
 
 
 def _embed_params(
-    params: tuple[np.ndarray, np.ndarray, np.ndarray],
-    old: tuple[int, int, int, int, int],
-    new: tuple[int, int, int, int, int],
+    inst: QsbInstance, d_a: int, d_e: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-pad a winner at smaller shared/env dims into a larger search space.
+    """An instance's matrices zero-padded to shared dim d_a >= inst.d_a and
+    environment d_e >= inst.d_e, the private dimensions kept.
 
-    The padded matrices keep orthonormal columns and reproduce the original
-    instance's action exactly, so the larger search starts no worse.
+    The padded matrices keep orthonormal columns and reproduce the instance's
+    action exactly, so a search started there starts no worse.
     """
-    d_s, a0, b0, c0, e0 = old
-    _, a1, b1, c1, e1 = new
-    if (b0, c0) != (b1, c1):
-        raise InvariantViolation("embedding keeps the private dimensions fixed")
-    u0, vab0, vac0 = params
-    u1 = np.zeros((a1 * b1 * c1 * e1, d_s), dtype=np.complex128)
-    t = u0.reshape(a0, b0, c0, e0, d_s)
-    u1.reshape(a1, b1, c1, e1, d_s)[:a0, :, :, :e0, :] = t
-    vab1 = np.zeros((a1 * b1, d_s), dtype=np.complex128)
-    vab1.reshape(a1, b1, d_s)[:a0, :, :] = vab0.reshape(a0, b0, d_s)
-    vac1 = np.zeros((a1 * c1, d_s), dtype=np.complex128)
-    vac1.reshape(a1, c1, d_s)[:a0, :, :] = vac0.reshape(a0, c0, d_s)
-    return (u1, vab1, vac1)
+    a0, d_b, d_c, e0, d_s = inst.d_a, inst.d_b, inst.d_c, inst.d_e, inst.d_s
+    u = np.zeros((d_a, d_b, d_c, d_e, d_s), dtype=np.complex128)
+    u[:a0, :, :, :e0] = inst.u.reshape(a0, d_b, d_c, e0, d_s)
+    vab = np.zeros((d_a, d_b, d_s), dtype=np.complex128)
+    vab[:a0] = inst.v_abs.reshape(a0, d_b, d_s)
+    vac = np.zeros((d_a, d_c, d_s), dtype=np.complex128)
+    vac[:a0] = inst.v_acs.reshape(a0, d_c, d_s)
+    return u.reshape(-1, d_s), vab.reshape(-1, d_s), vac.reshape(-1, d_s)
 
 
 def frontier_sweep(
@@ -425,33 +409,16 @@ def frontier_sweep(
     if not values:
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []
-    prev: tuple[FrontierPoint, OptimizeConfig] | None = None
     for d_a in values:
         if config is None:
             cfg = OptimizeConfig(d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c)
         else:
             cfg = replace(config, d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c, env_dim=None)
-        warm: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if prev is not None:
-            point0, cfg0 = prev
-            inst0 = point0.best_instance
-            params0 = (
-                _stinespring_matrix(inst0.channel),
-                inst0.v_abs.matrix,
-                inst0.v_acs.matrix,
-            )
-            warm.append(
-                _embed_params(
-                    params0,
-                    (d_s, cfg0.d_a, d_b, d_c, cfg0.resolved_env),
-                    (d_s, d_a, d_b, d_c, cfg.resolved_env),
-                )
-            )
+        warm = [_embed_params(points[-1].best_instance, d_a, cfg.resolved_env)] if points else []
         point = optimize_qsb(cfg, initial_points=warm)
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
             raise InvariantViolation(
                 "frontier decreased with growing shared dimension despite embedding"
             )
         points.append(point)
-        prev = (point, cfg)
     return points

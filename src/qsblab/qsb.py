@@ -1,7 +1,8 @@
 """Shared broadcasting of pure states into two overlapping receivers.
 
 A broadcast instance is a channel from a source S into three subsystems
-A, B, C together with two representation isometries: receiver I reads the
+A, B, C together with two representation isometries, held as the channel's
+Stinespring matrix and the two isometry matrices: receiver I reads the
 pair (A, B), receiver II the pair (A, C), and each should see the source
 state as the corresponding isometric image. Perfect operation is possible
 exactly when the source fits inside the shared part (d_S <= d_A); the
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, _stinespring_matrix, depolarizing_channel, mix
+from .channels import depolarizing_channel, mix
 from .errors import (
     BadAmplitudes,
     BadEpsilon,
@@ -47,12 +48,13 @@ from .errors import (
     NoPerfectQsb,
 )
 from .hilbert import (
+    TOL_ISO,
     DensityMatrix,
-    Isometry,
     PureState,
     SpaceLayout,
     eigh_desc,
     _as_rng,
+    _frozen,
     _haar_rows,
 )
 from .metrics import BoundCheck
@@ -67,86 +69,145 @@ CLONING_CEILING = 5.0 / 6.0
 GRAM_FLOATS = 2**17
 
 
+def _c2j(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    return [[_c2j(z) for z in row] for row in m]
+
+
+def _mat_from_json(data) -> np.ndarray:
+    # a JSON object would iterate as its keys, so only arrays are read
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise TypeError("matrix is not a JSON array of arrays")
+    return np.array(
+        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
+    )
+
+
 @dataclass(frozen=True)
 class QsbInstance:
-    """A broadcast channel plus the two representation isometries."""
+    """A broadcast channel S -> ABC and the two representation isometries, as matrices.
 
-    channel: KrausChannel
-    v_abs: Isometry
-    v_acs: Isometry
+    u is the channel's Stinespring matrix S -> ABCE with the environment
+    last: Kraus operator e is u.reshape(d_a * d_b * d_c, d_e, d_s)[:, e].
+    v_abs maps S into the (A, B) pair of output_layout and v_acs into (A, C).
+    Construction checks every shape against the layouts and caps d_e at
+    d_s * d_a * d_b * d_c, bounds |M^H M - 1| by TOL_ISO for all three
+    matrices (for u that is the completeness of the Kraus family), and
+    stores read-only copies.
+    """
+
+    source_layout: SpaceLayout
+    output_layout: SpaceLayout
+    u: np.ndarray = field(repr=False)
+    v_abs: np.ndarray = field(repr=False)
+    v_acs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        cin = self.channel.input_layout
-        cout = self.channel.output_layout
-        if len(cin.subsystems) != 1:
+        if len(self.source_layout.subsystems) != 1:
             raise InvariantViolation("channel input must be a single subsystem")
-        if len(cout.subsystems) != 3:
+        if len(self.output_layout.subsystems) != 3:
             raise InvariantViolation("channel output must have exactly three subsystems")
-        a, b, c = cout.subsystems
-        if self.v_abs.input_layout != cin or self.v_acs.input_layout != cin:
-            raise LayoutMismatch("representation isometries must start on the source")
-        if self.v_abs.output_layout.subsystems != (a, b):
-            raise LayoutMismatch("first representation must land on the (shared, I) pair")
-        if self.v_acs.output_layout.subsystems != (a, c):
-            raise LayoutMismatch("second representation must land on the (shared, II) pair")
+        d_s, d_o = self.source_layout.total_dim, self.output_layout.total_dim
+        u, vab, vac = (_frozen(m) for m in (self.u, self.v_abs, self.v_acs))
+        if u.ndim != 2 or u.shape[1] != d_s or u.shape[0] % d_o:
+            raise LayoutMismatch(f"Stinespring shape {u.shape}, expected ({d_o} * d_e, {d_s})")
+        d_e = u.shape[0] // d_o
+        if d_e < 1:
+            raise InvariantViolation("channel needs at least one Kraus operator")
+        if d_e > d_s * d_o:
+            raise InvariantViolation(
+                f"{d_e} Kraus operators exceed the canonical maximum {d_s * d_o}"
+            )
+        d_a, d_b, d_c = (d for _, d in self.output_layout.subsystems)
+        for key, m, rows in (("v_abs", vab, d_a * d_b), ("v_acs", vac, d_a * d_c)):
+            if m.shape != (rows, d_s):
+                raise LayoutMismatch(f"{key} shape {m.shape}, expected {(rows, d_s)}")
+        for what, m in (("completeness", u), ("isometry of v_abs", vab), ("isometry of v_acs", vac)):
+            # a non-finite or overflowing entry gives a non-finite err, which fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = float(np.max(np.abs(m.conj().T @ m - np.eye(d_s))))
+            if not err <= TOL_ISO:
+                raise InvariantViolation(f"{what} violated by {err}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v_abs", vab)
+        object.__setattr__(self, "v_acs", vac)
 
     @property
     def d_s(self) -> int:
-        return self.channel.input_layout.total_dim
+        return self.source_layout.total_dim
 
     @property
     def d_a(self) -> int:
-        return self.channel.output_layout.subsystems[0][1]
+        return self.output_layout.subsystems[0][1]
 
     @property
     def d_b(self) -> int:
-        return self.channel.output_layout.subsystems[1][1]
+        return self.output_layout.subsystems[1][1]
 
     @property
     def d_c(self) -> int:
-        return self.channel.output_layout.subsystems[2][1]
+        return self.output_layout.subsystems[2][1]
 
     @property
-    def source_layout(self) -> SpaceLayout:
-        return self.channel.input_layout
+    def d_e(self) -> int:
+        return self.u.shape[0] // self.output_layout.total_dim
+
+    def _pairs(self) -> dict[str, tuple]:
+        """The output pair each representation lands on, by field name."""
+        a, b, c = self.output_layout.subsystems
+        return {"v_abs": (a, b), "v_acs": (a, c)}
 
     def to_json(self) -> dict:
-        data = self.channel.to_json()
-        data["v_abs"] = self.v_abs.to_json()
-        data["v_acs"] = self.v_acs.to_json()
+        """The instance file: the channel as its Kraus list, each representation
+        with its own in/out layouts."""
+        ops = self.u.reshape(-1, self.d_e, self.d_s).swapaxes(0, 1)
+        data = {
+            "in": self.source_layout.to_json(),
+            "out": self.output_layout.to_json(),
+            "kraus": [_mat_to_json(k) for k in ops],
+        }
+        for key, pair in self._pairs().items():
+            data[key] = {
+                "in": self.source_layout.to_json(),
+                "out": SpaceLayout(pair).to_json(),
+                "matrix": _mat_to_json(getattr(self, key)),
+            }
         return data
 
     @classmethod
     def from_stinespring(
         cls, u: np.ndarray, vab: np.ndarray, vac: np.ndarray, d_a: int, d_b: int, d_c: int
     ) -> "QsbInstance":
-        """The instance on source S and outputs (A, B, C) with channel
-        Stinespring matrix u: S -> ABCE, environment last, and representation
-        matrices vab: S -> AB and vac: S -> AC.
-
-        Kraus operator e is u.reshape(d_a * d_b * d_c, d_e, d_s)[:, e], which
-        inverts _stinespring_matrix bit for bit. The channel's completeness
-        residual is U^H U - 1, and both representations are checked as Isometry.
-        """
-        d_s = u.shape[1]
-        lay_s = SpaceLayout([("S", d_s)])
-        ops = u.reshape(d_a * d_b * d_c, -1, d_s).swapaxes(0, 1)
-        return cls(
-            KrausChannel(lay_s, SpaceLayout([("A", d_a), ("B", d_b), ("C", d_c)]), tuple(ops)),
-            Isometry(lay_s, SpaceLayout([("A", d_a), ("B", d_b)]), vab),
-            Isometry(lay_s, SpaceLayout([("A", d_a), ("C", d_c)]), vac),
-        )
+        """The instance on source S and outputs (A, B, C) with these matrices."""
+        abc = SpaceLayout([("A", d_a), ("B", d_b), ("C", d_c)])
+        return cls(SpaceLayout([("S", u.shape[1])]), abc, u, vab, vac)
 
     @classmethod
     def from_json(cls, data: dict) -> "QsbInstance":
-        channel = KrausChannel.from_json(
-            {"in": data["in"], "out": data["out"], "kraus": data["kraus"]}
-        )
-        return cls(
-            channel,
-            Isometry.from_json(data["v_abs"]),
-            Isometry.from_json(data["v_acs"]),
-        )
+        """Inverse of to_json; each representation's in/out layouts must be
+        the source and its output pair."""
+        source, output = SpaceLayout(data["in"]), SpaceLayout(data["out"])
+        kraus = data["kraus"]
+        # a JSON object would iterate as its keys, so only an array is read
+        if not isinstance(kraus, list):
+            raise TypeError("kraus is not a JSON array")
+        ops = [_mat_from_json(k) for k in kraus]
+        shape = (output.total_dim, source.total_dim)
+        for k in ops:
+            if k.shape != shape:
+                raise LayoutMismatch(f"Kraus shape {k.shape}, expected {shape}")
+        u = np.array(ops, dtype=np.complex128).reshape(-1, *shape).swapaxes(0, 1)
+        vab, vac = (_mat_from_json(data[key]["matrix"]) for key in ("v_abs", "v_acs"))
+        inst = cls(source, output, u.reshape(-1, shape[1]), vab, vac)
+        for key, pair in inst._pairs().items():
+            rep = data[key]
+            if SpaceLayout(rep["in"]) != source or SpaceLayout(rep["out"]).subsystems != pair:
+                labels = [lbl for lbl, _ in pair]
+                raise LayoutMismatch(f"{key} must map the source into the output pair {labels}")
+        return inst
 
 
 def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance:
@@ -278,20 +339,15 @@ def branch_values(
     return f, (k, u, uc_c, vab, vac, probes, gram, dims4)
 
 
-def _deficit(
-    instance: QsbInstance, u: np.ndarray, cols: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _deficit(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Worst fidelity deficit over source columns (d_s, n), and both receiver
-    fidelities per column, clipped to [0, 1]; u is the channel's
-    _stinespring_matrix.
+    fidelities per column, clipped to [0, 1].
 
     One evaluation of a probe set cannot amortise probe_matrix's n * d_s^4
     build, so this reads f = |K P|^2 from the (d_s^2, n) outer products.
     """
-    dims4 = (instance.d_a, instance.d_b, instance.d_c, len(instance.channel.kraus_ops))
-    f, _ = branch_values(
-        u, instance.v_abs.matrix, instance.v_acs.matrix, _outer_columns(cols), dims4
-    )
+    dims4 = (instance.d_a, instance.d_b, instance.d_c, instance.d_e)
+    f, _ = branch_values(instance.u, instance.v_abs, instance.v_acs, _outer_columns(cols), dims4)
     f = np.clip(f, 0.0, 1.0)
     return max(1.0 - float(f.min()), 0.0), f[0], f[1]
 
@@ -301,9 +357,9 @@ def measure_eps(
 ) -> tuple[float, list[FidelityPair]]:
     """Largest fidelity deficit seen over the supplied probe states.
 
-    The fidelities come from branch_values on the channel's Stinespring
-    matrix, the kernel the search maximises, so a searched instance
-    re-measures to its in-search value up to roundoff. The result is a lower
+    The fidelities come from branch_values on the instance's matrices, the
+    kernel the search maximises, so a searched instance re-measures to its
+    in-search value up to roundoff. The result is a lower
     estimate of the true worst-case deficit: it only sees the states it is
     given. Feed it default_probe_states (or better) for a usable estimate.
     """
@@ -314,7 +370,7 @@ def measure_eps(
         if s.layout != instance.source_layout:
             raise LayoutMismatch("probe state does not live on the source layout")
     cols = np.stack([s.amplitudes for s in states], axis=1)
-    eps_hat, f_ab, f_ac = _deficit(instance, _stinespring_matrix(instance.channel), cols)
+    eps_hat, f_ab, f_ac = _deficit(instance, cols)
     return eps_hat, [FidelityPair(float(x), float(y)) for x, y in zip(f_ab, f_ac)]
 
 
@@ -366,20 +422,20 @@ class ProductApprox:
     fidelity_ac: float
 
 
-def _extract(instance: QsbInstance, image: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+def _extract(instance: QsbInstance, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """extract_product_approx for source columns (d_s, n), on raw arrays.
 
-    image = U @ cols for the channel's _stinespring_matrix U. As an
-    (A, B, C, E) tensor each column purifies that input's channel output, and
-    every purification has the same marginals on A, B and C. Returns phi_a,
-    phi_b, phi_c as (n, d) stacks of top eigenvectors in the eigh_desc gauge,
-    then the fidelities f_abc, f_ab, f_ac per column.
+    As an (A, B, C, E) tensor each column of the Stinespring image U @ cols
+    purifies that input's channel output, and every purification has the
+    same marginals on A, B and C. Returns phi_a, phi_b, phi_c as (n, d)
+    stacks of top eigenvectors in the eigh_desc gauge, then the fidelities
+    f_abc, f_ab, f_ac per column.
     """
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
     n = cols.shape[1]
-    out = image.T.reshape(n, d_a, d_b, d_c, -1)
-    psi_ab = (instance.v_abs.matrix @ cols).T.reshape(n, d_a, d_b)
-    psi_ac = (instance.v_acs.matrix @ cols).T.reshape(n, d_a, d_c)
+    out = (instance.u @ cols).T.reshape(n, d_a, d_b, d_c, -1)
+    psi_ab = (instance.v_abs @ cols).T.reshape(n, d_a, d_b)
+    psi_ac = (instance.v_acs @ cols).T.reshape(n, d_a, d_c)
     # Factorise the purification, (A, C) leading, against the secondary image
     # psi_ac: the partial overlap is (up to norm) the best pure companion on (B, E).
     out_ac = out.transpose(0, 1, 3, 2, 4).reshape(n, d_a * d_c, -1)
@@ -421,8 +477,8 @@ def extract_product_approx(instance: QsbInstance, psi: PureState) -> ProductAppr
     if psi.layout != instance.source_layout:
         raise LayoutMismatch("input does not live on the source layout")
     col = psi.amplitudes.reshape(-1, 1)
-    *phis, f_abc, f_ab, f_ac = _extract(instance, _stinespring_matrix(instance.channel) @ col, col)
-    subs = instance.channel.output_layout.subsystems
+    *phis, f_abc, f_ab, f_ac = _extract(instance, col)
+    subs = instance.output_layout.subsystems
     phi_a, phi_b, phi_c = (PureState(SpaceLayout([sub]), v[0]) for sub, v in zip(subs, phis))
     return ProductApprox(
         phi_a=phi_a,
@@ -511,7 +567,8 @@ def lambda_max_rank2(alpha: complex, beta: complex, f12: float) -> float:
     """
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
-    if abs(a2 + b2 - 1.0) > 1e-9:
+    # "not within tolerance", so a NaN fails it
+    if not abs(a2 + b2 - 1.0) <= 1e-9:
         raise BadAmplitudes(f"|alpha|^2 + |beta|^2 = {a2 + b2} must be 1")
     if not -1e-12 <= f12 <= 1.0 + 1e-12:
         raise BadAmplitudes(f"f12 = {f12} outside [0, 1]")
@@ -537,7 +594,7 @@ def cloner_baseline(psi: PureState) -> tuple[DensityMatrix, DensityMatrix]:
     """
     d = psi.layout.total_dim
     inst = werner_cloner_construct(d)
-    t = (_stinespring_matrix(inst.channel) @ psi.amplitudes).reshape(d, d, d)
+    t = (inst.u @ psi.amplitudes).reshape(d, d, d)
     rho_b = np.einsum("bce,dce->bd", t, t.conj())
     rho_c = np.einsum("bce,bde->cd", t, t.conj())
     return (
@@ -561,7 +618,12 @@ def epsilon_threshold(d_a: int) -> tuple[float, float, float]:
     if d_a < 1:
         raise InvariantViolation(f"d_a = {d_a} must be >= 1")
     fixed = 0.6e-175
-    dimensional = 2.4e-14 / float(d_a) ** 8
+    try:
+        dimensional = 2.4e-14 / float(d_a) ** 8
+    except OverflowError:
+        # d_a^8 is past float range: int / int is the exact quotient, rounded once
+        num, den = (2.4e-14).as_integer_ratio()
+        dimensional = num / (den * d_a**8)
     return min(fixed, dimensional), fixed, dimensional
 
 
@@ -831,8 +893,7 @@ def chain_verify(
     basis_cols = _basis_columns(basis, instance.source_layout)
     rng = np.random.default_rng(seed)
 
-    u = _stinespring_matrix(instance.channel)
-    phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, u @ basis_cols, basis_cols)
+    phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, basis_cols)
 
     # Pair selection on the shared subsystem happens before any deficit
     # information is used; it only needs the extracted states.
@@ -844,7 +905,7 @@ def chain_verify(
     sup = np.outer(basis_cols[:, k1], al) + np.outer(basis_cols[:, k2], be)
     sup /= np.linalg.norm(sup, axis=0)
 
-    eps_run, _, _ = _deficit(instance, u, np.concatenate([basis_cols, sup], axis=1))
+    eps_run, _, _ = _deficit(instance, np.concatenate([basis_cols, sup], axis=1))
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
 
@@ -905,7 +966,7 @@ def chain_verify(
     cloning_votes: dict[str, bool] = {}
     # channel outputs of the sampled inputs, axes (A, B, C, E, sample)
     m = sup.shape[1]
-    out = (u @ sup).reshape(d_a, instance.d_b, instance.d_c, -1, m)
+    out = (instance.u @ sup).reshape(d_a, instance.d_b, instance.d_c, -1, m)
 
     for branch, axis, phis, v_rep, edp, etp, eiv, admissible in (
         ("b", 1, phi_b, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b),
@@ -932,7 +993,7 @@ def chain_verify(
         # representation targets: alpha |phi_A1 x1> + beta |phi_A2 resid>
         t1 = np.outer(phi_a[k1], x1).ravel()
         t2 = np.outer(phi_a[k2], resid0).ravel()
-        reps = v_rep.matrix @ sup
+        reps = v_rep @ sup
         xs = al.conj() * (t1.conj() @ reps)
         ys = be.conj() * (t2.conj() @ reps)
         offsets = np.abs(xs) ** 2 + np.abs(ys) ** 2
@@ -985,6 +1046,6 @@ def perturbed_perfect_instance(
     the branch holding the larger private subsystem recovers the least.
     """
     base = perfect_qsb_construct(d_s, d_a, d_b, d_c)
-    dep = depolarizing_channel(base.channel.input_layout, base.channel.output_layout)
-    noisy = mix(base.channel, dep, noise)
-    return QsbInstance(noisy, base.v_abs, base.v_acs)
+    d_o = d_a * d_b * d_c
+    noisy = mix(base.u.reshape(d_o, 1, d_s), depolarizing_channel(d_s, d_o), noise)
+    return replace(base, u=noisy.reshape(-1, d_s))

@@ -18,6 +18,11 @@ def pure_density(psi):
     return DensityMatrix(psi.layout, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
+def kraus_ops(u, d_out):
+    """The Kraus family of a Stinespring matrix u from S into (O, E), the environment last."""
+    return u.reshape(d_out, -1, u.shape[1]).swapaxes(0, 1)
+
+
 def channel_action(kraus_ops, rho):
     """sum_i K_i rho K_i^H, on one matrix or a stack."""
     return sum(k @ rho @ k.conj().T for k in kraus_ops)

@@ -156,6 +156,13 @@ _DROP = object()
         (("kraus",), {}, 3),
         (("kraus",), [{}], 3),
         (("v_abs", "matrix"), {}, 3),
+        # readable, but at odds with the instance: a representation on the wrong pair
+        # or from a foreign source, a Kraus operator of the wrong shape, and five
+        # complete operators where d_S * d_out = 4 is the cap
+        (("v_abs", "out", 1, 0), "C", 4),
+        (("v_acs", "in", 0, 0), "T", 4),
+        (("kraus", 0), [[[1.0, 0.0]]], 4),
+        (("kraus",), [[[[0.2**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2**0.5, 0.0]]]] * 5, 4),
     ],
 )
 def test_malformed_instance_fails_cleanly(workdir, capsys, path, value, code):
@@ -237,6 +244,10 @@ def test_threshold_exact_arithmetic(workdir, capsys):
         out = capsys.readouterr().out
         expected = min(0.6e-175, 2.4e-14 / float(d) ** 8)
         assert f"eps_zero {expected!r}" in out
+    # past float range 2.4e-14 / d^8 is the exact quotient, rounded once: subnormal, then zero
+    for d, expected in ((4 * 10**38, 3.5e-323), (10**39, 0.0)):
+        assert main(["threshold", "--da", str(d)]) == 0
+        assert f"eps_zero {expected!r}" in capsys.readouterr().out
     assert (workdir / "threshold.manifest.json").exists()
 
 

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from _reference import random_density
-from qsblab.errors import BadRank, InvariantViolation, LabelClash
+from qsblab.errors import InvariantViolation, LabelClash
 from qsblab.hilbert import (
     RANK_CUTOFF,
     DensityMatrix,
-    Isometry,
     PureState,
     SpaceLayout,
     _purification,
     basis_state,
     eigh_desc,
     haar_density_matrix,
-    haar_isometry_matrix,
     phase_fix,
     random_pure,
     validate_density,
@@ -26,7 +24,6 @@ def test_layout_basics():
     lay = SpaceLayout([("A", 2), ("B", 3)])
     assert lay.total_dim == 6
     assert lay.labels == ("A", "B")
-    assert lay.dims == (2, 3)
 
 
 def test_layout_rejects_duplicates_and_bad_dims():
@@ -71,20 +68,6 @@ def test_density_keeps_exact_input():
     mat = np.diag([0.75, 0.25]).astype(complex)
     rho = DensityMatrix(lay, mat)
     assert np.array_equal(rho.matrix, mat)
-
-
-def test_isometry_validation(rng):
-    lay2 = SpaceLayout([("S", 2)])
-    lay3 = SpaceLayout([("A", 3)])
-    with pytest.raises(BadRank):
-        Isometry(lay3, lay2, np.zeros((2, 3)))
-    with pytest.raises(InvariantViolation):
-        Isometry(lay2, lay3, np.ones((3, 2)))
-    with pytest.raises(InvariantViolation):
-        Isometry(lay2, lay3, np.full((3, 2), np.nan))
-    v = Isometry(lay2, lay3, haar_isometry_matrix(rng, 3, 2))
-    gram = v.matrix.conj().T @ v.matrix
-    assert np.abs(gram - np.eye(2)).max() < 1e-12
 
 
 def test_purify_roundtrip(rng):
@@ -188,15 +171,6 @@ def test_validate_density_clips_like_density_matrix(rng):
     assert not np.array_equal(mats[1], tiny)
     assert np.array_equal(mats[0], good)
     assert np.linalg.eigvalsh(mats[1])[0] >= -1e-15
-
-
-def test_state_json_roundtrips(rng):
-    # instance files carry isometries; states and density matrices are never written
-    lay = SpaceLayout([("A", 2), ("B", 2)])
-    v = Isometry(SpaceLayout([("S", 2)]), lay, haar_isometry_matrix(rng, 4, 2))
-    v2 = Isometry.from_json(v.to_json())
-    assert v2.input_layout == v.input_layout
-    assert np.abs(v2.matrix - v.matrix).max() < 1e-15
 
 
 def test_random_density_rank_control(rng):

@@ -5,7 +5,6 @@ import pytest
 
 import qsblab.optimize as optimize_module
 import qsblab.qsb as qsb_module
-from qsblab.channels import _stinespring_matrix
 from qsblab.errors import InvariantViolation, TooLarge
 from qsblab.hilbert import SpaceLayout
 from qsblab.optimize import (
@@ -298,7 +297,7 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
         # the one-shot contraction behind measure_eps and chain_verify
         inst = QsbInstance.from_stinespring(u, vab, vac, d_a, d_b, d_c)
-        _, once_ab, once_ac = qsb_module._deficit(inst, _stinespring_matrix(inst.channel), cols)
+        _, once_ab, once_ac = qsb_module._deficit(inst, cols)
         assert np.max(np.abs(once_ab - f_ab)) <= 1e-13
         assert np.max(np.abs(once_ac - f_ac)) <= 1e-13
         assert abs(got_value - value) <= 1e-13

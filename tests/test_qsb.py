@@ -1,6 +1,8 @@
 """Shared broadcasting: constructions, deficit measurement, and the chain argument."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsblab.qsb as qsb_module
-from _reference import channel_action, partial_trace, pure_density, purify
-from qsblab.channels import KrausChannel, _stinespring_matrix
+from _reference import channel_action, kraus_ops, partial_trace, pure_density, purify
 from qsblab.errors import (
     BadAmplitudes,
     BadEpsilon,
@@ -22,7 +23,6 @@ from qsblab.errors import (
 )
 from qsblab.hilbert import (
     DensityMatrix,
-    Isometry,
     PureState,
     SpaceLayout,
     basis_state,
@@ -58,26 +58,27 @@ from qsblab.qsb import (
 
 def _random_instance(d_s, d_a, d_b, d_c, seed, env=1, labels=("A", "B", "C")):
     """Haar-random pieces (no optimisation): a Stinespring isometry S -> ABCE
-    split into env Kraus operators, isometric for env = 1."""
+    with env Kraus operators, isometric for env = 1."""
     rng = np.random.default_rng(seed)
-    a, b, c = labels
-    lay_s = SpaceLayout([("S", d_s)])
-    lay_abc = SpaceLayout([(a, d_a), (b, d_b), (c, d_c)])
-    u = haar_isometry_matrix(rng, d_a * d_b * d_c * env, d_s).reshape(d_a * d_b * d_c, env, d_s)
-    chan = KrausChannel(lay_s, lay_abc, tuple(u[:, e, :] for e in range(env)))
-    vab = Isometry(lay_s, SpaceLayout([(a, d_a), (b, d_b)]), haar_isometry_matrix(rng, d_a * d_b, d_s))
-    vac = Isometry(lay_s, SpaceLayout([(a, d_a), (c, d_c)]), haar_isometry_matrix(rng, d_a * d_c, d_s))
-    return QsbInstance(chan, vab, vac)
+    return QsbInstance(
+        SpaceLayout([("S", d_s)]),
+        SpaceLayout(zip(labels, (d_a, d_b, d_c))),
+        haar_isometry_matrix(rng, d_a * d_b * d_c * env, d_s),
+        haar_isometry_matrix(rng, d_a * d_b, d_s),
+        haar_isometry_matrix(rng, d_a * d_c, d_s),
+    )
+
+
+def _kraus(instance):
+    return kraus_ops(instance.u, instance.output_layout.total_dim)
 
 
 def _swap_private(instance):
     """The instance with its private outputs B and C exchanged, V_AB and V_AC
     with them: the way to make C the purification-route receiver."""
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
-    u = _stinespring_matrix(instance.channel).reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3)
-    return QsbInstance.from_stinespring(
-        u.reshape(-1, instance.d_s), instance.v_acs.matrix, instance.v_abs.matrix, d_a, d_c, d_b
-    )
+    u = instance.u.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3)
+    return QsbInstance.from_stinespring(u.reshape(-1, instance.d_s), instance.v_acs, instance.v_abs, d_a, d_c, d_b)
 
 
 # the chain-verify benchmark's dimensions, with a Stinespring environment of d_s
@@ -106,26 +107,38 @@ def test_perfect_construction_rejections():
 
 
 def test_instance_validation():
-    inst = perfect_qsb_construct(2, 2, 2, 2)
-    lay_s = inst.source_layout
-    # two-subsystem channel output is not a broadcast channel
-    lay_ab = SpaceLayout([("A", 2), ("B", 2)])
-    chan2 = KrausChannel(lay_s, lay_ab, (np.kron(np.eye(2), np.array([[1.0], [0.0]])),))
-    with pytest.raises(InvariantViolation):
-        QsbInstance(chan2, inst.v_abs, inst.v_acs)
-    # representation landing on the wrong pair
+    base = perfect_qsb_construct(2, 2, 2, 2)
+    # a two-subsystem channel output is not a broadcast channel
+    with pytest.raises(InvariantViolation, match="exactly three subsystems"):
+        replace(base, output_layout=SpaceLayout([("A", 2), ("B", 4)]))
+    # each representation must be an isometry of the right shape
+    for bad in (np.ones((4, 2)), np.full((4, 2), np.nan)):
+        with pytest.raises(InvariantViolation, match="isometry of v_abs violated"):
+            replace(base, v_abs=bad)
+    with pytest.raises(InvariantViolation, match="isometry of v_acs violated by nan"):
+        replace(base, v_acs=np.full((4, 2), np.nan))
     with pytest.raises(LayoutMismatch):
-        QsbInstance(inst.channel, inst.v_acs, inst.v_acs)
+        replace(base, v_acs=np.eye(2))
 
 
 def test_instance_json_roundtrip():
-    inst = perturbed_perfect_instance(2, 2, 2, 2, 0.05)
-    back = QsbInstance.from_json(inst.to_json())
-    probes = default_probe_states(inst.source_layout, seed=1, haar_count=10)
-    e1, _ = measure_eps(inst, probes)
-    e2, _ = measure_eps(back, probes)
-    assert e1 == pytest.approx(e2, abs=1e-12)
-    assert back.d_s == 2 and back.d_a == 2 and back.d_b == 2 and back.d_c == 2
+    for inst in (
+        perturbed_perfect_instance(2, 2, 2, 2, 0.05),
+        perturbed_perfect_instance(3, 3, 2, 2, 1e-2),  # through mix's QR compression
+        werner_cloner_construct(3),
+        _random_instance(3, 2, 2, 2, seed=12, env=3, labels=("A", "B", "E")),
+    ):
+        data = inst.to_json()
+        back = QsbInstance.from_json(json.loads(json.dumps(data)))
+        assert (back.source_layout, back.output_layout) == (inst.source_layout, inst.output_layout)
+        for got, want in ((back.u, inst.u), (back.v_abs, inst.v_abs), (back.v_acs, inst.v_acs)):
+            assert got.tobytes() == want.tobytes()
+        # file Kraus operator e is the E = e slice of u
+        assert len(data["kraus"]) == inst.d_e
+        d_o = inst.output_layout.total_dim
+        for e, k in enumerate(data["kraus"]):
+            op = np.array([[complex(*z) for z in row] for row in k])
+            assert np.array_equal(op, inst.u.reshape(d_o, inst.d_e, inst.d_s)[:, e])
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +168,9 @@ def test_fidelities_match_slow_path():
     for _ in range(10):
         psi = random_pure(inst.source_layout, rng)
         fast = measure_eps(inst, [psi])[1][0]
-        rho = channel_action(inst.channel.kraus_ops, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        rho = channel_action(_kraus(inst), np.outer(psi.amplitudes, psi.amplitudes.conj()))
         dims = (inst.d_a, inst.d_b, inst.d_c)
-        t_ab, t_ac = inst.v_abs.matrix @ psi.amplitudes, inst.v_acs.matrix @ psi.amplitudes
+        t_ab, t_ac = inst.v_abs @ psi.amplitudes, inst.v_acs @ psi.amplitudes
         slow_ab = np.vdot(t_ab, partial_trace(rho, dims, [0, 1]) @ t_ab).real
         slow_ac = np.vdot(t_ac, partial_trace(rho, dims, [0, 2]) @ t_ac).real
         assert fast.f_ab == pytest.approx(slow_ab, abs=1e-10)
@@ -168,11 +181,11 @@ def _kraus_loop_fidelities(instance, cols):
     # reference: the receiver fidelities summed Kraus operator by Kraus operator
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
     n = cols.shape[1]
-    psi_ab = (instance.v_abs.matrix @ cols).reshape(d_a, d_b, n)
-    psi_ac = (instance.v_acs.matrix @ cols).reshape(d_a, d_c, n)
+    psi_ab = (instance.v_abs @ cols).reshape(d_a, d_b, n)
+    psi_ac = (instance.v_acs @ cols).reshape(d_a, d_c, n)
     f_ab = np.zeros(n)
     f_ac = np.zeros(n)
-    for k in instance.channel.kraus_ops:
+    for k in _kraus(instance):
         t = (k @ cols).reshape(d_a, d_b, d_c, n)
         w = np.einsum("abn,abcn->cn", psi_ab.conj(), t)
         f_ab += np.einsum("cn,cn->n", w, w.conj()).real
@@ -301,10 +314,10 @@ def _object_extract(instance, psi):
     # purified by its own eigendecomposition and the marginals traced out.
     # Returns the ProductApprox and the top eigenvalue gap of each marginal.
     d_a, d_b, d_c = instance.d_a, instance.d_b, instance.d_c
-    layouts = [SpaceLayout([sub]) for sub in instance.channel.output_layout.subsystems]
-    psi_ab = instance.v_abs.matrix @ psi.amplitudes
-    psi_ac = instance.v_acs.matrix @ psi.amplitudes
-    rho_abc = channel_action(instance.channel.kraus_ops, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    layouts = [SpaceLayout([sub]) for sub in instance.output_layout.subsystems]
+    psi_ab = instance.v_abs @ psi.amplitudes
+    psi_ac = instance.v_acs @ psi.amplitudes
+    rho_abc = channel_action(_kraus(instance), np.outer(psi.amplitudes, psi.amplitudes.conj()))
     pure = purify(rho_abc).reshape(d_a, d_b, d_c, -1)
     v_be = np.einsum("ac,abce->be", psi_ac.conj().reshape(d_a, d_c), pure).reshape(-1)
     v_be /= np.linalg.norm(v_be)
@@ -450,6 +463,8 @@ def test_lambda_max_guards():
     with pytest.raises(BadAmplitudes):
         lambda_max_rank2(1.0, 1.0, 0.5)
     with pytest.raises(BadAmplitudes):
+        lambda_max_rank2(float("nan"), 0.0, 0.5)
+    with pytest.raises(BadAmplitudes):
         lambda_max_rank2(1.0, 0.0, 1.5)
 
 
@@ -480,9 +495,8 @@ def test_cloner_gives_three_quarters_on_a_qutrit():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_werner_cloner_reaches_the_optimal_cloning_fidelity(d):
     inst = werner_cloner_construct(d)
-    assert (inst.d_s, inst.d_a, inst.d_b, inst.d_c, len(inst.channel.kraus_ops)) == (d, 1, d, d, d)
-    u = _stinespring_matrix(inst.channel)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-15
+    assert (inst.d_s, inst.d_a, inst.d_b, inst.d_c, inst.d_e) == (d, 1, d, d, d)
+    assert np.max(np.abs(inst.u.conj().T @ inst.u - np.eye(d))) <= 1e-15
     # every probe, on both branches, reads (d+3)/(2(d+1))
     _, pairs = measure_eps(inst, default_probe_states(inst.source_layout, seed=d, haar_count=500))
     f = np.array([(p.f_ab, p.f_ac) for p in pairs])
@@ -496,7 +510,7 @@ def test_werner_cloner_is_the_buzek_hillery_copier_at_d_2():
     want = np.zeros((8, 2))
     want[[0b000, 0b011, 0b101], 0] = math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0)
     want[[0b111, 0b010, 0b100], 1] = math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0)
-    assert np.array_equal(_stinespring_matrix(werner_cloner_construct(2).channel), want)
+    assert np.array_equal(werner_cloner_construct(2).u, want)
 
 
 @pytest.mark.parametrize(
@@ -510,15 +524,10 @@ def test_werner_cloner_is_the_buzek_hillery_copier_at_d_2():
 )
 def test_from_stinespring_rebuilds_an_instance_bit_for_bit(make):
     inst = make()
-    back = QsbInstance.from_stinespring(
-        _stinespring_matrix(inst.channel), inst.v_abs.matrix, inst.v_acs.matrix, inst.d_a, inst.d_b, inst.d_c
-    )
-    assert back.channel.output_layout == inst.channel.output_layout
-    assert len(back.channel.kraus_ops) == len(inst.channel.kraus_ops)
-    for got, want in zip(back.channel.kraus_ops, inst.channel.kraus_ops):
+    back = QsbInstance.from_stinespring(inst.u, inst.v_abs, inst.v_acs, inst.d_a, inst.d_b, inst.d_c)
+    assert (back.source_layout, back.output_layout) == (inst.source_layout, inst.output_layout)
+    for got, want in ((back.u, inst.u), (back.v_abs, inst.v_abs), (back.v_acs, inst.v_acs)):
         assert got.tobytes() == want.tobytes()
-    assert np.array_equal(back.v_abs.matrix, inst.v_abs.matrix)
-    assert np.array_equal(back.v_acs.matrix, inst.v_acs.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +758,7 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
         assert abs(_overlap(x1, resid)) <= 1e-12
         t1 = np.kron(phi_as[k1].amplitudes, x1.amplitudes)
         t2 = np.kron(phi_as[k2].amplitudes, resid.amplitudes)
-        psi_reps = [v_rep.matrix @ s.amplitudes for s in sup_states]
+        psi_reps = [v_rep @ s.amplitudes for s in sup_states]
         xs = np.array([np.conj(al) * np.vdot(t1, p) for (al, _), p in zip(coeffs, psi_reps)])
         ys = np.array([np.conj(be) * np.vdot(t2, p) for (_, be), p in zip(coeffs, psi_reps)])
         offsets = np.abs(xs) ** 2 + np.abs(ys) ** 2
@@ -759,8 +768,8 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
         for i, f in enumerate(offsets + 2.0 * np.real(cross * np.exp(1j * th))):
             checks.append(_ref_floor(f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond))
         resid = PureState(x1.layout, np.exp(1j * th) * resid.amplitudes)
-        dims = instance.channel.output_layout.dims
-        outs = [channel_action(instance.channel.kraus_ops, pure_density(s).matrix) for s in sup_states]
+        dims = (instance.d_a, instance.d_b, instance.d_c)
+        outs = [channel_action(_kraus(instance), pure_density(s).matrix) for s in sup_states]
         rho_x = [partial_trace(r, dims, [keep]) for r in outs]
         parts = [(al * x1.amplitudes, be * resid.amplitudes, r) for (al, be), r in zip(coeffs, rho_x)]
         offs = np.array([np.real(np.vdot(u, r @ u) + np.vdot(v, r @ v)) for u, v, r in parts])
@@ -851,7 +860,7 @@ def test_extraction_rejects_an_output_orthogonal_to_the_secondary_image():
     base = perfect_qsb_construct(2, 2, 2, 2)
     m_ac = np.zeros((4, 2), dtype=np.complex128)
     m_ac[[1, 3], [0, 1]] = 1.0
-    inst = QsbInstance(base.channel, base.v_abs, Isometry(base.source_layout, base.v_acs.output_layout, m_ac))
+    inst = replace(base, v_acs=m_ac)
     basis = [basis_state(inst.source_layout, k) for k in range(2)]
     with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
         extract_product_approx(inst, basis[0])
