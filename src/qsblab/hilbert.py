@@ -7,8 +7,8 @@ slowest), which makes np.kron and .reshape line up with the convention.
 
 A DensityMatrix is diagonalised once, by its validation, and keeps those
 eigenpairs; the metrics read them instead of diagonalising again. Maps are
-plain matrices: haar_isometry_matrix draws one, and qsb.QsbInstance
-validates the three an instance holds.
+plain matrices: haar_isometry_matrix draws one, check_isometry validates
+one, and _mat_to_json/_mat_from_json carry one through an instance file.
 """
 
 from __future__ import annotations
@@ -45,6 +45,35 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def check_isometry(m: np.ndarray, what: str) -> None:
+    """Raise InvariantViolation unless |M^H M - 1| <= TOL_ISO.
+
+    A matrix with more columns than rows always fails, and a non-finite or
+    overflowing entry gives a non-finite error, which fails too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+    if not err <= TOL_ISO:
+        raise InvariantViolation(f"{what} violated by {err}")
+
+
+def _c2j(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    return [[_c2j(z) for z in row] for row in m]
+
+
+def _mat_from_json(data) -> np.ndarray:
+    # a JSON object would iterate as its keys, so only arrays are read
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise TypeError("matrix is not a JSON array of arrays")
+    return np.array(
+        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
+    )
 
 
 def phase_fix(vec: np.ndarray) -> np.ndarray:

@@ -48,14 +48,16 @@ from .errors import (
     NoPerfectQsb,
 )
 from .hilbert import (
-    TOL_ISO,
     DensityMatrix,
     PureState,
     SpaceLayout,
+    check_isometry,
     eigh_desc,
     _as_rng,
     _frozen,
     _haar_rows,
+    _mat_from_json,
+    _mat_to_json,
 )
 from .metrics import BoundCheck
 
@@ -67,23 +69,6 @@ CLONING_CEILING = 5.0 / 6.0
 # Gram form: the form streams all of it twice per iteration, and above this
 # size it measured slower than |K P|^2 (see search_probes).
 GRAM_FLOATS = 2**17
-
-
-def _c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _mat_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c2j(z) for z in row] for row in m]
-
-
-def _mat_from_json(data) -> np.ndarray:
-    # a JSON object would iterate as its keys, so only arrays are read
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise TypeError("matrix is not a JSON array of arrays")
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
 
 
 @dataclass(frozen=True)
@@ -126,11 +111,7 @@ class QsbInstance:
             if m.shape != (rows, d_s):
                 raise LayoutMismatch(f"{key} shape {m.shape}, expected {(rows, d_s)}")
         for what, m in (("completeness", u), ("isometry of v_abs", vab), ("isometry of v_acs", vac)):
-            # a non-finite or overflowing entry gives a non-finite err, which fails
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = float(np.max(np.abs(m.conj().T @ m - np.eye(d_s))))
-            if not err <= TOL_ISO:
-                raise InvariantViolation(f"{what} violated by {err}")
+            check_isometry(m, what)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v_abs", vab)
         object.__setattr__(self, "v_acs", vac)

@@ -1,5 +1,7 @@
 """Layouts, states, operators and the bookkeeping they enforce."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,14 @@ from qsblab.hilbert import (
     DensityMatrix,
     PureState,
     SpaceLayout,
+    _mat_from_json,
+    _mat_to_json,
     _purification,
     basis_state,
+    check_isometry,
     eigh_desc,
     haar_density_matrix,
+    haar_isometry_matrix,
     phase_fix,
     random_pure,
     validate_density,
@@ -68,6 +74,20 @@ def test_density_keeps_exact_input():
     mat = np.diag([0.75, 0.25]).astype(complex)
     rho = DensityMatrix(lay, mat)
     assert np.array_equal(rho.matrix, mat)
+
+
+def test_isometry_validation(rng):
+    # 3 -> 2 has more inputs than outputs, so no matrix of that shape is an isometry
+    with pytest.raises(InvariantViolation):
+        check_isometry(np.zeros((2, 3)), "isometry")
+    with pytest.raises(InvariantViolation, match="isometry violated"):
+        check_isometry(np.ones((3, 2)), "isometry")
+    with pytest.raises(InvariantViolation, match="violated by nan"):
+        check_isometry(np.full((3, 2), np.nan), "isometry")
+    v = haar_isometry_matrix(rng, 3, 2)
+    check_isometry(v, "isometry")
+    gram = v.conj().T @ v
+    assert np.abs(gram - np.eye(2)).max() < 1e-12
 
 
 def test_purify_roundtrip(rng):
@@ -171,6 +191,17 @@ def test_validate_density_clips_like_density_matrix(rng):
     assert not np.array_equal(mats[1], tiny)
     assert np.array_equal(mats[0], good)
     assert np.linalg.eigvalsh(mats[1])[0] >= -1e-15
+
+
+def test_state_json_roundtrips(rng):
+    # instance files carry isometries; states and density matrices are never written
+    lay = SpaceLayout([("A", 2), ("B", 2)])
+    v = haar_isometry_matrix(rng, lay.total_dim, 2)
+    data = json.loads(json.dumps({"out": lay.to_json(), "matrix": _mat_to_json(v)}))
+    assert SpaceLayout(data["out"]) == lay
+    assert _mat_from_json(data["matrix"]).tobytes() == v.tobytes()
+    with pytest.raises(TypeError):
+        _mat_from_json({"0": [[1.0, 0.0]]})
 
 
 def test_random_density_rank_control(rng):
