@@ -16,7 +16,6 @@ from .metrics import BoundCheck, fidelity, fidelity_pure, property_sweep
 from .channels import depolarizing_channel, mix
 from .qsb import (
     EpsilonChainReport,
-    FidelityPair,
     ProductApprox,
     QsbInstance,
     chain_constants,
@@ -36,7 +35,6 @@ from .qsb import (
 from .optimize import (
     FrontierPoint,
     OptimizeConfig,
-    SampleSpec,
     frontier_sweep,
     optimize_qsb,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "mix",
     "depolarizing_channel",
     "QsbInstance",
-    "FidelityPair",
     "ProductApprox",
     "EpsilonChainReport",
     "perfect_qsb_construct",
@@ -72,7 +69,6 @@ __all__ = [
     "chain_verify",
     "epsilon_threshold",
     "OptimizeConfig",
-    "SampleSpec",
     "FrontierPoint",
     "optimize_qsb",
     "frontier_sweep",

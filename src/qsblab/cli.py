@@ -2,7 +2,8 @@
 
 Subcommands: construct, verify, threshold, properties, optimize, sweep.
 Exit codes: 0 success, 1 usage, 2 mathematically impossible request,
-3 I/O or malformed input, 4 invariant or property violation. Every run
+3 I/O or malformed input, 4 invariant or property violation or a request
+too large to allocate ("too large: ..."). Every run
 writes a small manifest next to its outputs so it can be replayed.
 """
 
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ChainNotApplicable, NoPerfectQsb, QsbError
-from .hilbert import basis_state, random_pure
+from .hilbert import _haar_rows
 from .metrics import property_sweep
-from .optimize import FrontierPoint, OptimizeConfig, SampleSpec, frontier_sweep, optimize_qsb
+from .optimize import FrontierPoint, OptimizeConfig, frontier_sweep, optimize_qsb
 from .qsb import (
     QsbInstance,
     chain_verify,
@@ -95,15 +96,13 @@ def _print_wrapped(values, per_line: int = 8) -> None:
 def _cmd_construct(args) -> int:
     started = time.time()
     inst = perfect_qsb_construct(args.ds, args.da, args.db, args.dc)
-    rng = np.random.default_rng(args.seed)
-    states = [random_pure(inst.source_layout, rng) for _ in range(100)]
-    _, pairs = measure_eps(inst, states)
-    f_ab = min(p.f_ab for p in pairs)
-    f_ac = min(p.f_ac for p in pairs)
+    # bit-identical to 100 random_pure draws from the same stream
+    cols = _haar_rows(np.random.default_rng(args.seed), 100, inst.d_s).T
+    _, f_ab, f_ac = measure_eps(inst, cols)
     _write_json(args.out, inst.to_json())
     print(f"wrote {args.out}")
-    print(f"f_ab {f_ab:.6f}")
-    print(f"f_ac {f_ac:.6f}")
+    print(f"f_ab {f_ab.min():.6f}")
+    print(f"f_ac {f_ac.min():.6f}")
     _write_manifest("construct", args, [], [args.out], started)
     return EXIT_OK
 
@@ -133,18 +132,14 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     if args.chain:
         check_chain_premise(inst, args.allow_trivial)  # refuse before measuring anything
-    probes = default_probe_states(inst.source_layout, args.seed, haar_count=args.samples)
-    eps_hat, pairs = measure_eps(inst, probes)
+    eps_hat, f_ab, f_ac = measure_eps(inst, default_probe_states(inst.d_s, args.seed, args.samples))
     print(f"eps_hat {eps_hat:.6g}")
-    print(f"states {len(pairs)}")
-    _print_wrapped([p.worst for p in pairs])
+    print(f"states {len(f_ab)}")
+    _print_wrapped(np.minimum(f_ab, f_ac))
     outputs: list[str] = []
     code = EXIT_OK
     if args.chain:
-        basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
-        report = chain_verify(
-            inst, basis, eps_hat, seed=args.seed, allow_trivial=args.allow_trivial
-        )
+        report = chain_verify(inst, eps_hat, seed=args.seed, allow_trivial=args.allow_trivial)
         lines = [
             f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}",
             f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status",
@@ -197,7 +192,7 @@ def _config_from_args(args) -> OptimizeConfig:
         env_dim=args.env,
         restarts=args.restarts,
         max_iters=args.iters,
-        sample_spec=SampleSpec(haar_count=args.haar),
+        haar_count=args.haar,
         seed=args.seed,
     )
 
@@ -225,7 +220,7 @@ def _cmd_sweep(args) -> int:
         d_c=args.dc,
         restarts=args.restarts,
         max_iters=args.iters,
-        sample_spec=SampleSpec(haar_count=args.haar),
+        haar_count=args.haar,
         seed=args.seed,
     )
     points = frontier_sweep(args.ds, range(lo, hi + 1), args.db, args.dc, base)
@@ -354,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except QsbError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except MemoryError as exc:
+        # the exit code optimize's TooLarge gets for a dimension past its cap
+        print(f"too large: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

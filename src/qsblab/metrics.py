@@ -206,12 +206,13 @@ def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequ
 
     states, an unvalidated (N, n, n) stack, holds its buckets' states in order, a sample's
     together; a bucket is (property, dims, sample indices, Haar vectors (samples, 1, n) or
-    None). Ranks are uniform in [1, n], except that partner_overlap states are full rank.
+    None). Ranks are uniform in [1, n], except that partner_overlap states are full rank
+    and of dimension at most min(4, dims_cap).
     """
     d = rng.integers(2, dims_cap + 1, size=count)
     d1 = rng.integers(2, max(2, int(np.sqrt(dims_cap))) + 1, size=count)
     d2 = rng.integers(2, np.maximum(2, dims_cap // d1) + 1)
-    dp = rng.integers(2, 5, size=count)
+    dp = rng.integers(2, min(4, dims_cap) + 1, size=count)
     # each bucket's dims as one integer per sample; (d1, d2) is d1 * (dims_cap + 1) + d2
     codes = {"monotonicity": d1 * (dims_cap + 1) + d2, "partner_overlap": dp}
     pools: dict[int, list] = {}  # n: [(property, dims, sample indices)]
@@ -303,7 +304,7 @@ def property_sweep(
     """Run `samples` random instances of each named inequality.
 
     Returns the failing checks (empty list = all good), ordered by sample and
-    then by inequality. Dimension of each instance is drawn from [2, dims_cap].
+    then by inequality. Each factor's dimension is drawn from [2, dims_cap].
     """
     failures = []
     for idx, label, lhs, rhs, tol in _sweep_checks(samples, dims_cap, seed, names):

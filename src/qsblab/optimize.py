@@ -3,15 +3,16 @@
 The channel is parameterized by a Stinespring isometry U: S -> ABCE and the
 two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
-Worst-case fidelity over a fixed probe family is maximized through a
-temperature-annealed soft minimum of qsb.branch_values, the kernel that
-measure_eps also runs, on the probe operand qsb.search_probes picks for the
-search's shape; the reported value is always the hard minimum re-measured on
-the returned instance. Both receivers' fidelities travel as the kernel's one
-(2, n) stack; a point's hard minimum is taken once, when it is evaluated. A
-restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s) stack. Its
-retraction, Cholesky QR, gives exactly the positive-diagonal QR factor, as a
-tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
+Worst-case fidelity over a fixed probe family, the (d_s, n) columns of
+default_probe_states, is maximized through a temperature-annealed soft
+minimum of qsb.branch_values, the kernel that measure_eps also runs, on the
+probe operand qsb.search_probes picks for the search's shape; the reported
+value is always the hard minimum measure_eps re-measures on the returned
+instance from the same columns. Both receivers' fidelities travel as the
+kernel's one (2, n) stack; a point's hard minimum is taken once, when it is
+evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s)
+stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
+factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
 never tries a step with |t xi| > STEP_CAP.
 """
@@ -19,13 +20,13 @@ never tries a step with |t xi| > STEP_CAP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation, TooLarge
-from .hilbert import PureState, SpaceLayout, haar_isometry_matrix
+from .hilbert import haar_isometry_matrix
 from .qsb import (
     QsbInstance,
     branch_values,
@@ -43,23 +44,6 @@ TEMP_INIT, TEMP_FINAL = 10.0, 1000.0  # soft-min temperature, geometric over the
 
 
 @dataclass(frozen=True)
-class SampleSpec:
-    """Which probe states the objective (and the final measurement) sees."""
-
-    haar_count: int = 200
-    phase_count: int = 8
-
-    def __post_init__(self):
-        if self.haar_count < 0 or self.phase_count < 0:
-            raise InvariantViolation("sample counts must be nonnegative")
-
-    def states(self, layout: SpaceLayout, seed) -> list[PureState]:
-        return default_probe_states(
-            layout, seed, haar_count=self.haar_count, phase_count=self.phase_count
-        )
-
-
-@dataclass(frozen=True)
 class OptimizeConfig:
     d_s: int
     d_a: int
@@ -68,7 +52,8 @@ class OptimizeConfig:
     env_dim: int | None = None
     restarts: int = 16
     max_iters: int = 2000
-    sample_spec: SampleSpec = field(default_factory=SampleSpec)
+    haar_count: int = 200  # the probe columns the objective and the final measurement see
+    phase_count: int = 8
     seed: int = 42
 
     def __post_init__(self):
@@ -77,6 +62,8 @@ class OptimizeConfig:
                 raise InvariantViolation(f"{name} must be >= 1")
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantViolation("restarts and max_iters must be >= 1")
+        if self.haar_count < 0 or self.phase_count < 0:
+            raise InvariantViolation("sample counts must be nonnegative")
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
             raise InvariantViolation(
@@ -327,11 +314,9 @@ def optimize_qsb(
     (when one exists), then by supplied warm starts, then by Haar-random
     draws. Ties between restarts break toward the lower index.
     """
-    lay_s = SpaceLayout([("S", config.d_s)])
-    probes = config.sample_spec.states(lay_s, np.random.default_rng((config.seed, 977)))
-    if not probes:
-        raise InvariantViolation("sample_spec produced no probe states")
-    operand = search_probes(np.stack([s.amplitudes for s in probes], axis=1))
+    rng = np.random.default_rng((config.seed, 977))
+    cols = default_probe_states(config.d_s, rng, config.haar_count, config.phase_count)
+    operand = search_probes(cols)
 
     d_a, d_b, d_c, d_e = config.dims4
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -357,7 +342,7 @@ def optimize_qsb(
 
     winner = max(outcomes, key=lambda o: (o.best_hard, -o.index))
     instance = QsbInstance.from_stinespring(*winner.params, config.d_a, config.d_b, config.d_c)
-    eps_hat, _ = measure_eps(instance, probes)
+    eps_hat, _, _ = measure_eps(instance, cols)
     return FrontierPoint(
         dims=(config.d_s, config.d_a, config.d_b, config.d_c),
         best_worst_fidelity=1.0 - eps_hat,

@@ -11,6 +11,10 @@ deficit everywhere else, and evaluates the chain of bounds that turns a
 small deficit at d_S > d_A into a contradiction with the optimal-cloning
 ceiling of 5/6.
 
+A probe set is one complex (d_s, n) array, an input per column, from
+default_probe_states to measure_eps, which validates it at that boundary; the
+single-state functions take and return validated PureStates.
+
 Both receiver fidelities come from one kernel, branch_values, as one (2, n)
 stack over the n inputs. It builds one factor stack K, the channel's
 Stinespring matrix contracted with the two representation isometries, which
@@ -51,6 +55,7 @@ from .hilbert import (
     DensityMatrix,
     PureState,
     SpaceLayout,
+    TOL_NORM,
     check_isometry,
     eigh_desc,
     _as_rng,
@@ -233,18 +238,6 @@ def werner_cloner_construct(d: int) -> QsbInstance:
     return QsbInstance.from_stinespring(u, eye, eye, 1, d, d)
 
 
-@dataclass(frozen=True)
-class FidelityPair:
-    """The two receiver fidelities for one input state."""
-
-    f_ab: float
-    f_ac: float
-
-    @property
-    def worst(self) -> float:
-        return min(self.f_ab, self.f_ac)
-
-
 def _outer_columns(cols: np.ndarray) -> np.ndarray:
     """P[s' * d_s + s, n] = conj(cols[s', n]) cols[s, n] for source columns (d_s, n)."""
     d_s, n = cols.shape
@@ -320,60 +313,53 @@ def branch_values(
     return f, (k, u, uc_c, vab, vac, probes, gram, dims4)
 
 
-def _deficit(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Worst fidelity deficit over source columns (d_s, n), and both receiver
-    fidelities per column, clipped to [0, 1].
+def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Largest fidelity deficit over the probe columns cols (d_s, n), each a
+    unit vector to TOL_NORM, and both receiver fidelities per column, clipped
+    to [0, 1].
 
-    One evaluation of a probe set cannot amortise probe_matrix's n * d_s^4
-    build, so this reads f = |K P|^2 from the (d_s^2, n) outer products.
+    The fidelities come from branch_values on the instance's matrices, the
+    kernel the search maximises, so a searched instance re-measures to its
+    in-search value up to roundoff. One evaluation cannot amortise
+    probe_matrix's build, so this reads f = |K P|^2 from the outer products.
+    The result is a lower estimate of the true worst-case deficit: it only
+    sees the states it is given, such as default_probe_states.
     """
+    cols = np.ascontiguousarray(cols, dtype=np.complex128)
+    if cols.size == 0:
+        raise EmptyInput("measure_eps needs at least one probe state")
+    if cols.ndim != 2 or cols.shape[0] != instance.d_s:
+        raise LayoutMismatch(f"probe array of shape {cols.shape}, expected ({instance.d_s}, n)")
+    # einsum, unlike |x|^2, does not warn when a huge entry overflows to inf
+    nrm = np.sqrt(np.einsum("sn,sn->n", cols.conj(), cols).real)
+    bad = ~(np.abs(nrm - 1.0) <= TOL_NORM)
+    if bad.any():
+        raise InvariantViolation(f"state norm {nrm[bad][0]} deviates from 1 beyond {TOL_NORM}")
     dims4 = (instance.d_a, instance.d_b, instance.d_c, instance.d_e)
     f, _ = branch_values(instance.u, instance.v_abs, instance.v_acs, _outer_columns(cols), dims4)
     f = np.clip(f, 0.0, 1.0)
     return max(1.0 - float(f.min()), 0.0), f[0], f[1]
 
 
-def measure_eps(
-    instance: QsbInstance, states: Sequence[PureState]
-) -> tuple[float, list[FidelityPair]]:
-    """Largest fidelity deficit seen over the supplied probe states.
-
-    The fidelities come from branch_values on the instance's matrices, the
-    kernel the search maximises, so a searched instance re-measures to its
-    in-search value up to roundoff. The result is a lower
-    estimate of the true worst-case deficit: it only sees the states it is
-    given. Feed it default_probe_states (or better) for a usable estimate.
-    """
-    states = list(states)
-    if not states:
-        raise EmptyInput("measure_eps needs at least one probe state")
-    for s in states:
-        if s.layout != instance.source_layout:
-            raise LayoutMismatch("probe state does not live on the source layout")
-    cols = np.stack([s.amplitudes for s in states], axis=1)
-    eps_hat, f_ab, f_ac = _deficit(instance, cols)
-    return eps_hat, [FidelityPair(float(x), float(y)) for x, y in zip(f_ab, f_ac)]
-
-
 def default_probe_states(
-    layout: SpaceLayout,
+    d_s: int,
     seed: int | np.random.Generator,
     haar_count: int = 200,
     phase_count: int = 8,
-) -> list[PureState]:
-    """Probe family: basis, balanced two-level superpositions, Haar samples.
+) -> np.ndarray:
+    """Probe family as the columns of a (d_s, n) array: basis, balanced
+    two-level superpositions, Haar samples.
 
     The balanced states run over all index pairs with phase_count relative
     phases; they catch coherence loss the basis alone cannot see. Each Haar
     sample is bit-identical to random_pure's from the same rng stream.
     """
-    d = layout.total_dim
-    i, j = np.triu_indices(d, 1)
-    pairs = np.zeros((len(i), phase_count, d), dtype=np.complex128)
+    i, j = np.triu_indices(d_s, 1)
+    pairs = np.zeros((len(i), phase_count, d_s), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)
     pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * _phases(phase_count)
-    haar = _haar_rows(_as_rng(seed), haar_count, d)
-    return [PureState(layout, c) for c in np.concatenate([np.eye(d), pairs.reshape(-1, d), haar])]
+    haar = _haar_rows(_as_rng(seed), haar_count, d_s)
+    return np.concatenate([np.eye(d_s), pairs.reshape(-1, d_s).T, haar.T], axis=1)
 
 
 def _phases(count: int) -> np.ndarray:
@@ -822,20 +808,6 @@ def _superposition_coeffs(
     )
 
 
-def _basis_columns(basis: Sequence[PureState], layout: SpaceLayout) -> np.ndarray:
-    """The basis as the columns of a (d, d) matrix; refused unless it is an
-    orthonormal basis of layout, read off one Gram matrix."""
-    if any(b.layout != layout for b in basis):
-        raise LayoutMismatch("input does not live on the source layout")
-    d = layout.total_dim
-    if len(basis) != d:
-        raise InvariantViolation(f"basis has {len(basis)} elements for dim {d}")
-    cols = np.stack([b.amplitudes for b in basis], axis=1)
-    if not np.max(np.abs(np.abs(cols.conj().T @ cols) - np.eye(d))) <= 1e-9:
-        raise InvariantViolation("supplied basis is not orthonormal")
-    return cols
-
-
 def check_chain_premise(instance: QsbInstance, allow_trivial: bool) -> None:
     """Raise ChainNotApplicable unless the chain can run on the instance: it
     needs d_S >= 2 and, unless allow_trivial, d_S > d_A."""
@@ -850,28 +822,26 @@ def check_chain_premise(instance: QsbInstance, allow_trivial: bool) -> None:
 
 def chain_verify(
     instance: QsbInstance,
-    basis: Sequence[PureState],
     eps_hat: float,
     seed: int = 0,
     allow_trivial: bool = False,
 ) -> EpsilonChainReport:
     """Run the whole deficit-chain argument numerically on one instance.
 
-    Extracts near-product structure for every basis element from the
-    channel's Stinespring image, checks the pairwise-overlap ceilings,
+    Extracts near-product structure for every computational basis state
+    from the channel's Stinespring image, checks the pairwise-overlap ceilings,
     selects the closest shared-subsystem pair, builds the orthogonal
     residuals with exactly maximised phases, and verifies the superposition
     and copy-map floors on sampled two-level inputs. The constants are
     evaluated at the larger of eps_hat and the deficit this run itself
-    measures, so every floor is a genuine consequence. Past its argument
-    checks it works on raw arrays and builds no state object.
+    measures, so every floor is a genuine consequence. It works on raw
+    arrays and builds no state object.
     """
-    basis = list(basis)
     d_s, d_a = instance.d_s, instance.d_a
     check_chain_premise(instance, allow_trivial)
     if not 0.0 <= eps_hat <= 1.0:
         raise BadEpsilon(f"eps_hat = {eps_hat} outside [0, 1]")
-    basis_cols = _basis_columns(basis, instance.source_layout)
+    basis_cols = np.eye(d_s, dtype=np.complex128)
     rng = np.random.default_rng(seed)
 
     phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, basis_cols)
@@ -886,7 +856,7 @@ def chain_verify(
     sup = np.outer(basis_cols[:, k1], al) + np.outer(basis_cols[:, k2], be)
     sup /= np.linalg.norm(sup, axis=0)
 
-    eps_run, _, _ = _deficit(instance, np.concatenate([basis_cols, sup], axis=1))
+    eps_run, _, _ = measure_eps(instance, np.concatenate([basis_cols, sup], axis=1))
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
 

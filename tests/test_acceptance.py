@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from qsblab.cli import main
-from qsblab.hilbert import SpaceLayout, basis_state, random_pure
+from qsblab.hilbert import PureState, SpaceLayout, basis_state, random_pure
 from qsblab.metrics import fidelity_pure, property_sweep
 from qsblab.optimize import (
     OptimizeConfig,
-    SampleSpec,
     objective_value_and_grads,
     optimize_qsb,
 )
@@ -73,9 +72,8 @@ def test_construction_sweep(capsys):
                 for d_c in range(1, 4):
                     inst = perfect_qsb_construct(d_s, d_a, d_b, d_c)
                     states = [random_pure(inst.source_layout, rng) for _ in range(100)]
-                    _, pairs = measure_eps(inst, states)
-                    for p in pairs:
-                        worst = min(worst, p.f_ab, p.f_ac)
+                    _, f_ab, f_ac = measure_eps(inst, np.stack([s.amplitudes for s in states], axis=1))
+                    worst = min(worst, f_ab.min(), f_ac.min())
                     cases += 1
     elapsed = time.perf_counter() - t0
     ok = cases == 90 and worst >= 1.0 - 1e-10 and elapsed < 30.0
@@ -234,12 +232,12 @@ def test_extraction_floors(capsys):
     for i, rate in enumerate(rates):
         dims = dims_cycle[i % len(dims_cycle)]
         inst = perturbed_perfect_instance(*dims, float(rate))
-        probes = default_probe_states(inst.source_layout, seed=i, haar_count=10)
-        eps_hat, _ = measure_eps(inst, probes)
+        probes = default_probe_states(inst.d_s, seed=i, haar_count=10)
+        eps_hat, _, _ = measure_eps(inst, probes)
         floors = product_floors(eps_hat)
         targets = [basis_state(inst.source_layout, k) for k in range(dims[0])]
         if dims[0] > 1:
-            targets.append(probes[dims[0]])  # first balanced superposition
+            targets.append(PureState(inst.source_layout, probes[:, dims[0]]))  # first balanced superposition
         for psi in targets:
             ext = extract_product_approx(inst, psi)
             checked += 1
@@ -297,11 +295,11 @@ def test_oracle_consistency_measure(trivial_shared_run, capsys):
     for cfg in (
         OptimizeConfig(
             d_s=2, d_a=2, d_b=1, d_c=1, restarts=2, max_iters=150,
-            sample_spec=SampleSpec(haar_count=20, phase_count=4), seed=3,
+            haar_count=20, phase_count=4, seed=3,
         ),
         OptimizeConfig(
             d_s=2, d_a=1, d_b=2, d_c=2, restarts=3, max_iters=200,
-            sample_spec=SampleSpec(haar_count=30, phase_count=4), seed=4,
+            haar_count=30, phase_count=4, seed=4,
         ),
     ):
         p = optimize_qsb(cfg)
@@ -321,7 +319,7 @@ def test_oracle_consistency_measure(trivial_shared_run, capsys):
 def test_oracle_consistency_gradient(capsys):
     cfg = OptimizeConfig(
         d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2,
-        sample_spec=SampleSpec(haar_count=10, phase_count=4),
+        haar_count=10, phase_count=4,
     )
     d_a, d_b, d_c, d_e = cfg.dims4
     rng = np.random.default_rng(17)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qsblab import cli
 from qsblab.cli import main
-from qsblab.hilbert import basis_state, random_pure
-from qsblab.optimize import OptimizeConfig, SampleSpec, optimize_qsb
+from qsblab.hilbert import PureState, SpaceLayout, random_pure
+from qsblab.optimize import OptimizeConfig, optimize_qsb
 from qsblab.qsb import chain_verify, default_probe_states, measure_eps, perfect_qsb_construct
 
 
@@ -112,6 +112,44 @@ def test_verify_invariant_breaking_instance(workdir, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("invariant violation: "), err
+
+
+def test_a_request_too_large_to_allocate_exits_4(workdir, capsys):
+    # 10^15 Haar probes need 28 PiB, more than a 64-bit address space holds,
+    # so the draw fails at once and allocates nothing
+    path = _construct(workdir)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--samples", "1000000000000000"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("too large: "), err
+
+
+def test_no_cli_call_builds_a_pure_state(workdir, monkeypatch):
+    # a probe set stays one (d_S, n) array from its draw to the report
+    built = []
+    validate = PureState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    runs = {
+        "construct": ["construct", "--ds", "2", "--da", "2", "--db", "1", "--dc", "1", "-o", "inst.json"],
+        "verify": ["verify", "inst.json"],
+        "verify --chain": ["verify", "inst.json", "--chain", "--allow-trivial"],
+        "optimize": ["optimize", "--ds", "2", "--da", "1", "--db", "2", "--dc", "2", "--env", "2",
+                     "--restarts", "1", "--iters", "5", "--haar", "10"],
+    }
+    counts = {}
+    for name, argv in runs.items():
+        built.clear()
+        assert main(argv) == 0, name
+        counts[name] = len(built)
+    assert counts == dict.fromkeys(runs, 0)
+    PureState(SpaceLayout([("S", 1)]), np.ones(1))  # the counter does see a construction
+    assert len(built) == 1
 
 
 _DROP = object()
@@ -486,14 +524,13 @@ def _old_verify_stdout(inst, samples, seed, chain=False, out=None):
     buf = io.StringIO()
     report = None
     with contextlib.redirect_stdout(buf):
-        probes = default_probe_states(inst.source_layout, seed, haar_count=samples)
-        eps_hat, pairs = measure_eps(inst, probes)
+        probes = default_probe_states(inst.d_s, seed, haar_count=samples)
+        eps_hat, f_ab, f_ac = measure_eps(inst, probes)
         print(f"eps_hat {eps_hat:.6g}")
-        print(f"states {len(pairs)}")
-        _old_print_wrapped([p.worst for p in pairs])
+        print(f"states {probes.shape[1]}")
+        _old_print_wrapped([min(float(x), float(y)) for x, y in zip(f_ab, f_ac)])
         if chain:
-            basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
-            report = chain_verify(inst, basis, eps_hat, seed=seed)
+            report = chain_verify(inst, eps_hat, seed=seed)
             print(f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}")
             print(f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status")
             for c in report.checks:
@@ -521,9 +558,10 @@ def test_outputs_match_per_line_reference(workdir, capsys, monkeypatch):
                  "-o", "inst.json", "--seed", "7"]) == 0
     inst = perfect_qsb_construct(2, 2, 1, 1)
     rng = np.random.default_rng(7)
-    _, pairs = measure_eps(inst, [random_pure(inst.source_layout, rng) for _ in range(100)])
-    f_ab = min(p.f_ab for p in pairs)
-    f_ac = min(p.f_ac for p in pairs)
+    states = [random_pure(inst.source_layout, rng) for _ in range(100)]
+    _, f_abs, f_acs = measure_eps(inst, np.stack([s.amplitudes for s in states], axis=1))
+    f_ab = min(float(x) for x in f_abs)
+    f_ac = min(float(x) for x in f_acs)
     assert capsys.readouterr().out == f"wrote inst.json\nf_ab {f_ab:.6f}\nf_ac {f_ac:.6f}\n"
 
     assert main(["verify", "inst.json", "--samples", "20", "--seed", "3"]) == 0
@@ -533,7 +571,7 @@ def test_outputs_match_per_line_reference(workdir, capsys, monkeypatch):
     assert main(["optimize", *dims, "--restarts", "1", "--iters", "30", "--haar", "10",
                  "-o", "f.json"]) == 0
     config = OptimizeConfig(3, 2, 2, 2, restarts=1, max_iters=30,
-                            sample_spec=SampleSpec(haar_count=10), seed=42)
+                            haar_count=10, seed=42)
     point = optimize_qsb(config)
     assert capsys.readouterr().out == (
         f"dims {point.dims}\n"

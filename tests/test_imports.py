@@ -15,6 +15,19 @@ EXTRA_ROOTS = {
     "error": "the CLI parser's override, which argparse calls on a usage error",
 }
 
+# unreached() matches a method by attribute name only, so a dead method would
+# live on while any reached code calls a method of the same name. Every
+# non-dunder method name that two classes define is pinned here, class by
+# class, with the caller that reaches each one.
+SHARED_METHODS = {
+    "to_json": {
+        "SpaceLayout": "QsbInstance.to_json, for the instance's layouts",
+        "QsbInstance": "the construct file, and FrontierPoint.to_json for its best_instance",
+        "FrontierPoint": "the optimize frontier file",
+        "EpsilonChainReport": "the verify --chain report file",
+    },
+}
+
 
 def _reads(tree: ast.AST) -> set[str]:
     """Names a syntax tree reads: every loaded Name, and those inside string annotations."""
@@ -165,6 +178,18 @@ def test_reachability_checker_sees_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_shared_method_names_are_listed():
+    shared: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name[:2] == f.name[-2:] == "__":
+                        shared.setdefault(f.name, set()).add(node.name)
+    shared = {name: owners for name, owners in shared.items() if len(owners) > 1}
+    assert shared == {name: set(owners) for name, owners in SHARED_METHODS.items()}
 
 
 def test_every_definition_has_a_caller():

@@ -375,21 +375,24 @@ def test_sweep_draws_what_it_promises(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(metrics, "haar_density_matrix", recorded)
-    drawn = _sweep_draw(300, 16, 21)
-    assert sum(len(ranks) for ranks, _ in calls) == 300 * sum(metrics._STATES.values())
-    for ranks, states in calls:
-        assert np.abs(states - states.conj().swapaxes(-1, -2)).max() <= 1e-12
-        assert np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
-        assert np.array_equal(np.sum(np.linalg.eigvalsh(states) > RANK_CUTOFF, axis=-1), ranks)
-    assert set(drawn) == {(i, prop) for i in range(300) for prop in metrics._STATES}
-    for (_, prop), (dims, mats, vec) in drawn.items():
-        n = mats.shape[-1]
-        assert n == np.prod(dims) and min(dims) >= 2 and (vec is None or vec.shape == (n,))
-        if prop == "partner_overlap":
-            assert n <= 4
-            assert np.all(np.sum(np.linalg.eigvalsh(mats) > RANK_CUTOFF, axis=-1) == n)
-        else:
-            assert n <= 16  # d <= cap, and d1 d2 <= cap for monotonicity
+    for cap in (16, 2, 3):
+        calls.clear()
+        drawn = _sweep_draw(300, cap, 21)
+        assert sum(len(ranks) for ranks, _ in calls) == 300 * sum(metrics._STATES.values())
+        for ranks, states in calls:
+            assert np.abs(states - states.conj().swapaxes(-1, -2)).max() <= 1e-12
+            assert np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
+            assert np.array_equal(np.sum(np.linalg.eigvalsh(states) > RANK_CUTOFF, axis=-1), ranks)
+        assert set(drawn) == {(i, prop) for i in range(300) for prop in metrics._STATES}
+        for (_, prop), (dims, mats, vec) in drawn.items():
+            n = mats.shape[-1]
+            assert n == np.prod(dims) and min(dims) >= 2 and (vec is None or vec.shape == (n,))
+            assert max(dims) <= cap, (cap, prop, dims)  # the documented cap per factor
+            if prop == "partner_overlap":
+                assert n <= 4
+                assert np.all(np.sum(np.linalg.eigvalsh(mats) > RANK_CUTOFF, axis=-1) == n)
+            else:
+                assert n <= max(cap, 4)  # d <= cap; d1 d2 <= cap for monotonicity, or 2 x 2
 
 
 def test_sweep_repeats_its_checks_for_a_seed():

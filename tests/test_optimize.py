@@ -6,11 +6,9 @@ import pytest
 import qsblab.optimize as optimize_module
 import qsblab.qsb as qsb_module
 from qsblab.errors import InvariantViolation, TooLarge
-from qsblab.hilbert import SpaceLayout
 from qsblab.optimize import (
     FrontierPoint,
     OptimizeConfig,
-    SampleSpec,
     branch_values,
     frontier_sweep,
     objective_value_and_grads,
@@ -18,7 +16,7 @@ from qsblab.optimize import (
 )
 from qsblab.qsb import QsbInstance, perfect_qsb_construct, probe_matrix, search_probes
 
-SMALL = SampleSpec(haar_count=20, phase_count=4)
+SMALL = dict(haar_count=20, phase_count=4)
 
 
 def _haar(rows, cols, rng):
@@ -73,13 +71,19 @@ def test_config_misc_guards():
     with pytest.raises(InvariantViolation):
         OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, restarts=0)
     with pytest.raises(InvariantViolation):
-        SampleSpec(haar_count=-1)
+        OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, haar_count=-1)
 
 
-def test_sample_spec_census():
-    spec = SampleSpec(haar_count=5, phase_count=3)
-    states = spec.states(SpaceLayout([("S", 2)]), seed=0)
-    assert len(states) == 2 + 1 * 3 + 5
+def test_sample_spec_census(monkeypatch):
+    drawn = []
+
+    def recording(*args):
+        drawn.append(qsb_module.default_probe_states(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(optimize_module, "default_probe_states", recording)
+    optimize_qsb(OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=1, haar_count=5, phase_count=3))
+    assert [cols.shape for cols in drawn] == [(2, 2 + 1 * 3 + 5)]
 
 
 def test_frontier_point_validation_and_csv():
@@ -166,7 +170,7 @@ def test_step_beyond_the_retraction_range_is_refused(monkeypatch):
 
     monkeypatch.setattr(optimize_module, "_tangent", steep_rank_one_tangent)
     monkeypatch.setattr(optimize_module, "_qr_positive", checked_retraction)
-    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=5, sample_spec=SMALL)
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=5, **SMALL)
     cols = _probe_cols(cfg, np.random.default_rng(6), n=30)
     optimize_module._run_restart(cfg, probe_matrix(cols), _params_for(cfg, rng), 0)
     assert errors and max(errors) <= 1e-11
@@ -201,7 +205,7 @@ def test_cholesky_retraction_matches_householder(dims):
 
 
 def test_full_restart_returns_isometries():
-    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=8, restarts=1, max_iters=2000, sample_spec=SMALL)
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=8, restarts=1, max_iters=2000, **SMALL)
     cols = _probe_cols(cfg, np.random.default_rng(8), n=30)
     init = _params_for(cfg, np.random.default_rng(9))
     out = optimize_module._run_restart(cfg, probe_matrix(cols), init, 0)
@@ -211,7 +215,7 @@ def test_full_restart_returns_isometries():
 
 
 def test_gradient_steps_ascend():
-    cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, sample_spec=SMALL)
+    cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, **SMALL)
     rng = np.random.default_rng(3)
     improved = 0
     for _ in range(40):
@@ -229,7 +233,7 @@ def test_gradient_steps_ascend():
 
 
 def test_gradients_match_finite_differences():
-    cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, sample_spec=SMALL)
+    cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, **SMALL)
     rng = np.random.default_rng(4)
     h = 1e-5
     for trial in range(10):
@@ -297,7 +301,7 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
         # the one-shot contraction behind measure_eps and chain_verify
         inst = QsbInstance.from_stinespring(u, vab, vac, d_a, d_b, d_c)
-        _, once_ab, once_ac = qsb_module._deficit(inst, cols)
+        _, once_ab, once_ac = qsb_module.measure_eps(inst, cols)
         assert np.max(np.abs(once_ab - f_ab)) <= 1e-13
         assert np.max(np.abs(once_ac - f_ac)) <= 1e-13
         assert abs(got_value - value) <= 1e-13
@@ -350,7 +354,7 @@ def test_search_contraction_follows_the_shape():
 
 def test_optimize_reaches_perfect_when_source_fits():
     cfg = OptimizeConfig(
-        d_s=2, d_a=2, d_b=1, d_c=1, restarts=2, max_iters=100, sample_spec=SMALL, seed=1
+        d_s=2, d_a=2, d_b=1, d_c=1, restarts=2, max_iters=100, **SMALL, seed=1
     )
     point = optimize_qsb(cfg)
     assert point.best_worst_fidelity >= 1.0 - 1e-6
@@ -365,7 +369,7 @@ def test_optimize_reaches_perfect_when_source_fits():
 
 def test_optimize_winner_consistency():
     cfg = OptimizeConfig(
-        d_s=2, d_a=1, d_b=2, d_c=2, restarts=3, max_iters=120, sample_spec=SMALL, seed=2
+        d_s=2, d_a=1, d_b=2, d_c=2, restarts=3, max_iters=120, **SMALL, seed=2
     )
     point = optimize_qsb(cfg)
     # the winner's in-search value and the posthoc measurement run the same
@@ -378,7 +382,7 @@ def test_optimize_winner_consistency():
 
 def test_optimize_is_deterministic():
     cfg = OptimizeConfig(
-        d_s=2, d_a=1, d_b=2, d_c=2, restarts=2, max_iters=60, sample_spec=SMALL, seed=3
+        d_s=2, d_a=1, d_b=2, d_c=2, restarts=2, max_iters=60, **SMALL, seed=3
     )
     p1 = optimize_qsb(cfg)
     p2 = optimize_qsb(cfg)
@@ -412,7 +416,7 @@ def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_win
     # reference trajectories: any change to what a search iteration
     # computes (objective, gradient, line search, retraction) moves them
     cfg = OptimizeConfig(
-        *dims, restarts=restarts, max_iters=300, sample_spec=SMALL, seed=seed
+        *dims, restarts=restarts, max_iters=300, **SMALL, seed=seed
     )
     point = optimize_qsb(cfg)
     assert point.restart_values == pytest.approx(want_values, rel=0, abs=1e-12)
@@ -434,7 +438,7 @@ def test_search_trajectory_is_pinned(dims, seed, restarts, want_values, want_win
 def test_asymmetric_search_trajectory_is_pinned(monkeypatch, dims, seed, operand, want_value):
     # reference trajectories outside the symmetric, Gram-form pins above
     monkeypatch.setattr(optimize_module, "search_probes", getattr(qsb_module, operand))
-    cfg = OptimizeConfig(*dims, restarts=1, max_iters=300, sample_spec=SMALL, seed=seed)
+    cfg = OptimizeConfig(*dims, restarts=1, max_iters=300, **SMALL, seed=seed)
     point = optimize_qsb(cfg)
     assert point.restart_values == pytest.approx((want_value,), rel=0, abs=1e-12)
     assert point.iterations_used == 300
@@ -464,7 +468,7 @@ def test_no_point_is_evaluated_twice(monkeypatch):
     monkeypatch.setattr(optimize_module, "_run_restart", recording_restart)
     monkeypatch.setattr(optimize_module, "branch_values", recording_values)
     monkeypatch.setattr(optimize_module, "_qr_positive", counting_retraction)
-    cfg = OptimizeConfig(2, 1, 2, 2, restarts=3, max_iters=300, sample_spec=SMALL, seed=2)
+    cfg = OptimizeConfig(2, 1, 2, 2, restarts=3, max_iters=300, **SMALL, seed=2)
     optimize_qsb(cfg)
     assert len(restarts) == 3
     for r in restarts:
@@ -475,7 +479,7 @@ def test_no_point_is_evaluated_twice(monkeypatch):
 
 def test_optimize_rejects_bad_warm_start():
     cfg = OptimizeConfig(
-        d_s=2, d_a=2, d_b=1, d_c=1, restarts=1, max_iters=10, sample_spec=SMALL
+        d_s=2, d_a=2, d_b=1, d_c=1, restarts=1, max_iters=10, **SMALL
     )
     bad = (np.eye(3, dtype=np.complex128),) * 3
     with pytest.raises(InvariantViolation):
@@ -484,7 +488,7 @@ def test_optimize_rejects_bad_warm_start():
 
 def test_frontier_monotone_qubit():
     cfg = OptimizeConfig(
-        d_s=2, d_a=1, d_b=2, d_c=2, restarts=2, max_iters=200, sample_spec=SMALL, seed=5
+        d_s=2, d_a=1, d_b=2, d_c=2, restarts=2, max_iters=200, **SMALL, seed=5
     )
     points = frontier_sweep(2, [1, 2], 2, 2, config=cfg)
     assert len(points) == 2
@@ -504,7 +508,8 @@ def test_frontier_monotone_qutrit():
         d_c=3,
         restarts=2,
         max_iters=150,
-        sample_spec=SampleSpec(haar_count=30, phase_count=4),
+        haar_count=30,
+        phase_count=4,
         seed=6,
     )
     points = frontier_sweep(3, [1, 2, 3], 3, 3, config=cfg)

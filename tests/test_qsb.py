@@ -31,7 +31,7 @@ from qsblab.hilbert import (
     random_pure,
 )
 from qsblab.metrics import BoundCheck, fidelity_pure
-from qsblab.optimize import OptimizeConfig, SampleSpec, optimize_qsb
+from qsblab.optimize import OptimizeConfig, optimize_qsb
 from qsblab.qsb import (
     CLONING_CEILING,
     ProductApprox,
@@ -93,10 +93,10 @@ BENCH_DIMS = ((3, 1, 3, 3), (3, 2, 2, 2), (4, 2, 2, 2), (4, 3, 2, 2))
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 1), (1, 1, 1, 1), (3, 4, 2, 3)])
 def test_perfect_construction_has_no_deficit(dims):
     inst = perfect_qsb_construct(*dims)
-    probes = default_probe_states(inst.source_layout, seed=0, haar_count=20)
-    eps_hat, pairs = measure_eps(inst, probes)
+    probes = default_probe_states(inst.d_s, seed=0, haar_count=20)
+    eps_hat, f_ab, f_ac = measure_eps(inst, probes)
     assert eps_hat <= 1e-12
-    assert all(p.worst >= 1.0 - 1e-12 for p in pairs)
+    assert np.all(np.minimum(f_ab, f_ac) >= 1.0 - 1e-12)
 
 
 def test_perfect_construction_rejections():
@@ -149,16 +149,20 @@ def test_instance_json_roundtrip():
 def test_measure_eps_guards():
     inst = perfect_qsb_construct(2, 2, 2, 2)
     with pytest.raises(EmptyInput):
-        measure_eps(inst, [])
+        measure_eps(inst, np.zeros((2, 0)))
     with pytest.raises(LayoutMismatch):
-        measure_eps(inst, [random_pure(SpaceLayout([("X", 2)]), 0)])
+        measure_eps(inst, random_pure(SpaceLayout([("X", 3)]), 0).amplitudes[:, None])
+    # every column must be a unit vector, and a NaN is not one
+    for bad in (np.ones(2), np.array([np.nan, 0.0])):
+        with pytest.raises(InvariantViolation, match="state norm"):
+            measure_eps(inst, np.stack([np.array([1.0, 0.0]), bad], axis=1))
 
 
 def test_measure_eps_monotone_in_probe_set():
     inst = _random_instance(2, 2, 2, 2, seed=3)
-    probes = default_probe_states(inst.source_layout, seed=4, haar_count=30)
-    e_small, _ = measure_eps(inst, probes[:5])
-    e_full, _ = measure_eps(inst, probes)
+    probes = default_probe_states(inst.d_s, seed=4, haar_count=30)
+    e_small, _, _ = measure_eps(inst, probes[:, :5])
+    e_full, _, _ = measure_eps(inst, probes)
     assert e_full >= e_small - 1e-15
 
 
@@ -167,14 +171,14 @@ def test_fidelities_match_slow_path():
     rng = np.random.default_rng(6)
     for _ in range(10):
         psi = random_pure(inst.source_layout, rng)
-        fast = measure_eps(inst, [psi])[1][0]
+        _, fast_ab, fast_ac = measure_eps(inst, psi.amplitudes[:, None])
         rho = channel_action(_kraus(inst), np.outer(psi.amplitudes, psi.amplitudes.conj()))
         dims = (inst.d_a, inst.d_b, inst.d_c)
         t_ab, t_ac = inst.v_abs @ psi.amplitudes, inst.v_acs @ psi.amplitudes
         slow_ab = np.vdot(t_ab, partial_trace(rho, dims, [0, 1]) @ t_ab).real
         slow_ac = np.vdot(t_ac, partial_trace(rho, dims, [0, 2]) @ t_ac).real
-        assert fast.f_ab == pytest.approx(slow_ab, abs=1e-10)
-        assert fast.f_ac == pytest.approx(slow_ac, abs=1e-10)
+        assert fast_ab[0] == pytest.approx(slow_ab, abs=1e-10)
+        assert fast_ac[0] == pytest.approx(slow_ac, abs=1e-10)
 
 
 def _kraus_loop_fidelities(instance, cols):
@@ -206,14 +210,14 @@ def _kraus_loop_fidelities(instance, cols):
 )
 def test_measure_eps_matches_kraus_loop(make):
     inst = make()
-    probes = default_probe_states(inst.source_layout, seed=14, haar_count=40)
-    eps_hat, pairs = measure_eps(inst, probes)
-    f_ab, f_ac = _kraus_loop_fidelities(inst, np.stack([p.amplitudes for p in probes], axis=1))
-    assert np.max(np.abs(np.array([p.f_ab for p in pairs]) - f_ab)) <= 1e-13
-    assert np.max(np.abs(np.array([p.f_ac for p in pairs]) - f_ac)) <= 1e-13
+    probes = default_probe_states(inst.d_s, seed=14, haar_count=40)
+    eps_hat, got_ab, got_ac = measure_eps(inst, probes)
+    f_ab, f_ac = _kraus_loop_fidelities(inst, probes)
+    assert np.max(np.abs(got_ab - f_ab)) <= 1e-13
+    assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
     assert eps_hat == pytest.approx(1.0 - min(f_ab.min(), f_ac.min()), abs=1e-13)
-    one = measure_eps(inst, [probes[-1]])[1][0]
-    assert (one.f_ab, one.f_ac) == pytest.approx((f_ab[-1], f_ac[-1]), abs=1e-13)
+    _, one_ab, one_ac = measure_eps(inst, probes[:, -1:])
+    assert (one_ab[0], one_ac[0]) == pytest.approx((f_ab[-1], f_ac[-1]), abs=1e-13)
 
 
 def _loop_probe_states(layout, seed, haar_count, phase_count):
@@ -242,21 +246,17 @@ def test_default_probe_states_are_bit_identical_to_the_loop(d, phase_count, haar
     for seed in (0, 42, 7919):
         want, next_draw = _loop_probe_states(lay, seed, haar_count, phase_count)
         rng = np.random.default_rng(seed)
-        got = default_probe_states(lay, rng, haar_count=haar_count, phase_count=phase_count)
-        assert len(got) == len(want)
-        assert all(g.layout == lay for g in got)
-        assert all(np.array_equal(g.amplitudes, w.amplitudes) for g, w in zip(got, want))
+        got = default_probe_states(d, rng, haar_count=haar_count, phase_count=phase_count)
+        assert got.shape == (d, len(want))
+        assert np.array_equal(got, np.stack([w.amplitudes for w in want], axis=1))
         assert rng.random() == next_draw  # the same draws, nothing more
 
 
 def test_default_probe_states_census():
-    lay = SpaceLayout([("S", 3)])
-    probes = default_probe_states(lay, seed=0, haar_count=7, phase_count=4)
-    assert len(probes) == 3 + 3 * 4 + 7  # basis + pairs x phases + haar
-    again = default_probe_states(lay, seed=0, haar_count=7, phase_count=4)
-    assert all(
-        np.array_equal(p.amplitudes, q.amplitudes) for p, q in zip(probes, again)
-    )
+    probes = default_probe_states(3, seed=0, haar_count=7, phase_count=4)
+    assert probes.shape == (3, 3 + 3 * 4 + 7)  # basis + pairs x phases + haar
+    again = default_probe_states(3, seed=0, haar_count=7, phase_count=4)
+    assert np.array_equal(probes, again)
 
 
 def test_superposition_coeffs_are_bit_identical_to_the_loop():
@@ -281,8 +281,8 @@ def test_superposition_coeffs_are_bit_identical_to_the_loop():
 def test_perturbed_deficit_is_exact():
     for dims, w in [((2, 2, 2, 2), 0.01), ((2, 2, 3, 2), 0.05)]:
         inst = perturbed_perfect_instance(*dims, w)
-        probes = default_probe_states(inst.source_layout, seed=2, haar_count=25)
-        eps_hat, _ = measure_eps(inst, probes)
+        probes = default_probe_states(inst.d_s, seed=2, haar_count=25)
+        eps_hat, _, _ = measure_eps(inst, probes)
         d_a, d_b, d_c = dims[1], dims[2], dims[3]
         expect = w * (1.0 - 1.0 / (d_a * max(d_b, d_c)))
         assert eps_hat == pytest.approx(expect, abs=1e-10)
@@ -295,10 +295,11 @@ def test_perturbed_deficit_is_exact():
 
 def test_extraction_beats_floors_both_branches():
     inst = perturbed_perfect_instance(2, 2, 2, 2, 1e-6)
-    probes = default_probe_states(inst.source_layout, seed=7, haar_count=10)
-    eps_hat, _ = measure_eps(inst, probes)
+    probes = default_probe_states(inst.d_s, seed=7, haar_count=10)
+    eps_hat, _, _ = measure_eps(inst, probes)
     assert eps_hat > 0.0
-    states = [basis_state(inst.source_layout, k) for k in range(2)] + [probes[3]]
+    states = [basis_state(inst.source_layout, k) for k in range(2)]
+    states.append(PureState(inst.source_layout, probes[:, 3]))
     floors = product_floors(eps_hat)
     # C takes the tight floor on the instance with B and C swapped
     for make in (inst, _swap_private(inst)):
@@ -498,8 +499,8 @@ def test_werner_cloner_reaches_the_optimal_cloning_fidelity(d):
     assert (inst.d_s, inst.d_a, inst.d_b, inst.d_c, inst.d_e) == (d, 1, d, d, d)
     assert np.max(np.abs(inst.u.conj().T @ inst.u - np.eye(d))) <= 1e-15
     # every probe, on both branches, reads (d+3)/(2(d+1))
-    _, pairs = measure_eps(inst, default_probe_states(inst.source_layout, seed=d, haar_count=500))
-    f = np.array([(p.f_ab, p.f_ac) for p in pairs])
+    _, f_ab, f_ac = measure_eps(inst, default_probe_states(d, seed=d, haar_count=500))
+    f = np.array([f_ab, f_ac])
     assert np.max(np.abs(f - (d + 3) / (2.0 * (d + 1)))) <= 1e-12
 
 
@@ -518,7 +519,7 @@ def test_werner_cloner_is_the_buzek_hillery_copier_at_d_2():
     [
         lambda: perturbed_perfect_instance(3, 3, 2, 2, 1e-3),
         lambda: optimize_qsb(
-            OptimizeConfig(3, 2, 2, 3, env_dim=5, restarts=1, max_iters=20, sample_spec=SampleSpec(10))
+            OptimizeConfig(3, 2, 2, 3, env_dim=5, restarts=1, max_iters=20, haar_count=10)
         ).best_instance,
     ],
 )
@@ -615,28 +616,22 @@ def test_epsilon_threshold_regimes():
 
 def test_chain_verify_guards():
     inst = perfect_qsb_construct(2, 2, 2, 2)
-    basis = [basis_state(inst.source_layout, k) for k in range(2)]
     with pytest.raises(ChainNotApplicable):
-        chain_verify(inst, basis, 0.0)
+        chain_verify(inst, 0.0)
     with pytest.raises(BadEpsilon):
-        chain_verify(inst, basis, 1.5, allow_trivial=True)
-    with pytest.raises(InvariantViolation):
-        chain_verify(inst, basis[:1], 0.0, allow_trivial=True)
-    with pytest.raises(InvariantViolation):
-        chain_verify(inst, [basis[0], basis[0]], 0.0, allow_trivial=True)
+        chain_verify(inst, 1.5, allow_trivial=True)
     # a one-dimensional source has no pair to build the chain on; it is
     # refused before anything else is looked at, even with allow_trivial
     tiny = perfect_qsb_construct(1, 1, 1, 1)
     with pytest.raises(ChainNotApplicable, match="two basis states"):
-        chain_verify(tiny, [basis_state(tiny.source_layout, 0)], 0.0, allow_trivial=True)
+        chain_verify(tiny, 0.0, allow_trivial=True)
     with pytest.raises(ChainNotApplicable):
-        chain_verify(tiny, [], 1.5, allow_trivial=True)
+        chain_verify(tiny, 1.5, allow_trivial=True)
 
 
 def test_chain_verify_trivial_instance_all_clear():
     inst = perturbed_perfect_instance(2, 2, 2, 2, 1e-6)
-    basis = [basis_state(inst.source_layout, k) for k in range(2)]
-    report = chain_verify(inst, basis, 0.0, allow_trivial=True, seed=1)
+    report = chain_verify(inst, 0.0, allow_trivial=True, seed=1)
     assert report.all_satisfied
     assert report.selected_pair is not None
     assert report.eps >= 1e-6 * (1.0 - 0.25) - 1e-12  # at least the measured deficit
@@ -655,13 +650,12 @@ def test_chain_verify_enforced_on_optimized_instance():
         d_c=2,
         restarts=2,
         max_iters=250,
-        sample_spec=SampleSpec(haar_count=40),
+        haar_count=40,
         seed=0,
     )
     point = optimize_qsb(cfg)
     inst = point.best_instance
-    basis = [basis_state(inst.source_layout, k) for k in range(3)]
-    report = chain_verify(inst, basis, point.eps_hat, seed=2)
+    report = chain_verify(inst, point.eps_hat, seed=2)
     assert report.all_satisfied
     assert report.selected_pair is not None
     # crowding on the shared subsystem is enforced here: three copies in dim 2
@@ -707,7 +701,7 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
     for al, be in coeffs:
         amps = al * basis[k1].amplitudes + be * basis[k2].amplitudes
         sup_states.append(PureState(instance.source_layout, amps / np.linalg.norm(amps)))
-    eps_run, _ = measure_eps(instance, basis + sup_states)
+    eps_run, _, _ = measure_eps(instance, np.stack([s.amplitudes for s in basis + sup_states], axis=1))
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
     checks = []
@@ -798,7 +792,7 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
 def test_chain_verify_matches_per_sample_reference(make, primary):
     inst = make() if primary == "B" else _swap_private(make())
     basis = [basis_state(inst.source_layout, k) for k in range(inst.d_s)]
-    report = chain_verify(inst, basis, 0.0, seed=5, allow_trivial=True)
+    report = chain_verify(inst, 0.0, seed=5, allow_trivial=True)
     eps, pair, checks, theta, degenerate = _per_sample_chain(inst, basis, 0.0, seed=5)
     assert report.eps == pytest.approx(eps, rel=1e-12, abs=1e-15)
     assert report.selected_pair == pair
@@ -826,7 +820,7 @@ def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatc
     swapped = _swap_private(inst)
     calls.clear()
     for make in (inst, swapped):
-        chain_verify(make, basis, 0.0, seed=1)
+        chain_verify(make, 0.0, seed=1)
     assert calls == []
     pure_density(basis[0])  # the counter does see a construction
     assert calls == ["DensityMatrix"]
@@ -841,18 +835,10 @@ def test_one_shot_measurements_build_no_probe_matrix(monkeypatch, dims):
 
     monkeypatch.setattr(qsb_module, "probe_matrix", refuse)
     inst = _random_instance(*dims, seed=32, env=dims[0])
-    eps, pairs = measure_eps(inst, default_probe_states(inst.source_layout, 3, haar_count=20))
-    assert 0.0 < eps <= 1.0 and len(pairs) == dims[0] + 8 * dims[0] * (dims[0] - 1) // 2 + 20
-    basis = [basis_state(inst.source_layout, k) for k in range(dims[0])]
+    eps, f_ab, _ = measure_eps(inst, default_probe_states(inst.d_s, 3, haar_count=20))
+    assert 0.0 < eps <= 1.0 and len(f_ab) == dims[0] + 8 * dims[0] * (dims[0] - 1) // 2 + 20
     for make in (inst, _swap_private(inst)):
-        assert chain_verify(make, basis, 0.0, seed=1).checks
-
-
-def test_chain_verify_rejects_foreign_basis():
-    inst = _random_instance(3, 2, 2, 2, seed=31)
-    other = SpaceLayout([("X", 3)])
-    with pytest.raises(LayoutMismatch):
-        chain_verify(inst, [basis_state(other, k) for k in range(3)], 0.0)
+        assert chain_verify(make, 0.0, seed=1).checks
 
 
 def test_extraction_rejects_an_output_orthogonal_to_the_secondary_image():
@@ -865,7 +851,7 @@ def test_extraction_rejects_an_output_orthogonal_to_the_secondary_image():
     with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
         extract_product_approx(inst, basis[0])
     with pytest.raises(InvariantViolation, match="orthogonal to the secondary"):
-        chain_verify(inst, basis, 0.0, allow_trivial=True)
+        chain_verify(inst, 0.0, allow_trivial=True)
     # with B and C swapped the secondary image is the old V_AB one, which the output meets
     assert extract_product_approx(_swap_private(inst), basis[0]).fidelity_ac == pytest.approx(1.0, abs=1e-15)
 
@@ -874,9 +860,8 @@ def test_chain_verify_accepts_an_output_named_e():
     # the purification's environment is the Kraus index, not a label, so an
     # output subsystem named E no longer clashes with it
     inst = _random_instance(3, 2, 2, 2, seed=32, env=3, labels=("A", "B", "E"))
-    basis = [basis_state(inst.source_layout, k) for k in range(3)]
     plain = _random_instance(3, 2, 2, 2, seed=32, env=3)
-    got, want = chain_verify(inst, basis, 0.0, seed=3), chain_verify(plain, basis, 0.0, seed=3)
+    got, want = chain_verify(inst, 0.0, seed=3), chain_verify(plain, 0.0, seed=3)
     assert [(c.label, c.lhs, c.rhs) for c in got.checks] == [(c.label, c.lhs, c.rhs) for c in want.checks]
 
 
