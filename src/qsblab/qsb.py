@@ -16,15 +16,13 @@ default_probe_states to measure_eps, which validates it at that boundary; the
 single-state functions take and return validated PureStates.
 
 Both receiver fidelities come from one kernel, branch_values, as one (2, n)
-stack over the n inputs. It builds one factor stack K, the channel's
-Stinespring matrix contracted with the two representation isometries, which
-meets the inputs only through their outer products p = conj(psi) (x) psi, as
-f = |K p|^2. It has two contractions.
-measure_eps and chain_verify evaluate their probes once and read |K P|^2
-from the (d_s^2, n) outer products. A search evaluates one probe set
-thousands of times; where the probes are many and d_s is small
-(search_probes) it reads f = p^H (K^H K) p against a probe matrix of the
-p p^H built once, and elsewhere it keeps |K P|^2.
+stack over the n inputs: the channel's Stinespring matrix contracted with the
+two representation isometries is a factor stack K, which meets the inputs only
+through their outer products p = conj(psi) (x) psi, as f = |K p|^2.
+measure_eps and chain_verify evaluate their probes once and read |K P|^2. A
+search evaluates one probe set thousands of times; where the probes are many
+and d_s is small (search_probes) it reads f = p^H (K^H K) p against a probe
+matrix of the p p^H built once.
 
 The chain reads everything else from the Stinespring image U|psi> too: as an
 (A, B, C, E) tensor it already purifies the channel output, so the product
@@ -320,9 +318,7 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
 
     The fidelities come from branch_values on the instance's matrices, the
     kernel the search maximises, so a searched instance re-measures to its
-    in-search value up to roundoff. One evaluation cannot amortise
-    probe_matrix's build, so this reads f = |K P|^2 from the outer products.
-    The result is a lower estimate of the true worst-case deficit: it only
+    in-search value up to roundoff. The result is a lower estimate of the true worst-case deficit: it only
     sees the states it is given, such as default_probe_states.
     """
     cols = np.ascontiguousarray(cols, dtype=np.complex128)
@@ -342,18 +338,23 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
 
 
 def default_probe_states(
-    d_s: int,
+    d_s: int | SpaceLayout,
     seed: int | np.random.Generator,
     haar_count: int = 200,
     phase_count: int = 8,
-) -> np.ndarray:
+) -> np.ndarray | list[PureState]:
     """Probe family as the columns of a (d_s, n) array: basis, balanced
     two-level superpositions, Haar samples.
 
     The balanced states run over all index pairs with phase_count relative
     phases; they catch coherence loss the basis alone cannot see. Each Haar
     sample is bit-identical to random_pure's from the same rng stream.
+    Given a layout in place of d_s, the same set comes back as PureStates on
+    it, the form bench/tests/test_bench_oracle.py still reads.
     """
+    if isinstance(d_s, SpaceLayout):
+        cols = default_probe_states(d_s.total_dim, seed, haar_count, phase_count)
+        return [PureState(d_s, c) for c in cols.T]
     i, j = np.triu_indices(d_s, 1)
     pairs = np.zeros((len(i), phase_count, d_s), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)

@@ -259,6 +259,14 @@ def test_default_probe_states_census():
     assert np.array_equal(probes, again)
 
 
+def test_default_probe_states_on_a_layout():
+    lay = SpaceLayout([("S", 3)])
+    states = default_probe_states(lay, seed=5, haar_count=20)
+    assert all(isinstance(p, PureState) and p.layout == lay for p in states)
+    cols = default_probe_states(3, seed=5, haar_count=20)
+    assert np.array_equal(np.stack([p.amplitudes for p in states], axis=1), cols)
+
+
 def test_superposition_coeffs_are_bit_identical_to_the_loop():
     # reference: one normalised Gaussian pair per draw
     for phase_count, extra, seed in ((8, 24, 0), (4, 7, 5), (0, 30, 42), (3, 0, 1)):
