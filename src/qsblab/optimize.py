@@ -14,7 +14,8 @@ evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s)
 stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
-never tries a step with |t xi| > STEP_CAP.
+never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs directly (np.linalg's
+wrappers cost more on these blocks) and cannot fail, as every start is a checked isometry.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvariantViolation, TooLarge
-from .hilbert import haar_isometry_matrix
+from .hilbert import check_isometry, haar_isometry_matrix
 from .qsb import (
     QsbInstance,
     branch_values,
@@ -196,9 +198,13 @@ def objective_value_and_grads(
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
-    """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack."""
-    l = np.linalg.cholesky(m.conj().swapaxes(-1, -2) @ m)
-    return m @ np.linalg.inv(l).conj().swapaxes(-1, -2)
+    """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack.
+
+    np.linalg's LAPACK gufuncs minus the wrappers, costlier than LAPACK on small blocks.
+    They give NaN, not LinAlgError, on a Gram not positive definite; here M^H M >= I.
+    """
+    l = _umath_linalg.cholesky_lo(m.conj().swapaxes(-1, -2) @ m, signature="D->D")
+    return m @ _umath_linalg.inv(l, signature="D->D").conj().swapaxes(-1, -2)
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -238,7 +244,7 @@ def _run_restart(
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
     g = np.zeros_like(x)
-    temps = np.geomspace(TEMP_INIT, TEMP_FINAL, config.max_iters)
+    temps = np.geomspace(TEMP_INIT, TEMP_FINAL, config.max_iters).tolist()
     step = STEP_INIT
     best_hard = -np.inf
     best_x = x
@@ -249,7 +255,7 @@ def _run_restart(
 
     for it in range(config.max_iters):
         iters = it + 1
-        temp = float(temps[it])
+        temp = temps[it]
         value, e, z = _soft_min(f, hard, temp)
         max_seen = max(max_seen, float(f.max()))
         if hard > best_hard:
@@ -322,7 +328,7 @@ def optimize_qsb(
     inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if config.d_s <= d_a:
         inits.append(_embed_params(perfect_qsb_construct(config.d_s, d_a, d_b, d_c), d_a, d_e))
-    for u, vab, vac in initial_points:
+    for j, (u, vab, vac) in enumerate(initial_points):
         want = (
             (d_a * d_b * d_c * d_e, config.d_s),
             (d_a * d_b, config.d_s),
@@ -331,6 +337,8 @@ def optimize_qsb(
         got = (u.shape, vab.shape, vac.shape)
         if got != want:
             raise InvariantViolation(f"warm start shapes {got} do not match {want}")
+        for name, m in zip(("U", "V_AB", "V_AC"), (u, vab, vac)):
+            check_isometry(m, f"warm start {j} matrix {name}: isometry")
         inits.append((u, vab, vac))
     idx = 0
     while len(inits) < config.restarts:

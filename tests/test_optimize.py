@@ -204,6 +204,38 @@ def test_cholesky_retraction_matches_householder(dims):
             assert np.all(q[k, n:] == 0.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lapack_gufuncs_match_the_linalg_wrappers(k):
+    # the retraction calls numpy's private gufuncs; a numpy release that
+    # renames or changes them fails here, not in a search
+    rng = np.random.default_rng(k)
+    b = rng.normal(size=(3, k + 2, k)) + 1j * rng.normal(size=(3, k + 2, k))
+    a = b.conj().swapaxes(-1, -2) @ b
+    lapack = optimize_module._umath_linalg
+    l = lapack.cholesky_lo(a, signature="D->D")
+    assert np.array_equal(l, np.linalg.cholesky(a))
+    assert np.array_equal(lapack.inv(l, signature="D->D"), np.linalg.inv(l))
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 2, 2, 8), (3, 2, 2, 2, 16), (4, 3, 2, 2, 16)])
+def test_retraction_matches_the_linalg_wrappers(dims):
+    # bit for bit, so the search's trajectories are those of np.linalg
+    d_s, d_a, d_b, d_c, d_e = dims
+    rows = (d_a * d_b * d_c * d_e, d_a * d_b, d_a * d_c)
+    rng = np.random.default_rng(sum(dims))
+    x = np.zeros((3, rows[0], d_s), dtype=np.complex128)
+    g = np.zeros_like(x)
+    for k, n in enumerate(rows):
+        x[k, :n] = _haar(n, d_s, rng)
+        g[k, :n] = rng.normal(size=(n, d_s)) + 1j * rng.normal(size=(n, d_s))
+    xi = optimize_module._tangent(x, g)
+    for t in (1e-8, 1e-3, 0.5, 3.0, 10.0, 100.0):
+        m = x + t / np.linalg.norm(xi) * xi
+        l = np.linalg.cholesky(m.conj().swapaxes(-1, -2) @ m)
+        want = m @ np.linalg.inv(l).conj().swapaxes(-1, -2)
+        assert np.array_equal(optimize_module._qr_positive(m), want)
+
+
 def test_full_restart_returns_isometries():
     cfg = OptimizeConfig(2, 1, 2, 2, env_dim=8, restarts=1, max_iters=2000, **SMALL)
     cols = _probe_cols(cfg, np.random.default_rng(8), n=30)
@@ -475,15 +507,31 @@ def test_no_point_is_evaluated_twice(monkeypatch):
         assert len(set(r["points"])) == len(r["points"])
         assert len(r["points"]) == 1 + r["trials"]
         assert r["trials"] >= cfg.max_iters  # each iteration tries at least one step
+    # pinned: a retraction that moves any step changes how many trials it takes
+    assert [r["trials"] for r in restarts] == [418, 418, 418]
 
 
-def test_optimize_rejects_bad_warm_start():
+def test_optimize_rejects_bad_warm_start(monkeypatch):
+    # refused before any evaluation: a start off the manifold would run the whole
+    # search, and could hand the retraction a Gram that is not positive definite
+    def no_evaluation(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(optimize_module, "branch_values", no_evaluation)
     cfg = OptimizeConfig(
         d_s=2, d_a=2, d_b=1, d_c=1, restarts=1, max_iters=10, **SMALL
     )
     bad = (np.eye(3, dtype=np.complex128),) * 3
     with pytest.raises(InvariantViolation):
         optimize_qsb(cfg, initial_points=[bad])
+
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=10, **SMALL)
+    u, vab, vac = _params_for(cfg, np.random.default_rng(3))
+    with pytest.raises(InvariantViolation, match="warm start 0 matrix U: isometry violated"):
+        optimize_qsb(cfg, initial_points=[(3 * u, vab, vac)])
+    vac[1, 0] = np.nan
+    with pytest.raises(InvariantViolation, match="start 0 matrix V_AC: isometry violated by nan"):
+        optimize_qsb(cfg, initial_points=[(u, vab, vac)])
 
 
 def test_frontier_monotone_qubit():
