@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
         report = chain_verify(inst, eps_hat, seed=args.seed, allow_trivial=args.allow_trivial)
         lines = [
             f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}",
-            f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status",
+            f"{'check':40s} {'lhs':>12s} {'rhs':>12s} {'slack':>12s} status",
         ]
         for c in report.checks:
             status = "vacuous" if c.vacuous else ("ok" if c.satisfied else "FAIL")
@@ -295,7 +295,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="run the chain even at d_S <= d_A (its guarantees do not apply)",
     )
-    p.add_argument("-o", "--out", default=None, help="chain report JSON path")
+    p.add_argument("-o", "--out", default=None, help="chain report JSON path (needs --chain)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("threshold", help="deficit threshold for a shared dimension")
@@ -334,6 +334,8 @@ def _parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.subcommand == "verify" and args.out and not args.chain:
+            _parser().error("verify -o/--out needs --chain: only the chain writes a report")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

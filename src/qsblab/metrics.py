@@ -89,11 +89,11 @@ def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 class BoundCheck:
     """One verified inequality: satisfied iff lhs >= rhs - tolerance."""
 
+    label: str
     lhs: float
     rhs: float
     slack: float
     satisfied: bool
-    label: str = ""
     vacuous: bool = False
 
     @classmethod
@@ -108,7 +108,7 @@ class BoundCheck:
         lhs = float(lhs)
         rhs = float(rhs)
         slack = lhs - rhs
-        return cls(lhs, rhs, slack, slack >= -tol, label, vacuous)
+        return cls(label, lhs, rhs, slack, slack >= -tol, vacuous)
 
 
 def _dsqrt(x):

@@ -651,27 +651,20 @@ def asymptotic_ladder() -> dict[str, tuple[float, float]]:
 class EpsilonChainReport:
     """Constants and verified inequalities of the deficit chain at one eps.
 
-    Floors are recorded unclamped in the constants and clamped inside the
-    checks; a vacuous check (floor <= 0 or ceiling >= 1) is kept for the
-    record but excluded from all_satisfied.
+    constants holds the nine chain deficits under their report keys,
+    eps_prime_b ... eps_iv_c and shared_closeness_deficit. Floors are recorded
+    unclamped in the constants and clamped inside the checks; a vacuous check
+    (floor <= 0 or ceiling >= 1) is kept for the record but excluded from
+    all_satisfied.
     """
 
     eps: float
     d_a: int
-    eps_prime_b: float
-    eps_prime_c: float
-    eps_dprime_b: float
-    eps_dprime_c: float
-    eps_tprime_b: float
-    eps_tprime_c: float
-    eps_iv_b: float
-    eps_iv_c: float
-    shared_closeness_deficit: float
+    constants: dict[str, float]
     eps_zero: float
     eps_zero_candidates: tuple[float, float]
     admissible_b: bool
     admissible_c: bool
-    asymptotic: dict[str, tuple[float, float]] = field(repr=False)
     checks: tuple[BoundCheck, ...] = ()
     selected_pair: tuple[int, int] | None = None
     theta: dict[str, float] = field(default_factory=dict)
@@ -686,38 +679,19 @@ class EpsilonChainReport:
         return {
             "eps": self.eps,
             "d_a": self.d_a,
-            "constants": {
-                "eps_prime_b": self.eps_prime_b,
-                "eps_prime_c": self.eps_prime_c,
-                "eps_dprime_b": self.eps_dprime_b,
-                "eps_dprime_c": self.eps_dprime_c,
-                "eps_tprime_b": self.eps_tprime_b,
-                "eps_tprime_c": self.eps_tprime_c,
-                "eps_iv_b": self.eps_iv_b,
-                "eps_iv_c": self.eps_iv_c,
-                "shared_closeness_deficit": self.shared_closeness_deficit,
-            },
+            "constants": dict(self.constants),
             "eps_zero": self.eps_zero,
             "eps_zero_candidates": list(self.eps_zero_candidates),
             "admissible_b": self.admissible_b,
             "admissible_c": self.admissible_c,
-            "asymptotic": {k: list(v) for k, v in self.asymptotic.items()},
+            "asymptotic": {k: list(v) for k, v in asymptotic_ladder().items()},
             "selected_pair": list(self.selected_pair) if self.selected_pair else None,
             "theta": dict(self.theta),
             "residual_degenerate": list(self.residual_degenerate),
             "cloning_contradiction": self.cloning_contradiction,
             "all_satisfied": self.all_satisfied,
-            "checks": [
-                {
-                    "label": c.label,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "slack": c.slack,
-                    "satisfied": c.satisfied,
-                    "vacuous": c.vacuous,
-                }
-                for c in self.checks
-            ],
+            # a check's fields in row order; dataclasses.asdict deep-copies each one, 20x slower
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
 
@@ -733,41 +707,41 @@ def chain_constants(eps: float, d_a: int) -> EpsilonChainReport:
     edp_c = 2.0 * math.sqrt(ep_c) + ep_c
     etp_b = 3.0 * math.sqrt(ep_b) + math.sqrt(edp_b) + edp_b
     etp_c = 3.0 * math.sqrt(ep_c) + math.sqrt(edp_c) + edp_c
-    shared = 4.0 * (math.sqrt(ep_b) + math.sqrt(etp_b))
-    iv_b = 3.8 * eps ** (1.0 / 64.0)
-    iv_c = 3.9 * eps ** (1.0 / 128.0)
     eps_zero, fixed, dimensional = epsilon_threshold(d_a)
     cap = 1.0 / float(d_a) ** 2
     return EpsilonChainReport(
         eps=eps,
         d_a=d_a,
-        eps_prime_b=ep_b,
-        eps_prime_c=ep_c,
-        eps_dprime_b=edp_b,
-        eps_dprime_c=edp_c,
-        eps_tprime_b=etp_b,
-        eps_tprime_c=etp_c,
-        eps_iv_b=iv_b,
-        eps_iv_c=iv_c,
-        shared_closeness_deficit=shared,
+        constants={
+            "eps_prime_b": ep_b,
+            "eps_prime_c": ep_c,
+            "eps_dprime_b": edp_b,
+            "eps_dprime_c": edp_c,
+            "eps_tprime_b": etp_b,
+            "eps_tprime_c": etp_c,
+            "eps_iv_b": 3.8 * eps ** (1.0 / 64.0),
+            "eps_iv_c": 3.9 * eps ** (1.0 / 128.0),
+            "shared_closeness_deficit": 4.0 * (math.sqrt(ep_b) + math.sqrt(etp_b)),
+        },
         eps_zero=eps_zero,
         eps_zero_candidates=(fixed, dimensional),
         admissible_b=edp_b <= cap,
         admissible_c=edp_c <= cap,
-        asymptotic=asymptotic_ladder(),
     )
 
 
-def _floor_check(label: str, value: float, floor: float, enforced: bool = True) -> BoundCheck:
-    clamped = min(max(floor, 0.0), 1.0)
-    return BoundCheck.of(value, clamped, label=label, vacuous=floor <= 0.0 or not enforced)
-
-
-def _ceiling_check(
-    label: str, value: float, ceiling: float, enforced: bool = True
-) -> BoundCheck:
-    clamped = min(max(ceiling, 0.0), 1.0)
-    return BoundCheck.of(clamped, value, label=label, vacuous=ceiling >= 1.0 or not enforced)
+def _bounds(
+    labels: Sequence[str], values: Sequence[float], bound: float, floor=True, enforced=True
+) -> list[BoundCheck]:
+    """One BoundCheck per value against a common bound clamped into [0, 1]:
+    value >= bound for a floor, value <= bound for a ceiling. The family is
+    vacuous where its unclamped bound constrains nothing (a floor <= 0, a
+    ceiling >= 1) or where enforced is False."""
+    clamped = min(max(bound, 0.0), 1.0)
+    vacuous = (bound <= 0.0 if floor else bound >= 1.0) or not enforced
+    if floor:
+        return [BoundCheck.of(v, clamped, label, vacuous) for label, v in zip(labels, values)]
+    return [BoundCheck.of(clamped, v, label, vacuous) for label, v in zip(labels, values)]
 
 
 def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
@@ -861,28 +835,20 @@ def chain_verify(
     eps_eff = min(max(max(eps_hat, eps_run), 1e-300), 1.0)
     consts = chain_constants(eps_eff, d_a)
 
-    checks: list[BoundCheck] = []
-
-    # per-element extraction floors
+    # per-element extraction floors, the rows running abc, ab, ac for each basis element in turn
     floors = product_floors(eps_eff)
-    for k in range(d_s):
-        checks.append(
-            _floor_check(f"product_floor_abc[{k}]", float(f_abc[k]), floors["floor_abc"])
-        )
-        checks.append(_floor_check(f"product_floor_ab[{k}]", float(f_ab[k]), floors["floor_ab"]))
-        checks.append(_floor_check(f"product_floor_ac[{k}]", float(f_ac[k]), floors["floor_ac"]))
+    families = [
+        _bounds([f"product_floor_{x}[{k}]" for k in range(d_s)], f.tolist(), floors["floor_" + x])
+        for x, f in (("abc", f_abc), ("ab", f_ab), ("ac", f_ac))
+    ]
+    checks = [c for row in zip(*families) for c in row]
 
     # pairwise product-overlap ceilings, from the Gram matrices of the states
-    for branch, phis, cap in (
-        ("b", phi_b, consts.eps_dprime_b),
-        ("c", phi_c, consts.eps_dprime_c),
-    ):
-        vals = gram_a * np.abs(phis.conj() @ phis.T)
-        for i in range(d_s):
-            for j in range(i + 1, d_s):
-                checks.append(
-                    _ceiling_check(f"pair_product_overlap_{branch}[{i},{j}]", float(vals[i, j]), cap)
-                )
+    i, j = np.triu_indices(d_s, 1)
+    for branch, phis in (("b", phi_b), ("c", phi_c)):
+        vals = (gram_a * np.abs(phis.conj() @ phis.T))[i, j].tolist()
+        labels = [f"pair_product_overlap_{branch}[{p},{q}]" for p, q in zip(i.tolist(), j.tolist())]
+        checks += _bounds(labels, vals, consts.constants["eps_dprime_" + branch], floor=False)
 
     # Shared-pair guarantees exist only for d_s > d_a (vector crowding);
     # everything downstream of the selected pair inherits that condition.
@@ -903,14 +869,9 @@ def chain_verify(
                 label="crowding_overlap_floor",
             )
         )
-    checks.append(
-        _floor_check(
-            "shared_closeness_floor",
-            a_overlap ** 2,
-            1.0 - consts.shared_closeness_deficit,
-            enforced=guaranteed and consts.admissible_b,
-        )
-    )
+    closeness = 1.0 - consts.constants["shared_closeness_deficit"]
+    enforced = guaranteed and consts.admissible_b
+    checks += _bounds(["shared_closeness_floor"], [a_overlap ** 2], closeness, enforced=enforced)
 
     # residual construction and the superposition / copy-map floors
     theta: dict[str, float] = {}
@@ -920,21 +881,16 @@ def chain_verify(
     m = sup.shape[1]
     out = (instance.u @ sup).reshape(d_a, instance.d_b, instance.d_c, -1, m)
 
-    for branch, axis, phis, v_rep, edp, etp, eiv, admissible in (
-        ("b", 1, phi_b, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b),
-        ("c", 2, phi_c, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c),
+    for branch, axis, phis, v_rep, admissible in (
+        ("b", 1, phi_b, instance.v_abs, consts.admissible_b),
+        ("c", 2, phi_c, instance.v_acs, consts.admissible_c),
     ):
         cond = guaranteed and admissible
         x1, x2 = phis[k1], phis[k2]
         c = complex(np.vdot(x1, x2))
-        checks.append(
-            _ceiling_check(
-                f"outer_overlap_ceiling_{branch}",
-                abs(c),
-                math.sqrt(edp),
-                enforced=cond,
-            )
-        )
+        ceiling = math.sqrt(consts.constants["eps_dprime_" + branch])
+        label = f"outer_overlap_ceiling_{branch}"
+        checks += _bounds([label], [abs(c)], ceiling, floor=False, enforced=cond)
         # the normalised component of x2 orthogonal to x1, undefined if nearly parallel
         if abs(c) >= 1.0 - 1e-9:
             degenerate.append(branch)
@@ -953,12 +909,9 @@ def chain_verify(
         th, _ = _best_phase(offsets, cross)
         theta[branch] = th
         f_sup = offsets + 2.0 * np.real(cross * np.exp(1j * th))
-        for i, f in enumerate(f_sup):
-            checks.append(
-                _floor_check(
-                    f"superposition_floor_{branch}[{i}]", float(f), 1.0 - etp, enforced=cond
-                )
-            )
+        floor = 1.0 - consts.constants["eps_tprime_" + branch]
+        labels = [f"superposition_floor_{branch}[{n}]" for n in range(m)]
+        checks += _bounds(labels, f_sup.tolist(), floor, enforced=cond)
 
         # copy map W: span{k1, k2} -> H_X and its floors on the marginal, from
         # <x|rho_X|y> = sum over the other axes of (x^H out) conj(y^H out)
@@ -972,11 +925,10 @@ def chain_verify(
         thp, _ = _best_phase(offs, crs)
         theta[branch + "_prime"] = thp
         f_copy = offs + 2.0 * np.real(crs * np.exp(1j * thp))
-        for i, f in enumerate(f_copy):
-            checks.append(
-                _floor_check(f"copy_map_floor_{branch}[{i}]", float(f), 1.0 - eiv, enforced=cond)
-            )
-        cloning_votes[branch] = cond and (1.0 - eiv) > CLONING_CEILING
+        floor = 1.0 - consts.constants["eps_iv_" + branch]
+        labels = [f"copy_map_floor_{branch}[{n}]" for n in range(m)]
+        checks += _bounds(labels, f_copy.tolist(), floor, enforced=cond)
+        cloning_votes[branch] = cond and floor > CLONING_CEILING
 
     return replace(
         consts,

@@ -157,9 +157,9 @@ SINGLE_POWER_FORMS = {
 def test_chain_constants_ladder(capsys):
     rep = chain_constants(1e-16, 2)
     exact_ok = (
-        rep.eps_prime_b == 2.0 * math.sqrt(1e-16)
-        and rep.eps_prime_b == 2e-8
-        and rep.eps_dprime_b == 2.0 * math.sqrt(rep.eps_prime_b) + rep.eps_prime_b
+        rep.constants["eps_prime_b"] == 2.0 * math.sqrt(1e-16)
+        and rep.constants["eps_prime_b"] == 2e-8
+        and rep.constants["eps_dprime_b"] == 2.0 * math.sqrt(rep.constants["eps_prime_b"]) + rep.constants["eps_prime_b"]
     )
     ladder = asymptotic_ladder()
     eps = 1e-32

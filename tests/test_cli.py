@@ -252,6 +252,33 @@ def test_verify_chain_gating(workdir, capsys):
     assert "all_satisfied True" in out
 
 
+def test_verify_chain_table_reads_lhs_and_rhs(workdir, capsys):
+    # a row holds when lhs >= rhs - 1e-9, so a ceiling row prints its
+    # ceiling under lhs and the measured overlap under rhs
+    path = _construct(workdir)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--chain", "--allow-trivial", "-o", "chain.json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert next(l for l in lines if l.startswith("check ")).split() == ["check", "lhs", "rhs", "slack", "status"]
+    report = json.loads((workdir / "chain.json").read_text())
+    label = "pair_product_overlap_b[0,1]"
+    row = next(l.split() for l in lines if l.startswith(label + " "))
+    check = next(c for c in report["checks"] if c["label"] == label)
+    assert row[1:4] == [f"{check[k]:.6f}" for k in ("lhs", "rhs", "slack")]
+    assert check["lhs"] == min(report["constants"]["eps_dprime_b"], 1.0) > check["rhs"]
+
+
+def test_verify_out_needs_chain(workdir, capsys):
+    # without --chain there is no report to write: refuse rather than ignore -o
+    path = _construct(workdir)
+    capsys.readouterr()
+    assert main(["verify", str(path), "-o", "x.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--chain" in err
+    assert not (workdir / "x.json").exists()
+    assert not (workdir / "verify.manifest.json").exists()
+
+
 def test_verify_chain_needs_two_basis_states(workdir, capsys):
     # a one-dimensional source offers no pair: impossible, not a violation
     path = _construct(workdir, dims=("1", "1", "1", "1"))
@@ -532,7 +559,7 @@ def _old_verify_stdout(inst, samples, seed, chain=False, out=None):
         if chain:
             report = chain_verify(inst, eps_hat, seed=seed)
             print(f"chain eps_effective {report.eps:.6g}  d_a {report.d_a}")
-            print(f"{'check':40s} {'value':>12s} {'bound':>12s} {'slack':>12s} status")
+            print(f"{'check':40s} {'lhs':>12s} {'rhs':>12s} {'slack':>12s} status")
             for c in report.checks:
                 status = "vacuous" if c.vacuous else ("ok" if c.satisfied else "FAIL")
                 print(f"{c.label:40s} {c.lhs:12.6f} {c.rhs:12.6f} {c.slack:12.6f} {status}")

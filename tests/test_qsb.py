@@ -546,23 +546,41 @@ def test_from_stinespring_rebuilds_an_instance_bit_for_bit(make):
 
 def test_chain_constants_exact_values():
     rep = chain_constants(1e-16, 2)
-    assert rep.eps_prime_b == 2e-8
-    assert rep.eps_prime_c == pytest.approx(3.4e-2, rel=1e-12)
-    assert rep.eps_dprime_b == 2.0 * math.sqrt(2e-8) + 2e-8
-    assert rep.eps_tprime_b == pytest.approx(
-        3.0 * math.sqrt(2e-8) + math.sqrt(rep.eps_dprime_b) + rep.eps_dprime_b, rel=1e-14
+    assert rep.constants["eps_prime_b"] == 2e-8
+    assert rep.constants["eps_prime_c"] == pytest.approx(3.4e-2, rel=1e-12)
+    assert rep.constants["eps_dprime_b"] == 2.0 * math.sqrt(2e-8) + 2e-8
+    assert rep.constants["eps_tprime_b"] == pytest.approx(
+        3.0 * math.sqrt(2e-8) + math.sqrt(rep.constants["eps_dprime_b"]) + rep.constants["eps_dprime_b"], rel=1e-14
     )
-    assert rep.shared_closeness_deficit == pytest.approx(
-        4.0 * (math.sqrt(2e-8) + math.sqrt(rep.eps_tprime_b)), rel=1e-14
+    assert rep.constants["shared_closeness_deficit"] == pytest.approx(
+        4.0 * (math.sqrt(2e-8) + math.sqrt(rep.constants["eps_tprime_b"])), rel=1e-14
     )
-    assert rep.eps_iv_b == pytest.approx(3.8 * (1e-16) ** (1 / 64), rel=1e-12)
-    assert rep.eps_iv_c == pytest.approx(3.9 * (1e-16) ** (1 / 128), rel=1e-12)
+    assert rep.constants["eps_iv_b"] == pytest.approx(3.8 * (1e-16) ** (1 / 64), rel=1e-12)
+    assert rep.constants["eps_iv_c"] == pytest.approx(3.9 * (1e-16) ** (1 / 128), rel=1e-12)
     assert rep.admissible_b and not rep.admissible_c
     assert rep.eps_zero == 0.6e-175
 
     data = rep.to_json()
     assert data["constants"]["eps_prime_b"] == 2e-8
     assert data["all_satisfied"] is True and data["checks"] == []  # no checks recorded yet
+
+
+def test_chain_report_schema():
+    # the report file's key order, which the JSON writer keeps
+    data = chain_verify(perturbed_perfect_instance(2, 2, 2, 2, 1e-6), 0.0, allow_trivial=True).to_json()
+    assert list(data) == [
+        "eps", "d_a", "constants", "eps_zero", "eps_zero_candidates", "admissible_b",
+        "admissible_c", "asymptotic", "selected_pair", "theta", "residual_degenerate",
+        "cloning_contradiction", "all_satisfied", "checks",
+    ]
+    assert list(data["constants"]) == [
+        "eps_prime_b", "eps_prime_c", "eps_dprime_b", "eps_dprime_c", "eps_tprime_b",
+        "eps_tprime_c", "eps_iv_b", "eps_iv_c", "shared_closeness_deficit",
+    ]
+    assert data["checks"] and all(
+        list(c) == ["label", "lhs", "rhs", "slack", "satisfied", "vacuous"] for c in data["checks"]
+    )
+    assert data["asymptotic"] == {k: list(v) for k, v in asymptotic_ladder().items()}
 
 
 def test_chain_constants_guards():
@@ -591,13 +609,13 @@ def test_asymptotic_ladder_bounds_exact_constants():
     for eps in (1e-3, 1e-8, 1e-20):
         rep = chain_constants(eps, 2)
         exact = {
-            "eps_prime_b": rep.eps_prime_b,
-            "eps_prime_c": rep.eps_prime_c,
-            "eps_dprime_b": rep.eps_dprime_b,
-            "eps_dprime_c": rep.eps_dprime_c,
-            "eps_tprime_b": rep.eps_tprime_b,
-            "eps_tprime_c": rep.eps_tprime_c,
-            "shared_closeness": rep.shared_closeness_deficit,
+            "eps_prime_b": rep.constants["eps_prime_b"],
+            "eps_prime_c": rep.constants["eps_prime_c"],
+            "eps_dprime_b": rep.constants["eps_dprime_b"],
+            "eps_dprime_c": rep.constants["eps_dprime_c"],
+            "eps_tprime_b": rep.constants["eps_tprime_b"],
+            "eps_tprime_c": rep.constants["eps_tprime_c"],
+            "shared_closeness": rep.constants["shared_closeness_deficit"],
         }
         for key, val in exact.items():
             c, e = ladder[key]
@@ -718,7 +736,7 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
         checks.append(_ref_floor(f"product_floor_abc[{k}]", e.fidelity_product_abc, 1.0 - 3.0 * eps_eff ** 0.125))
         checks.append(_ref_floor(f"product_floor_ab[{k}]", e.fidelity_ab, floors["floor_ab"]))
         checks.append(_ref_floor(f"product_floor_ac[{k}]", e.fidelity_ac, floors["floor_ac"]))
-    for branch, phis, cap in (("b", phi_bs, consts.eps_dprime_b), ("c", phi_cs, consts.eps_dprime_c)):
+    for branch, phis, cap in (("b", phi_bs, consts.constants["eps_dprime_b"]), ("c", phi_cs, consts.constants["eps_dprime_c"])):
         for i in range(d_s):
             for j in range(i + 1, d_s):
                 val = abs(_overlap(phi_as[i], phi_as[j])) * abs(_overlap(phis[i], phis[j]))
@@ -740,14 +758,14 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
         _ref_floor(
             "shared_closeness_floor",
             a_overlap ** 2,
-            1.0 - consts.shared_closeness_deficit,
+            1.0 - consts.constants["shared_closeness_deficit"],
             enforced=guaranteed and consts.admissible_b,
         )
     )
     theta, degenerate = {}, []
     for branch, phis, v_rep, edp, etp, eiv, admissible, keep in (
-        ("b", phi_bs, instance.v_abs, consts.eps_dprime_b, consts.eps_tprime_b, consts.eps_iv_b, consts.admissible_b, 1),
-        ("c", phi_cs, instance.v_acs, consts.eps_dprime_c, consts.eps_tprime_c, consts.eps_iv_c, consts.admissible_c, 2),
+        ("b", phi_bs, instance.v_abs, consts.constants["eps_dprime_b"], consts.constants["eps_tprime_b"], consts.constants["eps_iv_b"], consts.admissible_b, 1),
+        ("c", phi_cs, instance.v_acs, consts.constants["eps_dprime_c"], consts.constants["eps_tprime_c"], consts.constants["eps_iv_c"], consts.admissible_c, 2),
     ):
         cond = guaranteed and admissible
         x1, x2 = phis[k1], phis[k2]
