@@ -223,7 +223,7 @@ def _cmd_sweep(args) -> int:
         haar_count=args.haar,
         seed=args.seed,
     )
-    points = frontier_sweep(args.ds, range(lo, hi + 1), args.db, args.dc, base)
+    points = frontier_sweep(base, range(lo, hi + 1))
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FrontierPoint.CSV_HEADER)
@@ -336,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if args.subcommand == "verify" and args.out and not args.chain:
             _parser().error("verify -o/--out needs --chain: only the chain writes a report")
+        if args.subcommand == "verify" and args.allow_trivial and not args.chain:
+            _parser().error("verify --allow-trivial needs --chain: only the chain has a premise to waive")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

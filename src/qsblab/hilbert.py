@@ -228,11 +228,10 @@ class DensityMatrix:
         object.__setattr__(self, "_eigh", (w, v))
 
 
-def _purification(w: np.ndarray, v: np.ndarray, rank: int) -> np.ndarray:
-    """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| over i < rank, from a
-    stack of eigh_desc pairs: purifications with a rank-dim environment as
-    the last index."""
-    block = v[..., :rank] * np.sqrt(np.clip(w[..., None, :rank], 0.0, None))
+def _purification(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| from a stack of eigh_desc
+    pairs: square purifications, the environment as the last index."""
+    block = v * np.sqrt(np.clip(w[..., None, :], 0.0, None))
     return block / np.linalg.norm(block, axis=(-2, -1), keepdims=True)
 
 
@@ -247,25 +246,21 @@ def basis_state(layout: SpaceLayout, index: int) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
 def haar_isometry_matrix(rng: np.random.Generator, dout: int, din: int) -> np.ndarray:
     """Haar-distributed isometry via QR of a Ginibre matrix.
 
     R's diagonal phases are divided out, which is what makes the column
     distribution actually uniform rather than QR-convention dependent.
     """
-    q, r = np.linalg.qr(_ginibre(rng, dout, din))
+    q, r = np.linalg.qr(rng.standard_normal((dout, din)) + 1j * rng.standard_normal((dout, din)))
     d = np.diag(r)
     ph = d / np.abs(d)
     return q * ph
 
 
 def _haar_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n Haar-random unit vectors as rows of an (n, d) array, each bit-identical
-    to the amplitudes of the random_pure drawn next from the same stream."""
+    """n Haar-random unit vectors as rows of an (n, d) array; row k holds the
+    amplitudes of the k-th random_pure drawn from the same stream."""
     g = rng.standard_normal((n, 2, d))
     g = g[:, 0] + 1j * g[:, 1]
     # per-row dots in the order np.linalg.norm takes them
@@ -283,5 +278,4 @@ def haar_density_matrix(rng: np.random.Generator, dim: int, ranks) -> np.ndarray
 
 
 def random_pure(layout: SpaceLayout, seed: int | np.random.Generator) -> PureState:
-    g = _ginibre(_as_rng(seed), layout.total_dim, 1).ravel()
-    return PureState(layout, g / np.linalg.norm(g))
+    return PureState(layout, _haar_rows(_as_rng(seed), 1, layout.total_dim)[0])

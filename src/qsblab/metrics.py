@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -126,44 +125,22 @@ def _fvdg_bounds(f):
 
 
 def _partner(m: np.ndarray, rho: np.ndarray, w_sig: np.ndarray, v_sig: np.ndarray) -> np.ndarray:
-    """Uhlmann partner matrices (n, d_a, d_e) for a stack of purification
-    matrices m (n, d_a, d_e) of rho (n, d_a, d_a), against the states sigma
-    with eigh_desc pairs (w_sig, v_sig)."""
+    """Uhlmann partners sqrt(sigma) W (n, d, d) for a stack of square purification
+    matrices m (n, d, d) of rho (n, d, d), against the states sigma with eigh_desc
+    pairs (w_sig, v_sig); W = V U^H is the polar factor of m^H sqrt(sigma) = U S V^H.
+
+    W is unitary, so the partner purifies sigma whatever the ranks, and
+    <m|partner> = Tr S is the nuclear norm that fidelity squares. Each partner
+    is rescaled to unit norm, which it has up to rounding.
+    """
     reduced = m @ m.conj().swapaxes(-1, -2)
     if float(np.max(np.abs(reduced - rho))) > 1e-8:
         raise BadPurification("supplied state does not purify rho_a")
-    d_e = m.shape[-1]
-    rank_sigma = np.sum(w_sig > RANK_CUTOFF, axis=-1)
-    if np.any(rank_sigma > d_e):
-        raise BadPurification(
-            f"environment dim {d_e} below rank {rank_sigma.max()} of sigma_a"
-        )
-
+    if m.shape[-1] != m.shape[-2]:
+        raise BadPurification(f"purification of shape {m.shape[-2:]}: m must be square")
     sqrt_sigma = _root(w_sig, v_sig)
-    u, s, vh = np.linalg.svd(m.conj().swapaxes(-1, -2) @ sqrt_sigma)  # of (d_e, d_a)
-    k = s.shape[-1]
-    # Row-space basis of the cross operator, zeroed past its rank.
-    row = vh[:, :k].conj().swapaxes(-1, -2) * (s > RANK_CUTOFF)[:, None, :]
-    w_map = row @ u[:, :, :k].conj().swapaxes(-1, -2)  # (n, d_a, d_e), isometric on row space
-
-    # Cover any support directions of sigma the cross operator misses.
-    resid = np.linalg.norm(v_sig - row @ (row.conj().swapaxes(-1, -2) @ v_sig), axis=-2)
-    in_support = np.arange(v_sig.shape[-1]) < rank_sigma[:, None]
-    for i in np.flatnonzero(np.any((resid > 1e-10) & in_support, axis=-1)):
-        proj = row[i] @ row[i].conj().T
-        spare_out = u[i][:, int(np.sum(s[i] > RANK_CUTOFF)) :]
-        extra = []
-        for col in v_sig[i].T[: rank_sigma[i]]:
-            res = col - proj @ col
-            for z in extra:
-                res = res - z * np.vdot(z, col)
-            nrm = np.linalg.norm(res)
-            if nrm > 1e-10:
-                extra.append(res / nrm)
-        for j, z in enumerate(extra):
-            w_map[i] += np.outer(z, spare_out[:, j].conj())
-
-    partner = sqrt_sigma @ w_map
+    u, _, vh = np.linalg.svd(m.conj().swapaxes(-1, -2) @ sqrt_sigma)
+    partner = sqrt_sigma @ (vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2))
     return partner / np.linalg.norm(partner, axis=(-2, -1), keepdims=True)
 
 
@@ -177,19 +154,17 @@ def _overlaps(w: np.ndarray, v: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # randomized property sweep (shared by the CLI and the acceptance suite)
 # ---------------------------------------------------------------------------
 
-PROPERTY_NAMES = (
+# Every check a sample reports, in the order property_sweep returns them.
+_CHECK_LABELS = (
     "triangle",
     "triangle_pure",
     "monotonicity",
     "partner_overlap",
     "component_ceiling",
     "eigenvalue_ceiling",
-    "fvdg",
+    "fvdg_lower",
+    "fvdg_upper",
 )
-
-
-# Every check a sample reports, in the order property_sweep returns them.
-_CHECK_LABELS = PROPERTY_NAMES[:-1] + ("fvdg_lower", "fvdg_upper")
 
 # Samples drawn and evaluated together; bounds the sweep's memory at any
 # sample count while leaving each dimension bucket a stack worth batching.
@@ -201,7 +176,7 @@ _PARTNER_TOL = 1e-8
 _STATES = {"triangle": 3, "triangle_pure": 2, "monotonicity": 2, "partner_overlap": 2, "ceilings": 1, "fvdg": 2}
 
 
-def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequence[str]):
+def _draw_block(rng: np.random.Generator, count: int, dims_cap: int):
     """Yield `count` samples as one (states, buckets) pool per matrix dimension n.
 
     states, an unvalidated (N, n, n) stack, holds its buckets' states in order, a sample's
@@ -217,11 +192,10 @@ def _draw_block(rng: np.random.Generator, count: int, dims_cap: int, names: Sequ
     codes = {"monotonicity": d1 * (dims_cap + 1) + d2, "partner_overlap": dp}
     pools: dict[int, list] = {}  # n: [(property, dims, sample indices)]
     for prop in _STATES:
-        if prop in names or prop == "ceilings" and not {"component_ceiling", "eigenvalue_ceiling"}.isdisjoint(names):
-            code = codes.get(prop, d)
-            for c in np.unique(code):
-                dims = divmod(int(c), dims_cap + 1) if prop == "monotonicity" else (int(c),)
-                pools.setdefault(math.prod(dims), []).append((prop, dims, np.flatnonzero(code == c)))
+        code = codes.get(prop, d)
+        for c in np.unique(code):
+            dims = divmod(int(c), dims_cap + 1) if prop == "monotonicity" else (int(c),)
+            pools.setdefault(math.prod(dims), []).append((prop, dims, np.flatnonzero(code == c)))
     for n, mine in sorted(pools.items()):
         lowest = [n if prop == "partner_overlap" else 1 for prop, _, _ in mine]
         sizes = [len(idx) * _STATES[prop] for prop, _, idx in mine]
@@ -236,27 +210,18 @@ def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mats, np.maximum(w, 0.0), v
 
 
-def _evaluate(prop: str, dims, mats, w, v, vecs: np.ndarray, names: Sequence[str]):
+def _evaluate(prop: str, dims, mats, w, v, vecs: np.ndarray):
     """(label, lhs, rhs, tol) rows for one validated bucket; lhs and rhs run over its samples."""
     if prop == "ceilings":
         f = _fidelity_pure(mats[:, 0], vecs[:, 0])
-        rows = []
-        if "component_ceiling" in names:
-            best = _overlaps(w[:, 0], v[:, 0], vecs[:, 0]).max(axis=-1)
-            rows.append(("component_ceiling", best, f, _SLACK_TOL))
-        if "eigenvalue_ceiling" in names:
-            rows.append(("eigenvalue_ceiling", w[:, 0, 0], f, _SLACK_TOL))
-        return rows
+        best = _overlaps(w[:, 0], v[:, 0], vecs[:, 0]).max(axis=-1)
+        return [("component_ceiling", best, f, _SLACK_TOL), ("eigenvalue_ceiling", w[:, 0, 0], f, _SLACK_TOL)]
     root = _root(w, v)
     if prop == "partner_overlap":
         # phi purifies the first state, chi is its Uhlmann partner for the second
-        lhs = np.empty(len(mats))
-        ranks = np.maximum(np.sum(w[:, 0] > RANK_CUTOFF, axis=-1), 1)
-        for rank in np.unique(ranks):
-            sel = ranks == rank
-            phi = _purification(w[sel, 0], v[sel, 0], rank)
-            chi = _partner(phi, mats[sel, 0], w[sel, 1], v[sel, 1])
-            lhs[sel] = np.abs(np.sum(phi.conj() * chi, axis=(-2, -1))) ** 2
+        phi = _purification(w[:, 0], v[:, 0])
+        chi = _partner(phi, mats[:, 0], w[:, 1], v[:, 1])
+        lhs = np.abs(np.sum(phi.conj() * chi, axis=(-2, -1))) ** 2
         return [("partner_overlap", lhs, _fidelity(root[:, 0], root[:, 1]), _PARTNER_TOL)]
     if prop == "triangle":
         lhs = _dsqrt(_fidelity(root[:, 0], root[:, 1]))
@@ -278,7 +243,7 @@ def _evaluate(prop: str, dims, mats, w, v, vecs: np.ndarray, names: Sequence[str
     return [("fvdg_lower", dist, floor, _SLACK_TOL), ("fvdg_upper", ceiling, dist, _SLACK_TOL)]
 
 
-def _sweep_checks(samples: int, dims_cap: int, seed: int, names: Sequence[str]):
+def _sweep_checks(samples: int, dims_cap: int, seed: int):
     """Yield (sample indices, label, lhs, rhs, tol) for every check of the sweep,
     one bucket at a time, _SWEEP_BLOCK samples per draw.
 
@@ -288,26 +253,24 @@ def _sweep_checks(samples: int, dims_cap: int, seed: int, names: Sequence[str]):
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _SWEEP_BLOCK):
         count = min(_SWEEP_BLOCK, samples - start)
-        for states, buckets in _draw_block(rng, count, dims_cap, names):
+        for states, buckets in _draw_block(rng, count, dims_cap):
             pool = _validated(states)
             end = 0
             for prop, dims, idx, vecs in buckets:
                 begin, end = end, end + len(idx) * _STATES[prop]
                 mats, w, v = (a[begin:end].reshape(len(idx), -1, *a.shape[1:]) for a in pool)
-                for label, lhs, rhs, tol in _evaluate(prop, dims, mats, w, v, vecs, names):
+                for label, lhs, rhs, tol in _evaluate(prop, dims, mats, w, v, vecs):
                     yield start + idx, label, lhs, rhs, tol
 
 
-def property_sweep(
-    samples: int, dims_cap: int, seed: int, names: Sequence[str] = PROPERTY_NAMES
-) -> list[BoundCheck]:
-    """Run `samples` random instances of each named inequality.
+def property_sweep(samples: int, dims_cap: int, seed: int) -> list[BoundCheck]:
+    """Run `samples` random instances of each inequality.
 
     Returns the failing checks (empty list = all good), ordered by sample and
     then by inequality. Each factor's dimension is drawn from [2, dims_cap].
     """
     failures = []
-    for idx, label, lhs, rhs, tol in _sweep_checks(samples, dims_cap, seed, names):
+    for idx, label, lhs, rhs, tol in _sweep_checks(samples, dims_cap, seed):
         for k in np.flatnonzero(~(lhs - rhs >= -tol)):
             check = BoundCheck.of(lhs[k], rhs[k], label=label, tol=tol)
             failures.append((idx[k], _CHECK_LABELS.index(label), check))

@@ -385,14 +385,9 @@ def _embed_params(
     return u.reshape(-1, d_s), vab.reshape(-1, d_s), vac.reshape(-1, d_s)
 
 
-def frontier_sweep(
-    d_s: int,
-    d_a_values: Sequence[int],
-    d_b: int,
-    d_c: int,
-    config: OptimizeConfig | None = None,
-) -> list[FrontierPoint]:
-    """Optimize along increasing shared dimension, warm-starting each point.
+def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[FrontierPoint]:
+    """Optimize config at each shared dimension in d_a_values, increasing,
+    warm-starting each point; every point sizes its own environment.
 
     The previous winner is zero-padded into the next search space, which
     makes the best-fidelity sequence non-decreasing by construction; a
@@ -403,10 +398,7 @@ def frontier_sweep(
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []
     for d_a in values:
-        if config is None:
-            cfg = OptimizeConfig(d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c)
-        else:
-            cfg = replace(config, d_s=d_s, d_a=d_a, d_b=d_b, d_c=d_c, env_dim=None)
+        cfg = replace(config, d_a=d_a, env_dim=None)
         warm = [_embed_params(points[-1].best_instance, d_a, cfg.resolved_env)] if points else []
         point = optimize_qsb(cfg, initial_points=warm)
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:

@@ -279,6 +279,16 @@ def test_verify_out_needs_chain(workdir, capsys):
     assert not (workdir / "verify.manifest.json").exists()
 
 
+def test_verify_allow_trivial_needs_chain(workdir, capsys):
+    # only the chain has a premise to waive: refuse rather than ignore --allow-trivial
+    path = _construct(workdir)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--allow-trivial"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "--chain" in err
+    assert not (workdir / "verify.manifest.json").exists()
+
+
 def test_verify_chain_needs_two_basis_states(workdir, capsys):
     # a one-dimensional source offers no pair: impossible, not a violation
     path = _construct(workdir, dims=("1", "1", "1", "1"))

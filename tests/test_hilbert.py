@@ -92,17 +92,8 @@ def test_isometry_validation(rng):
 
 def test_purify_roundtrip(rng):
     rho = random_density(SpaceLayout([("A", 2), ("B", 3)]), 6, rng)
-    m = _purification(*rho._eigh, 6)
+    m = _purification(*rho._eigh)
     assert np.abs(m @ m.conj().T - rho.matrix).max() < 1e-10
-
-
-def test_purify_env_dim_is_rank(rng):
-    # purifying with exactly rank environment columns loses nothing
-    for rank in (1, 2):
-        rho = random_density(SpaceLayout([("A", 4)]), rank, rng)
-        assert int(np.sum(rho._eigh[0] > RANK_CUTOFF)) == rank
-        m = _purification(*rho._eigh, rank)
-        assert m.shape == (4, rank) and np.abs(m @ m.conj().T - rho.matrix).max() < 1e-10
 
 
 def test_eigh_desc_ordering(rng):

@@ -19,7 +19,6 @@ from qsblab.hilbert import (
     validate_density,
 )
 from qsblab.metrics import (
-    PROPERTY_NAMES,
     BoundCheck,
     _overlaps,
     _partner,
@@ -87,19 +86,19 @@ def test_fidelity_symmetric_and_in_range(d, seed):
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_triangle_chains_hold(seed):
-    assert property_sweep(3, 6, seed, names=("triangle", "triangle_pure")) == []
+    assert property_sweep(3, 6, seed) == []
 
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_monotone_under_discard(seed):
-    assert property_sweep(3, 9, seed, names=("monotonicity",)) == []
+    assert property_sweep(3, 9, seed) == []
 
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_distance_fidelity_sandwich(seed):
-    assert property_sweep(3, 6, seed, names=("fvdg",)) == []
+    assert property_sweep(3, 6, seed) == []
 
 
 def test_sandwich_tight_for_pure_pair():
@@ -154,6 +153,29 @@ def test_uhlmann_partner_rejections():
     skinny = purify(pure_rho.matrix)  # rank-1 source, environment dim 1
     with pytest.raises(BadPurification):
         _partner_of(pure_rho, sigma, skinny)
+    # a true purification of a rank-2 rho into a 2-dim environment is refused
+    # as not square, even where sigma's rank would fit it
+    lay = SpaceLayout([("Q", 3)])
+    rho, sigma = random_density(lay, 2, 7), random_density(lay, 2, 8)
+    narrow = purify(rho.matrix)
+    assert narrow.shape == (3, 2)
+    with pytest.raises(BadPurification, match="square"):
+        _partner_of(rho, sigma, narrow)
+
+
+def test_partner_overlap_of_a_rank_deficient_state():
+    # the sweep purifies at full width, so a first state of rank 2 at d = 3
+    # against a full-rank sigma still reaches F(rho, sigma)
+    lay = SpaceLayout([("Q", 3)])
+    rho, sigma = random_density(lay, 2, 11), random_density(lay, 3, 12)
+    assert int(np.sum(rho._eigh[0] > RANK_CUTOFF)) == 2
+    mats = np.stack([rho.matrix, sigma.matrix])[None]
+    w = np.stack([rho._eigh[0], sigma._eigh[0]])[None]
+    v = np.stack([rho._eigh[1], sigma._eigh[1]])[None]
+    ((label, lhs, rhs, tol),) = metrics._evaluate("partner_overlap", (3,), mats, w, v, None)
+    assert label == "partner_overlap" and tol == metrics._PARTNER_TOL
+    assert lhs[0] == pytest.approx(fidelity(rho, sigma), abs=1e-8)
+    assert rhs[0] == pytest.approx(fidelity(rho, sigma), abs=1e-12)
 
 
 def test_convexity_ceilings():
@@ -193,10 +215,6 @@ def test_property_sweep_clean_small():
     assert property_sweep(1000, 16, seed=7) == []
 
 
-def test_property_sweep_subset_names():
-    assert property_sweep(50, 8, seed=3, names=("fvdg",)) == []
-
-
 def _chain_floor(f_first, f_second):
     return 1.0 - np.sqrt(max(1.0 - f_first, 0.0)) - np.sqrt(max(1.0 - f_second, 0.0))
 
@@ -208,7 +226,7 @@ def _sweep_draw(samples, dims_cap, seed):
     drawn = {}
     for start in range(0, samples, metrics._SWEEP_BLOCK):
         count = min(metrics._SWEEP_BLOCK, samples - start)
-        for states, buckets in metrics._draw_block(rng, count, dims_cap, PROPERTY_NAMES):
+        for states, buckets in metrics._draw_block(rng, count, dims_cap):
             end = 0
             for prop, dims, idx, vecs in buckets:
                 k = metrics._STATES[prop]
@@ -267,7 +285,7 @@ def _sweep_reference(samples, dims_cap, seed):
 def test_batched_sweep_matches_object_path(seed):
     ref = _sweep_reference(200, 16, seed)
     seen = set()
-    for idx, label, lhs, rhs, tol in metrics._sweep_checks(200, 16, seed, PROPERTY_NAMES):
+    for idx, label, lhs, rhs, tol in metrics._sweep_checks(200, 16, seed):
         for k, i in enumerate(idx):
             want = ref[i, label]
             assert lhs[k] == pytest.approx(want.lhs, abs=1e-12, rel=0), (i, label)
@@ -287,8 +305,6 @@ def test_property_sweep_reports_failures_in_sample_order(monkeypatch):
     ref = _sweep_reference(7, 6, seed=5)
     want = [ref[i, label].lhs for i in range(7) for label in metrics._CHECK_LABELS]
     assert [c.lhs for c in failures] == pytest.approx(want, abs=1e-12, rel=0)
-    fvdg_only = property_sweep(4, 6, seed=5, names=("fvdg",))
-    assert [c.label for c in fvdg_only] == ["fvdg_lower", "fvdg_upper"] * 4
 
 
 def test_fidelity_against_pure_state_is_exact_on_rank_deficient_states():
@@ -320,8 +336,7 @@ def test_component_ceiling_ignores_the_kernel_basis():
     assert fidelity_pure(rho, psi) == 0.0
     assert np.max(_overlaps(*rho._eigh, psi.amplitudes)) == 0.0
     w, v = validate_density(rho.matrix[None])[1:]
-    rows = metrics._evaluate("ceilings", 3, rho.matrix[None, None], w[None], v[None],
-                             psi.amplitudes[None, None], PROPERTY_NAMES)
+    rows = metrics._evaluate("ceilings", 3, rho.matrix[None, None], w[None], v[None], psi.amplitudes[None, None])
     assert dict((label, lhs[0]) for label, lhs, _, _ in rows)["component_ceiling"] == 0.0
 
 
@@ -356,11 +371,11 @@ def test_density_matrix_is_diagonalised_once(diagonalised):
 
 
 def test_sweep_diagonalises_each_drawn_state_once(diagonalised):
-    pools = list(metrics._draw_block(np.random.default_rng(9), 50, 16, PROPERTY_NAMES))
+    pools = list(metrics._draw_block(np.random.default_rng(9), 50, 16))
     buckets = [b for _, bs in pools for b in bs]
     drawn = sum(len(states) for states, _ in pools)
     marginal = [len(idx) for prop, _, idx, _ in buckets if prop == "monotonicity"]
-    list(metrics._sweep_checks(50, 16, 9, PROPERTY_NAMES))
+    list(metrics._sweep_checks(50, 16, 9))
     # one call per dimension pool and per stack of monotonicity marginals
     assert len(diagonalised) == len(pools) + len(marginal) < len(buckets)
     assert sum(diagonalised) == drawn + 2 * sum(marginal)
@@ -396,7 +411,7 @@ def test_sweep_draws_what_it_promises(monkeypatch):
 
 
 def test_sweep_repeats_its_checks_for_a_seed():
-    first, second = (list(metrics._sweep_checks(120, 12, 4, PROPERTY_NAMES)) for _ in range(2))
+    first, second = (list(metrics._sweep_checks(120, 12, 4)) for _ in range(2))
     assert len(first) == len(second)
     for (i1, l1, lhs1, rhs1, t1), (i2, l2, lhs2, rhs2, t2) in zip(first, second):
         assert (l1, t1) == (l2, t2)

@@ -538,7 +538,7 @@ def test_frontier_monotone_qubit():
     cfg = OptimizeConfig(
         d_s=2, d_a=1, d_b=2, d_c=2, restarts=2, max_iters=200, **SMALL, seed=5
     )
-    points = frontier_sweep(2, [1, 2], 2, 2, config=cfg)
+    points = frontier_sweep(cfg, [1, 2])
     assert len(points) == 2
     vals = [p.best_worst_fidelity for p in points]
     assert vals[1] >= vals[0] - 1e-9  # also enforced inside the sweep
@@ -560,7 +560,7 @@ def test_frontier_monotone_qutrit():
         phase_count=4,
         seed=6,
     )
-    points = frontier_sweep(3, [1, 2, 3], 3, 3, config=cfg)
+    points = frontier_sweep(cfg, [1, 2, 3])
     vals = [p.best_worst_fidelity for p in points]
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     assert vals[-1] >= 1.0 - 1e-6
@@ -568,4 +568,4 @@ def test_frontier_monotone_qutrit():
 
 def test_frontier_rejects_empty_range():
     with pytest.raises(InvariantViolation):
-        frontier_sweep(2, [], 2, 2)
+        frontier_sweep(OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2), [])
