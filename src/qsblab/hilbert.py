@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvariantViolation, LabelClash, LayoutMismatch
 
@@ -97,10 +98,13 @@ def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The ordering plus phase convention makes every downstream extraction
     deterministic for a given input matrix; each member of a stack gets
-    exactly the result it gets alone.
+    exactly the result it gets alone. LAPACK's gufunc is called directly,
+    without np.linalg's wrapper, on the stack as complex: a member that does
+    not converge comes back as NaN, not LinAlgError. validate_density refuses
+    a NaN eigenvalue, and a NaN vector fails every check that reads it.
     """
     herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = _umath_linalg.eigh_lo(herm, signature="D->dD")
     vecs = phase_fix(vecs[..., ::-1].swapaxes(-1, -2)).swapaxes(-1, -2)
     return vals[..., ::-1], vecs
 

@@ -8,13 +8,20 @@ The kernels behind fidelity, trace distance and the Uhlmann partner work on
 state objects, fidelity with the eigenpairs each DensityMatrix kept from its
 validation.
 
+The SVD and eigvalsh kernels call LAPACK's gufuncs directly, without
+np.linalg's wrappers. Their inputs are validated finite, and a stack that does
+not converge gives NaN rather than LinAlgError: the NaN fails the check row it
+reaches, as every check is "not within tolerance", so it never passes silently.
+
 property_sweep checks the inequalities between these measures on random
 instances and reports each failure as a BoundCheck recording both sides;
 nothing is silently clamped away. It buckets each block of samples by property
 and dimension and draws all states of one dimension as one Ginibre stack, so a
-seed always checks the same instances. Validating that pool once diagonalises
-each state exactly once; each bucket is checked as one stack on its slice of
-the pool and builds a BoundCheck only for a failure.
+seed always checks the same instances. Each such pool is validated, and so
+diagonalised, once, and scored as one stack: one root build, one SVD for every
+fidelity pair of its buckets and one product for every pure-state fidelity.
+The monotonicity marginals of a block are scored once per reduced dimension.
+A BoundCheck is built only for a failure.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import BadPurification, LayoutMismatch
 from .hilbert import (
@@ -47,7 +55,7 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _fidelity(root_rho: np.ndarray, root_sigma: np.ndarray) -> np.ndarray:
     """Fidelities of two (..., d, d) stacks given their square roots."""
-    s = np.linalg.svd(root_sigma @ root_rho, compute_uv=False)
+    s = _umath_linalg.svd(root_sigma @ root_rho, signature="D->d")
     return np.clip(np.sum(s, axis=-1) ** 2, 0.0, 1.0)
 
 
@@ -80,7 +88,7 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Half the trace norm of rho - sigma for (..., d, d) stacks."""
     diff = rho - sigma
-    w = np.linalg.eigvalsh((diff + diff.conj().swapaxes(-1, -2)) / 2.0)
+    w = _umath_linalg.eigvalsh_lo((diff + diff.conj().swapaxes(-1, -2)) / 2.0, signature="D->d")
     return np.clip(0.5 * np.sum(np.abs(w), axis=-1), 0.0, 1.0)
 
 
@@ -175,6 +183,11 @@ _PARTNER_TOL = 1e-8
 # States per sample of each bucket property; triangle_pure and ceilings also draw a Haar vector.
 _STATES = {"triangle": 3, "triangle_pure": 2, "monotonicity": 2, "partner_overlap": 2, "ceilings": 1, "fvdg": 2}
 
+# The fidelities each bucket property scores, as positions of states in a sample:
+# pairs of states, and states against the sample's Haar vector.
+_PAIRS = dict.fromkeys(_STATES, ((0, 1),)) | {"triangle": ((0, 1), (0, 2), (2, 1)), "ceilings": ()}
+_PURE = dict.fromkeys(_STATES, ()) | {"triangle_pure": (0, 1), "ceilings": (0,)}
+
 
 def _draw_block(rng: np.random.Generator, count: int, dims_cap: int):
     """Yield `count` samples as one (states, buckets) pool per matrix dimension n.
@@ -210,57 +223,78 @@ def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mats, np.maximum(w, 0.0), v
 
 
-def _evaluate(prop: str, dims, mats, w, v, vecs: np.ndarray):
-    """(label, lhs, rhs, tol) rows for one validated bucket; lhs and rhs run over its samples."""
+def _evaluate(prop: str, mats, w, v, vecs, f, f_pure):
+    """(label, lhs, rhs, tol) rows for one validated bucket that is not monotonicity,
+    from its fidelities: f[k] of its k-th _PAIRS pair and f_pure[k] of its k-th _PURE
+    state, each over its samples."""
     if prop == "ceilings":
-        f = _fidelity_pure(mats[:, 0], vecs[:, 0])
         best = _overlaps(w[:, 0], v[:, 0], vecs[:, 0]).max(axis=-1)
-        return [("component_ceiling", best, f, _SLACK_TOL), ("eigenvalue_ceiling", w[:, 0, 0], f, _SLACK_TOL)]
-    root = _root(w, v)
+        return [("component_ceiling", best, f_pure[0], _SLACK_TOL), ("eigenvalue_ceiling", w[:, 0, 0], f_pure[0], _SLACK_TOL)]
     if prop == "partner_overlap":
         # phi purifies the first state, chi is its Uhlmann partner for the second
         phi = _purification(w[:, 0], v[:, 0])
         chi = _partner(phi, mats[:, 0], w[:, 1], v[:, 1])
         lhs = np.abs(np.sum(phi.conj() * chi, axis=(-2, -1))) ** 2
-        return [("partner_overlap", lhs, _fidelity(root[:, 0], root[:, 1]), _PARTNER_TOL)]
+        return [("partner_overlap", lhs, f[0], _PARTNER_TOL)]
     if prop == "triangle":
-        lhs = _dsqrt(_fidelity(root[:, 0], root[:, 1]))
-        rhs = _chain_rhs(_fidelity(root[:, 0], root[:, 2]), _fidelity(root[:, 2], root[:, 1]))
-        return [("triangle", lhs, rhs, _SLACK_TOL)]
+        return [("triangle", _dsqrt(f[0]), _chain_rhs(f[1], f[2]), _SLACK_TOL)]
     if prop == "triangle_pure":
-        lhs = _fidelity_pure(mats[:, 0], vecs[:, 0])
-        rhs = _chain_rhs(_fidelity(root[:, 0], root[:, 1]), _fidelity_pure(mats[:, 1], vecs[:, 0]))
-        return [("triangle_pure", lhs, rhs, _SLACK_TOL)]
-    f = _fidelity(root[:, 0], root[:, 1])
-    if prop == "monotonicity":
-        d1, d2 = dims
-        joint = mats.reshape(len(mats), 2, d1, d2, d1, d2)
-        _, w_q, v_q = _validated(np.trace(joint, axis1=3, axis2=5))
-        root_q = _root(w_q, v_q)
-        return [("monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f, _SLACK_TOL)]
+        return [("triangle_pure", f_pure[0], _chain_rhs(f[0], f_pure[1]), _SLACK_TOL)]
     dist = _trace_distance(mats[:, 0], mats[:, 1])
-    floor, ceiling = _fvdg_bounds(f)
+    floor, ceiling = _fvdg_bounds(f[0])
     return [("fvdg_lower", dist, floor, _SLACK_TOL), ("fvdg_upper", ceiling, dist, _SLACK_TOL)]
+
+
+def _split(values: np.ndarray, parts: list) -> list:
+    """values of the concatenated parts, split back into one array per (index, ...) part."""
+    return np.split(values, np.cumsum([len(part[0]) for part in parts])[:-1])
 
 
 def _sweep_checks(samples: int, dims_cap: int, seed: int):
     """Yield (sample indices, label, lhs, rhs, tol) for every check of the sweep,
-    one bucket at a time, _SWEEP_BLOCK samples per draw.
+    _SWEEP_BLOCK samples per draw.
 
-    The matrices of one dimension are validated, and so diagonalised, as one
-    pool laid out bucket after bucket, so each bucket is a view of the pool.
+    The matrices of one dimension are validated, and so diagonalised, as one pool
+    laid out bucket after bucket, so each bucket is a view of the pool. The pool's
+    roots are built once; the fidelity pairs of all its buckets, gathered by their
+    positions in the pool, are one _fidelity call and its pure-state fidelities one
+    _fidelity_pure call. The block's monotonicity marginals are validated, rooted
+    and scored once per reduced dimension d1, after the block's pools.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _SWEEP_BLOCK):
         count = min(_SWEEP_BLOCK, samples - start)
+        marginals: dict[int, list] = {}  # d1: [(sample indices, partial traces, joint fidelities)]
         for states, buckets in _draw_block(rng, count, dims_cap):
-            pool = _validated(states)
+            mats, w, v = pool = _validated(states)
+            root = _root(w, v)
+            views, pairs, pure = [], [], []
             end = 0
-            for prop, dims, idx, vecs in buckets:
+            for prop, _, idx, vecs in buckets:
                 begin, end = end, end + len(idx) * _STATES[prop]
-                mats, w, v = (a[begin:end].reshape(len(idx), -1, *a.shape[1:]) for a in pool)
-                for label, lhs, rhs, tol in _evaluate(prop, dims, mats, w, v, vecs):
+                views.append([a[begin:end].reshape(len(idx), -1, *a.shape[1:]) for a in pool])
+                at = np.arange(begin, end, _STATES[prop])  # each sample's first state
+                pairs += [(at + i, at + j) for i, j in _PAIRS[prop]]
+                pure += [(at + i, vecs[:, 0]) for i in _PURE[prop]]
+            f = iter(_split(_fidelity(*(root[np.concatenate(x)] for x in zip(*pairs))), pairs))
+            f_pure = iter(())  # a pool of monotonicity and partner buckets only has none
+            if pure:
+                k, psi = (np.concatenate(x) for x in zip(*pure))
+                f_pure = iter(_split(_fidelity_pure(mats[k], psi), pure))
+            for (prop, dims, idx, vecs), (b_mats, b_w, b_v) in zip(buckets, views):
+                b_f = [next(f) for _ in _PAIRS[prop]]
+                b_pure = [next(f_pure) for _ in _PURE[prop]]
+                if prop == "monotonicity":
+                    d1, d2 = dims
+                    traced = np.trace(b_mats.reshape(len(idx), 2, d1, d2, d1, d2), axis1=3, axis2=5)
+                    marginals.setdefault(d1, []).append((start + idx, traced, b_f[0]))
+                    continue
+                for label, lhs, rhs, tol in _evaluate(prop, b_mats, b_w, b_v, vecs, b_f, b_pure):
                     yield start + idx, label, lhs, rhs, tol
+        for parts in marginals.values():
+            idx, traced, f_joint = (np.concatenate(x) for x in zip(*parts))
+            root_q = _root(*_validated(traced)[1:])
+            yield idx, "monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f_joint, _SLACK_TOL
 
 
 def property_sweep(samples: int, dims_cap: int, seed: int) -> list[BoundCheck]:

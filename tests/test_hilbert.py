@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _reference import random_density
+from qsblab import hilbert
 from qsblab.errors import InvariantViolation, LabelClash
 from qsblab.hilbert import (
     RANK_CUTOFF,
@@ -103,6 +104,24 @@ def test_eigh_desc_ordering(rng):
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(4))
     recon = (vecs * vals) @ vecs.conj().T
     assert np.abs(recon - m).max() < 1e-9
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_lapack_gufuncs_match_the_linalg_wrappers(d):
+    # eigh_desc and the fidelity and trace-distance kernels call numpy's private
+    # gufuncs; a numpy release that renames or changes them fails here
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+    g[3:, :, d // 2 :] = 0.0  # rank-deficient members
+    herm = g @ g.conj().swapaxes(-1, -2)
+    herm[1] -= np.trace(herm[1]) * np.eye(d) / d  # indefinite
+    lapack = hilbert._umath_linalg
+    w, v = lapack.eigh_lo(herm, signature="D->dD")
+    want_w, want_v = np.linalg.eigh(herm)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert np.array_equal(lapack.eigvalsh_lo(herm, signature="D->d"), np.linalg.eigvalsh(herm))
+    for m in (herm, herm @ g):
+        assert np.array_equal(lapack.svd(m, signature="D->d"), np.linalg.svd(m, compute_uv=False))
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -83,22 +83,15 @@ def test_fidelity_symmetric_and_in_range(d, seed):
     )
 
 
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_triangle_chains_hold(seed):
-    assert property_sweep(3, 6, seed) == []
+@pytest.mark.parametrize("cap, examples", [(6, 80), (9, 40)])
+def test_small_sweeps_find_no_violation(cap, examples):
+    # every inequality of the sweep, on 3 samples per seed at a dims cap of 6 or 9
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=examples)
+    def sweep(seed):
+        assert property_sweep(3, cap, seed) == []
 
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_monotone_under_discard(seed):
-    assert property_sweep(3, 9, seed) == []
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_distance_fidelity_sandwich(seed):
-    assert property_sweep(3, 6, seed) == []
+    sweep()
 
 
 def test_sandwich_tight_for_pure_pair():
@@ -130,7 +123,8 @@ def test_uhlmann_partner_achieves_fidelity():
 
 def test_uhlmann_partner_covers_support_the_overlap_misses():
     # a rank-1 rho purified into a 3-dim environment leaves the cross operator
-    # rank 1, so two support directions of sigma are completed isometrically
+    # rank 1; the polar factor is still unitary, so the partner covers the two
+    # support directions of sigma that the overlap misses
     lay = SpaceLayout([("Q", 3)])
     rng = np.random.default_rng(4)
     for _ in range(3):
@@ -172,7 +166,8 @@ def test_partner_overlap_of_a_rank_deficient_state():
     mats = np.stack([rho.matrix, sigma.matrix])[None]
     w = np.stack([rho._eigh[0], sigma._eigh[0]])[None]
     v = np.stack([rho._eigh[1], sigma._eigh[1]])[None]
-    ((label, lhs, rhs, tol),) = metrics._evaluate("partner_overlap", (3,), mats, w, v, None)
+    f = [metrics._fidelity(metrics._root(w[:, 0], v[:, 0]), metrics._root(w[:, 1], v[:, 1]))]
+    ((label, lhs, rhs, tol),) = metrics._evaluate("partner_overlap", mats, w, v, None, f, [])
     assert label == "partner_overlap" and tol == metrics._PARTNER_TOL
     assert lhs[0] == pytest.approx(fidelity(rho, sigma), abs=1e-8)
     assert rhs[0] == pytest.approx(fidelity(rho, sigma), abs=1e-12)
@@ -295,6 +290,39 @@ def test_batched_sweep_matches_object_path(seed):
     assert seen == set(ref)
 
 
+def test_batched_sweep_matches_object_path_one_sample_per_block(monkeypatch):
+    # single-sample blocks leave pools of monotonicity or partner buckets only,
+    # whose pure-state gather is empty
+    monkeypatch.setattr(metrics, "_SWEEP_BLOCK", 1)
+    pools = list(metrics._draw_block(np.random.default_rng(7), 1, 16))
+    assert any({p for p, *_ in bs} <= {"monotonicity", "partner_overlap"} for _, bs in pools)
+    test_batched_sweep_matches_object_path(7)
+
+
+def test_sweep_scores_each_pool_with_one_svd(monkeypatch):
+    # one _fidelity call per dimension pool and per reduced dimension of a
+    # block's monotonicity marginals, one _fidelity_pure call per pool at most
+    calls = {"_fidelity": 0, "_fidelity_pure": 0}
+    for name in calls:
+        inner = getattr(metrics, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    monkeypatch.setattr(metrics, "_SWEEP_BLOCK", 20)
+    rng = np.random.default_rng(9)
+    pools = reduced = 0
+    for count in (20, 20, 10):
+        block = list(metrics._draw_block(rng, count, 16))
+        pools += len(block)
+        reduced += len({dims[0] for _, bs in block for prop, dims, _, _ in bs if prop == "monotonicity"})
+    list(metrics._sweep_checks(50, 16, 9))
+    assert calls["_fidelity"] == pools + reduced
+    assert 0 < calls["_fidelity_pure"] <= pools
+
+
 def test_property_sweep_reports_failures_in_sample_order(monkeypatch):
     # a tolerance no check can meet turns every check into a failure
     monkeypatch.setattr(metrics, "_SLACK_TOL", -5.0)
@@ -336,7 +364,8 @@ def test_component_ceiling_ignores_the_kernel_basis():
     assert fidelity_pure(rho, psi) == 0.0
     assert np.max(_overlaps(*rho._eigh, psi.amplitudes)) == 0.0
     w, v = validate_density(rho.matrix[None])[1:]
-    rows = metrics._evaluate("ceilings", 3, rho.matrix[None, None], w[None], v[None], psi.amplitudes[None, None])
+    f_pure = [np.array([fidelity_pure(rho, psi)])]
+    rows = metrics._evaluate("ceilings", rho.matrix[None, None], w[None], v[None], psi.amplitudes[None, None], [], f_pure)
     assert dict((label, lhs[0]) for label, lhs, _, _ in rows)["component_ceiling"] == 0.0
 
 
@@ -375,9 +404,10 @@ def test_sweep_diagonalises_each_drawn_state_once(diagonalised):
     buckets = [b for _, bs in pools for b in bs]
     drawn = sum(len(states) for states, _ in pools)
     marginal = [len(idx) for prop, _, idx, _ in buckets if prop == "monotonicity"]
+    reduced = {dims[0] for prop, dims, _, _ in buckets if prop == "monotonicity"}
     list(metrics._sweep_checks(50, 16, 9))
-    # one call per dimension pool and per stack of monotonicity marginals
-    assert len(diagonalised) == len(pools) + len(marginal) < len(buckets)
+    # one call per dimension pool and per reduced dimension of the monotonicity marginals
+    assert len(diagonalised) == len(pools) + len(reduced) == 18 < len(pools) + len(marginal) == 29
     assert sum(diagonalised) == drawn + 2 * sum(marginal)
 
 
