@@ -94,6 +94,28 @@ def test_small_sweeps_find_no_violation(cap, examples):
     sweep()
 
 
+def _labelled_rows_hold(seed, cap, labels):
+    # every one of the 3 samples gets a row of each label, and each row holds
+    seen = {label: set() for label in labels}
+    for idx, label, lhs, rhs, tol in metrics._sweep_checks(3, cap, seed):
+        if label in seen:
+            assert np.all(lhs - rhs >= -tol), label
+            seen[label].update(idx.tolist())
+    assert all(s == {0, 1, 2} for s in seen.values()), seen
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_triangle_chains_hold(seed):
+    _labelled_rows_hold(seed, 6, ("triangle", "triangle_pure"))
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_distance_fidelity_sandwich(seed):
+    _labelled_rows_hold(seed, 6, ("fvdg_lower", "fvdg_upper"))
+
+
 def test_sandwich_tight_for_pure_pair():
     # D = sqrt(1 - F) exactly when both states are pure.
     lay = SpaceLayout([("Q", 3)])
