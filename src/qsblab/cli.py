@@ -3,8 +3,10 @@
 Subcommands: construct, verify, threshold, properties, optimize, sweep.
 Exit codes: 0 success, 1 usage, 2 mathematically impossible request,
 3 I/O or malformed input, 4 invariant or property violation or a request
-too large to allocate ("too large: ..."). Every run
-writes a small manifest next to its outputs so it can be replayed.
+too large to allocate ("too large: ..."). A subcommand that returns (exit
+0, or 4 from a failing chain row or property check) writes one small
+manifest next to its outputs so it can be replayed; a run that ends in an
+error message (usage, or exit 2, 3 or 4 from an exception) writes none.
 """
 
 from __future__ import annotations
@@ -49,33 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _manifest_path(outputs: list[str], subcommand: str) -> Path:
-    if outputs:
-        p = Path(outputs[0])
-        return p.with_name(p.stem + ".manifest.json")
-    return Path(f"{subcommand}.manifest.json")
-
-
-def _write_manifest(
-    subcommand: str,
-    args: argparse.Namespace,
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
-) -> None:
-    flags = {
-        k: v for k, v in vars(args).items() if k not in ("func",) and not callable(v)
-    }
+def _write_manifest(args, inputs: list[str], outputs: list[str], started: float) -> None:
+    """<stem>.manifest.json beside the first output, else <subcommand>.manifest.json."""
     manifest = {
-        "subcommand": subcommand,
-        "flags": flags,
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items() if not callable(v)},
         "seed": getattr(args, "seed", None),
         "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - started, 3),
     }
-    _write_json(_manifest_path(outputs, subcommand), manifest)
+    first = Path(outputs[0]) if outputs else Path(args.subcommand)
+    _write_json(first.with_name(first.stem + ".manifest.json"), manifest)
 
 
 def _write_json(path: str | Path, obj) -> None:
@@ -89,12 +77,11 @@ def _print_wrapped(values, per_line: int = 8) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, input paths, output paths)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_construct(args) -> int:
-    started = time.time()
+def _cmd_construct(args) -> tuple[int, list[str], list[str]]:
     inst = perfect_qsb_construct(args.ds, args.da, args.db, args.dc)
     # bit-identical to 100 random_pure draws from the same stream
     cols = _haar_rows(np.random.default_rng(args.seed), 100, inst.d_s).T
@@ -103,8 +90,7 @@ def _cmd_construct(args) -> int:
     print(f"wrote {args.out}")
     print(f"f_ab {f_ab.min():.6f}")
     print(f"f_ac {f_ac.min():.6f}")
-    _write_manifest("construct", args, [], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [], [args.out]
 
 
 def _load_instance(path: str) -> QsbInstance:
@@ -127,8 +113,11 @@ class _IoFailure(Exception):
     pass
 
 
-def _cmd_verify(args) -> int:
-    started = time.time()
+def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
+    if args.out and not args.chain:
+        _parser().error("verify -o/--out needs --chain: only the chain writes a report")
+    if args.allow_trivial and not args.chain:
+        _parser().error("verify --allow-trivial needs --chain: only the chain has a premise to waive")
     inst = _load_instance(args.instance)
     if args.chain:
         check_chain_premise(inst, args.allow_trivial)  # refuse before measuring anything
@@ -157,39 +146,34 @@ def _cmd_verify(args) -> int:
             print(f"wrote {args.out}")
         if not report.all_satisfied:
             code = EXIT_INVARIANT
-    _write_manifest("verify", args, [args.instance], outputs, started)
-    return code
+    return code, [args.instance], outputs
 
 
-def _cmd_threshold(args) -> int:
-    started = time.time()
+def _cmd_threshold(args) -> tuple[int, list[str], list[str]]:
     eps_zero, fixed, dimensional = epsilon_threshold(args.da)
     print(f"eps_zero {eps_zero!r}")
     print(f"candidates fixed {fixed!r} dimensional {dimensional!r}")
-    _write_manifest("threshold", args, [], [], started)
-    return EXIT_OK
+    return EXIT_OK, [], []
 
 
-def _cmd_properties(args) -> int:
-    started = time.time()
+def _cmd_properties(args) -> tuple[int, list[str], list[str]]:
     failures = property_sweep(args.samples, args.dims, args.seed)
-    _write_manifest("properties", args, [], [], started)
     if failures:
         print(f"{len(failures)} property violations (seed {args.seed}):")
         for c in failures:
             print(f"  {c.label}: lhs {c.lhs!r} rhs {c.rhs!r} slack {c.slack!r} seed {args.seed}")
-        return EXIT_INVARIANT
+        return EXIT_INVARIANT, [], []
     print(f"properties ok: {args.samples} samples per property, dims <= {args.dims}")
-    return EXIT_OK
+    return EXIT_OK, [], []
 
 
-def _config_from_args(args) -> OptimizeConfig:
+def _config_from_args(args, d_a: int, env: int | None) -> OptimizeConfig:
     return OptimizeConfig(
         d_s=args.ds,
-        d_a=args.da,
+        d_a=d_a,
         d_b=args.db,
         d_c=args.dc,
-        env_dim=args.env,
+        env_dim=env,
         restarts=args.restarts,
         max_iters=args.iters,
         haar_count=args.haar,
@@ -197,33 +181,21 @@ def _config_from_args(args) -> OptimizeConfig:
     )
 
 
-def _cmd_optimize(args) -> int:
-    started = time.time()
-    point = optimize_qsb(_config_from_args(args))
+def _cmd_optimize(args) -> tuple[int, list[str], list[str]]:
+    point = optimize_qsb(_config_from_args(args, args.da, args.env))
     print(f"dims {point.dims}")
     print(f"best {point.best_worst_fidelity:.6f}")
     print(f"eps_hat {point.eps_hat:.6g}")
     print(f"winner restart {point.winner_restart} after {point.iterations_used} iters")
     _write_json(args.out, point.to_json())
     print(f"wrote {args.out}")
-    _write_manifest("optimize", args, [], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [], [args.out]
 
 
-def _cmd_sweep(args) -> int:
-    started = time.time()
+def _cmd_sweep(args) -> tuple[int, list[str], list[str]]:
     lo, hi = args.da
-    base = OptimizeConfig(
-        d_s=args.ds,
-        d_a=lo,
-        d_b=args.db,
-        d_c=args.dc,
-        restarts=args.restarts,
-        max_iters=args.iters,
-        haar_count=args.haar,
-        seed=args.seed,
-    )
-    points = frontier_sweep(base, range(lo, hi + 1))
+    # frontier_sweep sizes each point's environment itself
+    points = frontier_sweep(_config_from_args(args, lo, None), range(lo, hi + 1))
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FrontierPoint.CSV_HEADER)
@@ -232,8 +204,7 @@ def _cmd_sweep(args) -> int:
     for p in points:
         print(f"d_a {p.dims[1]}: best {p.best_worst_fidelity:.6f}")
     print(f"wrote {args.csv}")
-    _write_manifest("sweep", args, [], [args.csv], started)
-    return EXIT_OK
+    return EXIT_OK, [], [args.csv]
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +303,15 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse, run the subcommand, and write its manifest if it returned."""
     try:
         args = _parser().parse_args(argv)
-        if args.subcommand == "verify" and args.out and not args.chain:
-            _parser().error("verify -o/--out needs --chain: only the chain writes a report")
-        if args.subcommand == "verify" and args.allow_trivial and not args.chain:
-            _parser().error("verify --allow-trivial needs --chain: only the chain has a premise to waive")
-    except SystemExit as exc:
+        started = time.perf_counter()
+        code, inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, started)
+        return code
+    except SystemExit as exc:  # usage errors and --help/--version
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (NoPerfectQsb, ChainNotApplicable) as exc:
         print(f"impossible: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE

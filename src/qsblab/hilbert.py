@@ -93,18 +93,19 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
 
 
 def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition of a (..., d, d) stack, eigenvalues
+    """Eigendecomposition of a Hermitian (..., d, d) stack, eigenvalues
     descending, eigenvector columns phase-fixed.
 
-    The ordering plus phase convention makes every downstream extraction
-    deterministic for a given input matrix; each member of a stack gets
-    exactly the result it gets alone. LAPACK's gufunc is called directly,
+    LAPACK reads only the lower triangle, so pass an exactly Hermitian stack
+    (symmetrise one that is Hermitian only up to rounding). The ordering
+    plus phase convention makes every downstream extraction deterministic
+    for a given input matrix; each member of a stack gets exactly the
+    result it gets alone. LAPACK's gufunc is called directly,
     without np.linalg's wrapper, on the stack as complex: a member that does
     not converge comes back as NaN, not LinAlgError. validate_density refuses
     a NaN eigenvalue, and a NaN vector fails every check that reads it.
     """
-    herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = _umath_linalg.eigh_lo(herm, signature="D->dD")
+    vals, vecs = _umath_linalg.eigh_lo(mat, signature="D->dD")
     vecs = phase_fix(vecs[..., ::-1].swapaxes(-1, -2)).swapaxes(-1, -2)
     return vals[..., ::-1], vecs
 
@@ -117,12 +118,14 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     than TOL_NORM, else if any eigenvalue lies below -TOL_PSD. A member whose
     smallest eigenvalue lies in [-TOL_PSD, 0) is rebuilt in place with its
     eigenvalues clipped to zero, so pass a complex128 stack the caller owns.
-    Returns the matrices (rebuilt where clipped) and eigh_desc of the input.
+    Returns the matrices (rebuilt where clipped) and eigh_desc of their
+    Hermitian parts (m + m^H) / 2.
     """
     m = np.asarray(m, dtype=np.complex128)
+    mh = m.conj().swapaxes(-1, -2)
     # a non-finite entry gives a non-finite residual, which the tests reject
     with np.errstate(over="ignore", invalid="ignore"):
-        herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        herm_err = np.abs(m - mh).max(axis=(-2, -1))
         tr = m.trace(axis1=-2, axis2=-1)
     # each test is "not within tolerance", so a NaN fails it
     bad = ~(herm_err <= TOL_HERM)
@@ -131,7 +134,7 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bad = ~(np.abs(tr - 1.0) <= TOL_NORM)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL_NORM}")
-    w, v = eigh_desc(m)
+    w, v = eigh_desc((m + mh) / 2.0)
     lo = w[..., -1]
     bad = ~(lo >= -TOL_PSD)
     if np.count_nonzero(bad):

@@ -249,22 +249,25 @@ def _run_restart(
     best_hard = -np.inf
     best_x = x
     max_seen = 0.0
-    iters = 0
     f, cached = branch_values(*unpad(x), probes, config.dims4)
     hard = float(f.min())
 
-    for it in range(config.max_iters):
-        iters = it + 1
-        temp = temps[it]
-        value, e, z = _soft_min(f, hard, temp)
+    # the last pass only scores the point the budget's final step accepted
+    for it in range(config.max_iters + 1):
         max_seen = max(max_seen, float(f.max()))
         if hard > best_hard:
             best_hard = hard
             best_x = x
+        if it == config.max_iters:
+            stop = "max_iters"
+            break
+        iters = it + 1
         if best_hard >= 1.0 - 1e-9:
             stop = "perfect"
             break
 
+        temp = temps[it]
+        value, e, z = _soft_min(f, hard, temp)
         xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
         gnorm2 = float(np.vdot(xi, xi).real)
         if math.sqrt(gnorm2) < 1e-10:
@@ -287,13 +290,6 @@ def _run_restart(
         else:
             stop = "line_search_exhausted"
             break
-    else:
-        # the budget ran out right after an accepted step: score that point too
-        stop = "max_iters"
-        max_seen = max(max_seen, float(f.max()))
-        if hard > best_hard:
-            best_hard = hard
-            best_x = x
 
     return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen, stop)
 

@@ -419,7 +419,7 @@ def _extract(instance: QsbInstance, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     marg = np.zeros((3, n, max(dims), max(dims)), dtype=np.complex128)
     for k, mat in enumerate((psi_ac, m_be, psi_ac.swapaxes(1, 2))):
         marg[k, :, : dims[k], : dims[k]] = mat @ mat.conj().swapaxes(1, 2)
-    top = eigh_desc(marg)[1][..., 0]
+    top = eigh_desc((marg + marg.conj().swapaxes(-1, -2)) / 2.0)[1][..., 0]
     phi_a, phi_b, phi_c = (top[k, :, : dims[k]] for k in range(3))
 
     prod = (phi_a[:, :, None, None] * phi_b[:, None, :, None] * phi_c[:, None, None, :]).reshape(n, 1, -1)

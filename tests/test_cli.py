@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -492,6 +493,53 @@ def test_negative_seed_is_usage_error(workdir, capsys, argv):
     assert main([*argv, "--seed", "-1"]) == 1
     assert capsys.readouterr().err == f"qsblab {argv[0]}: error: argument --seed: must be >= 0, got -1\n"
     assert not list(workdir.iterdir())  # no output, no manifest
+
+
+_BUDGET = ["--restarts", "1", "--iters", "5", "--haar", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, manifest, inputs, outputs",
+    [
+        (_with_dims("construct", da="2", db="1", dc="1") + ["-o", "out.json"], "out.manifest.json",
+         [], ["out.json"]),
+        (["verify", "inst.json"], "verify.manifest.json", ["inst.json"], []),
+        (["verify", "inst.json", "--chain", "--allow-trivial", "-o", "c.json"], "c.manifest.json",
+         ["inst.json"], ["c.json"]),
+        (["threshold", "--da", "2"], "threshold.manifest.json", [], []),
+        (["properties", "--samples", "5", "--dims", "3"], "properties.manifest.json", [], []),
+        (_with_dims("optimize", env="2") + _BUDGET + ["-o", "f.json"], "f.manifest.json", [], ["f.json"]),
+        (_with_dims("sweep", da="1..2") + _BUDGET + ["--csv", "s.csv"], "s.manifest.json", [], ["s.csv"]),
+    ],
+    ids=["construct", "verify", "verify-chain", "threshold", "properties", "optimize", "sweep"],
+)
+def test_a_returning_run_writes_one_manifest(workdir, capsys, argv, manifest, inputs, outputs):
+    (workdir / "inst.json").write_text(json.dumps(perfect_qsb_construct(2, 2, 1, 1).to_json()))
+    assert main(argv) == 0
+    assert sorted(p.name for p in workdir.glob("*.manifest.json")) == [manifest]
+    written = json.loads((workdir / manifest).read_text())
+    assert (written["subcommand"], written["inputs"], written["outputs"]) == (argv[0], inputs, outputs)
+    assert written["flags"]["subcommand"] == argv[0] and "func" not in written["flags"]
+
+
+def test_a_property_violation_still_writes_its_manifest(workdir, capsys, monkeypatch):
+    # exit 4 from a returned failure list is a finished run, not an error exit
+    failure = SimpleNamespace(label="triangle", lhs=0.5, rhs=0.6, slack=-0.1)
+    monkeypatch.setattr(cli, "property_sweep", lambda *a: [failure])
+    assert main(["properties", "--samples", "1"]) == 4
+    assert capsys.readouterr().out.startswith("1 property violations (seed 42):\n")
+    assert [p.name for p in workdir.iterdir()] == ["properties.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(_with_dims("construct", ds="3", da="2") + ["-o", "x.json"], 2), (["verify", "missing.json"], 3)],
+    ids=["impossible", "unreadable"],
+)
+def test_an_exception_exit_writes_no_manifest(workdir, capsys, argv, code):
+    assert main(argv) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not list(workdir.iterdir())
 
 
 # Every integer flag of every subcommand, drawn from [-2, 3] (or omitted, or
