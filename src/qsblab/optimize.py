@@ -6,11 +6,17 @@ by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family, the (d_s, n) columns of
 default_probe_states, is maximized through a temperature-annealed soft
 minimum of qsb.branch_values, the kernel that measure_eps also runs, on the
-probe operand qsb.search_probes picks for the search's shape; the reported
-value is always the hard minimum measure_eps re-measures on the returned
-instance from the same columns. Both receivers' fidelities travel as the
-kernel's one (2, n) stack; a point's hard minimum is taken once, when it is
-evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s)
+probe operand qsb.search_probes picks for the search's shape. The
+temperature climbs a fixed ladder TEMPS, TEMP_INIT * TEMP_RATIO^j capped at
+TEMP_MAX. A stage ends when the tangent gradient norm falls below GRAD_TOL,
+or after its ceil(max_iters / STAGES) share of the budget, so max_iters is
+only a cap. A restart has converged when its top stage ends on the gradient
+test; there its soft minimum lies within log(2n)/TEMP_MAX of the hard
+minimum of its 2n values, about 6e-5 for the default n = 210 at d_s = 2.
+The reported value is always the hard minimum measure_eps re-measures on
+the returned instance from the same columns. Both receivers' fidelities
+travel as the kernel's one (2, n) stack; a point's hard minimum is taken
+once, when it is evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s)
 stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
@@ -42,7 +48,10 @@ DIM_CAP = 4096
 ENV_CAP = 16
 STEP_CAP = 100.0  # largest |t xi| the search retracts: error <= ~1e-12
 STEP_INIT = 0.5  # the first Armijo step of a restart
-TEMP_INIT, TEMP_FINAL = 10.0, 1000.0  # soft-min temperature, geometric over the iterations
+TEMP_INIT, TEMP_RATIO, TEMP_MAX = 10.0, 3.0, 1e5  # the soft-min temperature ladder
+STAGES = 1 + math.ceil(math.log(TEMP_MAX / TEMP_INIT, TEMP_RATIO))
+TEMPS = tuple(min(TEMP_INIT * TEMP_RATIO**j, TEMP_MAX) for j in range(STAGES))
+GRAD_TOL = 1e-5  # a stage ends once the tangent gradient norm falls below this
 
 
 @dataclass(frozen=True)
@@ -244,51 +253,52 @@ def _run_restart(
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
     g = np.zeros_like(x)
-    temps = np.geomspace(TEMP_INIT, TEMP_FINAL, config.max_iters).tolist()
+    cap = -(-config.max_iters // STAGES)  # one stage's share of the budget
     step = STEP_INIT
-    best_hard = -np.inf
-    best_x = x
-    max_seen = 0.0
     f, cached = branch_values(*unpad(x), probes, config.dims4)
     hard = float(f.min())
+    best_hard, best_x, max_seen = hard, x, float(f.max())
+    iters = 0
 
-    # the last pass only scores the point the budget's final step accepted
-    for it in range(config.max_iters + 1):
-        max_seen = max(max_seen, float(f.max()))
-        if hard > best_hard:
-            best_hard = hard
-            best_x = x
-        if it == config.max_iters:
-            stop = "max_iters"
-            break
-        iters = it + 1
-        if best_hard >= 1.0 - 1e-9:
-            stop = "perfect"
-            break
-
-        temp = temps[it]
-        value, e, z = _soft_min(f, hard, temp)
-        xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
-        gnorm2 = float(np.vdot(xi, xi).real)
-        if math.sqrt(gnorm2) < 1e-10:
-            stop = "grad_small"
-            break
-
-        # Armijo backtracking on the smoothed objective; directional
-        # derivative along the tangent triple is 2*gnorm2. A trial needs only
-        # its soft value; the accepted one's f and hard minimum carry over.
-        step = min(step * 1.3, 10.0)
-        trial = min(step, STEP_CAP / math.sqrt(gnorm2))
-        while trial > 1e-14:
-            x2 = _qr_positive(x + trial * xi)
-            f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)
-            hard2 = float(f2.min())
-            if _soft_min(f2, hard2, temp)[0] >= value + 1e-4 * trial * 2.0 * gnorm2:
-                x, f, cached, hard, step = x2, f2, cached2, hard2, trial
+    # a stage that ends on its cap hands over to the next; once the budget is
+    # spent, every later stage is empty and the stop reads max_iters
+    for temp in TEMPS:
+        stage_end = min(iters + cap, config.max_iters)
+        while True:
+            if best_hard >= 1.0 - 1e-9:
+                stop = "perfect"
                 break
-            trial *= 0.5
-        else:
-            stop = "line_search_exhausted"
+            if iters == stage_end:
+                stop = "max_iters"
+                break
+            value, e, z = _soft_min(f, hard, temp)
+            xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
+            gnorm2 = float(np.vdot(xi, xi).real)
+            if gnorm2 < GRAD_TOL * GRAD_TOL:
+                stop = "converged"
+                break
+            iters += 1
+
+            # Armijo backtracking on the smoothed objective; directional
+            # derivative along the tangent triple is 2*gnorm2. A trial needs only
+            # its soft value; the accepted one's f and hard minimum carry over.
+            step = min(step * 1.3, 10.0)
+            trial = min(step, STEP_CAP / math.sqrt(gnorm2))
+            while trial > 1e-14:
+                x2 = _qr_positive(x + trial * xi)
+                f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)
+                hard2 = float(f2.min())
+                if _soft_min(f2, hard2, temp)[0] >= value + 1e-4 * trial * 2.0 * gnorm2:
+                    x, f, cached, hard, step = x2, f2, cached2, hard2, trial
+                    break
+                trial *= 0.5
+            else:
+                stop = "line_search_exhausted"
+                break
+            max_seen = max(max_seen, float(f.max()))
+            if hard > best_hard:
+                best_hard, best_x = hard, x
+        if stop in ("perfect", "line_search_exhausted"):
             break
 
     return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen, stop)

@@ -106,13 +106,13 @@ def test_cloning_ceiling(trivial_shared_run, capsys):
         )
     elapsed = opt_elapsed + (time.perf_counter() - t0)
     best = point.best_worst_fidelity
-    in_window = CLONING_CEILING - 0.01 <= best <= CLONING_CEILING + 1e-3
+    in_window = CLONING_CEILING - 1e-4 <= best <= CLONING_CEILING + 1e-3
     ok = in_window and cloner_dev <= 1e-9 and elapsed < 120.0
     _verdict(
         capsys,
         "cloning_ceiling",
         ok,
-        f"best {best:.6f} in [5/6-0.01, 5/6+0.001], cloner dev {cloner_dev:.1e} (tol 1e-9), "
+        f"best {best:.7f} in [5/6-1e-4, 5/6+1e-3], cloner dev {cloner_dev:.1e} (tol 1e-9), "
         f"{elapsed:.1f}s / 120s",
     )
     assert in_window

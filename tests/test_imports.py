@@ -1,9 +1,11 @@
-"""Source hygiene: every name a package module imports is used, and every
-top-level definition and method has a caller."""
+"""Source hygiene: every name a package module imports is used, every
+top-level definition and method has a caller, and every private numpy
+gufunc the package calls exists."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsblab"
@@ -204,3 +206,34 @@ def test_every_definition_has_a_caller():
     }
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreached(sources, gated | set(EXTRA_ROOTS), _loads(acceptance)) == []
+
+
+# numpy 2's private LAPACK gufuncs the package calls, each with its one signature
+LAPACK_GUFUNCS = {
+    "eigh_lo": "D->dD",
+    "eigvalsh_lo": "D->d",
+    "svd": "D->d",
+    "cholesky_lo": "D->D",
+    "inv": "D->D",
+}
+
+
+def test_private_lapack_gufuncs_are_listed_and_callable():
+    # pyproject declares numpy>=2.0 for these names; a release that renames one
+    # fails here, not in a user's run
+    called = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "_umath_linalg":
+                sig = {k.arg: ast.literal_eval(k.value) for k in node.keywords}["signature"]
+                called.add((func.attr, sig))
+    assert called == set(LAPACK_GUFUNCS.items())
+
+    from numpy.linalg import _umath_linalg
+
+    stack = np.array([[[2.0, 1j], [-1j, 2.0]], [[1.0, 0.0], [0.0, 3.0]]])  # positive definite
+    for name, sig in LAPACK_GUFUNCS.items():
+        out = getattr(_umath_linalg, name)(stack, signature=sig)
+        for part in out if isinstance(out, tuple) else (out,):
+            assert part.shape[0] == 2 and np.all(np.isfinite(part))
