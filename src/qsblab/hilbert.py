@@ -36,6 +36,26 @@ TOL_NUM = 1e-9
 RANK_CUTOFF = 1e-12
 
 
+def _lapack(name: str, private, public):
+    """`private`, a call of numpy's private LAPACK gufunc `name`, if this numpy
+    names it, else `public`, the np.linalg call that wraps the same gufunc."""
+    return private if hasattr(_umath_linalg, name) else public
+
+
+# The five LAPACK gufuncs the package calls, bound once. np.linalg's wrappers
+# call the same ones with the same signatures, bit for bit, but cost more on
+# small blocks. A private gufunc gives NaN where its wrapper raises LinAlgError.
+_eigh_lo = _lapack("eigh_lo", lambda m: _umath_linalg.eigh_lo(m, signature="D->dD"), np.linalg.eigh)
+_eigvalsh_lo = _lapack(
+    "eigvalsh_lo", lambda m: _umath_linalg.eigvalsh_lo(m, signature="D->d"), np.linalg.eigvalsh
+)
+_svdvals = _lapack("svd", lambda m: _umath_linalg.svd(m, signature="D->d"), np.linalg.svdvals)
+_cholesky_lo = _lapack(
+    "cholesky_lo", lambda m: _umath_linalg.cholesky_lo(m, signature="D->D"), np.linalg.cholesky
+)
+_inv = _lapack("inv", lambda m: _umath_linalg.inv(m, signature="D->D"), np.linalg.inv)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128)
     out.setflags(write=False)
@@ -105,7 +125,7 @@ def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not converge comes back as NaN, not LinAlgError. validate_density refuses
     a NaN eigenvalue, and a NaN vector fails every check that reads it.
     """
-    vals, vecs = _umath_linalg.eigh_lo(mat, signature="D->dD")
+    vals, vecs = _eigh_lo(mat)
     vecs = phase_fix(vecs[..., ::-1].swapaxes(-1, -2)).swapaxes(-1, -2)
     return vals[..., ::-1], vecs
 

@@ -8,10 +8,11 @@ The kernels behind fidelity, trace distance and the Uhlmann partner work on
 state objects, fidelity with the eigenpairs each DensityMatrix kept from its
 validation.
 
-The SVD and eigvalsh kernels call LAPACK's gufuncs directly, without
-np.linalg's wrappers. Their inputs are validated finite, and a stack that does
-not converge gives NaN rather than LinAlgError: the NaN fails the check row it
-reaches, as every check is "not within tolerance", so it never passes silently.
+The SVD and eigvalsh kernels call LAPACK's gufuncs as hilbert binds them,
+without np.linalg's wrappers. Their inputs are validated finite, and a stack
+that does not converge gives NaN rather than LinAlgError: the NaN fails the
+check row it reaches, as every check is "not within tolerance", so it never
+passes silently.
 
 property_sweep checks the inequalities between these measures on random
 instances and reports each failure as a BoundCheck recording both sides;
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import BadPurification, LayoutMismatch
 from .hilbert import (
@@ -40,8 +40,10 @@ from .hilbert import (
     PureState,
     haar_density_matrix,
     validate_density,
+    _eigvalsh_lo,
     _haar_rows,
     _purification,
+    _svdvals,
 )
 
 _SLACK_TOL = TOL_NUM
@@ -55,7 +57,7 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _fidelity(root_rho: np.ndarray, root_sigma: np.ndarray) -> np.ndarray:
     """Fidelities of two (..., d, d) stacks given their square roots."""
-    s = _umath_linalg.svd(root_sigma @ root_rho, signature="D->d")
+    s = _svdvals(root_sigma @ root_rho)
     return np.clip(np.sum(s, axis=-1) ** 2, 0.0, 1.0)
 
 
@@ -88,7 +90,7 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Half the trace norm of rho - sigma for (..., d, d) stacks."""
     diff = rho - sigma
-    w = _umath_linalg.eigvalsh_lo((diff + diff.conj().swapaxes(-1, -2)) / 2.0, signature="D->d")
+    w = _eigvalsh_lo((diff + diff.conj().swapaxes(-1, -2)) / 2.0)
     return np.clip(0.5 * np.sum(np.abs(w), axis=-1), 0.0, 1.0)
 
 

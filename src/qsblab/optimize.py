@@ -10,9 +10,16 @@ probe operand qsb.search_probes picks for the search's shape. The
 temperature climbs a fixed ladder TEMPS, TEMP_INIT * TEMP_RATIO^j capped at
 TEMP_MAX. A stage ends when the tangent gradient norm falls below GRAD_TOL,
 or after its ceil(max_iters / STAGES) share of the budget, so max_iters is
-only a cap. A restart has converged when its top stage ends on the gradient
-test; there its soft minimum lies within log(2n)/TEMP_MAX of the hard
-minimum of its 2n values, about 6e-5 for the default n = 210 at d_s = 2.
+only a cap. Each iteration's first trial step is the Barzilai-Borwein step
+t = Re<s,s> / (-Re<s,y>), s and y the changes in the point and in the tangent
+gradient since the stage's last iteration, capped at 10; at a stage's first
+iteration, or if Re<s,y> >= 0, the last accepted step grows by 1.3 instead.
+The Armijo test is nonmonotone: it compares against the smallest soft value
+of the stage's last MEMORY iterations. Both memories restart with each
+temperature, as the objective changes with it. A restart has converged
+when its top stage ends on the gradient test; there its soft minimum lies
+within log(2n)/TEMP_MAX of the hard minimum of its 2n values, about 6e-5
+for the default n = 210 at d_s = 2.
 The reported value is always the hard minimum measure_eps re-measures on
 the returned instance from the same columns. Both receivers' fidelities
 travel as the kernel's one (2, n) stack; a point's hard minimum is taken
@@ -20,21 +27,22 @@ once, when it is evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (
 stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
-never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs directly (np.linalg's
-wrappers cost more on these blocks) and cannot fail, as every start is a checked isometry.
+never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs as hilbert binds them
+(np.linalg's wrappers cost more on these blocks) and cannot fail, as every start is a
+checked isometry.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InvariantViolation, TooLarge
-from .hilbert import check_isometry, haar_isometry_matrix
+from .hilbert import check_isometry, haar_isometry_matrix, _cholesky_lo, _inv
 from .qsb import (
     QsbInstance,
     branch_values,
@@ -52,6 +60,7 @@ TEMP_INIT, TEMP_RATIO, TEMP_MAX = 10.0, 3.0, 1e5  # the soft-min temperature lad
 STAGES = 1 + math.ceil(math.log(TEMP_MAX / TEMP_INIT, TEMP_RATIO))
 TEMPS = tuple(min(TEMP_INIT * TEMP_RATIO**j, TEMP_MAX) for j in range(STAGES))
 GRAD_TOL = 1e-5  # a stage ends once the tangent gradient norm falls below this
+MEMORY = 10  # the iterations whose soft values the nonmonotone Armijo test looks back over
 
 
 @dataclass(frozen=True)
@@ -209,11 +218,12 @@ def objective_value_and_grads(
 def _qr_positive(m: np.ndarray) -> np.ndarray:
     """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack.
 
-    np.linalg's LAPACK gufuncs minus the wrappers, costlier than LAPACK on small blocks.
-    They give NaN, not LinAlgError, on a Gram not positive definite; here M^H M >= I.
+    np.linalg's LAPACK gufuncs as hilbert binds them, minus the wrappers, costlier
+    than LAPACK on small blocks. They give NaN, not LinAlgError, on a Gram not
+    positive definite; here M^H M >= I.
     """
-    l = _umath_linalg.cholesky_lo(m.conj().swapaxes(-1, -2) @ m, signature="D->D")
-    return m @ _umath_linalg.inv(l, signature="D->D").conj().swapaxes(-1, -2)
+    l = _cholesky_lo(m.conj().swapaxes(-1, -2) @ m)
+    return m @ _inv(l).conj().swapaxes(-1, -2)
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -264,6 +274,9 @@ def _run_restart(
     # spent, every later stage is empty and the stop reads max_iters
     for temp in TEMPS:
         stage_end = min(iters + cap, config.max_iters)
+        # the objective changes with the temperature, so both memories restart
+        soft = deque(maxlen=MEMORY)
+        last = None  # the stage's previous (x, xi), for the BB step
         while True:
             if best_hard >= 1.0 - 1e-9:
                 stop = "perfect"
@@ -279,16 +292,29 @@ def _run_restart(
                 break
             iters += 1
 
-            # Armijo backtracking on the smoothed objective; directional
+            # BB1 step from s = x_k - x_{k-1}, y = xi_k - xi_{k-1}; ascent needs
+            # Re<s, y> < 0, and otherwise the last accepted step grows by 1.3
+            bb = 0.0
+            if last is not None:
+                s = x - last[0]
+                sy = float(np.vdot(s, xi - last[1]).real)
+                if sy < 0.0:
+                    bb = float(np.vdot(s, s).real) / -sy
+            step = min(bb if bb > 0.0 else step * 1.3, 10.0)
+            last = (x, xi)
+            soft.append(value)
+            floor = min(soft)
+
+            # nonmonotone Armijo backtracking on the smoothed objective, against
+            # the smallest of the stage's last MEMORY soft values; directional
             # derivative along the tangent triple is 2*gnorm2. A trial needs only
             # its soft value; the accepted one's f and hard minimum carry over.
-            step = min(step * 1.3, 10.0)
             trial = min(step, STEP_CAP / math.sqrt(gnorm2))
             while trial > 1e-14:
                 x2 = _qr_positive(x + trial * xi)
                 f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)
                 hard2 = float(f2.min())
-                if _soft_min(f2, hard2, temp)[0] >= value + 1e-4 * trial * 2.0 * gnorm2:
+                if _soft_min(f2, hard2, temp)[0] >= floor + 1e-4 * trial * 2.0 * gnorm2:
                     x, f, cached, hard, step = x2, f2, cached2, hard2, trial
                     break
                 trial *= 0.5

@@ -1,8 +1,11 @@
 """Source hygiene: every name a package module imports is used, every
 top-level definition and method has a caller, and every private numpy
-gufunc the package calls exists."""
+gufunc the package calls exists, or its public fallback gives the same runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -237,3 +240,40 @@ def test_private_lapack_gufuncs_are_listed_and_callable():
         out = getattr(_umath_linalg, name)(stack, signature=sig)
         for part in out if isinstance(out, tuple) else (out,):
             assert part.shape[0] == 2 and np.all(np.isfinite(part))
+
+
+# the fidelity and trace-distance kernels, properties and a short search, in a
+# fresh interpreter; "stubbed" hides all five private names from the package,
+# as a numpy that renamed them would
+FALLBACK_RUN = """
+import sys, types
+import numpy as np
+if sys.argv[1] == "stubbed":
+    np.linalg._umath_linalg = types.ModuleType("_umath_linalg")  # np.linalg keeps its own
+from qsblab import hilbert, metrics
+from qsblab.cli import main
+assert (hilbert._eigh_lo is np.linalg.eigh) == (sys.argv[1] == "stubbed")
+g = np.random.default_rng(0).normal(size=(2, 3, 4, 4, 2)) @ np.array([1.0, 1.0j])
+rho = g @ g.conj().swapaxes(-1, -2)
+rho /= np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+roots = metrics._root(*hilbert.eigh_desc(rho))
+print(metrics._fidelity(*roots).tolist(), metrics._trace_distance(*rho).tolist())
+main(["properties", "--samples", "20", "--dims", "8"])
+main(["optimize", "--ds", "2", "--da", "1", "--db", "2", "--dc", "2", "--env", "4",
+      "--restarts", "2", "--iters", "100", "-o", "front.json"])
+"""
+
+
+def test_public_linalg_fallback_gives_the_same_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    stdout = {}
+    for mode in ("private", "stubbed"):
+        (tmp_path / mode).mkdir()
+        stdout[mode] = subprocess.run(
+            [sys.executable, "-c", FALLBACK_RUN, mode],
+            cwd=tmp_path / mode, env=env, capture_output=True, text=True, check=True,
+        ).stdout
+    assert "properties ok" in stdout["private"] and "best 0.83" in stdout["private"]
+    assert stdout["stubbed"] == stdout["private"]
+    front = [(tmp_path / mode / "front.json").read_bytes() for mode in stdout]
+    assert front[0] == front[1]
