@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ChainNotApplicable, NoPerfectQsb, QsbError
-from .hilbert import _haar_rows
 from .metrics import property_sweep
 from .optimize import FrontierPoint, OptimizeConfig, frontier_sweep, optimize_qsb
 from .qsb import (
@@ -83,9 +82,7 @@ def _print_wrapped(values, per_line: int = 8) -> None:
 
 def _cmd_construct(args) -> tuple[int, list[str], list[str]]:
     inst = perfect_qsb_construct(args.ds, args.da, args.db, args.dc)
-    # bit-identical to 100 random_pure draws from the same stream
-    cols = _haar_rows(np.random.default_rng(args.seed), 100, inst.d_s).T
-    _, f_ab, f_ac = measure_eps(inst, cols)
+    _, f_ab, f_ac = measure_eps(inst, default_probe_states(inst.d_s, args.seed, 100))
     _write_json(args.out, inst.to_json())
     print(f"wrote {args.out}")
     print(f"f_ab {f_ab.min():.6f}")

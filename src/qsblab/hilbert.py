@@ -166,6 +166,17 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return m, w, v
 
 
+def as_int(value, what: str) -> int:
+    """value as an int. A bool, float or string is refused, not truncated:
+    2.5 is no 2, and neither is 2.0 nor True a count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} {value} is a bool, not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered collection of (label, dim) subsystems."""
@@ -178,10 +189,7 @@ class SpaceLayout:
             # a null or numeric label is refused, not renamed: None is no label "None"
             if not isinstance(lbl, str):
                 raise TypeError(f"subsystem label {lbl!r} is not a string")
-            if isinstance(dim, bool):
-                raise TypeError(f"subsystem {lbl!r} has boolean dim {dim}")
-            # a float or string dim is refused, not truncated: 2.5 is no dim 2
-            subs.append((lbl, operator.index(dim)))
+            subs.append((lbl, as_int(dim, f"subsystem {lbl!r} dim")))
         subs = tuple(subs)
         if not subs:
             raise InvariantViolation("layout needs at least one subsystem")
@@ -263,6 +271,10 @@ def _purification(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def basis_state(layout: SpaceLayout, index: int) -> PureState:
+    index = as_int(index, "basis index")
+    # a negative index would wrap around to the end, not be refused
+    if not 0 <= index < layout.total_dim:
+        raise InvariantViolation(f"basis index {index} outside [0, {layout.total_dim})")
     amps = np.zeros(layout.total_dim, dtype=np.complex128)
     amps[index] = 1.0
     return PureState(layout, amps)

@@ -28,8 +28,8 @@ stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
 never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs as hilbert binds them
-(np.linalg's wrappers cost more on these blocks) and cannot fail, as every start is a
-checked isometry.
+(np.linalg's wrappers cost more on these blocks) and cannot fail, as every restart
+starts from a validated instance, zero-padded into the search's dimensions, or a Haar draw.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, TooLarge
-from .hilbert import check_isometry, haar_isometry_matrix, _cholesky_lo, _inv
+from .hilbert import as_int, haar_isometry_matrix, _cholesky_lo, _inv
 from .qsb import (
     QsbInstance,
     branch_values,
@@ -77,6 +77,11 @@ class OptimizeConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # a float or bool count is refused, not truncated: restarts=1.5 is no 2 restarts
+        for name in ("d_s", "d_a", "d_b", "d_c", "env_dim", "restarts", "max_iters",
+                     "haar_count", "phase_count"):
+            if name != "env_dim" or self.env_dim is not None:
+                object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("d_s", "d_a", "d_b", "d_c"):
             if getattr(self, name) < 1:
                 raise InvariantViolation(f"{name} must be >= 1")
@@ -342,36 +347,28 @@ def _random_init(
     )
 
 
-def optimize_qsb(
-    config: OptimizeConfig,
-    initial_points: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
-) -> FrontierPoint:
+def optimize_qsb(config: OptimizeConfig, seeds: Sequence[QsbInstance] = ()) -> FrontierPoint:
     """Best instance over restarts; deterministic for a fixed config.
 
-    Restart slots are filled first by the analytic perfect construction
-    (when one exists), then by supplied warm starts, then by Haar-random
-    draws. Ties between restarts break toward the lower index.
+    Each seed starts one restart, zero-padded into the search's dimensions by
+    _embed_params: the perfect construction first when d_s <= d_a, then the
+    given seeds, then Haar-random draws up to config.restarts. A seed needs
+    the search's d_s and no d_a, d_b, d_c or d_e above it. Ties between
+    restarts break toward the lower index.
     """
+    dims = (config.d_s, *config.dims4)
+    seeds = list(seeds)
+    for j, inst in enumerate(seeds):
+        got = (inst.d_s, inst.d_a, inst.d_b, inst.d_c, inst.d_e)
+        if got[0] != dims[0] or any(g > w for g, w in zip(got, dims)):
+            raise InvariantViolation(f"seed {j} with dims {got} does not fit the search's {dims}")
+    if config.d_s <= config.d_a:
+        seeds.insert(0, perfect_qsb_construct(config.d_s, config.d_a, config.d_b, config.d_c))
     rng = np.random.default_rng((config.seed, 977))
     cols = default_probe_states(config.d_s, rng, config.haar_count, config.phase_count)
     operand = search_probes(cols)
 
-    d_a, d_b, d_c, d_e = config.dims4
-    inits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    if config.d_s <= d_a:
-        inits.append(_embed_params(perfect_qsb_construct(config.d_s, d_a, d_b, d_c), d_a, d_e))
-    for j, (u, vab, vac) in enumerate(initial_points):
-        want = (
-            (d_a * d_b * d_c * d_e, config.d_s),
-            (d_a * d_b, config.d_s),
-            (d_a * d_c, config.d_s),
-        )
-        got = (u.shape, vab.shape, vac.shape)
-        if got != want:
-            raise InvariantViolation(f"warm start shapes {got} do not match {want}")
-        for name, m in zip(("U", "V_AB", "V_AC"), (u, vab, vac)):
-            check_isometry(m, f"warm start {j} matrix {name}: isometry")
-        inits.append((u, vab, vac))
+    inits = [_embed_params(inst, config.dims4) for inst in seeds]
     idx = 0
     while len(inits) < config.restarts:
         rng = np.random.default_rng((config.seed, idx))
@@ -399,40 +396,41 @@ def optimize_qsb(
 
 
 def _embed_params(
-    inst: QsbInstance, d_a: int, d_e: int
+    inst: QsbInstance, dims4: tuple[int, int, int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An instance's matrices zero-padded to shared dim d_a >= inst.d_a and
-    environment d_e >= inst.d_e, the private dimensions kept.
+    """An instance's matrices zero-padded to output and environment dims
+    dims4 = (d_a, d_b, d_c, d_e), each at least the instance's own.
 
     The padded matrices keep orthonormal columns and reproduce the instance's
     action exactly, so a search started there starts no worse.
     """
-    a0, d_b, d_c, e0, d_s = inst.d_a, inst.d_b, inst.d_c, inst.d_e, inst.d_s
+    d_a, d_b, d_c, d_e = dims4
+    a0, b0, c0, e0, d_s = inst.d_a, inst.d_b, inst.d_c, inst.d_e, inst.d_s
     u = np.zeros((d_a, d_b, d_c, d_e, d_s), dtype=np.complex128)
-    u[:a0, :, :, :e0] = inst.u.reshape(a0, d_b, d_c, e0, d_s)
+    u[:a0, :b0, :c0, :e0] = inst.u.reshape(a0, b0, c0, e0, d_s)
     vab = np.zeros((d_a, d_b, d_s), dtype=np.complex128)
-    vab[:a0] = inst.v_abs.reshape(a0, d_b, d_s)
+    vab[:a0, :b0] = inst.v_abs.reshape(a0, b0, d_s)
     vac = np.zeros((d_a, d_c, d_s), dtype=np.complex128)
-    vac[:a0] = inst.v_acs.reshape(a0, d_c, d_s)
+    vac[:a0, :c0] = inst.v_acs.reshape(a0, c0, d_s)
     return u.reshape(-1, d_s), vab.reshape(-1, d_s), vac.reshape(-1, d_s)
 
 
 def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[FrontierPoint]:
     """Optimize config at each shared dimension in d_a_values, increasing,
-    warm-starting each point; every point sizes its own environment.
+    seeding each point with the previous winner; every point sizes its own
+    environment.
 
-    The previous winner is zero-padded into the next search space, which
+    The seed is zero-padded into the next search space, which
     makes the best-fidelity sequence non-decreasing by construction; a
     decrease is reported as an invariant violation rather than smoothed over.
     """
-    values = sorted(set(int(v) for v in d_a_values))
+    values = sorted(set(as_int(v, "d_a") for v in d_a_values))
     if not values:
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []
     for d_a in values:
         cfg = replace(config, d_a=d_a, env_dim=None)
-        warm = [_embed_params(points[-1].best_instance, d_a, cfg.resolved_env)] if points else []
-        point = optimize_qsb(cfg, initial_points=warm)
+        point = optimize_qsb(cfg, seeds=[p.best_instance for p in points[-1:]])
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
             raise InvariantViolation(
                 "frontier decreased with growing shared dimension despite embedding"

@@ -44,6 +44,17 @@ def test_layout_rejects_duplicates_and_bad_dims():
             SpaceLayout([(label, 2)])
 
 
+def test_basis_state_refuses_an_index_outside_the_space():
+    lay = SpaceLayout([("Q", 2)])
+    # numpy indexing would wrap -1 around to |1>, and fail at 2 with a bare IndexError
+    for index in (-1, 2):
+        with pytest.raises(InvariantViolation, match=r"outside \[0, 2\)"):
+            basis_state(lay, index)
+    with pytest.raises(TypeError, match="not an integer"):
+        basis_state(lay, 1.0)
+    assert basis_state(lay, 1).amplitudes.tolist() == [0, 1]
+
+
 def test_layout_json_roundtrip():
     lay = SpaceLayout([("S", 5), ("E", 2)])
     assert SpaceLayout(lay.to_json()) == lay

@@ -16,7 +16,13 @@ from qsblab.optimize import (
     objective_value_and_grads,
     optimize_qsb,
 )
-from qsblab.qsb import QsbInstance, perfect_qsb_construct, probe_matrix, search_probes
+from qsblab.qsb import (
+    QsbInstance,
+    perfect_qsb_construct,
+    probe_matrix,
+    search_probes,
+    werner_cloner_construct,
+)
 
 SMALL = dict(haar_count=20, phase_count=4)
 
@@ -74,6 +80,24 @@ def test_config_misc_guards():
         OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, restarts=0)
     with pytest.raises(InvariantViolation):
         OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, haar_count=-1)
+
+
+def test_config_and_sweep_take_only_integer_counts(monkeypatch):
+    # a float, even 2.0, or a bool is refused, not truncated: restarts=1.5 is
+    # no count of restarts, and [1.7, 2.2] names no shared dimensions; the
+    # sweep refuses before it evaluates anything
+    monkeypatch.setattr(optimize_module, "branch_values", lambda *args: 1 / 0)
+    for name in ("d_s", "d_a", "d_b", "d_c", "env_dim", "restarts", "max_iters",
+                 "haar_count", "phase_count"):
+        kwargs = dict(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=8)
+        for value in (float(kwargs.get(name, 2)), 1.5, True):
+            with pytest.raises(TypeError, match=f"{name} .* not an integer"):
+                OptimizeConfig(**{**kwargs, name: value})
+    cfg = OptimizeConfig(np.int64(2), 1, 2, 2, restarts=np.int32(1), max_iters=10, **SMALL)
+    assert type(cfg.d_s) is int and type(cfg.restarts) is int
+    for values in ([1.7, 2.2], [1, 2.0], [True]):
+        with pytest.raises(TypeError, match="d_a .* not an integer"):
+            frontier_sweep(cfg, values)
 
 
 def test_sample_spec_census(monkeypatch):
@@ -561,26 +585,48 @@ def test_no_point_is_evaluated_twice(monkeypatch):
 
 
 def test_optimize_rejects_bad_warm_start(monkeypatch):
-    # refused before any evaluation: a start off the manifold would run the whole
-    # search, and could hand the retraction a Gram that is not positive definite
+    # refused before any evaluation: a seed that does not fit the search space
+    # would otherwise run, or fail, deep inside the search
     def no_evaluation(*args):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(optimize_module, "branch_values", no_evaluation)
-    cfg = OptimizeConfig(
-        d_s=2, d_a=2, d_b=1, d_c=1, restarts=1, max_iters=10, **SMALL
-    )
-    bad = (np.eye(3, dtype=np.complex128),) * 3
-    with pytest.raises(InvariantViolation):
-        optimize_qsb(cfg, initial_points=[bad])
-
     cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=10, **SMALL)
+    fits = werner_cloner_construct(2)  # (2, 1, 2, 2) with d_e = 2
+    for bad in (werner_cloner_construct(3), perfect_qsb_construct(2, 2, 2, 2)):  # d_s, d_a
+        with pytest.raises(InvariantViolation, match="seed 1 with dims .* does not fit"):
+            optimize_qsb(cfg, seeds=[fits, bad])
+    with pytest.raises(InvariantViolation, match=r"seed 0 with dims \(2, 1, 2, 2, 2\)"):
+        optimize_qsb(replace(cfg, env_dim=1), seeds=[fits])  # a larger d_e
+
+    # a matrix off the manifold never becomes a seed: the instance refuses it
     u, vab, vac = _params_for(cfg, np.random.default_rng(3))
-    with pytest.raises(InvariantViolation, match="warm start 0 matrix U: isometry violated"):
-        optimize_qsb(cfg, initial_points=[(3 * u, vab, vac)])
+    with pytest.raises(InvariantViolation, match="completeness violated"):
+        QsbInstance.from_stinespring(3 * u, vab, vac, 1, 2, 2)
     vac[1, 0] = np.nan
-    with pytest.raises(InvariantViolation, match="start 0 matrix V_AC: isometry violated by nan"):
-        optimize_qsb(cfg, initial_points=[(u, vab, vac)])
+    with pytest.raises(InvariantViolation, match="isometry of v_acs violated by nan"):
+        QsbInstance.from_stinespring(u, vab, vac, 1, 2, 2)
+
+
+@pytest.mark.parametrize("d, d_bc", [(2, 2), (2, 3), (3, 3)])
+def test_werner_seed_starts_and_ends_at_the_cloning_ceiling(monkeypatch, d, d_bc):
+    # Werner's cloner, zero-padded into B and C where the search's are larger,
+    # is the first restart's start; a search never ends below its start
+    ceiling = (d + 3) / (2 * (d + 1))
+    starts = []
+    values = optimize_module.branch_values
+
+    def recording_values(*args):
+        f, cached = values(*args)
+        starts.append(float(f.min()))
+        return f, cached
+
+    monkeypatch.setattr(optimize_module, "branch_values", recording_values)
+    cfg = OptimizeConfig(d, 1, d_bc, d_bc, restarts=2, max_iters=100, **SMALL)
+    point = optimize_qsb(cfg, seeds=[werner_cloner_construct(d)])
+    assert starts[0] >= ceiling - 1e-12
+    assert point.restart_values[0] >= ceiling - 1e-12
+    assert point.best_worst_fidelity >= ceiling - 1e-12
 
 
 def test_frontier_monotone_qubit():
