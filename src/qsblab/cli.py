@@ -191,7 +191,7 @@ def _cmd_optimize(args) -> tuple[int, list[str], list[str]]:
 
 def _cmd_sweep(args) -> tuple[int, list[str], list[str]]:
     lo, hi = args.da
-    # frontier_sweep sizes each point's environment itself
+    # env_dim None: frontier_sweep sizes each point's environment itself
     points = frontier_sweep(_config_from_args(args, lo, None), range(lo, hi + 1))
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -63,8 +63,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """A Generator passes through; any other seed must be an integer >= 0 (as_int)."""
     if isinstance(seed, np.random.Generator):
         return seed
+    seed = as_int(seed, "seed")
+    if seed < 0:
+        raise InvariantViolation(f"seed = {seed} must be >= 0")
     return np.random.default_rng(seed)
 
 

@@ -40,6 +40,7 @@ from .hilbert import (
     PureState,
     haar_density_matrix,
     validate_density,
+    _as_rng,
     _eigvalsh_lo,
     _haar_rows,
     _purification,
@@ -263,7 +264,7 @@ def _sweep_checks(samples: int, dims_cap: int, seed: int):
     _fidelity_pure call. The block's monotonicity marginals are validated, rooted
     and scored once per reduced dimension d1, after the block's pools.
     """
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     for start in range(0, samples, _SWEEP_BLOCK):
         count = min(_SWEEP_BLOCK, samples - start)
         marginals: dict[int, list] = {}  # d1: [(sample indices, partial traces, joint fidelities)]

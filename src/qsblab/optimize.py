@@ -79,12 +79,14 @@ class OptimizeConfig:
     def __post_init__(self):
         # a float or bool count is refused, not truncated: restarts=1.5 is no 2 restarts
         for name in ("d_s", "d_a", "d_b", "d_c", "env_dim", "restarts", "max_iters",
-                     "haar_count", "phase_count"):
+                     "haar_count", "phase_count", "seed"):
             if name != "env_dim" or self.env_dim is not None:
                 object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("d_s", "d_a", "d_b", "d_c"):
             if getattr(self, name) < 1:
                 raise InvariantViolation(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise InvariantViolation("seed must be >= 0")
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantViolation("restarts and max_iters must be >= 1")
         if self.haar_count < 0 or self.phase_count < 0:
@@ -417,8 +419,8 @@ def _embed_params(
 
 def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[FrontierPoint]:
     """Optimize config at each shared dimension in d_a_values, increasing,
-    seeding each point with the previous winner; every point sizes its own
-    environment.
+    seeding each point with the previous winner; every point runs at
+    config.env_dim, or sizes its own environment when that is None.
 
     The seed is zero-padded into the next search space, which
     makes the best-fidelity sequence non-decreasing by construction; a
@@ -429,7 +431,7 @@ def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[Fr
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []
     for d_a in values:
-        cfg = replace(config, d_a=d_a, env_dim=None)
+        cfg = replace(config, d_a=d_a)
         point = optimize_qsb(cfg, seeds=[p.best_instance for p in points[-1:]])
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
             raise InvariantViolation(

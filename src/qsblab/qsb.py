@@ -54,6 +54,7 @@ from .hilbert import (
     PureState,
     SpaceLayout,
     TOL_NORM,
+    as_int,
     check_isometry,
     eigh_desc,
     _as_rng,
@@ -355,17 +356,18 @@ def default_probe_states(
     if isinstance(d_s, SpaceLayout):
         cols = default_probe_states(d_s.total_dim, seed, haar_count, phase_count)
         return [PureState(d_s, c) for c in cols.T]
+    names = ("d_s", "haar_count", "phase_count")
+    d_s, haar_count, phase_count = map(as_int, (d_s, haar_count, phase_count), names)
+    if d_s < 1 or min(haar_count, phase_count) < 0:
+        raise InvariantViolation(f"need d_s >= 1 and counts >= 0, got {d_s}, {haar_count}, {phase_count}")
+    # each relative phase exp(2 pi i p / phase_count) as the scalar expression gives it
+    phases = np.array([np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)])
     i, j = np.triu_indices(d_s, 1)
     pairs = np.zeros((len(i), phase_count, d_s), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)
-    pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * _phases(phase_count)
+    pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * phases
     haar = _haar_rows(_as_rng(seed), haar_count, d_s)
     return np.concatenate([np.eye(d_s), pairs.reshape(-1, d_s).T, haar.T], axis=1)
-
-
-def _phases(count: int) -> np.ndarray:
-    """exp(2 pi i p / count) for p < count, each as the scalar expression gives it."""
-    return np.array([np.exp(2j * np.pi * p / count) for p in range(count)], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +585,7 @@ def epsilon_threshold(d_a: int) -> tuple[float, float, float]:
     cloning value, and a dimension-dependent admissibility ceiling. The
     threshold is their minimum; returns (threshold, fixed, dimensional).
     """
-    if d_a < 1:
+    if as_int(d_a, "d_a") < 1:
         raise InvariantViolation(f"d_a = {d_a} must be >= 1")
     fixed = 0.6e-175
     try:
@@ -699,8 +701,7 @@ def chain_constants(eps: float, d_a: int) -> EpsilonChainReport:
     """All deficit-chain constants at a given eps and shared dimension."""
     if not 0.0 < eps <= 1.0:
         raise BadEpsilon(f"eps = {eps} outside (0, 1]")
-    if d_a < 1:
-        raise InvariantViolation(f"d_a = {d_a} must be >= 1")
+    d_a = as_int(d_a, "d_a")
     ep_b = 2.0 * math.sqrt(eps)
     ep_c = 3.4 * eps ** 0.125
     edp_b = 2.0 * math.sqrt(ep_b) + ep_b
@@ -770,19 +771,6 @@ def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
     return float(np.angle(z[k]) % (2.0 * np.pi) % (2.0 * np.pi)), float(vals[k])
 
 
-def _superposition_coeffs(
-    phase_count: int, extra: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of the sampled two-level inputs: balanced with phase_count
-    relative phases, then extra normalised Gaussian pairs."""
-    root2 = 1.0 / math.sqrt(2.0)
-    g = _haar_rows(rng, extra, 2)
-    return (
-        np.concatenate([np.full(phase_count, root2, dtype=np.complex128), g[:, 0]]),
-        np.concatenate([root2 * _phases(phase_count), g[:, 1]]),
-    )
-
-
 def check_chain_premise(instance: QsbInstance, allow_trivial: bool) -> None:
     """Raise ChainNotApplicable unless the chain can run on the instance: it
     needs d_S >= 2 and, unless allow_trivial, d_S > d_A."""
@@ -807,17 +795,17 @@ def chain_verify(
     from the channel's Stinespring image, checks the pairwise-overlap ceilings,
     selects the closest shared-subsystem pair, builds the orthogonal
     residuals with exactly maximised phases, and verifies the superposition
-    and copy-map floors on sampled two-level inputs. The constants are
-    evaluated at the larger of eps_hat and the deficit this run itself
-    measures, so every floor is a genuine consequence. It works on raw
-    arrays and builds no state object.
+    and copy-map floors on sampled two-level inputs alpha|k1> + beta|k2>,
+    whose (alpha, beta) are the columns of default_probe_states(2, seed, 24)
+    without its basis columns. The constants are evaluated at the larger of
+    eps_hat and the deficit this run itself measures, so every floor is a
+    genuine consequence. It works on raw arrays and builds no state object.
     """
     d_s, d_a = instance.d_s, instance.d_a
     check_chain_premise(instance, allow_trivial)
     if not 0.0 <= eps_hat <= 1.0:
         raise BadEpsilon(f"eps_hat = {eps_hat} outside [0, 1]")
     basis_cols = np.eye(d_s, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
 
     phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, basis_cols)
 
@@ -826,8 +814,8 @@ def chain_verify(
     gram_a = np.abs(phi_a.conj() @ phi_a.T)
     (k1, k2), a_overlap = _closest_pair(gram_a, d_a)
 
-    # the sampled inputs alpha|k1> + beta|k2>, one per column
-    al, be = _superposition_coeffs(8, 24, rng)
+    # the sampled inputs alpha|k1> + beta|k2>: the qubit probes without their basis columns
+    al, be = default_probe_states(2, seed, 24)[:, 2:]
     sup = np.outer(basis_cols[:, k1], al) + np.outer(basis_cols[:, k2], be)
     sup /= np.linalg.norm(sup, axis=0)
 
@@ -853,22 +841,10 @@ def chain_verify(
     # Shared-pair guarantees exist only for d_s > d_a (vector crowding);
     # everything downstream of the selected pair inherits that condition.
     guaranteed = d_s > d_a
-    checks.append(
-        BoundCheck.of(
-            a_overlap ** 2,
-            1.0 / float(d_a) ** 2 if guaranteed else 0.0,
-            label="selected_pair_fidelity_floor",
-            vacuous=not guaranteed,
-        )
-    )
+    pair_floor = 1.0 / float(d_a) ** 2 if guaranteed else 0.0  # a zero floor is vacuous
+    checks += _bounds(["selected_pair_fidelity_floor"], [a_overlap ** 2], pair_floor)
     if guaranteed:
-        checks.append(
-            BoundCheck.of(
-                a_overlap,
-                overlap_lower_bound(d_s, d_a) - 1e-12,
-                label="crowding_overlap_floor",
-            )
-        )
+        checks += _bounds(["crowding_overlap_floor"], [a_overlap], overlap_lower_bound(d_s, d_a) - 1e-12)
     closeness = 1.0 - consts.constants["shared_closeness_deficit"]
     enforced = guaranteed and consts.admissible_b
     checks += _bounds(["shared_closeness_floor"], [a_overlap ** 2], closeness, enforced=enforced)
@@ -889,8 +865,7 @@ def chain_verify(
         x1, x2 = phis[k1], phis[k2]
         c = complex(np.vdot(x1, x2))
         ceiling = math.sqrt(consts.constants["eps_dprime_" + branch])
-        label = f"outer_overlap_ceiling_{branch}"
-        checks += _bounds([label], [abs(c)], ceiling, floor=False, enforced=cond)
+        checks += _bounds([f"outer_overlap_ceiling_{branch}"], [abs(c)], ceiling, floor=False, enforced=cond)
         # the normalised component of x2 orthogonal to x1, undefined if nearly parallel
         if abs(c) >= 1.0 - 1e-9:
             degenerate.append(branch)

@@ -248,3 +248,16 @@ def test_random_sampling_deterministic():
     a = random_pure(lay, 7).amplitudes
     b = random_pure(lay, 7).amplitudes
     assert np.array_equal(a, b)
+
+
+def test_one_seed_rule():
+    # a Generator passes through; any other seed is an integer >= 0
+    gen = np.random.default_rng(3)
+    assert hilbert._as_rng(gen) is gen
+    lay = SpaceLayout([("A", 3)])
+    assert np.array_equal(random_pure(lay, np.int64(7)).amplitudes, random_pure(lay, 7).amplitudes)
+    for bad in (True, 7.0, "7", None):
+        with pytest.raises(TypeError, match="seed"):
+            random_pure(lay, bad)
+    with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
+        random_pure(lay, -1)

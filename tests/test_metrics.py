@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _reference import partial_trace, pure_density, purify, random_density
 from qsblab import hilbert, metrics
-from qsblab.errors import BadPurification, LayoutMismatch
+from qsblab.errors import BadPurification, InvariantViolation, LayoutMismatch
 from qsblab.hilbert import (
     RANK_CUTOFF,
     DensityMatrix,
@@ -226,6 +226,13 @@ def test_bound_check_semantics():
     assert BoundCheck.of(1.0, 1.0 + 5e-10).satisfied
     assert not BoundCheck.of(1.0, 1.0 + 5e-9).satisfied
     assert BoundCheck.of(0.0, 1.0, tol=2.0).satisfied
+
+
+def test_property_sweep_takes_the_package_seed_rule():
+    with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
+        property_sweep(1, 2, seed=-1)
+    with pytest.raises(TypeError, match="seed True is a bool"):
+        property_sweep(1, 2, seed=True)
 
 
 def test_property_sweep_clean_small():

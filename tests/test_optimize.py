@@ -100,6 +100,17 @@ def test_config_and_sweep_take_only_integer_counts(monkeypatch):
             frontier_sweep(cfg, values)
 
 
+def test_config_seed_follows_the_integer_rule():
+    # a bool is no seed 1 and a float no seed; a negative seed is refused here,
+    # not deep in numpy's default_rng
+    for value in (True, 1.0):
+        with pytest.raises(TypeError, match="seed .* not an integer"):
+            OptimizeConfig(2, 1, 2, 2, seed=value)
+    with pytest.raises(InvariantViolation, match="seed must be >= 0"):
+        OptimizeConfig(2, 1, 2, 2, seed=-1)
+    assert type(OptimizeConfig(2, 1, 2, 2, seed=np.int64(7)).seed) is int
+
+
 def test_sample_spec_census(monkeypatch):
     drawn = []
 
@@ -659,6 +670,14 @@ def test_frontier_monotone_qutrit():
     vals = [p.best_worst_fidelity for p in points]
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     assert vals[-1] >= 1.0 - 1e-6
+
+
+def test_frontier_sweep_honours_env_dim():
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=2, restarts=1, max_iters=5)
+    assert [p.best_instance.d_e for p in frontier_sweep(cfg, [1, 2])] == [2, 2]
+    # without one, each point sizes its own environment
+    points = frontier_sweep(replace(cfg, env_dim=None), [1, 2])
+    assert [p.best_instance.d_e for p in points] == [8, 16]
 
 
 def test_frontier_rejects_empty_range():

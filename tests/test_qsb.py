@@ -37,7 +37,6 @@ from qsblab.qsb import (
     ProductApprox,
     QsbInstance,
     _best_phase,
-    _superposition_coeffs,
     asymptotic_ladder,
     chain_constants,
     chain_verify,
@@ -259,31 +258,25 @@ def test_default_probe_states_census():
     assert np.array_equal(probes, again)
 
 
+def test_default_probe_states_refuse_bad_dims_counts_and_seeds():
+    for kwargs in (dict(d_s=0), dict(haar_count=-1), dict(phase_count=-1)):
+        with pytest.raises(InvariantViolation, match="need d_s >= 1 and counts >= 0"):
+            default_probe_states(**{"d_s": 2, "seed": 0, **kwargs})
+    for kwargs in (dict(d_s=2.0), dict(haar_count=1.5), dict(phase_count=True), dict(seed=True)):
+        with pytest.raises(TypeError, match="not an integer"):
+            default_probe_states(**{"d_s": 2, "seed": 0, **kwargs})
+    with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
+        default_probe_states(2, -1)
+    # a numpy integer seed is the same seed
+    assert np.array_equal(default_probe_states(2, np.int64(3), 5), default_probe_states(2, 3, 5))
+
+
 def test_default_probe_states_on_a_layout():
     lay = SpaceLayout([("S", 3)])
     states = default_probe_states(lay, seed=5, haar_count=20)
     assert all(isinstance(p, PureState) and p.layout == lay for p in states)
     cols = default_probe_states(3, seed=5, haar_count=20)
     assert np.array_equal(np.stack([p.amplitudes for p in states], axis=1), cols)
-
-
-def test_superposition_coeffs_are_bit_identical_to_the_loop():
-    # reference: one normalised Gaussian pair per draw
-    for phase_count, extra, seed in ((8, 24, 0), (4, 7, 5), (0, 30, 42), (3, 0, 1)):
-        rng = np.random.default_rng(seed)
-        root2 = 1.0 / math.sqrt(2.0)
-        al = [root2] * phase_count
-        be = [root2 * np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)]
-        for _ in range(extra):
-            g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            g = g / np.linalg.norm(g)
-            al.append(g[0])
-            be.append(g[1])
-        mine = np.random.default_rng(seed)
-        got_al, got_be = _superposition_coeffs(phase_count, extra, mine)
-        assert np.array_equal(got_al, np.array(al, dtype=np.complex128))
-        assert np.array_equal(got_be, np.array(be, dtype=np.complex128))
-        assert mine.random() == rng.random()
 
 
 def test_perturbed_deficit_is_exact():
@@ -591,6 +584,21 @@ def test_chain_constants_guards():
         chain_constants(1e-4, 0)
 
 
+def test_chain_constants_and_threshold_take_an_integer_d_a():
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match="d_a .* not an integer"):
+            epsilon_threshold(bad)
+        with pytest.raises(TypeError, match="d_a .* not an integer"):
+            chain_constants(0.5, bad)
+    rep = chain_constants(0.5, np.int64(2))
+    assert type(rep.d_a) is int and rep.to_json()["d_a"] == 2
+    # eps is checked first, then d_a >= 1, by epsilon_threshold's one check
+    with pytest.raises(BadEpsilon):
+        chain_constants(0.0, 0)
+    with pytest.raises(InvariantViolation, match="d_a = 0 must be >= 1"):
+        chain_constants(0.5, 0)
+
+
 def test_asymptotic_ladder_bounds_exact_constants():
     ladder = asymptotic_ladder()
     exps = {k: e for k, (_, e) in ladder.items()}
@@ -712,7 +720,6 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
     for i in range(d_s):
         for j in range(d_s):
             assert abs(abs(_overlap(basis[i], basis[j])) - (i == j)) <= 1e-9
-    rng = np.random.default_rng(seed)
     extractions = [_object_extract(instance, b)[0] for b in basis]
     phi_as = [e.phi_a for e in extractions]
     phi_bs = [e.phi_b for e in extractions]
@@ -722,7 +729,7 @@ def _per_sample_chain(instance, basis, eps_hat, seed):
         for j in range(i + 1, d_s):
             if abs(_overlap(phi_as[i], phi_as[j])) > a_overlap:
                 (k1, k2), a_overlap = (i, j), abs(_overlap(phi_as[i], phi_as[j]))
-    coeffs = list(zip(*_superposition_coeffs(8, 24, rng)))
+    coeffs = list(zip(*default_probe_states(2, seed, 24)[:, 2:]))
     sup_states = []
     for al, be in coeffs:
         amps = al * basis[k1].amplitudes + be * basis[k2].amplitudes
@@ -829,6 +836,15 @@ def test_chain_verify_matches_per_sample_reference(make, primary):
         assert got.lhs == pytest.approx(want.lhs, abs=1e-7), got.label
         assert got.rhs == pytest.approx(want.rhs, abs=1e-7), got.label
     assert report.theta.keys() == theta.keys()
+
+
+def test_chain_verify_takes_the_package_seed_rule():
+    inst = werner_cloner_construct(2)
+    with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
+        chain_verify(inst, 0.0, seed=-1)
+    with pytest.raises(TypeError, match="seed True is a bool"):
+        chain_verify(inst, 0.0, seed=True)
+    assert chain_verify(inst, 0.0, seed=np.int64(1)) == chain_verify(inst, 0.0, seed=1)
 
 
 def test_chain_verify_applies_no_channel_and_builds_no_density_matrix(monkeypatch):
