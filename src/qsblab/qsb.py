@@ -33,6 +33,7 @@ two-level family is set by an exact max-min over closed-form candidates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -68,6 +69,50 @@ from .metrics import BoundCheck
 # Worst-case ceiling for universal qubit cloning: no input-independent
 # 1 -> 2 copier pushes both copy fidelities above this value.
 CLONING_CEILING = 5.0 / 6.0
+
+# Every constant of the deficit chain (QUANTUM SHARED BROADCASTING, arXiv
+# 0710.2487), written once: the extraction deficits (c, e), c * eps^e, of B, C
+# and the full product; the copy-map deficits, rounded up from their nested
+# forms (asymptotic_ladder); the paper's threshold figure; and (c, k) entries
+# c / d_A^k, the dimensional candidate and the selected pair's fidelity floor.
+_CHAIN = {
+    "eps_prime_b": (2.0, 1 / 2), "eps_prime_c": (3.4, 1 / 8), "product": (3.0, 1 / 8),
+    "eps_iv_b": (3.8, 1 / 64), "eps_iv_c": (3.9, 1 / 128),
+    "fixed": 0.6e-175, "dimensional": (2.4e-14, 8), "pair": (1.0, 2),
+}
+
+# The chain's arithmetic (root, add, scale) on floats, and on (c, e) terms,
+# whose sum collapses onto the weakest exponent: an upper bound for eps <= 1.
+_FLOATS = (math.sqrt, operator.add, operator.mul)
+_TERMS = (
+    lambda t: (math.sqrt(t[0]), t[1] / 2.0),
+    lambda s, t: (s[0] + t[0], min(s[1], t[1])),
+    lambda k, t: (k * t[0], t[1]),
+)
+
+
+def _deficit(key: str, eps: float) -> float:
+    """_CHAIN's c * eps^e; a square root is math.sqrt, correctly rounded where ** is not."""
+    c, e = _CHAIN[key]
+    return c * (math.sqrt(eps) if e == 0.5 else eps ** e)
+
+
+def _per_dim(key: str, d_a: int) -> float:
+    """_CHAIN's c / d_a^k; past float range, the exact quotient rounded once."""
+    c, k = _CHAIN[key]
+    try:
+        return c / float(d_a) ** k
+    except OverflowError:
+        num, den = c.as_integer_ratio()
+        return num / (den * d_a**k)
+
+
+def _dim(value, name: str) -> int:
+    """value as a dimension: an int by as_int's rule and at least 1, refused by its name."""
+    if (d := as_int(value, name)) < 1:
+        raise InvariantViolation(f"{name} = {d} must be >= 1")
+    return d
+
 
 # Largest probe matrix (float64 entries, 1 MiB) the search contracts in the
 # Gram form: the form streams all of it twice per iteration, and above this
@@ -202,21 +247,15 @@ def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance
     their ground states, and each representation isometry embeds the source
     the same way, so both receivers see the input with fidelity one.
     """
-    for name, d in (("d_s", d_s), ("d_a", d_a), ("d_b", d_b), ("d_c", d_c)):
-        if d < 1:
-            raise InvariantViolation(f"{name} = {d} must be >= 1")
+    d_s, d_a, d_b, d_c = map(_dim, (d_s, d_a, d_b, d_c), ("d_s", "d_a", "d_b", "d_c"))
     if d_s > d_a:
         raise NoPerfectQsb(
             f"source dim {d_s} exceeds shared dim {d_a}: perfect shared "
             "broadcasting needs the source to fit in the shared subsystem"
         )
-    m_abc = np.zeros((d_a * d_b * d_c, d_s), dtype=np.complex128)
-    m_ab = np.zeros((d_a * d_b, d_s), dtype=np.complex128)
-    m_ac = np.zeros((d_a * d_c, d_s), dtype=np.complex128)
-    for k in range(d_s):
-        m_abc[k * d_b * d_c, k] = 1.0
-        m_ab[k * d_b, k] = 1.0
-        m_ac[k * d_c, k] = 1.0
+    # |k_S> -> |k_A> (x) |0> on a private part of p dims: row k * p of column k
+    eye = np.eye(d_a, d_s, dtype=np.complex128)
+    m_abc, m_ab, m_ac = (np.kron(eye, np.eye(p, 1)) for p in (d_b * d_c, d_b, d_c))
     return QsbInstance.from_stinespring(m_abc, m_ab, m_ac, d_a, d_b, d_c)
 
 
@@ -229,6 +268,7 @@ def werner_cloner_construct(d: int) -> QsbInstance:
     cloner reaches (Werner, PRA 58, 1827 (1998)); at d = 2 it is the
     Buzek-Hillery copier with 5/6.
     """
+    d = _dim(d, "d")
     # S[b, c, i, j] = (delta_bi delta_cj + delta_bj delta_ci) / 2 is symmetric
     # in (i, j), so it is already U's [b, c, e, i] tensor up to the scale
     t = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
@@ -463,16 +503,16 @@ def extract_product_approx(instance: QsbInstance, psi: PureState) -> ProductAppr
 def product_floors(eps: float) -> dict[str, float]:
     """Extraction guarantees at deficit eps, before clamping.
 
-    B, the purification-route receiver, keeps 1 - 2*sqrt(eps); C, the
-    direct-route receiver, and the full product keep 1 - 3.4*eps^(1/8) and
-    1 - 3*eps^(1/8).
+    B, the purification-route receiver, keeps 1 - eps'_b; C, the
+    direct-route receiver, and the full product keep 1 - eps'_c and one minus
+    the product deficit, all from _CHAIN.
     """
     if not 0.0 < eps <= 1.0:
         raise BadEpsilon(f"eps = {eps} outside (0, 1]")
     return {
-        "floor_ab": 1.0 - 2.0 * math.sqrt(eps),
-        "floor_ac": 1.0 - 3.4 * eps ** 0.125,
-        "floor_abc": 1.0 - 3.0 * eps ** 0.125,
+        "floor_ab": 1.0 - _deficit("eps_prime_b", eps),
+        "floor_ac": 1.0 - _deficit("eps_prime_c", eps),
+        "floor_abc": 1.0 - _deficit("product", eps),
     }
 
 
@@ -584,69 +624,44 @@ def epsilon_threshold(d_a: int) -> tuple[float, float, float]:
     Two candidates: a fixed ceiling from pushing the chain floors past the
     cloning value, and a dimension-dependent admissibility ceiling. The
     threshold is their minimum; returns (threshold, fixed, dimensional).
+
+    The fixed candidate, 0.6e-175, is the paper's rounded figure. The
+    constants of _CHAIN reach the cloning contradiction only below it: the
+    C-branch copy-map floor 1 - 3.9 eps^(1/128) passes 5/6 below
+    ((1/6) / 3.9)^128, about 5.50e-176, and at 0.6e-175 it is 0.83322.
     """
-    if as_int(d_a, "d_a") < 1:
-        raise InvariantViolation(f"d_a = {d_a} must be >= 1")
-    fixed = 0.6e-175
-    try:
-        dimensional = 2.4e-14 / float(d_a) ** 8
-    except OverflowError:
-        # d_a^8 is past float range: int / int is the exact quotient, rounded once
-        num, den = (2.4e-14).as_integer_ratio()
-        dimensional = num / (den * d_a**8)
+    fixed, dimensional = _CHAIN["fixed"], _per_dim("dimensional", _dim(d_a, "d_a"))
     return min(fixed, dimensional), fixed, dimensional
 
 
-def _collapse(*terms: tuple[float, float]) -> tuple[float, float]:
-    """Upper-bound a sum of c*eps^e terms by one term at the weakest exponent."""
-    return (sum(c for c, _ in terms), min(e for _, e in terms))
-
-
-def _root_term(term: tuple[float, float]) -> tuple[float, float]:
-    c, e = term
-    return (math.sqrt(c), e / 2.0)
+def _nested(ep_b, ep_c, root, add, scale) -> tuple[dict, object]:
+    """eps'' = 2 sqrt(eps') + eps' and eps''' = 3 sqrt(eps') + sqrt(eps'') + eps''
+    per branch, in report order from eps'_b, and the shared-closeness deficit
+    4 (sqrt(eps'_b) + sqrt(eps'''_b)), in the arithmetic (root, add, scale)."""
+    ep = {"b": ep_b, "c": ep_c}
+    edp = {x: add(scale(2.0, root(e)), e) for x, e in ep.items()}
+    etp = {x: add(add(scale(3.0, root(ep[x])), root(e)), e) for x, e in edp.items()}
+    steps = (("prime", ep), ("dprime", edp), ("tprime", etp))
+    consts = {f"eps_{k}_{x}": v for k, d in steps for x, v in d.items()}
+    return consts, scale(4.0, add(root(ep_b), root(etp["b"])))
 
 
 def asymptotic_ladder() -> dict[str, tuple[float, float]]:
     """Leading (coefficient, exponent) form of every chain constant.
 
     Each constant is a nested expression in eps; collapsing all terms onto
-    the weakest exponent (valid for eps <= 1) gives the single-power form
-    quoted alongside the exact values.
+    the weakest exponent (valid for eps <= 1) gives the single-power form.
+    Here eps_iv = sqrt(eps) + sqrt(sqrt(eps''') + sqrt(shared)), which _CHAIN rounds up.
     """
-    pb = (2.0, 1.0 / 2.0)
-    pc = (3.4, 1.0 / 8.0)
+    root, add, scale = _TERMS
+    consts, shared = _nested(_CHAIN["eps_prime_b"], _CHAIN["eps_prime_c"], root, add, scale)
+    ladder = {**consts, "shared_closeness": shared}
+    for x in "bc":
+        ladder["eps_iv_" + x] = add(root((1.0, 1.0)), root(add(root(consts["eps_tprime_" + x]), root(shared))))
+    return ladder
 
-    def dprime(p):
-        return _collapse((2.0 * math.sqrt(p[0]), p[1] / 2.0), p)
 
-    def tprime(p, d):
-        return _collapse((3.0 * math.sqrt(p[0]), p[1] / 2.0), _root_term(d), d)
-
-    dpb = dprime(pb)
-    dpc = dprime(pc)
-    tpb = tprime(pb, dpb)
-    tpc = tprime(pc, dpc)
-    shared = _collapse(
-        (4.0 * math.sqrt(pb[0]), pb[1] / 2.0),
-        (4.0 * math.sqrt(tpb[0]), tpb[1] / 2.0),
-    )
-
-    def iv(t):
-        inner = _collapse(_root_term(t), _root_term(shared))
-        return _collapse((1.0, 1.0 / 2.0), _root_term(inner))
-
-    return {
-        "eps_prime_b": pb,
-        "eps_prime_c": pc,
-        "eps_dprime_b": dpb,
-        "eps_dprime_c": dpc,
-        "eps_tprime_b": tpb,
-        "eps_tprime_c": tpc,
-        "shared_closeness": shared,
-        "eps_iv_b": iv(tpb),
-        "eps_iv_c": iv(tpc),
-    }
+_LADDER = asymptotic_ladder()  # built once: every chain report carries it
 
 
 @dataclass(frozen=True)
@@ -686,7 +701,7 @@ class EpsilonChainReport:
             "eps_zero_candidates": list(self.eps_zero_candidates),
             "admissible_b": self.admissible_b,
             "admissible_c": self.admissible_c,
-            "asymptotic": {k: list(v) for k, v in asymptotic_ladder().items()},
+            "asymptotic": {k: list(v) for k, v in _LADDER.items()},
             "selected_pair": list(self.selected_pair) if self.selected_pair else None,
             "theta": dict(self.theta),
             "residual_degenerate": list(self.residual_degenerate),
@@ -702,32 +717,18 @@ def chain_constants(eps: float, d_a: int) -> EpsilonChainReport:
     if not 0.0 < eps <= 1.0:
         raise BadEpsilon(f"eps = {eps} outside (0, 1]")
     d_a = as_int(d_a, "d_a")
-    ep_b = 2.0 * math.sqrt(eps)
-    ep_c = 3.4 * eps ** 0.125
-    edp_b = 2.0 * math.sqrt(ep_b) + ep_b
-    edp_c = 2.0 * math.sqrt(ep_c) + ep_c
-    etp_b = 3.0 * math.sqrt(ep_b) + math.sqrt(edp_b) + edp_b
-    etp_c = 3.0 * math.sqrt(ep_c) + math.sqrt(edp_c) + edp_c
+    consts, shared = _nested(_deficit("eps_prime_b", eps), _deficit("eps_prime_c", eps), *_FLOATS)
+    ivs = {k: _deficit(k, eps) for k in ("eps_iv_b", "eps_iv_c")}
     eps_zero, fixed, dimensional = epsilon_threshold(d_a)
-    cap = 1.0 / float(d_a) ** 2
+    cap = _per_dim("pair", d_a)
     return EpsilonChainReport(
         eps=eps,
         d_a=d_a,
-        constants={
-            "eps_prime_b": ep_b,
-            "eps_prime_c": ep_c,
-            "eps_dprime_b": edp_b,
-            "eps_dprime_c": edp_c,
-            "eps_tprime_b": etp_b,
-            "eps_tprime_c": etp_c,
-            "eps_iv_b": 3.8 * eps ** (1.0 / 64.0),
-            "eps_iv_c": 3.9 * eps ** (1.0 / 128.0),
-            "shared_closeness_deficit": 4.0 * (math.sqrt(ep_b) + math.sqrt(etp_b)),
-        },
+        constants={**consts, **ivs, "shared_closeness_deficit": shared},
         eps_zero=eps_zero,
         eps_zero_candidates=(fixed, dimensional),
-        admissible_b=edp_b <= cap,
-        admissible_c=edp_c <= cap,
+        admissible_b=consts["eps_dprime_b"] <= cap,
+        admissible_c=consts["eps_dprime_c"] <= cap,
     )
 
 
@@ -841,7 +842,7 @@ def chain_verify(
     # Shared-pair guarantees exist only for d_s > d_a (vector crowding);
     # everything downstream of the selected pair inherits that condition.
     guaranteed = d_s > d_a
-    pair_floor = 1.0 / float(d_a) ** 2 if guaranteed else 0.0  # a zero floor is vacuous
+    pair_floor = _per_dim("pair", d_a) if guaranteed else 0.0  # a zero floor is vacuous
     checks += _bounds(["selected_pair_fidelity_floor"], [a_overlap ** 2], pair_floor)
     if guaranteed:
         checks += _bounds(["crowding_overlap_floor"], [a_overlap], overlap_lower_bound(d_s, d_a) - 1e-12)
@@ -915,9 +916,7 @@ def chain_verify(
     )
 
 
-def perturbed_perfect_instance(
-    d_s: int, d_a: int, d_b: int, d_c: int, noise: float
-) -> QsbInstance:
+def perturbed_perfect_instance(d_s: int, d_a: int, d_b: int, d_c: int, noise: float) -> QsbInstance:
     """Perfect construction with its channel mixed toward full depolarising.
 
     The representation isometries stay exact; only the channel is noisy,
@@ -925,6 +924,6 @@ def perturbed_perfect_instance(
     the branch holding the larger private subsystem recovers the least.
     """
     base = perfect_qsb_construct(d_s, d_a, d_b, d_c)
-    d_o = d_a * d_b * d_c
+    d_s, d_o = base.d_s, base.output_layout.total_dim
     noisy = mix(base.u.reshape(d_o, 1, d_s), depolarizing_channel(d_s, d_o), noise)
     return replace(base, u=noisy.reshape(-1, d_s))

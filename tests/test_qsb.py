@@ -105,6 +105,26 @@ def test_perfect_construction_rejections():
         perfect_qsb_construct(2, 2, 0, 2)
 
 
+def test_constructors_take_the_integer_rule_and_name_a_bad_dimension():
+    for make, err, match in (
+        (lambda: perfect_qsb_construct(2.0, 2, 1, 1), TypeError, "d_s 2.0 is not an integer"),
+        (lambda: werner_cloner_construct(2.0), TypeError, "d 2.0 is not an integer"),
+        (lambda: perturbed_perfect_instance(2, 2, 2, 2.0, 0.1), TypeError, "d_c 2.0 is not an integer"),
+        (lambda: werner_cloner_construct(True), TypeError, "d True is a bool"),
+        (lambda: werner_cloner_construct(0), InvariantViolation, "d = 0 must be >= 1"),
+        (lambda: perturbed_perfect_instance(2, 2, 0, 2, 0.1), InvariantViolation, "d_b = 0 must be >= 1"),
+    ):
+        with pytest.raises(err, match=match):
+            make()
+    # numpy's integers are integers: the same instance as from ints
+    two = np.int64(2)
+    for a, b in (
+        (werner_cloner_construct(two), werner_cloner_construct(2)),
+        (perturbed_perfect_instance(two, two, 1, two, 0.1), perturbed_perfect_instance(2, 2, 1, 2, 0.1)),
+    ):
+        assert a.output_layout == b.output_layout and np.array_equal(a.u, b.u)
+
+
 def test_instance_validation():
     base = perfect_qsb_construct(2, 2, 2, 2)
     # a two-subsystem channel output is not a broadcast channel
@@ -641,6 +661,51 @@ def test_epsilon_threshold_regimes():
     assert thr_big == dim_big == pytest.approx(2.4e-14 / 1e168)
     with pytest.raises(InvariantViolation):
         epsilon_threshold(0)
+
+
+def test_fixed_threshold_is_the_papers_figure_above_the_tables_crossing():
+    # the C-branch copy-map floor 1 - c eps^e first reaches the cloning ceiling at ((1 - 5/6) / c)^(1/e)
+    c, e = qsb_module._CHAIN["eps_iv_c"]
+    crossing = ((1.0 - CLONING_CEILING) / c) ** (1.0 / e)
+    assert crossing == pytest.approx(5.50e-176, rel=1e-3)
+    for d_a in (1, 2, 3):
+        _, fixed, _ = epsilon_threshold(d_a)
+        assert fixed == 0.6e-175 > crossing
+        # at the printed figure the table's C floor is short of 5/6; just below the crossing both pass it
+        assert 1.0 - chain_constants(fixed, d_a).constants["eps_iv_c"] < CLONING_CEILING
+        below = chain_constants(0.999 * crossing, d_a).constants
+        assert min(1.0 - below["eps_iv_b"], 1.0 - below["eps_iv_c"]) > CLONING_CEILING
+
+
+def test_table_copy_map_deficits_are_no_stronger_than_the_ladder():
+    # a rounded coefficient below the nested collapse would claim a floor the chain does not prove
+    ladder = asymptotic_ladder()
+    for x, nested in (("b", 3.7795), ("c", 3.8771)):
+        c, e = qsb_module._CHAIN["eps_iv_" + x]
+        assert e == ladder["eps_iv_" + x][1]
+        assert c >= ladder["eps_iv_" + x][0] == pytest.approx(nested, abs=1e-4)
+
+
+def test_every_chain_reader_takes_its_constants_from_the_table(monkeypatch):
+    patch = {
+        "eps_prime_b": (4.0, 1 / 2), "product": (5.0, 1 / 8), "eps_iv_c": (7.0, 1 / 128),
+        "fixed": 1e-3, "dimensional": (3.0, 8), "pair": (0.01, 2),
+    }
+    for key, value in patch.items():
+        monkeypatch.setitem(qsb_module._CHAIN, key, value)
+    assert product_floors(1e-8)["floor_ab"] == 1.0 - 4.0 * math.sqrt(1e-8)
+    assert product_floors(2**-80)["floor_abc"] == 1.0 - 5.0 * 2**-10
+    rep = chain_constants(1e-8, 2)
+    assert rep.constants["eps_prime_b"] == 4.0 * math.sqrt(1e-8)
+    assert rep.constants["eps_dprime_b"] == 2.0 * math.sqrt(4e-4) + 4e-4
+    assert rep.constants["eps_iv_c"] == 7.0 * 1e-8 ** (1 / 128)
+    assert epsilon_threshold(1) == (1e-3, 1e-3, 3.0)
+    assert epsilon_threshold(2)[2] == 3.0 / 256.0
+    # the selected pair's floor 0.01 / d_A^2 is also the cap on eps'': 0.0404 is past it
+    assert not rep.admissible_b
+    rows = chain_verify(_random_instance(3, 2, 2, 2, seed=1), 0.0).checks
+    assert [c.rhs for c in rows if c.label == "selected_pair_fidelity_floor"] == [0.01 / 4.0]
+    assert asymptotic_ladder()["eps_prime_b"] == (4.0, 1 / 2)
 
 
 # ---------------------------------------------------------------------------
