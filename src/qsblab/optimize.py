@@ -22,9 +22,10 @@ within log(2n)/TEMP_MAX of the hard minimum of its 2n values, about 6e-5
 for the default n = 210 at d_s = 2.
 The reported value is always the hard minimum measure_eps re-measures on
 the returned instance from the same columns. Both receivers' fidelities
-travel as the kernel's one (2, n) stack; a point's hard minimum is taken
-once, when it is evaluated. A restart keeps (U, V_AB, V_AC) in one zero-padded (3, N_U, d_s)
-stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
+travel as the kernel's one (2, n) stack; a point's hard and soft minimum
+are each taken once, when it is evaluated, and only a new stage's
+temperature retakes the soft one. A restart keeps (U, V_AB, V_AC) in one
+zero-padded (3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
 never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs as hilbert binds them
@@ -166,12 +167,12 @@ class FrontierPoint:
 # ---------------------------------------------------------------------------
 
 
-def _soft_min(f: np.ndarray, hard: float, temp: float) -> tuple[float, np.ndarray, float]:
+def _soft_min(f: np.ndarray, hard: float, temp: float, e: np.ndarray) -> tuple[float, float]:
     """Soft minimum of the (2, n) fidelity stack f with hard minimum `hard`, and
-    its weights e / z as the shifted exponentials e and their sum z."""
-    e = np.exp((hard - f) * temp)
-    z = float(e.sum())
-    return hard - math.log(z) / temp, e, z
+    the sum z of its shifted exponentials, written into e; its weights are e / z."""
+    np.exp(np.multiply(np.subtract(hard, f, out=e), temp, out=e), out=e)
+    z = float(np.add.reduce(e, None))
+    return hard - math.log(z) / temp, z
 
 
 def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -188,7 +189,7 @@ def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     k, u, uc_c, vab, vac, probes, gram, (d_a, d_b, d_c, d_e) = cached
     d_s = vab.shape[1]
     if gram:
-        a = (w @ probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+        a = np.dot(w, probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
     else:
         a = (probes * w[:, None, :]) @ probes.conj().T
     gk = (k @ a).reshape(2, -1, d_s)
@@ -196,9 +197,9 @@ def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
     np.matmul(vab, gh[0, :, :rb], out=g[0].reshape(d_a * d_b, -1))
     g_u = g[0].reshape(d_a, d_b, d_c, -1)
-    g_u += (vac @ gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
+    g_u += np.dot(vac, gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
     np.matmul(u.reshape(d_a * d_b, -1), gk[0, :rb], out=g[1, : vab.shape[0]])
-    np.conjugate(uc_c @ gh[1, :, :rc].T, out=g[2, : vac.shape[0]])
+    np.conjugate(np.dot(uc_c, gh[1, :, :rc].T), out=g[2, : vac.shape[0]])
     return g
 
 
@@ -217,7 +218,8 @@ def objective_value_and_grads(
     2*Im(g); that is the convention the finite-difference check uses.
     """
     f, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
-    value, e, z = _soft_min(f, float(f.min()), temp)
+    e = np.empty_like(f)
+    value, z = _soft_min(f, float(f.min()), temp, e)
     g = _weighted_grads(cached, e / z, np.zeros((3, *u.shape), dtype=np.complex128))
     return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
 
@@ -229,14 +231,16 @@ def _qr_positive(m: np.ndarray) -> np.ndarray:
     than LAPACK on small blocks. They give NaN, not LinAlgError, on a Gram not
     positive definite; here M^H M >= I.
     """
-    l = _cholesky_lo(m.conj().swapaxes(-1, -2) @ m)
-    return m @ _inv(l).conj().swapaxes(-1, -2)
+    r = _inv(_cholesky_lo(m.conj().swapaxes(-1, -2) @ m))
+    return m @ np.conjugate(r, out=r).swapaxes(-1, -2)
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Project g onto the tangent space at the (..., N, k) isometry stack v."""
     vg = v.conj().swapaxes(-1, -2) @ g
-    return g - v @ ((vg + vg.conj().swapaxes(-1, -2)) * 0.5)
+    vg += vg.conj().swapaxes(-1, -2)
+    p = v @ np.multiply(vg, 0.5, out=vg)
+    return np.subtract(g, p, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,7 @@ def _run_restart(
     index: int,
 ) -> _RestartOutcome:
     rows = tuple(m.shape[0] for m in init)
+    dims4 = config.dims4
 
     def unpad(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return s[0], s[1, : rows[1]], s[2, : rows[2]]
@@ -269,21 +274,24 @@ def _run_restart(
     x = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
-    g = np.zeros_like(x)
+    g, x_t = np.zeros_like(x), np.empty_like(x)  # gradient and trial point, written in place
     cap = -(-config.max_iters // STAGES)  # one stage's share of the budget
     step = STEP_INIT
-    f, cached = branch_values(*unpad(x), probes, config.dims4)
-    hard = float(f.min())
-    best_hard, best_x, max_seen = hard, x, float(f.max())
+    f, cached = branch_values(*unpad(x), probes, dims4)
+    hard = float(np.minimum.reduce(f, None))
+    best_hard, best_x, f_max = hard, x, f.copy()  # f_max: each value's largest so far
+    e = np.empty_like(f)  # the current point's soft-min exponentials, then each trial's
     iters = 0
 
     # a stage that ends on its cap hands over to the next; once the budget is
     # spent, every later stage is empty and the stop reads max_iters
     for temp in TEMPS:
         stage_end = min(iters + cap, config.max_iters)
-        # the objective changes with the temperature, so both memories restart
+        # the objective changes with the temperature, so both memories and the
+        # point's soft minimum restart; within a stage each carries over
         soft = deque(maxlen=MEMORY)
         last = None  # the stage's previous (x, xi), for the BB step
+        value, z = _soft_min(f, hard, temp, e)
         while True:
             if best_hard >= 1.0 - 1e-9:
                 stop = "perfect"
@@ -291,7 +299,6 @@ def _run_restart(
             if iters == stage_end:
                 stop = "max_iters"
                 break
-            value, e, z = _soft_min(f, hard, temp)
             xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
             gnorm2 = float(np.vdot(xi, xi).real)
             if gnorm2 < GRAD_TOL * GRAD_TOL:
@@ -314,27 +321,28 @@ def _run_restart(
 
             # nonmonotone Armijo backtracking on the smoothed objective, against
             # the smallest of the stage's last MEMORY soft values; directional
-            # derivative along the tangent triple is 2*gnorm2. A trial needs only
-            # its soft value; the accepted one's f and hard minimum carry over.
+            # derivative along the tangent triple is 2*gnorm2. The accepted
+            # trial's f, hard and soft minimum carry over to the next iteration.
             trial = min(step, STEP_CAP / math.sqrt(gnorm2))
             while trial > 1e-14:
-                x2 = _qr_positive(x + trial * xi)
-                f2, cached2 = branch_values(*unpad(x2), probes, config.dims4)
-                hard2 = float(f2.min())
-                if _soft_min(f2, hard2, temp)[0] >= floor + 1e-4 * trial * 2.0 * gnorm2:
-                    x, f, cached, hard, step = x2, f2, cached2, hard2, trial
+                x2 = _qr_positive(np.add(x, np.multiply(xi, trial, out=x_t), out=x_t))
+                f2, cached2 = branch_values(x2[0], x2[1, : rows[1]], x2[2, : rows[2]], probes, dims4)
+                hard2 = float(np.minimum.reduce(f2, None))
+                value2, z2 = _soft_min(f2, hard2, temp, e)
+                if value2 >= floor + 1e-4 * trial * 2.0 * gnorm2:
+                    x, f, cached, hard, value, z, step = x2, f2, cached2, hard2, value2, z2, trial
                     break
                 trial *= 0.5
             else:
                 stop = "line_search_exhausted"
                 break
-            max_seen = max(max_seen, float(f.max()))
+            np.maximum(f_max, f, out=f_max)
             if hard > best_hard:
                 best_hard, best_x = hard, x
         if stop in ("perfect", "line_search_exhausted"):
             break
 
-    return _RestartOutcome(index, best_hard, unpad(best_x), iters, max_seen, stop)
+    return _RestartOutcome(index, best_hard, unpad(best_x), iters, float(f_max.max()), stop)
 
 
 def _random_init(

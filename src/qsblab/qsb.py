@@ -336,14 +336,15 @@ def branch_values(
     d_s = vab.shape[1]
     uc = u.conj()
     uc_c = uc.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    k = np.zeros((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
+    alloc = np.empty if d_b == d_c else np.zeros  # only padding rows need zeros
+    k = alloc((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
     np.matmul(uc.reshape(d_a * d_b, -1).T, vab, out=k[0, : d_c * d_e * d_s])
     np.matmul(uc_c.T, vac, out=k[1, : d_b * d_e * d_s])
     k = k.reshape(2, -1, d_s * d_s)
     gram = probes.dtype == np.float64
     if gram:
         h = k.conj().swapaxes(1, 2) @ k
-        f = h.reshape(2, -1).view(np.float64) @ probes.T
+        f = np.dot(h.reshape(2, -1).view(np.float64), probes.T)
     else:
         w = (k.reshape(-1, d_s * d_s) @ probes).view(np.float64)
         np.square(w, out=w)
@@ -528,8 +529,7 @@ def overlap_lower_bound(m: int, d: int) -> float:
     uniform mixture of the vectors; below is the witness scan that finds
     the pair.
     """
-    if m < 1 or d < 1:
-        raise InvariantViolation(f"need positive counts, got m={m}, d={d}")
+    m, d = _dim(m, "m"), _dim(d, "d")
     if m <= d:
         raise BoundVacuous(f"{m} vectors fit orthogonally in dim {d}")
     return math.sqrt((m - d) / (d * (m - 1.0)))

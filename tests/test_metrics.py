@@ -27,6 +27,7 @@ from qsblab.metrics import (
     fidelity_pure,
     property_sweep,
 )
+from qsblab.qsb import overlap_lower_bound
 
 QUBIT = SpaceLayout([("Q", 2)])
 
@@ -233,6 +234,28 @@ def test_property_sweep_takes_the_package_seed_rule():
         property_sweep(1, 2, seed=-1)
     with pytest.raises(TypeError, match="seed True is a bool"):
         property_sweep(1, 2, seed=True)
+
+
+@pytest.mark.parametrize(
+    "call, exc, match",
+    [
+        # a float or bool count or dimension is refused, not truncated
+        (lambda: overlap_lower_bound(3.5, 2), TypeError, "m 3.5 is not an integer"),
+        (lambda: overlap_lower_bound(3, True), TypeError, "d True is a bool"),
+        (lambda: overlap_lower_bound(3, 2.0), TypeError, "d 2.0 is not an integer"),
+        (lambda: property_sweep(True, 8, 1), TypeError, "samples True is a bool"),
+        (lambda: property_sweep(50, True, 1), TypeError, "dims_cap True is a bool"),
+        (lambda: property_sweep(50, 8.5, 1), TypeError, "dims_cap 8.5 is not an integer"),
+        # the CLI's --samples >= 0 and --dims >= 2, refused by name: no empty
+        # "all good" list, and no bare numpy error from the draw
+        (lambda: property_sweep(-5, 8, 1), InvariantViolation, "samples = -5 must be >= 0"),
+        (lambda: property_sweep(50, 1, 1), InvariantViolation, "dims_cap = 1 must be >= 2"),
+    ],
+    ids=["m-float", "d-bool", "d-float", "samples-bool", "dims-bool", "dims-float", "samples-negative", "dims-1"],
+)
+def test_counts_and_dimensions_follow_the_integer_rule(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_property_sweep_clean_small():
