@@ -30,6 +30,7 @@ from .qsb import (
     overlap_lower_bound,
     perfect_qsb_construct,
     perturbed_perfect_instance,
+    split_clone_construct,
     werner_cloner_construct,
 )
 from .optimize import (
@@ -57,6 +58,7 @@ __all__ = [
     "EpsilonChainReport",
     "perfect_qsb_construct",
     "perturbed_perfect_instance",
+    "split_clone_construct",
     "werner_cloner_construct",
     "measure_eps",
     "default_probe_states",

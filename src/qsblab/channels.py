@@ -24,6 +24,8 @@ def mix(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
     """
     if a.shape[::2] != b.shape[::2]:
         raise LayoutMismatch("channels must share input and output dimensions")
+    if isinstance(weight, (bool, np.bool_)):
+        raise TypeError(f"mixing weight {weight} is a bool, not a number")
     if not 0.0 <= weight <= 1.0:
         raise InvariantViolation(f"mixing weight {weight} outside [0, 1]")
     ops = np.concatenate((np.sqrt(1.0 - weight) * a, np.sqrt(weight) * b), axis=1)

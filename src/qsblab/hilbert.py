@@ -96,9 +96,11 @@ def _mat_from_json(data) -> np.ndarray:
     # a JSON object would iterate as its keys, so only arrays are read
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise TypeError("matrix is not a JSON array of arrays")
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
+    m = np.array([[complex(re, im) for re, im in row] for row in data], dtype=np.complex128)
+    # complex() reads a JSON true as 1, but a bool is no number
+    if bool in {type(x) for row in data for z in row for x in z}:
+        raise TypeError("matrix entry is a bool, not a number")
+    return m
 
 
 def phase_fix(vec: np.ndarray) -> np.ndarray:

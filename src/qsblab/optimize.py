@@ -44,14 +44,8 @@ import numpy as np
 
 from .errors import InvariantViolation, TooLarge
 from .hilbert import as_int, haar_isometry_matrix, _cholesky_lo, _inv
-from .qsb import (
-    QsbInstance,
-    branch_values,
-    default_probe_states,
-    measure_eps,
-    perfect_qsb_construct,
-    search_probes,
-)
+from .qsb import (QsbInstance, _embed_params, branch_values, default_probe_states,
+                  measure_eps, search_probes, split_clone_construct)
 
 DIM_CAP = 4096
 ENV_CAP = 16
@@ -360,11 +354,11 @@ def _random_init(
 def optimize_qsb(config: OptimizeConfig, seeds: Sequence[QsbInstance] = ()) -> FrontierPoint:
     """Best instance over restarts; deterministic for a fixed config.
 
-    Each seed starts one restart, zero-padded into the search's dimensions by
-    _embed_params: the perfect construction first when d_s <= d_a, then the
-    given seeds, then Haar-random draws up to config.restarts. A seed needs
-    the search's d_s and no d_a, d_b, d_c or d_e above it. Ties between
-    restarts break toward the lower index.
+    Each seed starts one restart, zero-padded into the search's dimensions:
+    the perfect broadcast split_clone_construct(d_s, d_a, 1) first when
+    d_s <= d_a, then the given seeds, then Haar-random draws up to
+    config.restarts. A seed needs the search's d_s and no d_a, d_b, d_c or
+    d_e above it. Ties between restarts break toward the lower index.
     """
     dims = (config.d_s, *config.dims4)
     seeds = list(seeds)
@@ -373,7 +367,7 @@ def optimize_qsb(config: OptimizeConfig, seeds: Sequence[QsbInstance] = ()) -> F
         if got[0] != dims[0] or any(g > w for g, w in zip(got, dims)):
             raise InvariantViolation(f"seed {j} with dims {got} does not fit the search's {dims}")
     if config.d_s <= config.d_a:
-        seeds.insert(0, perfect_qsb_construct(config.d_s, config.d_a, config.d_b, config.d_c))
+        seeds.insert(0, split_clone_construct(config.d_s, config.d_a, 1))
     rng = np.random.default_rng((config.seed, 977))
     cols = default_probe_states(config.d_s, rng, config.haar_count, config.phase_count)
     operand = search_probes(cols)
@@ -403,26 +397,6 @@ def optimize_qsb(config: OptimizeConfig, seeds: Sequence[QsbInstance] = ()) -> F
         restart_values=tuple(o.best_hard for o in outcomes),
         stop_reasons=tuple(o.stop_reason for o in outcomes),
     )
-
-
-def _embed_params(
-    inst: QsbInstance, dims4: tuple[int, int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An instance's matrices zero-padded to output and environment dims
-    dims4 = (d_a, d_b, d_c, d_e), each at least the instance's own.
-
-    The padded matrices keep orthonormal columns and reproduce the instance's
-    action exactly, so a search started there starts no worse.
-    """
-    d_a, d_b, d_c, d_e = dims4
-    a0, b0, c0, e0, d_s = inst.d_a, inst.d_b, inst.d_c, inst.d_e, inst.d_s
-    u = np.zeros((d_a, d_b, d_c, d_e, d_s), dtype=np.complex128)
-    u[:a0, :b0, :c0, :e0] = inst.u.reshape(a0, b0, c0, e0, d_s)
-    vab = np.zeros((d_a, d_b, d_s), dtype=np.complex128)
-    vab[:a0, :b0] = inst.v_abs.reshape(a0, b0, d_s)
-    vac = np.zeros((d_a, d_c, d_s), dtype=np.complex128)
-    vac[:a0, :c0] = inst.v_acs.reshape(a0, c0, d_s)
-    return u.reshape(-1, d_s), vab.reshape(-1, d_s), vac.reshape(-1, d_s)
 
 
 def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[FrontierPoint]:

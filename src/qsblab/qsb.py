@@ -240,41 +240,61 @@ class QsbInstance:
         return inst
 
 
-def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance:
-    """Exact broadcast for d_s <= d_a: embed into the shared subsystem.
+def split_clone_construct(d_s: int, d_a: int, d_prime: int) -> QsbInstance:
+    """Split-and-clone as a (d_s, d_a, d_prime, d_prime) instance with d_E = d_prime.
 
-    The channel sends |k_S> to |k_A> with both private subsystems parked in
-    their ground states, and each representation isometry embeds the source
-    the same way, so both receivers see the input with fidelity one.
+    S embeds into A (x) S' as its first d_s basis vectors, A stays shared, and
+    Werner's optimal symmetric 1 -> 2 cloner W copies S' into B and C
+    (Werner, PRA 58, 1827 (1998)); V_AB = V_AC = the embedding. Each branch
+    reads at least eta + (1 - eta)/(d' min(d_a, d')), eta = (d'+2)/(2(d'+1)).
     """
+    d_s, d_a, d_p = map(_dim, (d_s, d_a, d_prime), ("d_s", "d_a", "d_prime"))
+    if d_a * d_p < d_s:
+        raise InvariantViolation(f"A (x) S' of dim {d_a} * {d_p} cannot hold a source of dim {d_s}")
+    emb = np.eye(d_a * d_p, d_s, dtype=np.complex128)
+    # W|i> = sqrt(2/(d'+1)) sum_j Sym(|i>|j>) (x) |j>_E, and Sym[b, c, i, j] =
+    # (delta_bi delta_cj + delta_bj delta_ci) / 2 is symmetric in (i, j), so it
+    # is already W's [b, c, e, i] tensor up to the scale
+    t = np.eye(d_p * d_p, dtype=np.complex128).reshape(d_p, d_p, d_p, d_p)
+    w = math.sqrt(2.0 / (d_p + 1)) * (0.5 * (t + t.transpose(0, 1, 3, 2)))
+    u = np.einsum("bcet,ats->abces", w, emb.reshape(d_a, d_p, d_s)).reshape(-1, d_s)
+    return QsbInstance.from_stinespring(u, emb, emb, d_a, d_p, d_p)
+
+
+def _embed_params(inst: QsbInstance, dims4: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+    """An instance's matrices zero-padded to dims4 = (d_a, d_b, d_c, d_e), each
+    at least the instance's own: orthonormal columns and the same action."""
+    d_s, (a0, b0, c0, e0) = inst.d_s, (inst.d_a, inst.d_b, inst.d_c, inst.d_e)
+    u = np.zeros((*dims4, d_s), dtype=np.complex128)
+    u[:a0, :b0, :c0, :e0] = inst.u.reshape(a0, b0, c0, e0, d_s)
+    vab, vac = (np.zeros((dims4[0], d, d_s), dtype=np.complex128) for d in dims4[1:3])
+    vab[:a0, :b0] = inst.v_abs.reshape(a0, b0, d_s)
+    vac[:a0, :c0] = inst.v_acs.reshape(a0, c0, d_s)
+    return u.reshape(-1, d_s), vab.reshape(-1, d_s), vac.reshape(-1, d_s)
+
+
+def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance:
+    """Exact broadcast for d_s <= d_a: split_clone_construct(d_s, d_a, 1) embeds
+    the source into the shared subsystem, and zero-padded into (d_b, d_c) it parks
+    both private subsystems in their ground states. Both receivers read one."""
     d_s, d_a, d_b, d_c = map(_dim, (d_s, d_a, d_b, d_c), ("d_s", "d_a", "d_b", "d_c"))
     if d_s > d_a:
         raise NoPerfectQsb(
             f"source dim {d_s} exceeds shared dim {d_a}: perfect shared "
             "broadcasting needs the source to fit in the shared subsystem"
         )
-    # |k_S> -> |k_A> (x) |0> on a private part of p dims: row k * p of column k
-    eye = np.eye(d_a, d_s, dtype=np.complex128)
-    m_abc, m_ab, m_ac = (np.kron(eye, np.eye(p, 1)) for p in (d_b * d_c, d_b, d_c))
-    return QsbInstance.from_stinespring(m_abc, m_ab, m_ac, d_a, d_b, d_c)
+    base = split_clone_construct(d_s, d_a, 1)
+    return QsbInstance.from_stinespring(*_embed_params(base, (d_a, d_b, d_c, 1)), d_a, d_b, d_c)
 
 
 def werner_cloner_construct(d: int) -> QsbInstance:
-    """Werner's optimal symmetric 1 -> 2 cloner as a (d, 1, d, d) instance.
+    """Werner's optimal symmetric 1 -> 2 cloner, split_clone_construct(d, 1, d).
 
-    U|i> = sqrt(2/(d+1)) sum_j S(|i>|j>) (x) |j>_E with S the projector onto
-    the symmetric subspace of B (x) C, and V_AB = V_AC = I. Both receivers
-    read (d+3)/(2(d+1)) on every input, the largest value a universal 1 -> 2
-    cloner reaches (Werner, PRA 58, 1827 (1998)); at d = 2 it is the
-    Buzek-Hillery copier with 5/6.
+    Both receivers read (d+3)/(2(d+1)) on every input, the largest value a
+    universal 1 -> 2 cloner reaches; at d = 2 it is the Buzek-Hillery copier, 5/6.
     """
     d = _dim(d, "d")
-    # S[b, c, i, j] = (delta_bi delta_cj + delta_bj delta_ci) / 2 is symmetric
-    # in (i, j), so it is already U's [b, c, e, i] tensor up to the scale
-    t = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d)
-    u = math.sqrt(2.0 / (d + 1)) * (0.5 * (t + t.transpose(0, 1, 3, 2))).reshape(d**3, d)
-    eye = np.eye(d, dtype=np.complex128)
-    return QsbInstance.from_stinespring(u, eye, eye, 1, d, d)
+    return split_clone_construct(d, 1, d)
 
 
 def _outer_columns(cols: np.ndarray) -> np.ndarray:

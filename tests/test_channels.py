@@ -159,6 +159,14 @@ def test_mix_rejections():
         mix(a, a, 1.5)
 
 
+def test_mix_refuses_a_bool_weight():
+    # numpy's bool is no number either: np.True_ would mix as weight 1
+    a = _random_channel(2, 2, 2, 9)
+    for weight in (False, np.True_):
+        with pytest.raises(TypeError, match=f"weight {weight} is a bool"):
+            mix(a, a, weight)
+
+
 def test_channel_outputs_valid_states():
     chan = _random_channel(3, 3, 2, 14)
     psi = random_pure(SpaceLayout([("S", 3)]), 15)

@@ -87,6 +87,22 @@ def test_verify_unreadable_and_malformed(workdir, capsys):
     assert err.count("\n") == 1 and "malformed" in err
 
 
+def test_a_bool_matrix_entry_is_no_number(workdir, capsys):
+    # every 1.0/0.0 entry of a perfect instance written as true/false: complex()
+    # would read the file as the same instance, but the file holds no numbers
+    data = json.loads(_construct(workdir, dims=("2", "2", "1", "1")).read_text())
+    for mat in (*data["kraus"], data["v_abs"]["matrix"], data["v_acs"]["matrix"]):
+        for row in mat:
+            row[:] = [[bool(x) for x in z] for z in row]
+    (workdir / "bools.json").write_text(json.dumps(data))
+    assert "true" in (workdir / "bools.json").read_text()
+    capsys.readouterr()
+    assert main(["verify", "bools.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "malformed" in err and "bool" in err
+
+
 def test_verify_invariant_breaking_instance(workdir, capsys):
     path = _construct(workdir)
     data = json.loads(path.read_text())

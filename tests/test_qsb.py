@@ -51,6 +51,7 @@ from qsblab.qsb import (
     perfect_qsb_construct,
     perturbed_perfect_instance,
     product_floors,
+    split_clone_construct,
     werner_cloner_construct,
 )
 
@@ -113,6 +114,7 @@ def test_constructors_take_the_integer_rule_and_name_a_bad_dimension():
         (lambda: werner_cloner_construct(True), TypeError, "d True is a bool"),
         (lambda: werner_cloner_construct(0), InvariantViolation, "d = 0 must be >= 1"),
         (lambda: perturbed_perfect_instance(2, 2, 0, 2, 0.1), InvariantViolation, "d_b = 0 must be >= 1"),
+        (lambda: perturbed_perfect_instance(2, 2, 2, 2, True), TypeError, "weight True is a bool"),
     ):
         with pytest.raises(err, match=match):
             make()
@@ -512,6 +514,31 @@ def test_cloner_gives_three_quarters_on_a_qutrit():
     for psi in [basis_state(lay, 2)] + [random_pure(lay, rng) for _ in range(5)]:
         for rho in cloner_baseline(psi):
             assert fidelity_pure(rho, psi) == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("d_s,d_a,d_p", [(3, 2, 2), (4, 2, 2), (6, 2, 3), (6, 3, 2), (8, 2, 4), (8, 4, 2)])
+def test_split_clone_reads_its_formula_between_the_ends(d_s, d_a, d_p):
+    inst = split_clone_construct(d_s, d_a, d_p)
+    assert (inst.d_s, inst.d_a, inst.d_b, inst.d_c, inst.d_e) == (d_s, d_a, d_p, d_p, d_p)
+    eta = (d_p + 2) / (2.0 * (d_p + 1))
+    value = eta + (1.0 - eta) / (d_p * min(d_a, d_p))
+    # (|1> + |d'>)/sqrt(2) embeds as (|0>|1> + |1>|0>)/sqrt(2) on A (x) S': A marginal I/2
+    psi = np.zeros((d_s, 1))
+    psi[[1, d_p], 0] = 1.0 / math.sqrt(2.0)
+    _, f_ab, f_ac = measure_eps(inst, psi)
+    assert max(abs(f_ab[0] - value), abs(f_ac[0] - value)) <= 1e-12
+    # no input reads below it: 2e4 Haar inputs, in chunks of 5e3
+    rng = np.random.default_rng(d_s * 100 + d_a * 10 + d_p)
+    for _ in range(4):
+        _, f_ab, f_ac = measure_eps(inst, default_probe_states(d_s, rng, 5000, 0)[:, d_s:])
+        assert min(f_ab.min(), f_ac.min()) >= value - 1e-12
+
+
+def test_split_clone_needs_room_for_the_source_and_integer_dimensions():
+    with pytest.raises(InvariantViolation, match="cannot hold a source of dim 3"):
+        split_clone_construct(3, 1, 2)
+    with pytest.raises(TypeError, match="d_prime 2.0 is not an integer"):
+        split_clone_construct(3, 2, 2.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
