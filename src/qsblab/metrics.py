@@ -28,7 +28,7 @@ A BoundCheck is built only for a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,9 +96,12 @@ def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.sum(np.abs(w), axis=-1), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One verified inequality: satisfied iff lhs >= rhs - tolerance."""
+class BoundCheck(NamedTuple):
+    """One verified inequality: satisfied iff lhs >= rhs - tolerance.
+
+    A tuple, so a chain report's hundred-odd rows cost what tuples cost; its
+    fields are read-only, as a frozen dataclass's were.
+    """
 
     label: str
     lhs: float

@@ -32,6 +32,7 @@ two-level family is set by an exact max-min over closed-form candidates.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -64,7 +65,7 @@ from .hilbert import (
     _mat_from_json,
     _mat_to_json,
 )
-from .metrics import BoundCheck
+from .metrics import _SLACK_TOL, BoundCheck
 
 # Worst-case ceiling for universal qubit cloning: no input-independent
 # 1 -> 2 copier pushes both copy fidelities above this value.
@@ -399,6 +400,14 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
     return max(1.0 - float(f.min()), 0.0), f[0], f[1]
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), the pairs i < j in row order, built once per m and read-only."""
+    i, j = np.triu_indices(m, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def default_probe_states(
     d_s: int | SpaceLayout,
     seed: int | np.random.Generator,
@@ -423,7 +432,7 @@ def default_probe_states(
         raise InvariantViolation(f"need d_s >= 1 and counts >= 0, got {d_s}, {haar_count}, {phase_count}")
     # each relative phase exp(2 pi i p / phase_count) as the scalar expression gives it
     phases = np.array([np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)])
-    i, j = np.triu_indices(d_s, 1)
+    i, j = _pairs(d_s)
     pairs = np.zeros((len(i), phase_count, d_s), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)
     pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * phases
@@ -563,7 +572,7 @@ def _closest_pair(overlaps: np.ndarray, d: int) -> tuple[tuple[int, int], float]
     is a numerical defect and raises.
     """
     m = overlaps.shape[0]
-    i, j = np.triu_indices(m, 1)
+    i, j = _pairs(m)
     k = int(np.argmax(overlaps[i, j]))
     best = float(overlaps[i[k], j[k]])
     if m > d:
@@ -727,8 +736,7 @@ class EpsilonChainReport:
             "residual_degenerate": list(self.residual_degenerate),
             "cloning_contradiction": self.cloning_contradiction,
             "all_satisfied": self.all_satisfied,
-            # a check's fields in row order; dataclasses.asdict deep-copies each one, 20x slower
-            "checks": [dict(vars(c)) for c in self.checks],
+            "checks": [dict(zip(BoundCheck._fields, c)) for c in self.checks],
         }
 
 
@@ -761,9 +769,16 @@ def _bounds(
     ceiling >= 1) or where enforced is False."""
     clamped = min(max(bound, 0.0), 1.0)
     vacuous = (bound <= 0.0 if floor else bound >= 1.0) or not enforced
+    # BoundCheck.of's row, built inline: the values are floats already
     if floor:
-        return [BoundCheck.of(v, clamped, label, vacuous) for label, v in zip(labels, values)]
-    return [BoundCheck.of(clamped, v, label, vacuous) for label, v in zip(labels, values)]
+        return [
+            BoundCheck(label, v, clamped, (s := v - clamped), s >= -_SLACK_TOL, vacuous)
+            for label, v in zip(labels, values)
+        ]
+    return [
+        BoundCheck(label, clamped, v, (s := clamped - v), s >= -_SLACK_TOL, vacuous)
+        for label, v in zip(labels, values)
+    ]
 
 
 def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
@@ -776,9 +791,9 @@ def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
     x = (o_j - o_i) / (2 |c_i - c_j|) in [-1, 1]. Every candidate is evaluated
     in one pass; returns (theta in [0, 2 pi), value).
     """
-    upper = np.arange(len(offsets))[:, None] < np.arange(len(offsets))
-    diff = (cross[:, None] - cross)[upper]
-    gap, span = (offsets - offsets[:, None])[upper], 2.0 * np.abs(diff)
+    i, j = _pairs(len(offsets))
+    diff = cross[i] - cross[j]
+    gap, span = offsets[j] - offsets[i], 2.0 * np.abs(diff)
     # pairs whose curves meet; identical curves (span 0) need no crossing
     meet = (span > 0.0) & (np.abs(gap) <= span)
     x = gap[meet] / span[meet]
@@ -853,7 +868,7 @@ def chain_verify(
     checks = [c for row in zip(*families) for c in row]
 
     # pairwise product-overlap ceilings, from the Gram matrices of the states
-    i, j = np.triu_indices(d_s, 1)
+    i, j = _pairs(d_s)
     for branch, phis in (("b", phi_b), ("c", phi_c)):
         vals = (gram_a * np.abs(phis.conj() @ phis.T))[i, j].tolist()
         labels = [f"pair_product_overlap_{branch}[{p},{q}]" for p, q in zip(i.tolist(), j.tolist())]

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -536,6 +538,42 @@ def test_a_returning_run_writes_one_manifest(workdir, capsys, argv, manifest, in
     written = json.loads((workdir / manifest).read_text())
     assert (written["subcommand"], written["inputs"], written["outputs"]) == (argv[0], inputs, outputs)
     assert written["flags"]["subcommand"] == argv[0] and "func" not in written["flags"]
+
+
+def test_an_output_that_is_no_regular_file_gets_its_manifest_in_the_working_directory(workdir, capsys):
+    # a pipe cannot be cut to length and has no directory of its own to hold a manifest
+    inst = perfect_qsb_construct(2, 2, 1, 1)
+    (workdir / "inst.json").write_text(json.dumps(inst.to_json()))
+    fifo = workdir / "out"
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["verify", "inst.json", "--chain", "--allow-trivial", "-o", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    eps_hat, _, _ = measure_eps(inst, default_probe_states(inst.d_s, 42, 100))
+    report = chain_verify(inst, eps_hat, seed=42, allow_trivial=True)
+    assert drained == [(json.dumps(report.to_json()) + "\n").encode()]
+    assert sorted(p.name for p in workdir.glob("*.manifest.json")) == ["verify.manifest.json"]
+    assert json.loads((workdir / "verify.manifest.json").read_text())["outputs"] == [str(fifo)]
+
+
+def test_the_writer_rewrites_in_place(workdir):
+    # a shorter payload over a longer file leaves exactly the new bytes
+    path = workdir / "f.json"
+    cli._write_file(path, b"x" * 100)
+    cli._write_json(path, {"a": 1})
+    assert path.read_bytes() == b'{"a": 1}\n'
+    # a symlink is written through, and survives
+    (workdir / "link.json").symlink_to(path)
+    cli._write_json(workdir / "link.json", [2])
+    assert (workdir / "link.json").is_symlink() and path.read_bytes() == b"[2]\n"
+    # a new file gets the mode open(path, "w") gives
+    cli._write_file(workdir / "new", b"")
+    with open(workdir / "ref", "w"):
+        pass
+    assert (workdir / "new").stat().st_mode == (workdir / "ref").stat().st_mode
 
 
 def test_a_property_violation_still_writes_its_manifest(workdir, capsys, monkeypatch):

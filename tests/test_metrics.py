@@ -229,6 +229,12 @@ def test_bound_check_semantics():
     assert BoundCheck.of(0.0, 1.0, tol=2.0).satisfied
 
 
+def test_bound_check_fields_are_read_only():
+    chk = BoundCheck.of(0.5, 0.25, label="demo")
+    with pytest.raises(AttributeError):
+        chk.satisfied = False
+
+
 def test_property_sweep_takes_the_package_seed_rule():
     with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
         property_sweep(1, 2, seed=-1)
