@@ -263,9 +263,9 @@ def _add_opt_flags(p: _Parser) -> None:
     p.add_argument("--ds", type=_int_at_least(1), required=True, help="source dimension")
     p.add_argument("--db", type=_int_at_least(1), required=True, help="first private dimension")
     p.add_argument("--dc", type=_int_at_least(1), required=True, help="second private dimension")
-    p.add_argument("--restarts", type=_int_at_least(1), default=16)
-    p.add_argument("--iters", type=_int_at_least(1), default=2000)
-    p.add_argument("--haar", type=_int_at_least(0), default=200, help="Haar probe count")
+    p.add_argument("--restarts", type=_int_at_least(1), default=OptimizeConfig.restarts)
+    p.add_argument("--iters", type=_int_at_least(1), default=OptimizeConfig.max_iters)
+    p.add_argument("--haar", type=_int_at_least(0), default=OptimizeConfig.haar_count, help="Haar probe count")
 
 
 def build_parser() -> _Parser:

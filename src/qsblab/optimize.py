@@ -5,8 +5,9 @@ two representations by free isometries, so every iterate is a valid instance
 by construction and the search runs unconstrained on the isometry manifold.
 Worst-case fidelity over a fixed probe family, the (d_s, n) columns of
 default_probe_states, is maximized through a temperature-annealed soft
-minimum of qsb.branch_values, the kernel that measure_eps also runs, on the
-probe operand qsb.search_probes picks for the search's shape. The
+minimum of qsb.branch_values, the kernel that measure_eps also runs, along
+its gradient qsb.branch_grads, both on the probe operand qsb.search_probes
+picks for the search's shape (its docstring explains the two forms). The
 temperature climbs a fixed ladder TEMPS, TEMP_INIT * TEMP_RATIO^j capped at
 TEMP_MAX. A stage ends when the tangent gradient norm falls below GRAD_TOL,
 or after its ceil(max_iters / STAGES) share of the budget, so max_iters is
@@ -44,8 +45,8 @@ import numpy as np
 
 from .errors import InvariantViolation, TooLarge
 from .hilbert import as_int, haar_isometry_matrix, _cholesky_lo, _inv
-from .qsb import (QsbInstance, _embed_params, branch_values, default_probe_states,
-                  measure_eps, search_probes, split_clone_construct)
+from .qsb import (QsbInstance, _embed_params, branch_grads, branch_values,
+                  default_probe_states, measure_eps, search_probes, split_clone_construct)
 
 DIM_CAP = 4096
 ENV_CAP = 16
@@ -169,34 +170,6 @@ def _soft_min(f: np.ndarray, hard: float, temp: float, e: np.ndarray) -> tuple[f
     return hard - math.log(z) / temp, z
 
 
-def _weighted_grads(cached: tuple, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
-
-    `cached` is the factor tuple `branch_values` returns for the point, and
-    the real rows of the padded (3, N_U, d_s) stack g receive the gradients.
-    With A = sum_n w[n] p_n p_n^H per branch, read as (w @ F).view(complex128)
-    from a probe matrix F or as (P w) P^H from outer products P, one product
-    gives both branches' G = K A as [ce s, s'] matrices. As K_B is
-    conj(U_B)^T V_AB for U_B = U[ab, ce s], g_U = V_AB conj(G_B)^T and
-    g_VAB = U_B G_B; C's terms add likewise, with U's B and C axes swapped.
-    """
-    k, u, uc_c, vab, vac, probes, gram, (d_a, d_b, d_c, d_e) = cached
-    d_s = vab.shape[1]
-    if gram:
-        a = np.dot(w, probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
-    else:
-        a = (probes * w[:, None, :]) @ probes.conj().T
-    gk = (k @ a).reshape(2, -1, d_s)
-    gh = gk.conj().swapaxes(1, 2)
-    rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
-    np.matmul(vab, gh[0, :, :rb], out=g[0].reshape(d_a * d_b, -1))
-    g_u = g[0].reshape(d_a, d_b, d_c, -1)
-    g_u += np.dot(vac, gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
-    np.matmul(u.reshape(d_a * d_b, -1), gk[0, :rb], out=g[1, : vab.shape[0]])
-    np.conjugate(np.dot(uc_c, gh[1, :, :rc].T), out=g[2, : vac.shape[0]])
-    return g
-
-
 def objective_value_and_grads(
     u: np.ndarray,
     vab: np.ndarray,
@@ -214,8 +187,9 @@ def objective_value_and_grads(
     f, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
     e = np.empty_like(f)
     value, z = _soft_min(f, float(f.min()), temp, e)
-    g = _weighted_grads(cached, e / z, np.zeros((3, *u.shape), dtype=np.complex128))
-    return value, g[0], g[1, : vab.shape[0]], g[2, : vac.shape[0]]
+    grads = (np.empty_like(u), np.empty_like(vab), np.empty_like(vac))
+    branch_grads(cached, e / z, grads)
+    return value, *grads
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
@@ -269,6 +243,7 @@ def _run_restart(
     for k, m in enumerate(init):
         x[k, : rows[k]] = m
     g, x_t = np.zeros_like(x), np.empty_like(x)  # gradient and trial point, written in place
+    grads = unpad(g)  # branch_grads writes these views; g's padding rows stay zero
     cap = -(-config.max_iters // STAGES)  # one stage's share of the budget
     step = STEP_INIT
     f, cached = branch_values(*unpad(x), probes, dims4)
@@ -293,7 +268,8 @@ def _run_restart(
             if iters == stage_end:
                 stop = "max_iters"
                 break
-            xi = _tangent(x, _weighted_grads(cached, np.divide(e, z, out=e), g))
+            branch_grads(cached, np.divide(e, z, out=e), grads)
+            xi = _tangent(x, g)
             gnorm2 = float(np.vdot(xi, xi).real)
             if gnorm2 < GRAD_TOL * GRAD_TOL:
                 stop = "converged"

@@ -16,13 +16,12 @@ default_probe_states to measure_eps, which validates it at that boundary; the
 single-state functions take and return validated PureStates.
 
 Both receiver fidelities come from one kernel, branch_values, as one (2, n)
-stack over the n inputs: the channel's Stinespring matrix contracted with the
-two representation isometries is a factor stack K, which meets the inputs only
-through their outer products p = conj(psi) (x) psi, as f = |K p|^2.
-measure_eps and chain_verify evaluate their probes once and read |K P|^2. A
-search evaluates one probe set thousands of times; where the probes are many
-and d_s is small (search_probes) it reads f = p^H (K^H K) p against a probe
-matrix of the p p^H built once.
+stack over the n inputs, and the search's gradient from its companion
+branch_grads: the channel's Stinespring matrix contracted with the two
+representation isometries is a factor stack K, which meets the inputs only
+through their outer products p = conj(psi) (x) psi, as f = |K p|^2. The two
+forms in which both kernels take the probes are explained once, at
+search_probes.
 
 The chain reads everything else from the Stinespring image U|psi> too: as an
 (A, B, C, E) tensor it already purifies the channel output, so the product
@@ -315,12 +314,17 @@ def probe_matrix(cols: np.ndarray) -> np.ndarray:
 def search_probes(cols: np.ndarray) -> np.ndarray:
     """The probe operand a search hands branch_values for source columns (d_s, n).
 
-    The Gram form trades |K P|^2's n * R * d_s^2 complex products,
-    R = max(d_b, d_c) * d_e, for building H = K^H K (R * d_s^4) and streaming
-    the (n, 2 d_s^4) probe matrix, once for the values and once for the
-    gradient. It is chosen where that pays: at least d_s^2 probes to amortise
-    H, and a probe matrix within GRAM_FLOATS, which holds the default probes
-    up to d_s = 4. Every other search contracts the (d_s^2, n) outer products.
+    branch_values and branch_grads read two operand forms, told apart by dtype.
+    The complex (d_s^2, n) outer products P, p = conj(psi) (x) psi, give
+    f = |K P|^2 and the gradient's A = sum_n w[n] p_n p_n^H as (P w) P^H;
+    measure_eps and chain_verify, which evaluate their probes once, use P. The
+    real (n, 2 d_s^4) probe_matrix F of the p p^H gives f[n] = p^H H p =
+    Re <H, p p^H>, H = K^H K, as one real product of H's float view with F,
+    and A as w @ F viewed complex. F trades |K P|^2's n * R * d_s^2 complex
+    products, R = max(d_b, d_c) * d_e, for building H (R * d_s^4) and
+    streaming F twice per iteration; it costs n * d_s^4 to build, so only a
+    search hands it in, where it pays: at least d_s^2 probes to amortise H,
+    and F within GRAM_FLOATS, which holds the default probes up to d_s = 4.
     """
     d_s, n = cols.shape
     if n >= d_s * d_s and n * 2 * d_s**4 <= GRAM_FLOATS:
@@ -335,7 +339,7 @@ def branch_values(
     probes: np.ndarray,
     dims4: tuple[int, int, int, int],
 ):
-    """Both receiver fidelities as one (2, n) stack, and the factors a gradient needs.
+    """Both receiver fidelities as one (2, n) stack, and the factor tuple branch_grads reads.
 
     u is a Stinespring matrix S -> ABCE (environment last), vab/vac the
     representation matrices. K_B[ce, s s'] = sum_ab conj(U[abce, s]) V_AB[ab, s']
@@ -343,27 +347,18 @@ def branch_values(
     U psi over AB, so f_AB = |K_B p|^2; K_C swaps U's B and C axes. Each is
     one product with a transposed view of conj(U), written into one
     zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack K whose zero rows add
-    nothing to either contraction.
-
-    probes is either the real probe_matrix F of the inputs or their complex
-    (d_s^2, n) outer products P. Against F the kernel takes the Gram form
-    H = K^H K, f[n] = p^H H p = Re <H, p p^H>, one real product of H's float
-    view with F for both receivers; against P it reads f = |K P|^2. Building
-    F costs n * d_s^4, so only a search, which evaluates one probe set
-    thousands of times, hands it in (search_probes). The cache is (K, U,
-    conj(U) with (A, C) leading, V_AB, V_AC, probes, whether they are F, dims4).
+    nothing to either contraction. probes is either operand form of
+    search_probes.
     """
     d_a, d_b, d_c, d_e = dims4
     d_s = vab.shape[1]
     uc = u.conj()
     uc_c = uc.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    alloc = np.empty if d_b == d_c else np.zeros  # only padding rows need zeros
-    k = alloc((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
+    k = np.zeros((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
     np.matmul(uc.reshape(d_a * d_b, -1).T, vab, out=k[0, : d_c * d_e * d_s])
     np.matmul(uc_c.T, vac, out=k[1, : d_b * d_e * d_s])
     k = k.reshape(2, -1, d_s * d_s)
-    gram = probes.dtype == np.float64
-    if gram:
+    if probes.dtype == np.float64:
         h = k.conj().swapaxes(1, 2) @ k
         f = np.dot(h.reshape(2, -1).view(np.float64), probes.T)
     else:
@@ -371,7 +366,35 @@ def branch_values(
         np.square(w, out=w)
         f = w.reshape(2, -1, 2 * probes.shape[1]).sum(axis=1)
         f = f[:, 0::2] + f[:, 1::2]
-    return f, (k, u, uc_c, vab, vac, probes, gram, dims4)
+    return f, (k, u, uc_c, vab, vac, probes, dims4)
+
+
+def branch_grads(cached: tuple, w: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
+    """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
+
+    cached is the factor tuple branch_values returned for the point, and out
+    holds three C-contiguous arrays of U's, V_AB's and V_AC's shapes, which
+    receive the gradients. With A = sum_n w[n] p_n p_n^H per branch, read from the probe
+    operand (search_probes), one product gives both branches' G = K A as
+    [ce s, s'] matrices. As K_B is conj(U_B)^T V_AB for U_B = U[ab, ce s],
+    g_U = V_AB conj(G_B)^T and g_VAB = U_B G_B; C's terms add likewise, with
+    U's B and C axes swapped.
+    """
+    k, u, uc_c, vab, vac, probes, (d_a, d_b, d_c, d_e) = cached
+    g_u, g_vab, g_vac = out
+    d_s = vab.shape[1]
+    if probes.dtype == np.float64:
+        a = np.dot(w, probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+    else:
+        a = (probes * w[:, None, :]) @ probes.conj().T
+    gk = (k @ a).reshape(2, -1, d_s)
+    gh = gk.conj().swapaxes(1, 2)
+    rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
+    np.matmul(vab, gh[0, :, :rb], out=g_u.reshape(d_a * d_b, -1))
+    g_u = g_u.reshape(d_a, d_b, d_c, -1)
+    g_u += np.dot(vac, gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
+    np.matmul(u.reshape(d_a * d_b, -1), gk[0, :rb], out=g_vab)
+    np.conjugate(np.dot(uc_c, gh[1, :, :rc].T), out=g_vac)
 
 
 def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ from qsblab.qsb import (
     perfect_qsb_construct,
     perturbed_perfect_instance,
     product_floors,
+    search_probes,
 )
 
 
@@ -326,36 +327,43 @@ def test_oracle_consistency_gradient(capsys):
     h = 1e-5
     worst_rel = 0.0
     failures = 0
-    for _ in range(100):
-        u = _haar_iso(d_a * d_b * d_c * d_e, cfg.d_s, rng)
-        vab = _haar_iso(d_a * d_b, cfg.d_s, rng)
-        vac = _haar_iso(d_a * d_c, cfg.d_s, rng)
-        g = rng.normal(size=(cfg.d_s, 8)) + 1j * rng.normal(size=(cfg.d_s, 8))
-        cols = g / np.linalg.norm(g, axis=0, keepdims=True)
-        mats = [u, vab, vac]
-        _, g_u, g_ab, g_ac = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, temp=30.0)
-        for which, grad in ((0, g_u), (1, g_ab), (2, g_ac)):
-            i = int(rng.integers(mats[which].shape[0]))
-            j = int(rng.integers(mats[which].shape[1]))
-            for direction, part in ((1.0, np.real), (1.0j, np.imag)):
-                plus = [m.copy() for m in mats]
-                minus = [m.copy() for m in mats]
-                plus[which][i, j] += direction * h
-                minus[which][i, j] -= direction * h
-                fd = (
-                    objective_value_and_grads(*plus, cols, cfg.dims4, temp=30.0)[0]
-                    - objective_value_and_grads(*minus, cols, cfg.dims4, temp=30.0)[0]
-                ) / (2.0 * h)
-                want = 2.0 * part(grad[i, j])
-                err = abs(fd - want)
-                if err > max(1e-4 * abs(want), 1e-8):
-                    failures += 1
-                worst_rel = max(worst_rel, err / max(abs(want), 1e-8))
-    ok = failures == 0
+    forms = set()
+    # 8 columns at d_S = 2 give the search the Gram operand; 3 < d_S^2 columns
+    # give it the outer products, the form every search at d_S >= 5 runs
+    for n_cols in (8, 3):
+        for _ in range(100):
+            u = _haar_iso(d_a * d_b * d_c * d_e, cfg.d_s, rng)
+            vab = _haar_iso(d_a * d_b, cfg.d_s, rng)
+            vac = _haar_iso(d_a * d_c, cfg.d_s, rng)
+            g = rng.normal(size=(cfg.d_s, n_cols)) + 1j * rng.normal(size=(cfg.d_s, n_cols))
+            cols = g / np.linalg.norm(g, axis=0, keepdims=True)
+            forms.add(search_probes(cols).dtype.kind)
+            mats = [u, vab, vac]
+            _, g_u, g_ab, g_ac = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, temp=30.0)
+            for which, grad in ((0, g_u), (1, g_ab), (2, g_ac)):
+                i = int(rng.integers(mats[which].shape[0]))
+                j = int(rng.integers(mats[which].shape[1]))
+                for direction, part in ((1.0, np.real), (1.0j, np.imag)):
+                    plus = [m.copy() for m in mats]
+                    minus = [m.copy() for m in mats]
+                    plus[which][i, j] += direction * h
+                    minus[which][i, j] -= direction * h
+                    fd = (
+                        objective_value_and_grads(*plus, cols, cfg.dims4, temp=30.0)[0]
+                        - objective_value_and_grads(*minus, cols, cfg.dims4, temp=30.0)[0]
+                    ) / (2.0 * h)
+                    want = 2.0 * part(grad[i, j])
+                    err = abs(fd - want)
+                    if err > max(1e-4 * abs(want), 1e-8):
+                        failures += 1
+                    worst_rel = max(worst_rel, err / max(abs(want), 1e-8))
+    ok = failures == 0 and forms == {"f", "c"}
     _verdict(
         capsys,
         "oracle_consistency_gradient",
         ok,
-        f"100 iterates x 6 directional checks, {failures} mismatches, worst rel {worst_rel:.2e}",
+        f"2 probe forms x 100 iterates x 6 directional checks, {failures} mismatches, "
+        f"worst rel {worst_rel:.2e}",
     )
+    assert forms == {"f", "c"}  # the Gram operand and the outer products
     assert failures == 0

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsblab import cli
+from qsblab import qsb as qsb_module
 from qsblab.cli import main
 from qsblab.hilbert import PureState, SpaceLayout, random_pure
 from qsblab.optimize import OptimizeConfig, optimize_qsb
-from qsblab.qsb import chain_verify, default_probe_states, measure_eps, perfect_qsb_construct
+from qsblab.qsb import (chain_verify, default_probe_states, measure_eps, perfect_qsb_construct,
+                        perturbed_perfect_instance)
 
 
 @pytest.fixture
@@ -142,6 +144,16 @@ def test_a_request_too_large_to_allocate_exits_4(workdir, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("too large: "), err
+
+
+def test_an_unwritable_output_exits_3(workdir, capsys):
+    # the output's directory does not exist: the write's OSError is an I/O
+    # failure, one stderr line, no traceback and no file
+    assert main(_with_dims("construct", da="2", db="1", dc="1") + ["-o", "missing/x.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("I/O failure: [Errno 2] "), err
+    assert not list(workdir.iterdir())
 
 
 def test_no_cli_call_builds_a_pure_state(workdir, monkeypatch):
@@ -583,6 +595,21 @@ def test_a_property_violation_still_writes_its_manifest(workdir, capsys, monkeyp
     assert main(["properties", "--samples", "1"]) == 4
     assert capsys.readouterr().out.startswith("1 property violations (seed 42):\n")
     assert [p.name for p in workdir.iterdir()] == ["properties.manifest.json"]
+
+
+def test_a_failing_chain_row_exits_4_and_keeps_its_report(workdir, capsys, monkeypatch):
+    # a product-extraction deficit of 1e-12 eps^(1/8) is a floor that a channel
+    # depolarised by 0.05 cannot meet: its FAIL rows end a finished run with exit 4
+    monkeypatch.setitem(qsb_module._CHAIN, "product", (1e-12, 1 / 8))
+    inst = perturbed_perfect_instance(2, 2, 2, 2, 0.05)
+    (workdir / "inst.json").write_text(json.dumps(inst.to_json()))
+    assert main(["verify", "inst.json", "--chain", "--allow-trivial", "-o", "chain.json"]) == 4
+    out = capsys.readouterr().out
+    assert any(line.endswith(" FAIL") for line in out.splitlines())
+    assert "all_satisfied False" in out.splitlines()
+    assert json.loads((workdir / "chain.json").read_text())["all_satisfied"] is False
+    manifest = json.loads((workdir / "chain.manifest.json").read_text())
+    assert (manifest["inputs"], manifest["outputs"]) == (["inst.json"], ["chain.json"])
 
 
 @pytest.mark.parametrize(

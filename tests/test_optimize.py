@@ -80,6 +80,8 @@ def test_config_misc_guards():
         OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, restarts=0)
     with pytest.raises(InvariantViolation):
         OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, haar_count=-1)
+    with pytest.raises(InvariantViolation, match="d_b must be >= 1"):
+        OptimizeConfig(d_s=2, d_a=2, d_b=0, d_c=2)
 
 
 def test_config_and_sweep_take_only_integer_counts(monkeypatch):

@@ -132,6 +132,9 @@ def test_instance_validation():
     # a two-subsystem channel output is not a broadcast channel
     with pytest.raises(InvariantViolation, match="exactly three subsystems"):
         replace(base, output_layout=SpaceLayout([("A", 2), ("B", 4)]))
+    # nor is a channel whose input is a pair of subsystems
+    with pytest.raises(InvariantViolation, match="single subsystem"):
+        replace(base, source_layout=SpaceLayout([("S", 1), ("T", 2)]))
     # each representation must be an isometry of the right shape
     for bad in (np.ones((4, 2)), np.full((4, 2), np.nan)):
         with pytest.raises(InvariantViolation, match="isometry of v_abs violated"):
