@@ -96,9 +96,17 @@ def _write_file(path: str | Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _print_wrapped(values: np.ndarray, per_line: int = 8) -> None:
-    cells = ["%.6f" % v for v in values.tolist()]
-    print("\n".join(" ".join(cells[i : i + per_line]) for i in range(0, len(cells), per_line)))
+_PER_LINE = 8  # fidelities per stdout line
+
+
+@functools.lru_cache(maxsize=4)
+def _wrapped_layout(n: int) -> str:
+    """The %-format of n values at _PER_LINE to a line, built once per count."""
+    return "\n".join(" ".join(["%.6f"] * min(_PER_LINE, n - i)) for i in range(0, n, _PER_LINE))
+
+
+def _print_wrapped(values: np.ndarray) -> None:
+    print(_wrapped_layout(len(values)) % tuple(values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +168,8 @@ def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
         for label, lhs, rhs, slack, satisfied, vacuous in report.checks:
             status = "vacuous" if vacuous else ("ok" if satisfied else "FAIL")
             lines.append("%-40s %12.6f %12.6f %12.6f %s" % (label, lhs, rhs, slack, status))
-        lines.append(f"all_satisfied {report.all_satisfied}")
+        all_ok = report.all_satisfied
+        lines.append(f"all_satisfied {all_ok}")
         if report.cloning_contradiction:
             lines.append("copy floors exceed the universal cloning ceiling: contradiction")
         print("\n".join(lines))
@@ -168,7 +177,7 @@ def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
             _write_json(args.out, report.to_json())
             outputs.append(args.out)
             print(f"wrote {args.out}")
-        if not report.all_satisfied:
+        if not all_ok:
             code = EXIT_INVARIANT
     return code, [args.instance], outputs
 

@@ -35,6 +35,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -423,7 +424,7 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
     return max(1.0 - float(f.min()), 0.0), f[0], f[1]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(m, 1), the pairs i < j in row order, built once per m and read-only."""
     i, j = np.triu_indices(m, 1)
@@ -442,9 +443,11 @@ def default_probe_states(
 
     The balanced states run over all index pairs with phase_count relative
     phases; they catch coherence loss the basis alone cannot see. Each Haar
-    sample is bit-identical to random_pure's from the same rng stream.
-    Given a layout in place of d_s, the same set comes back as PureStates on
-    it, the form bench/tests/test_bench_oracle.py still reads.
+    sample is bit-identical to random_pure's from the same rng stream. The
+    seed-free columns come from a per-shape cache (_fixed_probe_columns); the
+    array returned is always a fresh, writable one. Given a layout in place
+    of d_s, the same set comes back as PureStates on it, the form
+    bench/tests/test_bench_oracle.py still reads.
     """
     if isinstance(d_s, SpaceLayout):
         cols = default_probe_states(d_s.total_dim, seed, haar_count, phase_count)
@@ -453,14 +456,23 @@ def default_probe_states(
     d_s, haar_count, phase_count = map(as_int, (d_s, haar_count, phase_count), names)
     if d_s < 1 or min(haar_count, phase_count) < 0:
         raise InvariantViolation(f"need d_s >= 1 and counts >= 0, got {d_s}, {haar_count}, {phase_count}")
+    haar = _haar_rows(_as_rng(seed), haar_count, d_s)
+    return np.concatenate([_fixed_probe_columns(d_s, phase_count), haar.T], axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_probe_columns(d_s: int, phase_count: int) -> np.ndarray:
+    """The seed-free head of default_probe_states: the basis, then every pair
+    i < j at each relative phase, built once per shape and read-only."""
     # each relative phase exp(2 pi i p / phase_count) as the scalar expression gives it
     phases = np.array([np.exp(2j * np.pi * p / phase_count) for p in range(phase_count)])
     i, j = _pairs(d_s)
     pairs = np.zeros((len(i), phase_count, d_s), dtype=np.complex128)
     pairs[np.arange(len(i)), :, i] = 1.0 / np.sqrt(2.0)
     pairs[np.arange(len(i)), :, j] = 1.0 / np.sqrt(2.0) * phases
-    haar = _haar_rows(_as_rng(seed), haar_count, d_s)
-    return np.concatenate([np.eye(d_s), pairs.reshape(-1, d_s).T, haar.T], axis=1)
+    cols = np.concatenate([np.eye(d_s), pairs.reshape(-1, d_s).T], axis=1)
+    cols.flags.writeable = False
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +835,38 @@ def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:
     turn, sine = diff[meet].conj() / (0.5 * span[meet]), 1j * np.sqrt(1.0 - x * x)
     z = np.concatenate([np.exp(-1j * np.angle(cross)), turn * (x + sine), turn * (x - sine)])
     # o_i + 2 Re(c_i) cos(theta) - 2 Im(c_i) sin(theta) for every sample and candidate
-    coef = np.stack([offsets, 2.0 * cross.real, -2.0 * cross.imag], axis=1)
-    vals = (coef @ np.stack([np.ones(len(z)), z.real, z.imag])).min(axis=0)
+    # both operands filled in place, cheaper than np.stack at these sizes
+    coef = np.empty((len(offsets), 3))
+    coef[:, 0], coef[:, 1], coef[:, 2] = offsets, 2.0 * cross.real, -2.0 * cross.imag
+    trig = np.ones((3, len(z)))
+    trig[1], trig[2] = z.real, z.imag
+    vals = (coef @ trig).min(axis=0)
     k = int(np.argmax(vals))
     # a tiny negative angle can round to exactly 2 pi under the first %
     return float(np.angle(z[k]) % (2.0 * np.pi) % (2.0 * np.pi)), float(vals[k])
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_labels(d_s: int, m: int) -> MappingProxyType:
+    """chain_verify's row labels at source dim d_s and m sampled inputs, one
+    tuple per family in row order: product_floor_x[k] (x in abc, ab, ac) per
+    basis element k, and per branch y in b, c, pair_product_overlap_y[p,q] per
+    pair p < q, outer_overlap_ceiling_y, and superposition_floor_y[n] and
+    copy_map_floor_y[n] per sample n. Built once per shape and read-only.
+    """
+    samples = [f"[{n}]" for n in range(m)]
+    index = {
+        "product_floor": [f"[{k}]" for k in range(d_s)],
+        "pair_product_overlap": [f"[{p},{q}]" for p, q in zip(*(ix.tolist() for ix in _pairs(d_s)))],
+        "outer_overlap_ceiling": [""],
+        "superposition_floor": samples,
+        "copy_map_floor": samples,
+    }
+    return MappingProxyType({
+        f"{family}_{x}": tuple(f"{family}_{x}{ix}" for ix in ixs)
+        for family, ixs in index.items()
+        for x in (("abc", "ab", "ac") if family == "product_floor" else "bc")
+    })
 
 
 def check_chain_premise(instance: QsbInstance, allow_trivial: bool) -> None:
@@ -884,8 +923,10 @@ def chain_verify(
 
     # per-element extraction floors, the rows running abc, ab, ac for each basis element in turn
     floors = product_floors(eps_eff)
+    m = sup.shape[1]
+    labels = _chain_labels(d_s, m)
     families = [
-        _bounds([f"product_floor_{x}[{k}]" for k in range(d_s)], f.tolist(), floors["floor_" + x])
+        _bounds(labels["product_floor_" + x], f.tolist(), floors["floor_" + x])
         for x, f in (("abc", f_abc), ("ab", f_ab), ("ac", f_ac))
     ]
     checks = [c for row in zip(*families) for c in row]
@@ -894,8 +935,8 @@ def chain_verify(
     i, j = _pairs(d_s)
     for branch, phis in (("b", phi_b), ("c", phi_c)):
         vals = (gram_a * np.abs(phis.conj() @ phis.T))[i, j].tolist()
-        labels = [f"pair_product_overlap_{branch}[{p},{q}]" for p, q in zip(i.tolist(), j.tolist())]
-        checks += _bounds(labels, vals, consts.constants["eps_dprime_" + branch], floor=False)
+        ceiling = consts.constants["eps_dprime_" + branch]
+        checks += _bounds(labels["pair_product_overlap_" + branch], vals, ceiling, floor=False)
 
     # Shared-pair guarantees exist only for d_s > d_a (vector crowding);
     # everything downstream of the selected pair inherits that condition.
@@ -913,7 +954,6 @@ def chain_verify(
     degenerate: list[str] = []
     cloning_votes: dict[str, bool] = {}
     # channel outputs of the sampled inputs, axes (A, B, C, E, sample)
-    m = sup.shape[1]
     out = (instance.u @ sup).reshape(d_a, instance.d_b, instance.d_c, -1, m)
 
     for branch, axis, phis, v_rep, admissible in (
@@ -924,7 +964,7 @@ def chain_verify(
         x1, x2 = phis[k1], phis[k2]
         c = complex(np.vdot(x1, x2))
         ceiling = math.sqrt(consts.constants["eps_dprime_" + branch])
-        checks += _bounds([f"outer_overlap_ceiling_{branch}"], [abs(c)], ceiling, floor=False, enforced=cond)
+        checks += _bounds(labels["outer_overlap_ceiling_" + branch], [abs(c)], ceiling, floor=False, enforced=cond)
         # the normalised component of x2 orthogonal to x1, undefined if nearly parallel
         if abs(c) >= 1.0 - 1e-9:
             degenerate.append(branch)
@@ -944,8 +984,7 @@ def chain_verify(
         theta[branch] = th
         f_sup = offsets + 2.0 * np.real(cross * np.exp(1j * th))
         floor = 1.0 - consts.constants["eps_tprime_" + branch]
-        labels = [f"superposition_floor_{branch}[{n}]" for n in range(m)]
-        checks += _bounds(labels, f_sup.tolist(), floor, enforced=cond)
+        checks += _bounds(labels["superposition_floor_" + branch], f_sup.tolist(), floor, enforced=cond)
 
         # copy map W: span{k1, k2} -> H_X and its floors on the marginal, from
         # <x|rho_X|y> = sum over the other axes of (x^H out) conj(y^H out)
@@ -960,8 +999,7 @@ def chain_verify(
         theta[branch + "_prime"] = thp
         f_copy = offs + 2.0 * np.real(crs * np.exp(1j * thp))
         floor = 1.0 - consts.constants["eps_iv_" + branch]
-        labels = [f"copy_map_floor_{branch}[{n}]" for n in range(m)]
-        checks += _bounds(labels, f_copy.tolist(), floor, enforced=cond)
+        checks += _bounds(labels["copy_map_floor_" + branch], f_copy.tolist(), floor, enforced=cond)
         cloning_votes[branch] = cond and floor > CLONING_CEILING
 
     return replace(

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsblab import cli
+from qsblab import optimize as optimize_module
 from qsblab import qsb as qsb_module
 from qsblab.cli import main
 from qsblab.hilbert import PureState, SpaceLayout, random_pure
 from qsblab.optimize import OptimizeConfig, optimize_qsb
 from qsblab.qsb import (chain_verify, default_probe_states, measure_eps, perfect_qsb_construct,
-                        perturbed_perfect_instance)
+                        perturbed_perfect_instance, werner_cloner_construct)
 
 
 @pytest.fixture
@@ -71,6 +72,16 @@ def test_verify_reports_deficit(workdir, capsys):
     assert float(eps_line.split()[1]) <= 1e-12  # perfect instance
     assert "states 30" in out  # 2 basis + 8 phased pairs + 20 haar
     assert (workdir / "verify.manifest.json").exists()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_wrapped_fidelities_read_as_one_cell_per_value(capsys, n):
+    # eight "%.6f" cells to a line, the last line holding the rest
+    values = np.linspace(0.0, 1.0, n) ** 3
+    cli._print_wrapped(values)
+    cells = ["%.6f" % v for v in values]
+    want = "\n".join(" ".join(cells[i : i + 8]) for i in range(0, n, 8))
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_verify_unreadable_and_malformed(workdir, capsys):
@@ -610,6 +621,36 @@ def test_a_failing_chain_row_exits_4_and_keeps_its_report(workdir, capsys, monke
     assert json.loads((workdir / "chain.json").read_text())["all_satisfied"] is False
     manifest = json.loads((workdir / "chain.manifest.json").read_text())
     assert (manifest["inputs"], manifest["outputs"]) == (["inst.json"], ["chain.json"])
+
+
+def test_copy_floors_past_the_cloning_ceiling_report_a_contradiction(workdir, capsys, monkeypatch):
+    # with the extraction and copy-map coefficients cut to 1e-12, both copy
+    # floors sit above 5/6 on an instance with d_S > d_A: the chain's
+    # contradiction line, and FAIL rows that no channel can avoid, exit 4
+    for key in ("eps_prime_b", "eps_prime_c", "eps_iv_b", "eps_iv_c"):
+        monkeypatch.setitem(qsb_module._CHAIN, key, (1e-12, qsb_module._CHAIN[key][1]))
+    (workdir / "inst.json").write_text(json.dumps(werner_cloner_construct(2).to_json()))
+    assert main(["verify", "inst.json", "--chain", "-o", "chain.json"]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert "copy floors exceed the universal cloning ceiling: contradiction" in out
+    assert "all_satisfied False" in out
+    report = json.loads((workdir / "chain.json").read_text())
+    assert report["cloning_contradiction"] is True and report["all_satisfied"] is False
+
+
+def test_a_decreasing_frontier_exits_4(workdir, capsys, monkeypatch):
+    # frontier_sweep seeds each point with the last winner, so a lower best at
+    # the next d_A is a defect: one stderr line, exit 4, no CSV and no manifest
+    monkeypatch.setattr(
+        optimize_module,
+        "optimize_qsb",
+        lambda cfg, seeds=(): SimpleNamespace(best_worst_fidelity=1.0 / cfg.d_a, best_instance=None),
+    )
+    assert main(["sweep", "--ds", "2", "--da", "1..2", "--db", "2", "--dc", "2"]) == 4
+    assert capsys.readouterr().err == (
+        "invariant violation: frontier decreased with growing shared dimension despite embedding\n"
+    )
+    assert not list(workdir.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Riemannian search over broadcast instances: gradients, restarts, frontier."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_config_and_sweep_take_only_integer_counts(monkeypatch):
     for values in ([1.7, 2.2], [1, 2.0], [True]):
         with pytest.raises(TypeError, match="d_a .* not an integer"):
             frontier_sweep(cfg, values)
+
+
+def test_a_decreasing_frontier_is_an_invariant_violation(monkeypatch):
+    # each point is seeded with the previous winner, so its best cannot fall
+    # below it; a search that returns less anyway is reported, not smoothed over
+    bests = iter((0.9, 0.8))
+    monkeypatch.setattr(
+        optimize_module,
+        "optimize_qsb",
+        lambda cfg, seeds=(): SimpleNamespace(best_worst_fidelity=next(bests), best_instance=None),
+    )
+    with pytest.raises(InvariantViolation, match="frontier decreased with growing shared dimension"):
+        frontier_sweep(OptimizeConfig(2, 1, 2, 2, **SMALL), [1, 2])
 
 
 def test_config_seed_follows_the_integer_rule():

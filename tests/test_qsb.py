@@ -37,6 +37,7 @@ from qsblab.qsb import (
     ProductApprox,
     QsbInstance,
     _best_phase,
+    _closest_pair,
     asymptotic_ladder,
     chain_constants,
     chain_verify,
@@ -304,6 +305,43 @@ def test_default_probe_states_on_a_layout():
     assert np.array_equal(np.stack([p.amplitudes for p in states], axis=1), cols)
 
 
+def test_default_probe_states_are_fresh_arrays_over_a_read_only_cached_block():
+    # the seed-free head is built once per shape; every call still returns
+    # its own writable array, so a caller that writes one changes no other
+    for haar_count in (0, 5):
+        a, b = (default_probe_states(3, 0, haar_count) for _ in range(2))
+        fixed = qsb_module._fixed_probe_columns(3, 8)
+        assert not fixed.flags.writeable
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, fixed)
+        assert np.array_equal(a[:, : fixed.shape[1]], fixed)
+        a[:] = 0.0
+        assert np.array_equal(default_probe_states(3, 0, haar_count), b)
+    # bounded: a caller sweeping d_s keeps only the last few blocks and index pairs
+    for d in range(2, 12):
+        default_probe_states(d, 0, 0)
+    for cache, size in ((qsb_module._fixed_probe_columns, 4), (qsb_module._pairs, 8)):
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == size
+
+
+def test_chain_labels_are_one_read_only_table_per_shape():
+    labels = qsb_module._chain_labels(3, 32)
+    assert labels is qsb_module._chain_labels(3, 32)
+    with pytest.raises(TypeError):
+        labels["product_floor_ab"] = ()
+    assert labels["product_floor_ab"] == ("product_floor_ab[0]", "product_floor_ab[1]", "product_floor_ab[2]")
+    assert labels["pair_product_overlap_c"] == (
+        "pair_product_overlap_c[0,1]", "pair_product_overlap_c[0,2]", "pair_product_overlap_c[1,2]"
+    )
+    assert labels["outer_overlap_ceiling_b"] == ("outer_overlap_ceiling_b",)
+    assert labels["copy_map_floor_c"][-1] == "copy_map_floor_c[31]"
+    # every indexed row of a report takes its label from the table
+    rows = [c.label for c in chain_verify(_random_instance(3, 2, 2, 2, seed=1), 0.0).checks]
+    table = {label for family in labels.values() for label in family}
+    assert table <= set(rows)
+    assert len(rows) == len(table) + 3  # the selected pair, crowding and closeness rows
+
+
 def test_perturbed_deficit_is_exact():
     for dims, w in [((2, 2, 2, 2), 0.01), ((2, 2, 3, 2), 0.05)]:
         inst = perturbed_perfect_instance(*dims, w)
@@ -450,6 +488,10 @@ def test_max_overlap_pair_guards():
         max_overlap_pair([basis_state(lay, 0)])
     with pytest.raises(LayoutMismatch):
         max_overlap_pair([basis_state(lay, 0), basis_state(SpaceLayout([("R", 2)]), 0)])
+    # three vectors in dim 2 cannot all be orthogonal: a zero overlap table
+    # falls below overlap_lower_bound(3, 2) = 0.5, which only a defect can do
+    with pytest.raises(InvariantViolation, match="numerical defect"):
+        _closest_pair(np.zeros((3, 3)), 2)
 
 
 @given(seed=st.integers(0, 10**6))
