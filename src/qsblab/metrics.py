@@ -28,7 +28,7 @@ A BoundCheck is built only for a failure.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -119,10 +119,21 @@ class BoundCheck(NamedTuple):
         vacuous: bool = False,
         tol: float = _SLACK_TOL,
     ) -> "BoundCheck":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        slack = lhs - rhs
-        return cls(label, lhs, rhs, slack, slack >= -tol, vacuous)
+        return cls.rows((label,), (float(lhs),), (float(rhs),), vacuous, tol)[0]
+
+    @classmethod
+    def rows(
+        cls,
+        labels: Iterable[str],
+        lhs: Iterable[float],
+        rhs: Iterable[float],
+        vacuous: bool = False,
+        tol: float = _SLACK_TOL,
+    ) -> list["BoundCheck"]:
+        """A family's rows, one per label, zipped with its lhs and rhs floats (a side
+        every row shares as itertools.repeat): the one place the rule is applied."""
+        rows = zip(labels, lhs, rhs)
+        return [cls(label, a, b, (s := a - b), s >= -tol, vacuous) for label, a, b in rows]
 
 
 def _dsqrt(x):

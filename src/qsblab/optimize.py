@@ -126,7 +126,6 @@ class FrontierPoint:
     eps_hat: float
     restarts: int
     seed: int
-    max_fidelity_seen: float
     restart_values: tuple[float, ...] = ()
     stop_reasons: tuple[str, ...] = ()
 
@@ -150,7 +149,6 @@ class FrontierPoint:
             "winner_restart": self.winner_restart,
             "restarts": self.restarts,
             "seed": self.seed,
-            "max_fidelity_seen": self.max_fidelity_seen,
             "restart_values": list(self.restart_values),
             "stop_reasons": list(self.stop_reasons),
             "best_instance": self.best_instance.to_json(),
@@ -222,7 +220,6 @@ class _RestartOutcome:
     best_hard: float
     params: tuple[np.ndarray, np.ndarray, np.ndarray]
     iterations: int
-    max_seen: float
     stop_reason: str
 
 
@@ -248,7 +245,7 @@ def _run_restart(
     step = STEP_INIT
     f, cached = branch_values(*unpad(x), probes, dims4)
     hard = float(np.minimum.reduce(f, None))
-    best_hard, best_x, f_max = hard, x, f.copy()  # f_max: each value's largest so far
+    best_hard, best_x = hard, x
     e = np.empty_like(f)  # the current point's soft-min exponentials, then each trial's
     iters = 0
 
@@ -306,13 +303,12 @@ def _run_restart(
             else:
                 stop = "line_search_exhausted"
                 break
-            np.maximum(f_max, f, out=f_max)
             if hard > best_hard:
                 best_hard, best_x = hard, x
         if stop in ("perfect", "line_search_exhausted"):
             break
 
-    return _RestartOutcome(index, best_hard, unpad(best_x), iters, float(f_max.max()), stop)
+    return _RestartOutcome(index, best_hard, unpad(best_x), iters, stop)
 
 
 def _random_init(
@@ -369,7 +365,6 @@ def optimize_qsb(config: OptimizeConfig, seeds: Sequence[QsbInstance] = ()) -> F
         eps_hat=eps_hat,
         restarts=len(inits),
         seed=config.seed,
-        max_fidelity_seen=max(o.max_seen for o in outcomes),
         restart_values=tuple(o.best_hard for o in outcomes),
         stop_reasons=tuple(o.stop_reason for o in outcomes),
     )

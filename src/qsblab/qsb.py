@@ -32,6 +32,7 @@ two-level family is set by an exact max-min over closed-form candidates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -65,7 +66,7 @@ from .hilbert import (
     _mat_from_json,
     _mat_to_json,
 )
-from .metrics import _SLACK_TOL, BoundCheck
+from .metrics import BoundCheck
 
 # Worst-case ceiling for universal qubit cloning: no input-independent
 # 1 -> 2 copier pushes both copy fidelities above this value.
@@ -802,18 +803,10 @@ def _bounds(
     value >= bound for a floor, value <= bound for a ceiling. The family is
     vacuous where its unclamped bound constrains nothing (a floor <= 0, a
     ceiling >= 1) or where enforced is False."""
-    clamped = min(max(bound, 0.0), 1.0)
+    clamped = itertools.repeat(min(max(bound, 0.0), 1.0))
     vacuous = (bound <= 0.0 if floor else bound >= 1.0) or not enforced
-    # BoundCheck.of's row, built inline: the values are floats already
-    if floor:
-        return [
-            BoundCheck(label, v, clamped, (s := v - clamped), s >= -_SLACK_TOL, vacuous)
-            for label, v in zip(labels, values)
-        ]
-    return [
-        BoundCheck(label, clamped, v, (s := clamped - v), s >= -_SLACK_TOL, vacuous)
-        for label, v in zip(labels, values)
-    ]
+    lhs, rhs = (values, clamped) if floor else (clamped, values)
+    return BoundCheck.rows(labels, lhs, rhs, vacuous)
 
 
 def _best_phase(offsets: np.ndarray, cross: np.ndarray) -> tuple[float, float]:

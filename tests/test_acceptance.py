@@ -108,15 +108,21 @@ def test_cloning_ceiling(trivial_shared_run, capsys):
     elapsed = opt_elapsed + (time.perf_counter() - t0)
     best = point.best_worst_fidelity
     in_window = CLONING_CEILING - 1e-4 <= best <= CLONING_CEILING + 1e-3
-    ok = in_window and cloner_dev <= 1e-9 and elapsed < 120.0
+    # d_S > d_A inserts no perfect seed, so all 16 restarts start from Haar draws;
+    # each one, not only the winner, must reach the ceiling and stop converged
+    worst = min(point.restart_values)
+    restarts_ok = worst >= CLONING_CEILING - 1e-5 and point.stop_reasons == ("converged",) * 16
+    ok = in_window and restarts_ok and cloner_dev <= 1e-9 and elapsed < 120.0
     _verdict(
         capsys,
         "cloning_ceiling",
         ok,
-        f"best {best:.7f} in [5/6-1e-4, 5/6+1e-3], cloner dev {cloner_dev:.1e} (tol 1e-9), "
+        f"best {best:.7f} in [5/6-1e-4, 5/6+1e-3], worst restart 5/6{worst - CLONING_CEILING:+.2e} "
+        f"(tol -1e-5), stops {sorted(set(point.stop_reasons))}, cloner dev {cloner_dev:.1e} (tol 1e-9), "
         f"{elapsed:.1f}s / 120s",
     )
     assert in_window
+    assert restarts_ok
     assert cloner_dev <= 1e-9
     assert elapsed < 120.0
 

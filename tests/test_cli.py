@@ -415,7 +415,11 @@ def test_optimize_writes_frontier(workdir, capsys):
     assert "wrote frontier.json" in out
     data = json.loads((workdir / "frontier.json").read_text())
     assert data["dims"] == [2, 2, 1, 1]
-    assert "best_instance" in data
+    # the frontier file's key order, which the JSON writer keeps
+    assert list(data) == [
+        "dims", "best_worst_fidelity", "eps_hat", "iterations_used", "winner_restart",
+        "restarts", "seed", "restart_values", "stop_reasons", "best_instance",
+    ]
     manifest = json.loads((workdir / "frontier.manifest.json").read_text())
     assert manifest["subcommand"] == "optimize"
 

@@ -27,7 +27,7 @@ from qsblab.metrics import (
     fidelity_pure,
     property_sweep,
 )
-from qsblab.qsb import overlap_lower_bound
+from qsblab.qsb import _bounds, overlap_lower_bound
 
 QUBIT = SpaceLayout([("Q", 2)])
 
@@ -227,6 +227,33 @@ def test_bound_check_semantics():
     assert BoundCheck.of(1.0, 1.0 + 5e-10).satisfied
     assert not BoundCheck.of(1.0, 1.0 + 5e-9).satisfied
     assert BoundCheck.of(0.0, 1.0, tol=2.0).satisfied
+
+
+def test_bound_check_rows_rule():
+    # slack exactly -1e-9 sits on the tolerance and holds; a NaN side fails
+    edge, nan = BoundCheck.rows(["edge", "nan"], [0.0, float("nan")], [1e-9, 0.5])
+    assert edge.slack == -1e-9 and edge.satisfied
+    assert not nan.satisfied
+    # of is the builder's one-row call
+    assert BoundCheck.of(np.float64(0.5), 0.25, label="demo", vacuous=True) == BoundCheck.rows(
+        ["demo"], [0.5], [0.25], vacuous=True
+    )[0]
+
+
+def test_chain_rows_clamp_mark_vacuity_and_orient():
+    # a floor at exactly 0 and a ceiling at exactly 1 constrain nothing
+    assert all(c.vacuous for c in _bounds(["f0", "f1"], [0.2, 0.7], 0.0))
+    assert all(c.vacuous for c in _bounds(["c"], [0.4], 1.0, floor=False))
+    # a floor above 1 is clamped to 1 and enforced
+    (high,) = _bounds(["high"], [0.9], 1.5)
+    assert (high.lhs, high.rhs, high.satisfied, high.vacuous) == (0.9, 1.0, False, False)
+    # enforced=False makes a row vacuous whatever its bound
+    (waived,) = _bounds(["waived"], [0.1], 0.5, enforced=False)
+    assert waived.vacuous and not waived.satisfied
+    # a ceiling puts the bound on the left: value <= bound
+    under, over = _bounds(["under", "over"], [0.3, 0.7], 0.5, floor=False)
+    assert (under.lhs, under.rhs, under.satisfied, under.vacuous) == (0.5, 0.3, True, False)
+    assert (over.lhs, over.rhs, over.satisfied) == (0.5, 0.7, False)
 
 
 def test_bound_check_fields_are_read_only():

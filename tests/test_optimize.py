@@ -151,7 +151,6 @@ def test_frontier_point_validation_and_csv():
             eps_hat=0.0,
             restarts=1,
             seed=0,
-            max_fidelity_seen=1.0,
         )
     pt = FrontierPoint(
         dims=(1, 1, 1, 1),
@@ -162,7 +161,6 @@ def test_frontier_point_validation_and_csv():
         eps_hat=0.0,
         restarts=1,
         seed=0,
-        max_fidelity_seen=1.0,
     )
     row = pt.csv_row()
     assert len(row) == len(FrontierPoint.CSV_HEADER)
@@ -461,7 +459,6 @@ def test_optimize_winner_consistency():
     assert point.restart_values[point.winner_restart] == pytest.approx(
         point.best_worst_fidelity, abs=1e-12
     )
-    assert point.max_fidelity_seen >= point.best_worst_fidelity - 1e-12
 
 
 def test_optimize_is_deterministic():
