@@ -132,8 +132,8 @@ class BoundCheck(NamedTuple):
     ) -> list["BoundCheck"]:
         """A family's rows, one per label, zipped with its lhs and rhs floats (a side
         every row shares as itertools.repeat): the one place the rule is applied."""
-        rows = zip(labels, lhs, rhs)
-        return [cls(label, a, b, (s := a - b), s >= -tol, vacuous) for label, a, b in rows]
+        sides = zip(labels, lhs, rhs)
+        return [cls(label, a, b, (s := a - b), s >= -tol, vacuous) for label, a, b in sides]
 
 
 def _dsqrt(x):
