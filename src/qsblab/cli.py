@@ -2,11 +2,12 @@
 
 Subcommands: construct, verify, threshold, properties, optimize, sweep.
 Exit codes: 0 success, 1 usage, 2 mathematically impossible request,
-3 I/O or malformed input, 4 invariant or property violation or a request
-too large to allocate ("too large: ..."). A subcommand that returns (exit
-0, or 4 from a failing chain row or property check) writes one small
-manifest next to its outputs so it can be replayed; a run that ends in an
-error message (usage, or exit 2, 3 or 4 from an exception) writes none.
+3 I/O or malformed input, 4 invariant or property violation, or a request
+too large to allocate or a dimension past optimize's cap ("too large: ...").
+A subcommand that returns (exit 0, or 4 from a failing chain row or
+property check) writes one small manifest next to its outputs so it can be
+replayed; a run that ends in an error message (usage, or exit 2, 3 or 4
+from an exception) writes none.
 Every file is rewritten in place and cut to the new length, not truncated
 first; an output that is not a regular file (a device, a pipe) is written
 but not cut, and its manifest goes to the working directory.
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ChainNotApplicable, NoPerfectQsb, QsbError
+from .errors import ChainNotApplicable, NoPerfectQsb, QsbError, TooLarge
 from .metrics import property_sweep
 from .optimize import FrontierPoint, OptimizeConfig, frontier_sweep, optimize_qsb
 from .qsb import (
@@ -354,12 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (MemoryError, TooLarge) as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except QsbError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except MemoryError as exc:
-        # the exit code optimize's TooLarge gets for a dimension past its cap
-        print(f"too large: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -66,10 +66,7 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """A Generator passes through; any other seed must be an integer >= 0 (as_int)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    seed = as_int(seed, "seed")
-    if seed < 0:
-        raise InvariantViolation(f"seed = {seed} must be >= 0")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(as_int(seed, "seed", 0))
 
 
 def check_isometry(m: np.ndarray, what: str) -> None:
@@ -172,15 +169,19 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return m, w, v
 
 
-def as_int(value, what: str) -> int:
-    """value as an int. A bool, float or string is refused, not truncated:
-    2.5 is no 2, and neither is 2.0 nor True a count."""
+def as_int(value, what: str, low: int | None = None) -> int:
+    """value as an int, at least low when low is given: the one rule for every
+    dimension, count and seed. A bool, float or string is refused, not
+    truncated: 2.5 is no 2, and neither is 2.0 nor True a count."""
     if isinstance(value, bool):
         raise TypeError(f"{what} {value} is a bool, not an integer")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{what} {value!r} is not an integer") from None
+    if low is not None and value < low:
+        raise InvariantViolation(f"{what} = {value} must be >= {low}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,13 @@ class SpaceLayout:
             # a null or numeric label is refused, not renamed: None is no label "None"
             if not isinstance(lbl, str):
                 raise TypeError(f"subsystem label {lbl!r} is not a string")
-            subs.append((lbl, as_int(dim, f"subsystem {lbl!r} dim")))
+            subs.append((lbl, as_int(dim, f"subsystem {lbl!r} dim", 1)))
         subs = tuple(subs)
         if not subs:
             raise InvariantViolation("layout needs at least one subsystem")
         labels = [lbl for lbl, _ in subs]
         if len(set(labels)) != len(labels):
             raise LabelClash(f"duplicate labels in layout: {labels}")
-        for lbl, dim in subs:
-            if dim < 1:
-                raise InvariantViolation(f"subsystem {lbl!r} has dim {dim} < 1")
         object.__setattr__(self, "subsystems", subs)
 
     @cached_property

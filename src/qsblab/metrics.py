@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BadPurification, InvariantViolation, LayoutMismatch
+from .errors import BadPurification, LayoutMismatch
 from .hilbert import (
     RANK_CUTOFF,
     TOL_NUM,
@@ -322,11 +322,7 @@ def property_sweep(samples: int, dims_cap: int, seed: int) -> list[BoundCheck]:
     then by inequality. Each factor's dimension is drawn from [2, dims_cap].
     Both counts follow as_int's rule; samples < 0 or dims_cap < 2 is refused.
     """
-    samples, dims_cap = as_int(samples, "samples"), as_int(dims_cap, "dims_cap")
-    if samples < 0:
-        raise InvariantViolation(f"samples = {samples} must be >= 0")
-    if dims_cap < 2:
-        raise InvariantViolation(f"dims_cap = {dims_cap} must be >= 2")
+    samples, dims_cap = as_int(samples, "samples", 0), as_int(dims_cap, "dims_cap", 2)
     failures = []
     for idx, label, lhs, rhs, tol in _sweep_checks(samples, dims_cap, seed):
         for k in np.flatnonzero(~(lhs - rhs >= -tol)):

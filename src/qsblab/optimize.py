@@ -74,19 +74,11 @@ class OptimizeConfig:
 
     def __post_init__(self):
         # a float or bool count is refused, not truncated: restarts=1.5 is no 2 restarts
-        for name in ("d_s", "d_a", "d_b", "d_c", "env_dim", "restarts", "max_iters",
-                     "haar_count", "phase_count", "seed"):
+        for name, low in (("d_s", 1), ("d_a", 1), ("d_b", 1), ("d_c", 1), ("env_dim", None),
+                          ("restarts", 1), ("max_iters", 1), ("haar_count", 0),
+                          ("phase_count", 0), ("seed", 0)):
             if name != "env_dim" or self.env_dim is not None:
-                object.__setattr__(self, name, as_int(getattr(self, name), name))
-        for name in ("d_s", "d_a", "d_b", "d_c"):
-            if getattr(self, name) < 1:
-                raise InvariantViolation(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise InvariantViolation("seed must be >= 0")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvariantViolation("restarts and max_iters must be >= 1")
-        if self.haar_count < 0 or self.phase_count < 0:
-            raise InvariantViolation("sample counts must be nonnegative")
+                object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         # representation isometries must exist
         if self.d_s > self.d_a * self.d_b or self.d_s > self.d_a * self.d_c:
             raise InvariantViolation(
@@ -379,7 +371,7 @@ def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[Fr
     makes the best-fidelity sequence non-decreasing by construction; a
     decrease is reported as an invariant violation rather than smoothed over.
     """
-    values = sorted(set(as_int(v, "d_a") for v in d_a_values))
+    values = sorted(set(as_int(v, "d_a", 1) for v in d_a_values))
     if not values:
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []

@@ -109,13 +109,6 @@ def _per_dim(key: str, d_a: int) -> float:
         return num / (den * d_a**k)
 
 
-def _dim(value, name: str) -> int:
-    """value as a dimension: an int by as_int's rule and at least 1, refused by its name."""
-    if (d := as_int(value, name)) < 1:
-        raise InvariantViolation(f"{name} = {d} must be >= 1")
-    return d
-
-
 # Largest probe matrix (float64 entries, 1 MiB) the search contracts in the
 # Gram form: the form streams all of it twice per iteration, and above this
 # size it measured slower than |K P|^2 (see search_probes).
@@ -250,7 +243,7 @@ def split_clone_construct(d_s: int, d_a: int, d_prime: int) -> QsbInstance:
     (Werner, PRA 58, 1827 (1998)); V_AB = V_AC = the embedding. Each branch
     reads at least eta + (1 - eta)/(d' min(d_a, d')), eta = (d'+2)/(2(d'+1)).
     """
-    d_s, d_a, d_p = map(_dim, (d_s, d_a, d_prime), ("d_s", "d_a", "d_prime"))
+    d_s, d_a, d_p = map(as_int, (d_s, d_a, d_prime), ("d_s", "d_a", "d_prime"), (1,) * 3)
     if d_a * d_p < d_s:
         raise InvariantViolation(f"A (x) S' of dim {d_a} * {d_p} cannot hold a source of dim {d_s}")
     emb = np.eye(d_a * d_p, d_s, dtype=np.complex128)
@@ -279,7 +272,7 @@ def perfect_qsb_construct(d_s: int, d_a: int, d_b: int, d_c: int) -> QsbInstance
     """Exact broadcast for d_s <= d_a: split_clone_construct(d_s, d_a, 1) embeds
     the source into the shared subsystem, and zero-padded into (d_b, d_c) it parks
     both private subsystems in their ground states. Both receivers read one."""
-    d_s, d_a, d_b, d_c = map(_dim, (d_s, d_a, d_b, d_c), ("d_s", "d_a", "d_b", "d_c"))
+    d_s, d_a, d_b, d_c = map(as_int, (d_s, d_a, d_b, d_c), ("d_s", "d_a", "d_b", "d_c"), (1,) * 4)
     if d_s > d_a:
         raise NoPerfectQsb(
             f"source dim {d_s} exceeds shared dim {d_a}: perfect shared "
@@ -295,7 +288,7 @@ def werner_cloner_construct(d: int) -> QsbInstance:
     Both receivers read (d+3)/(2(d+1)) on every input, the largest value a
     universal 1 -> 2 cloner reaches; at d = 2 it is the Buzek-Hillery copier, 5/6.
     """
-    d = _dim(d, "d")
+    d = as_int(d, "d", 1)
     return split_clone_construct(d, 1, d)
 
 
@@ -454,9 +447,7 @@ def default_probe_states(
         cols = default_probe_states(d_s.total_dim, seed, haar_count, phase_count)
         return [PureState(d_s, c) for c in cols.T]
     names = ("d_s", "haar_count", "phase_count")
-    d_s, haar_count, phase_count = map(as_int, (d_s, haar_count, phase_count), names)
-    if d_s < 1 or min(haar_count, phase_count) < 0:
-        raise InvariantViolation(f"need d_s >= 1 and counts >= 0, got {d_s}, {haar_count}, {phase_count}")
+    d_s, haar_count, phase_count = map(as_int, (d_s, haar_count, phase_count), names, (1, 0, 0))
     haar = _haar_rows(_as_rng(seed), haar_count, d_s)
     return np.concatenate([_fixed_probe_columns(d_s, phase_count), haar.T], axis=1)
 
@@ -594,7 +585,7 @@ def overlap_lower_bound(m: int, d: int) -> float:
     uniform mixture of the vectors; below is the witness scan that finds
     the pair.
     """
-    m, d = _dim(m, "m"), _dim(d, "d")
+    m, d = as_int(m, "m", 1), as_int(d, "d", 1)
     if m <= d:
         raise BoundVacuous(f"{m} vectors fit orthogonally in dim {d}")
     return math.sqrt((m - d) / (d * (m - 1.0)))
@@ -695,7 +686,7 @@ def epsilon_threshold(d_a: int) -> tuple[float, float, float]:
     C-branch copy-map floor 1 - 3.9 eps^(1/128) passes 5/6 below
     ((1/6) / 3.9)^128, about 5.50e-176, and at 0.6e-175 it is 0.83322.
     """
-    fixed, dimensional = _CHAIN["fixed"], _per_dim("dimensional", _dim(d_a, "d_a"))
+    fixed, dimensional = _CHAIN["fixed"], _per_dim("dimensional", as_int(d_a, "d_a", 1))
     return min(fixed, dimensional), fixed, dimensional
 
 
@@ -780,7 +771,7 @@ def chain_constants(eps: float, d_a: int) -> EpsilonChainReport:
     """All deficit-chain constants at a given eps and shared dimension."""
     if not 0.0 < eps <= 1.0:
         raise BadEpsilon(f"eps = {eps} outside (0, 1]")
-    d_a = as_int(d_a, "d_a")
+    d_a = as_int(d_a, "d_a", 1)
     consts, shared = _nested(_deficit("eps_prime_b", eps), _deficit("eps_prime_c", eps), *_FLOATS)
     ivs = {k: _deficit(k, eps) for k in ("eps_iv_b", "eps_iv_c")}
     eps_zero, fixed, dimensional = epsilon_threshold(d_a)

@@ -157,6 +157,15 @@ def test_a_request_too_large_to_allocate_exits_4(workdir, capsys):
     assert err.count("\n") == 1 and err.startswith("too large: "), err
 
 
+def test_a_dimension_past_the_search_cap_exits_4_as_too_large(workdir, capsys):
+    # 2 * 64 * 64 * env 1 = 8192 exceeds the search's 4096: refused before any search
+    assert main(["optimize", "--ds", "2", "--da", "2", "--db", "64", "--dc", "64", "--env", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "too large: total dimension 8192 exceeds 4096\n"
+    assert not list(workdir.iterdir())
+
+
 def test_an_unwritable_output_exits_3(workdir, capsys):
     # the output's directory does not exist: the write's OSError is an I/O
     # failure, one stderr line, no traceback and no file

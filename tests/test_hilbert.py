@@ -36,7 +36,7 @@ def test_layout_basics():
 def test_layout_rejects_duplicates_and_bad_dims():
     with pytest.raises(LabelClash):
         SpaceLayout([("A", 2), ("A", 3)])
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="subsystem 'A' dim = 0 must be >= 1"):
         SpaceLayout([("A", 0)])
     with pytest.raises(InvariantViolation, match="at least one subsystem"):
         SpaceLayout([])
@@ -55,6 +55,19 @@ def test_basis_state_refuses_an_index_outside_the_space():
     with pytest.raises(TypeError, match="not an integer"):
         basis_state(lay, 1.0)
     assert basis_state(lay, 1).amplitudes.tolist() == [0, 1]
+
+
+def test_as_int_takes_an_optional_lower_bound():
+    # no bound leaves a negative value alone; a numpy integer comes back a
+    # Python int; a bool is refused as a bool even under a bound it would meet
+    assert hilbert.as_int(-5, "x") == -5
+    got = hilbert.as_int(np.int64(3), "x", 1)
+    assert got == 3 and type(got) is int
+    with pytest.raises(TypeError, match="x True is a bool"):
+        hilbert.as_int(True, "x", 0)
+    assert hilbert.as_int(2, "x", 2) == 2
+    with pytest.raises(InvariantViolation, match="x = 1 must be >= 2"):
+        hilbert.as_int(1, "x", 2)
 
 
 def test_layout_json_roundtrip():

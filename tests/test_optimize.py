@@ -77,12 +77,15 @@ def test_config_size_cap():
 
 
 def test_config_misc_guards():
-    with pytest.raises(InvariantViolation):
-        OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, restarts=0)
-    with pytest.raises(InvariantViolation):
-        OptimizeConfig(d_s=2, d_a=2, d_b=2, d_c=2, haar_count=-1)
-    with pytest.raises(InvariantViolation, match="d_b must be >= 1"):
-        OptimizeConfig(d_s=2, d_a=2, d_b=0, d_c=2)
+    for kwargs, match in (
+        (dict(restarts=0), "restarts = 0 must be >= 1"),
+        (dict(max_iters=0), "max_iters = 0 must be >= 1"),
+        (dict(haar_count=-1), "haar_count = -1 must be >= 0"),
+        (dict(phase_count=-1), "phase_count = -1 must be >= 0"),
+        (dict(d_b=0), "d_b = 0 must be >= 1"),
+    ):
+        with pytest.raises(InvariantViolation, match=match):
+            OptimizeConfig(**{"d_s": 2, "d_a": 2, "d_b": 2, "d_c": 2, **kwargs})
 
 
 def test_config_and_sweep_take_only_integer_counts(monkeypatch):
@@ -122,7 +125,7 @@ def test_config_seed_follows_the_integer_rule():
     for value in (True, 1.0):
         with pytest.raises(TypeError, match="seed .* not an integer"):
             OptimizeConfig(2, 1, 2, 2, seed=value)
-    with pytest.raises(InvariantViolation, match="seed must be >= 0"):
+    with pytest.raises(InvariantViolation, match="seed = -1 must be >= 0"):
         OptimizeConfig(2, 1, 2, 2, seed=-1)
     assert type(OptimizeConfig(2, 1, 2, 2, seed=np.int64(7)).seed) is int
 
@@ -706,6 +709,10 @@ def test_frontier_sweep_honours_env_dim():
     assert [p.best_instance.d_e for p in points] == [8, 16]
 
 
-def test_frontier_rejects_empty_range():
+def test_frontier_rejects_empty_range(monkeypatch):
     with pytest.raises(InvariantViolation):
         frontier_sweep(OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2), [])
+    # a shared dimension below 1 is refused before any point is searched
+    monkeypatch.setattr(optimize_module, "branch_values", lambda *args: 1 / 0)
+    with pytest.raises(InvariantViolation, match="d_a = 0 must be >= 1"):
+        frontier_sweep(OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2), [0, 1])

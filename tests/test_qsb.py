@@ -115,6 +115,7 @@ def test_constructors_take_the_integer_rule_and_name_a_bad_dimension():
         (lambda: werner_cloner_construct(True), TypeError, "d True is a bool"),
         (lambda: werner_cloner_construct(0), InvariantViolation, "d = 0 must be >= 1"),
         (lambda: perturbed_perfect_instance(2, 2, 0, 2, 0.1), InvariantViolation, "d_b = 0 must be >= 1"),
+        (lambda: split_clone_construct(2, 1, 0), InvariantViolation, "d_prime = 0 must be >= 1"),
         (lambda: perturbed_perfect_instance(2, 2, 2, 2, True), TypeError, "weight True is a bool"),
     ):
         with pytest.raises(err, match=match):
@@ -285,8 +286,12 @@ def test_default_probe_states_census():
 
 
 def test_default_probe_states_refuse_bad_dims_counts_and_seeds():
-    for kwargs in (dict(d_s=0), dict(haar_count=-1), dict(phase_count=-1)):
-        with pytest.raises(InvariantViolation, match="need d_s >= 1 and counts >= 0"):
+    for kwargs, match in (
+        (dict(d_s=0), "d_s = 0 must be >= 1"),
+        (dict(haar_count=-1), "haar_count = -1 must be >= 0"),
+        (dict(phase_count=-1), "phase_count = -1 must be >= 0"),
+    ):
+        with pytest.raises(InvariantViolation, match=match):
             default_probe_states(**{"d_s": 2, "seed": 0, **kwargs})
     for kwargs in (dict(d_s=2.0), dict(haar_count=1.5), dict(phase_count=True), dict(seed=True)):
         with pytest.raises(TypeError, match="not an integer"):
