@@ -7,7 +7,8 @@ too large to allocate or a dimension past optimize's cap ("too large: ...").
 A subcommand that returns (exit 0, or 4 from a failing chain row or
 property check) writes one small manifest next to its outputs so it can be
 replayed; a run that ends in an error message (usage, or exit 2, 3 or 4
-from an exception) writes none.
+from an exception) writes none. optimize, sweep and verify --chain -o stat their
+output's directory first: a missing one fails before any search or measurement.
 Every file is rewritten in place and cut to the new length, not truncated
 first; an output that is not a regular file (a device, a pipe) is written
 but not cut, and its manifest goes to the working directory.
@@ -76,6 +77,10 @@ def _write_manifest(args, inputs: list[str], outputs: list[str], started: float)
 def _write_json(path: str | Path, obj) -> None:
     # no indent: json encodes with its C encoder only when indent is None
     _write_file(path, (json.dumps(obj, check_circular=False) + "\n").encode())
+
+
+def _stat_output_dir(path: str) -> None:
+    os.stat(os.path.dirname(path) or ".")  # the OSError a write into a missing directory gives
 
 
 def _write_file(path: str | Path, data: bytes) -> None:
@@ -150,6 +155,8 @@ def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
         _parser().error("verify -o/--out needs --chain: only the chain writes a report")
     if args.allow_trivial and not args.chain:
         _parser().error("verify --allow-trivial needs --chain: only the chain has a premise to waive")
+    if args.out:
+        _stat_output_dir(args.out)
     inst = _load_instance(args.instance)
     if args.chain:
         check_chain_premise(inst, args.allow_trivial)  # refuse before measuring anything
@@ -216,6 +223,7 @@ def _config_from_args(args, d_a: int, env: int | None) -> OptimizeConfig:
 
 
 def _cmd_optimize(args) -> tuple[int, list[str], list[str]]:
+    _stat_output_dir(args.out)
     point = optimize_qsb(_config_from_args(args, args.da, args.env))
     print(f"dims {point.dims}")
     print(f"best {point.best_worst_fidelity:.6f}")
@@ -227,6 +235,7 @@ def _cmd_optimize(args) -> tuple[int, list[str], list[str]]:
 
 
 def _cmd_sweep(args) -> tuple[int, list[str], list[str]]:
+    _stat_output_dir(args.csv)
     lo, hi = args.da
     # env_dim None: frontier_sweep sizes each point's environment itself
     points = frontier_sweep(_config_from_args(args, lo, None), range(lo, hi + 1))

@@ -5,15 +5,15 @@ Subsystems are identified by string labels; a layout is an ordered list of
 and the composite index follows the layout order (first label varies
 slowest), which makes np.kron and .reshape line up with the convention.
 
-A DensityMatrix is diagonalised once, by its validation, and keeps those
-eigenpairs; the metrics read them instead of diagonalising again. Maps are
-plain matrices: haar_isometry_matrix draws one, check_isometry validates
-one, and _mat_to_json/_mat_from_json carry one through an instance file.
+Every invariant holds to one tolerance, TOL. validate_density diagonalises a
+density matrix once and hands out its eigenpairs clipped at zero; a DensityMatrix
+keeps them, and the metrics read them instead of diagonalising again. Maps are plain
+matrices: haar_isometry_matrix draws one, check_isometry validates one (as check_unit_columns
+does state vectors), and _mat_to_json/_mat_from_json carry one through an instance file.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,12 +24,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import InvariantViolation, LabelClash, LayoutMismatch
 
-# Shared numerical tolerances. One knob per invariant family.
-TOL_NORM = 1e-9
-TOL_HERM = 1e-9
-TOL_PSD = 1e-9
-TOL_ISO = 1e-9
-TOL_NUM = 1e-9
+# The one tolerance of every invariant, and of a checked inequality's slack.
+TOL = 1e-9
 
 # Eigenvalues below this are treated as numerically zero (rank decisions,
 # Kraus extraction, matrix square roots).
@@ -70,15 +66,24 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def check_isometry(m: np.ndarray, what: str) -> None:
-    """Raise InvariantViolation unless |M^H M - 1| <= TOL_ISO.
+    """Raise InvariantViolation unless |M^H M - 1| <= TOL.
 
     A matrix with more columns than rows always fails, and a non-finite or
     overflowing entry gives a non-finite error, which fails too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         err = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
-    if not err <= TOL_ISO:
+    if not err <= TOL:
         raise InvariantViolation(f"{what} violated by {err}")
+
+
+def check_unit_columns(cols: np.ndarray) -> None:
+    """Raise InvariantViolation unless each column of cols (d, n) has norm 1 to TOL. A NaN
+    fails, and so does an overflowing entry: einsum gives it an infinite norm, without warning."""
+    nrm = np.sqrt(np.einsum("sn,sn->n", cols.conj(), cols).real)
+    bad = ~(np.abs(nrm - 1.0) <= TOL)
+    if np.count_nonzero(bad):
+        raise InvariantViolation(f"state norm {nrm[bad][0]} deviates from 1 beyond {TOL}")
 
 
 def _c2j(z: complex) -> list[float]:
@@ -137,12 +142,11 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """DensityMatrix's checks on a (..., d, d) stack, diagonalising each member once.
 
     Raises InvariantViolation, naming the first offending member, if any
-    member is not Hermitian to TOL_HERM, else if any trace is off 1 by more
-    than TOL_NORM, else if any eigenvalue lies below -TOL_PSD. A member whose
-    smallest eigenvalue lies in [-TOL_PSD, 0) is rebuilt in place with its
-    eigenvalues clipped to zero, so pass a complex128 stack the caller owns.
-    Returns the matrices (rebuilt where clipped) and eigh_desc of their
-    Hermitian parts (m + m^H) / 2.
+    member is not Hermitian to TOL, else if any trace is off 1 by more than
+    TOL, else if any eigenvalue lies below -TOL. Eigenvalues in [-TOL, 0) are
+    clipped to zero and their members rebuilt in place, so pass a complex128
+    stack the caller owns. Returns the matrices and eigh_desc of their Hermitian
+    parts (m + m^H) / 2, clipped: the exact eigenpairs of the returned matrices.
     """
     m = np.asarray(m, dtype=np.complex128)
     mh = m.conj().swapaxes(-1, -2)
@@ -151,21 +155,22 @@ def validate_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         herm_err = np.abs(m - mh).max(axis=(-2, -1))
         tr = m.trace(axis1=-2, axis2=-1)
     # each test is "not within tolerance", so a NaN fails it
-    bad = ~(herm_err <= TOL_HERM)
+    bad = ~(herm_err <= TOL)
     if np.count_nonzero(bad):
         raise InvariantViolation(f"hermiticity violated by {float(herm_err[bad][0])}")
-    bad = ~(np.abs(tr - 1.0) <= TOL_NORM)
+    bad = ~(np.abs(tr - 1.0) <= TOL)
     if np.count_nonzero(bad):
-        raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL_NORM}")
+        raise InvariantViolation(f"trace {complex(tr[bad][0])} deviates from 1 beyond {TOL}")
     w, v = eigh_desc((m + mh) / 2.0)
     lo = w[..., -1]
-    bad = ~(lo >= -TOL_PSD)
+    bad = ~(lo >= -TOL)
     if np.count_nonzero(bad):
-        raise InvariantViolation(f"negative eigenvalue {float(lo[bad][0])} below -{TOL_PSD}")
+        raise InvariantViolation(f"negative eigenvalue {float(lo[bad][0])} below -{TOL}")
     clip = lo < 0.0
+    w = np.maximum(w, 0.0)
     if np.count_nonzero(clip):
         vc = v[clip]
-        m[clip] = (vc * np.maximum(w[clip], 0.0)[..., None, :]) @ vc.conj().swapaxes(-1, -2)
+        m[clip] = (vc * w[clip][..., None, :]) @ vc.conj().swapaxes(-1, -2)
     return m, w, v
 
 
@@ -233,9 +238,7 @@ class PureState:
             raise LayoutMismatch(
                 f"{amp.shape[0]} amplitudes for layout of dim {self.layout.total_dim}"
             )
-        nrm = math.sqrt(np.vdot(amp, amp).real)
-        if not abs(nrm - 1.0) <= TOL_NORM:
-            raise InvariantViolation(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
+        check_unit_columns(amp[:, None])
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
 
@@ -243,11 +246,10 @@ class PureState:
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix on a layout.
 
-    Construction symmetrises nothing: hermiticity must already hold to
-    TOL_HERM. Eigenvalues in [-TOL_PSD, 0) are clipped to zero (the matrix
-    is rebuilt only in that case); anything more negative is an error.
-    The eigh_desc pairs of the validation, eigenvalues clipped at zero, are
-    kept in _eigh: the exact eigenpairs of the stored matrix.
+    Construction symmetrises nothing: hermiticity must already hold to TOL.
+    validate_density clips eigenvalues in [-TOL, 0) to zero, rebuilding the matrix
+    only then; anything more negative is an error. Its clipped eigh_desc pairs
+    are kept in _eigh: the exact eigenpairs of the stored matrix.
     """
 
     layout: SpaceLayout
@@ -260,7 +262,6 @@ class DensityMatrix:
         if m.shape != (n, n):
             raise LayoutMismatch(f"matrix shape {m.shape} for layout of dim {n}")
         m, w, v = validate_density(m)
-        w = np.maximum(w, 0.0)
         for a in (m, w, v):
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -268,9 +269,9 @@ class DensityMatrix:
 
 
 def _purification(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| from a stack of eigh_desc
-    pairs: square purifications, the environment as the last index."""
-    block = v * np.sqrt(np.clip(w[..., None, :], 0.0, None))
+    """Unit-norm matrices sum_i sqrt(w_i) |v_i><i| from a stack of validate_density's
+    clipped eigh_desc pairs: square purifications, the environment as the last index."""
+    block = v * np.sqrt(w[..., None, :])
     return block / np.linalg.norm(block, axis=(-2, -1), keepdims=True)
 
 

@@ -15,14 +15,15 @@ check row it reaches, as every check is "not within tolerance", so it never
 passes silently.
 
 property_sweep checks the inequalities between these measures on random
-instances and reports each failure as a BoundCheck recording both sides;
-nothing is silently clamped away. It buckets each block of samples by property
-and dimension and draws all states of one dimension as one Ginibre stack, so a
-seed always checks the same instances. Each such pool is validated, and so
-diagonalised, once, and scored as one stack: one root build, one SVD for every
-fidelity pair of its buckets and one product for every pure-state fidelity.
-The monotonicity marginals of a block are scored once per reduced dimension.
-A BoundCheck is built only for a failure.
+instances and reports each failure as a BoundCheck recording both sides; nothing
+is silently clamped away, and a check's slack holds to TOL (the partner
+overlap's to _PARTNER_TOL). It buckets each block of samples by property and
+dimension and draws all states of one dimension as one Ginibre stack, so a seed
+always checks the same instances. Each such pool is validated, and so
+diagonalised, once (validate_density's pairs come clipped), and scored as one
+stack: one root build, one SVD for every fidelity pair of its buckets and one
+product for every pure-state fidelity. The monotonicity marginals of a block are
+scored once per reduced dimension. A BoundCheck is built only for a failure.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import BadPurification, LayoutMismatch
 from .hilbert import (
     RANK_CUTOFF,
-    TOL_NUM,
+    TOL,
     DensityMatrix,
     PureState,
     as_int,
@@ -47,8 +48,6 @@ from .hilbert import (
     _purification,
     _svdvals,
 )
-
-_SLACK_TOL = TOL_NUM
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -97,7 +96,7 @@ def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 class BoundCheck(NamedTuple):
-    """One verified inequality: satisfied iff lhs >= rhs - tolerance.
+    """One verified inequality: satisfied iff lhs >= rhs - tol, TOL by default.
 
     A tuple, so a chain report's hundred-odd rows cost what tuples cost; its
     fields are read-only, as a frozen dataclass's were.
@@ -117,7 +116,7 @@ class BoundCheck(NamedTuple):
         rhs: float,
         label: str = "",
         vacuous: bool = False,
-        tol: float = _SLACK_TOL,
+        tol: float = TOL,
     ) -> "BoundCheck":
         return cls.rows((label,), (float(lhs),), (float(rhs),), vacuous, tol)[0]
 
@@ -128,7 +127,7 @@ class BoundCheck(NamedTuple):
         lhs: Iterable[float],
         rhs: Iterable[float],
         vacuous: bool = False,
-        tol: float = _SLACK_TOL,
+        tol: float = TOL,
     ) -> list["BoundCheck"]:
         """A family's rows, one per label, zipped with its lhs and rhs floats (a side
         every row shares as itertools.repeat): the one place the rule is applied."""
@@ -235,19 +234,13 @@ def _draw_block(rng: np.random.Generator, count: int, dims_cap: int):
         yield states, [b + (v,) for b, v in zip(mine, vecs)]
 
 
-def _validated(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """validate_density on a stack, eigenvalues clipped at zero as a DensityMatrix keeps them."""
-    mats, w, v = validate_density(mats)
-    return mats, np.maximum(w, 0.0), v
-
-
 def _evaluate(prop: str, mats, w, v, vecs, f, f_pure):
     """(label, lhs, rhs, tol) rows for one validated bucket that is not monotonicity,
     from its fidelities: f[k] of its k-th _PAIRS pair and f_pure[k] of its k-th _PURE
     state, each over its samples."""
     if prop == "ceilings":
         best = _overlaps(w[:, 0], v[:, 0], vecs[:, 0]).max(axis=-1)
-        return [("component_ceiling", best, f_pure[0], _SLACK_TOL), ("eigenvalue_ceiling", w[:, 0, 0], f_pure[0], _SLACK_TOL)]
+        return [("component_ceiling", best, f_pure[0], TOL), ("eigenvalue_ceiling", w[:, 0, 0], f_pure[0], TOL)]
     if prop == "partner_overlap":
         # phi purifies the first state, chi is its Uhlmann partner for the second
         phi = _purification(w[:, 0], v[:, 0])
@@ -255,12 +248,12 @@ def _evaluate(prop: str, mats, w, v, vecs, f, f_pure):
         lhs = np.abs(np.sum(phi.conj() * chi, axis=(-2, -1))) ** 2
         return [("partner_overlap", lhs, f[0], _PARTNER_TOL)]
     if prop == "triangle":
-        return [("triangle", _dsqrt(f[0]), _chain_rhs(f[1], f[2]), _SLACK_TOL)]
+        return [("triangle", _dsqrt(f[0]), _chain_rhs(f[1], f[2]), TOL)]
     if prop == "triangle_pure":
-        return [("triangle_pure", f_pure[0], _chain_rhs(f[0], f_pure[1]), _SLACK_TOL)]
+        return [("triangle_pure", f_pure[0], _chain_rhs(f[0], f_pure[1]), TOL)]
     dist = _trace_distance(mats[:, 0], mats[:, 1])
     floor, ceiling = _fvdg_bounds(f[0])
-    return [("fvdg_lower", dist, floor, _SLACK_TOL), ("fvdg_upper", ceiling, dist, _SLACK_TOL)]
+    return [("fvdg_lower", dist, floor, TOL), ("fvdg_upper", ceiling, dist, TOL)]
 
 
 def _split(values: np.ndarray, parts: list) -> list:
@@ -284,7 +277,7 @@ def _sweep_checks(samples: int, dims_cap: int, seed: int):
         count = min(_SWEEP_BLOCK, samples - start)
         marginals: dict[int, list] = {}  # d1: [(sample indices, partial traces, joint fidelities)]
         for states, buckets in _draw_block(rng, count, dims_cap):
-            mats, w, v = pool = _validated(states)
+            mats, w, v = pool = validate_density(states)
             root = _root(w, v)
             views, pairs, pure = [], [], []
             end = 0
@@ -311,8 +304,8 @@ def _sweep_checks(samples: int, dims_cap: int, seed: int):
                     yield start + idx, label, lhs, rhs, tol
         for parts in marginals.values():
             idx, traced, f_joint = (np.concatenate(x) for x in zip(*parts))
-            root_q = _root(*_validated(traced)[1:])
-            yield idx, "monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f_joint, _SLACK_TOL
+            root_q = _root(*validate_density(traced)[1:])
+            yield idx, "monotonicity", _fidelity(root_q[:, 0], root_q[:, 1]), f_joint, TOL
 
 
 def property_sweep(samples: int, dims_cap: int, seed: int) -> list[BoundCheck]:

@@ -370,13 +370,13 @@ def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[Fr
     The seed is zero-padded into the next search space, which
     makes the best-fidelity sequence non-decreasing by construction; a
     decrease is reported as an invariant violation rather than smoothed over.
+    Every point's config is built, and so checked, before the first search.
     """
     values = sorted(set(as_int(v, "d_a", 1) for v in d_a_values))
     if not values:
         raise InvariantViolation("empty shared-dimension range")
     points: list[FrontierPoint] = []
-    for d_a in values:
-        cfg = replace(config, d_a=d_a)
+    for cfg in [replace(config, d_a=d_a) for d_a in values]:
         point = optimize_qsb(cfg, seeds=[p.best_instance for p in points[-1:]])
         if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
             raise InvariantViolation(

@@ -56,9 +56,9 @@ from .hilbert import (
     DensityMatrix,
     PureState,
     SpaceLayout,
-    TOL_NORM,
     as_int,
     check_isometry,
+    check_unit_columns,
     eigh_desc,
     _as_rng,
     _frozen,
@@ -123,7 +123,7 @@ class QsbInstance:
     last: Kraus operator e is u.reshape(d_a * d_b * d_c, d_e, d_s)[:, e].
     v_abs maps S into the (A, B) pair of output_layout and v_acs into (A, C).
     Construction checks every shape against the layouts and caps d_e at
-    d_s * d_a * d_b * d_c, bounds |M^H M - 1| by TOL_ISO for all three
+    d_s * d_a * d_b * d_c, bounds |M^H M - 1| by TOL for all three
     matrices (for u that is the completeness of the Kraus family), and
     stores read-only copies.
     """
@@ -394,8 +394,8 @@ def branch_grads(cached: tuple, w: np.ndarray, out: tuple[np.ndarray, ...]) -> N
 
 def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest fidelity deficit over the probe columns cols (d_s, n), each a
-    unit vector to TOL_NORM, and both receiver fidelities per column, clipped
-    to [0, 1].
+    unit vector to TOL (check_unit_columns), and both receiver fidelities
+    per column, clipped to [0, 1].
 
     The fidelities come from branch_values on the instance's matrices, the
     kernel the search maximises, so a searched instance re-measures to its
@@ -407,11 +407,7 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
         raise EmptyInput("measure_eps needs at least one probe state")
     if cols.ndim != 2 or cols.shape[0] != instance.d_s:
         raise LayoutMismatch(f"probe array of shape {cols.shape}, expected ({instance.d_s}, n)")
-    # einsum, unlike |x|^2, does not warn when a huge entry overflows to inf
-    nrm = np.sqrt(np.einsum("sn,sn->n", cols.conj(), cols).real)
-    bad = ~(np.abs(nrm - 1.0) <= TOL_NORM)
-    if bad.any():
-        raise InvariantViolation(f"state norm {nrm[bad][0]} deviates from 1 beyond {TOL_NORM}")
+    check_unit_columns(cols)
     dims4 = (instance.d_a, instance.d_b, instance.d_c, instance.d_e)
     f, _ = branch_values(instance.u, instance.v_abs, instance.v_acs, _outer_columns(cols), dims4)
     f = np.clip(f, 0.0, 1.0)

@@ -166,6 +166,17 @@ def test_a_dimension_past_the_search_cap_exits_4_as_too_large(workdir, capsys):
     assert not list(workdir.iterdir())
 
 
+def test_a_sweep_past_the_search_cap_exits_4_before_any_search(workdir, capsys, monkeypatch):
+    # d_A = 3 and 4 fit the cap, d_A = 5 does not: the whole range is refused
+    # up front, one stderr line, no CSV and no manifest
+    monkeypatch.setattr(optimize_module, "optimize_qsb", lambda cfg, seeds=(): 1 / 0)
+    assert main(_with_dims("sweep", ds="8", da="3..5", db="8", dc="8")) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "too large: total dimension 5120 exceeds 4096\n"
+    assert not list(workdir.iterdir())
+
+
 def test_an_unwritable_output_exits_3(workdir, capsys):
     # the output's directory does not exist: the write's OSError is an I/O
     # failure, one stderr line, no traceback and no file
@@ -675,6 +686,28 @@ def test_an_exception_exit_writes_no_manifest(workdir, capsys, argv, code):
     assert main(argv) == code
     assert capsys.readouterr().err.count("\n") == 1
     assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _with_dims("optimize", restarts="1", iters="5") + ["-o", "missing/f.json"],
+        _with_dims("sweep", da="1..2", restarts="1", iters="5") + ["--csv", "missing/s.csv"],
+        ["verify", "inst.json", "--chain", "--allow-trivial", "-o", "missing/c.json"],
+    ],
+    ids=["optimize", "sweep", "verify-chain"],
+)
+def test_an_output_in_a_missing_directory_exits_3_before_any_work(workdir, capsys, monkeypatch, argv):
+    _construct(workdir)
+    capsys.readouterr()
+    for module in (cli, optimize_module):  # a search that runs raises
+        monkeypatch.setattr(module, "optimize_qsb", lambda cfg, seeds=(): 1 / 0)
+    made = sorted(workdir.iterdir())
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("I/O failure: [Errno 2] "), err
+    assert sorted(workdir.iterdir()) == made
 
 
 # Every integer flag of every subcommand, drawn from [-2, 3] (or omitted, or

@@ -225,12 +225,17 @@ def test_validate_density_clips_like_density_matrix(rng):
     u = np.linalg.qr(g)[0]
     tiny = (u * np.array([0.7, 0.3 + 1e-12, -1e-12])) @ u.conj().T
     good = random_density(lay, 2, rng).matrix
-    mats, vals, _ = validate_density(np.stack([good, tiny]))
-    assert vals[1, -1] < 0.0  # the member really needed clipping
+    mats, vals, vecs = validate_density(np.stack([good, tiny]))
+    assert vals[1, -1] == 0.0  # the member's negative eigenvalue, clipped
     assert np.array_equal(mats[1], DensityMatrix(lay, tiny).matrix)
     assert not np.array_equal(mats[1], tiny)
     assert np.array_equal(mats[0], good)
     assert np.linalg.eigvalsh(mats[1])[0] >= -1e-15
+    # clipping has one home: every pair handed out is one DensityMatrix keeps, bit for bit
+    assert np.all(vals >= 0.0)
+    for k, m in enumerate((good, tiny)):
+        w, v = DensityMatrix(lay, m)._eigh
+        assert np.array_equal(vals[k], w) and np.array_equal(vecs[k], v)
 
 
 def test_state_json_roundtrips(rng):

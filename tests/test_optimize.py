@@ -709,6 +709,15 @@ def test_frontier_sweep_honours_env_dim():
     assert [p.best_instance.d_e for p in points] == [8, 16]
 
 
+def test_frontier_sweep_refuses_a_range_past_the_cap_before_any_search(monkeypatch):
+    # d_A = 5 gives 5 * 8 * 8 * 16 = 5120 > 4096: refused before d_A = 3 and 4 are searched
+    calls = []
+    monkeypatch.setattr(optimize_module, "optimize_qsb", lambda cfg, seeds=(): calls.append(cfg))
+    with pytest.raises(TooLarge, match="total dimension 5120 exceeds 4096"):
+        frontier_sweep(OptimizeConfig(8, 3, 8, 8), range(3, 6))
+    assert calls == []
+
+
 def test_frontier_rejects_empty_range(monkeypatch):
     with pytest.raises(InvariantViolation):
         frontier_sweep(OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2), [])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,21 @@ def test_measure_eps_guards():
     for bad in (np.ones(2), np.array([np.nan, 0.0])):
         with pytest.raises(InvariantViolation, match="state norm"):
             measure_eps(inst, np.stack([np.array([1.0, 0.0]), bad], axis=1))
+
+
+def test_unit_columns_are_checked_in_one_place():
+    # a state and a probe column are held to one rule with one message, and
+    # neither a NaN nor an overflowing entry warns on the way to it
+    inst = perfect_qsb_construct(2, 2, 2, 2)
+    lay = SpaceLayout([("S", 2)])
+    for v in (np.array([1.1, 0.0]), np.array([np.nan, 0.0]), np.array([1e200, 0.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="state norm") as alone:
+                PureState(lay, v)
+            with pytest.raises(InvariantViolation) as probe:
+                measure_eps(inst, v[:, None])
+        assert str(probe.value) == str(alone.value)
 
 
 def test_measure_eps_monotone_in_probe_set():
