@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation, LayoutMismatch
+from .errors import InvariantViolation
 
 
 def mix(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
@@ -23,7 +23,7 @@ def mix(a: np.ndarray, b: np.ndarray, weight: float) -> np.ndarray:
     columns of R^H are a family with the same Choi matrix, hence the same map.
     """
     if a.shape[::2] != b.shape[::2]:
-        raise LayoutMismatch("channels must share input and output dimensions")
+        raise InvariantViolation("channels must share input and output dimensions")
     if isinstance(weight, (bool, np.bool_)):
         raise TypeError(f"mixing weight {weight} is a bool, not a number")
     if not 0.0 <= weight <= 1.0:

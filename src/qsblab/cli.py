@@ -1,14 +1,16 @@
 """Command line front end.
 
 Subcommands: construct, verify, threshold, properties, optimize, sweep.
-Exit codes: 0 success, 1 usage, 2 mathematically impossible request,
-3 I/O or malformed input, 4 invariant or property violation, or a request
-too large to allocate or a dimension past optimize's cap ("too large: ...").
+Exit codes: 0 success, 1 usage, 2 mathematically impossible request
+(NoPerfectQsb, ChainNotApplicable), 3 I/O or malformed input, 4 invariant or
+property violation (InvariantViolation, or any other QsbError), or a request too
+large to allocate or a dimension past optimize's cap (TooLarge, "too large: ...").
 A subcommand that returns (exit 0, or 4 from a failing chain row or
 property check) writes one small manifest next to its outputs so it can be
 replayed; a run that ends in an error message (usage, or exit 2, 3 or 4
 from an exception) writes none. optimize, sweep and verify --chain -o stat their
-output's directory first: a missing one fails before any search or measurement.
+output's directory first: a missing one, or a file in its place, fails before any
+search or measurement.
 Every file is rewritten in place and cut to the new length, not truncated
 first; an output that is not a regular file (a device, a pipe) is written
 but not cut, and its manifest goes to the working directory.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -80,7 +83,9 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def _stat_output_dir(path: str) -> None:
-    os.stat(os.path.dirname(path) or ".")  # the OSError a write into a missing directory gives
+    """Raise the OSError a write to path gives if its directory is missing or no directory."""
+    if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _write_file(path: str | Path, data: bytes) -> None:

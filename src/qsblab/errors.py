@@ -1,11 +1,10 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, every one a QsbError (a ValueError).
 
-Everything derives from QsbError (a ValueError) so callers can catch the
-whole family at once; the CLI maps QsbError to its invariant-violation
-exit code.
+A class exists only if an `except` clause in the package names it, or it is the
+base or the one generic type, InvariantViolation, which every other refusal
+raises. The CLI exits 2 on NoPerfectQsb and ChainNotApplicable ("impossible:"),
+4 on TooLarge ("too large:") and 4 on any other QsbError ("invariant violation:").
 """
-
-from __future__ import annotations
 
 
 class QsbError(ValueError):
@@ -13,39 +12,11 @@ class QsbError(ValueError):
 
 
 class InvariantViolation(QsbError):
-    """A constructed object failed one of its defining checks."""
-
-
-class LabelClash(QsbError):
-    """A layout names two subsystems with one label."""
-
-
-class LayoutMismatch(QsbError):
-    """Two operands live on different layouts."""
-
-
-class BadPurification(QsbError):
-    """Supplied purification is inconsistent with the reduced state."""
+    """An input or a constructed object failed one of its defining checks."""
 
 
 class NoPerfectQsb(QsbError):
     """Perfect shared broadcasting is impossible at these dimensions."""
-
-
-class EmptyInput(QsbError):
-    """An operation received an empty collection where states were required."""
-
-
-class BoundVacuous(QsbError):
-    """The requested bound carries no information at these parameters."""
-
-
-class BadAmplitudes(QsbError):
-    """Superposition amplitudes are not normalised (or arguments out of range)."""
-
-
-class BadEpsilon(QsbError):
-    """Fidelity deficit outside (0, 1]."""
 
 
 class ChainNotApplicable(QsbError):

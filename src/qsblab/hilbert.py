@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import InvariantViolation, LabelClash, LayoutMismatch
+from .errors import InvariantViolation
 
 # The one tolerance of every invariant, and of a checked inequality's slack.
 TOL = 1e-9
@@ -207,7 +207,7 @@ class SpaceLayout:
             raise InvariantViolation("layout needs at least one subsystem")
         labels = [lbl for lbl, _ in subs]
         if len(set(labels)) != len(labels):
-            raise LabelClash(f"duplicate labels in layout: {labels}")
+            raise InvariantViolation(f"duplicate labels in layout: {labels}")
         object.__setattr__(self, "subsystems", subs)
 
     @cached_property
@@ -235,7 +235,7 @@ class PureState:
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
         if amp.shape[0] != self.layout.total_dim:
-            raise LayoutMismatch(
+            raise InvariantViolation(
                 f"{amp.shape[0]} amplitudes for layout of dim {self.layout.total_dim}"
             )
         check_unit_columns(amp[:, None])
@@ -260,7 +260,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=np.complex128)  # validation may rebuild it in place
         n = self.layout.total_dim
         if m.shape != (n, n):
-            raise LayoutMismatch(f"matrix shape {m.shape} for layout of dim {n}")
+            raise InvariantViolation(f"matrix shape {m.shape} for layout of dim {n}")
         m, w, v = validate_density(m)
         for a in (m, w, v):
             a.setflags(write=False)

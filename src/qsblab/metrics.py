@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BadPurification, LayoutMismatch
+from .errors import InvariantViolation
 from .hilbert import (
     RANK_CUTOFF,
     TOL,
@@ -71,7 +71,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     of rooting near-zero eigenvalues of the triple product.
     """
     if rho.layout != sigma.layout:
-        raise LayoutMismatch(f"layouts differ: {rho.layout.labels} vs {sigma.layout.labels}")
+        raise InvariantViolation(f"layouts differ: {rho.layout.labels} vs {sigma.layout.labels}")
     return float(_fidelity(_root(*rho._eigh), _root(*sigma._eigh)))
 
 
@@ -84,7 +84,7 @@ def _fidelity_pure(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi|rho|psi>, the mixed-vs-pure special case."""
     if rho.layout != psi.layout:
-        raise LayoutMismatch("state layouts differ")
+        raise InvariantViolation("state layouts differ")
     return float(_fidelity_pure(rho.matrix, psi.amplitudes))
 
 
@@ -160,9 +160,9 @@ def _partner(m: np.ndarray, rho: np.ndarray, w_sig: np.ndarray, v_sig: np.ndarra
     """
     reduced = m @ m.conj().swapaxes(-1, -2)
     if float(np.max(np.abs(reduced - rho))) > 1e-8:
-        raise BadPurification("supplied state does not purify rho_a")
+        raise InvariantViolation("supplied state does not purify rho_a")
     if m.shape[-1] != m.shape[-2]:
-        raise BadPurification(f"purification of shape {m.shape[-2:]}: m must be square")
+        raise InvariantViolation(f"purification of shape {m.shape[-2:]}: m must be square")
     sqrt_sigma = _root(w_sig, v_sig)
     u, _, vh = np.linalg.svd(m.conj().swapaxes(-1, -2) @ sqrt_sigma)
     partner = sqrt_sigma @ (vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2))

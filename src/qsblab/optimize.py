@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, TooLarge
-from .hilbert import as_int, haar_isometry_matrix, _cholesky_lo, _inv
+from .hilbert import TOL, as_int, haar_isometry_matrix, _cholesky_lo, _inv
 from .qsb import (QsbInstance, _embed_params, branch_grads, branch_values,
                   default_probe_states, measure_eps, search_probes, split_clone_construct)
 
@@ -251,7 +251,7 @@ def _run_restart(
         last = None  # the stage's previous (x, xi), for the BB step
         value, z = _soft_min(f, hard, temp, e)
         while True:
-            if best_hard >= 1.0 - 1e-9:
+            if best_hard >= 1.0 - TOL:
                 stop = "perfect"
                 break
             if iters == stage_end:
@@ -378,7 +378,7 @@ def frontier_sweep(config: OptimizeConfig, d_a_values: Sequence[int]) -> list[Fr
     points: list[FrontierPoint] = []
     for cfg in [replace(config, d_a=d_a) for d_a in values]:
         point = optimize_qsb(cfg, seeds=[p.best_instance for p in points[-1:]])
-        if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - 1e-9:
+        if points and point.best_worst_fidelity < points[-1].best_worst_fidelity - TOL:
             raise InvariantViolation(
                 "frontier decreased with growing shared dimension despite embedding"
             )

@@ -42,20 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from .channels import depolarizing_channel, mix
-from .errors import (
-    BadAmplitudes,
-    BadEpsilon,
-    BoundVacuous,
-    ChainNotApplicable,
-    EmptyInput,
-    InvariantViolation,
-    LayoutMismatch,
-    NoPerfectQsb,
-)
+from .errors import ChainNotApplicable, InvariantViolation, NoPerfectQsb
 from .hilbert import (
     DensityMatrix,
     PureState,
     SpaceLayout,
+    TOL,
     as_int,
     check_isometry,
     check_unit_columns,
@@ -142,7 +134,7 @@ class QsbInstance:
         d_s, d_o = self.source_layout.total_dim, self.output_layout.total_dim
         u, vab, vac = (_frozen(m) for m in (self.u, self.v_abs, self.v_acs))
         if u.ndim != 2 or u.shape[1] != d_s or u.shape[0] % d_o:
-            raise LayoutMismatch(f"Stinespring shape {u.shape}, expected ({d_o} * d_e, {d_s})")
+            raise InvariantViolation(f"Stinespring shape {u.shape}, expected ({d_o} * d_e, {d_s})")
         d_e = u.shape[0] // d_o
         if d_e < 1:
             raise InvariantViolation("channel needs at least one Kraus operator")
@@ -153,7 +145,7 @@ class QsbInstance:
         d_a, d_b, d_c = (d for _, d in self.output_layout.subsystems)
         for key, m, rows in (("v_abs", vab, d_a * d_b), ("v_acs", vac, d_a * d_c)):
             if m.shape != (rows, d_s):
-                raise LayoutMismatch(f"{key} shape {m.shape}, expected {(rows, d_s)}")
+                raise InvariantViolation(f"{key} shape {m.shape}, expected {(rows, d_s)}")
         for what, m in (("completeness", u), ("isometry of v_abs", vab), ("isometry of v_acs", vac)):
             check_isometry(m, what)
         object.__setattr__(self, "u", u)
@@ -223,7 +215,7 @@ class QsbInstance:
         shape = (output.total_dim, source.total_dim)
         for k in ops:
             if k.shape != shape:
-                raise LayoutMismatch(f"Kraus shape {k.shape}, expected {shape}")
+                raise InvariantViolation(f"Kraus shape {k.shape}, expected {shape}")
         u = np.array(ops, dtype=np.complex128).reshape(-1, *shape).swapaxes(0, 1)
         vab, vac = (_mat_from_json(data[key]["matrix"]) for key in ("v_abs", "v_acs"))
         inst = cls(source, output, u.reshape(-1, shape[1]), vab, vac)
@@ -231,7 +223,7 @@ class QsbInstance:
             rep = data[key]
             if SpaceLayout(rep["in"]) != source or SpaceLayout(rep["out"]).subsystems != pair:
                 labels = [lbl for lbl, _ in pair]
-                raise LayoutMismatch(f"{key} must map the source into the output pair {labels}")
+                raise InvariantViolation(f"{key} must map the source into the output pair {labels}")
         return inst
 
 
@@ -404,9 +396,9 @@ def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndar
     """
     cols = np.ascontiguousarray(cols, dtype=np.complex128)
     if cols.size == 0:
-        raise EmptyInput("measure_eps needs at least one probe state")
+        raise InvariantViolation("measure_eps needs at least one probe state")
     if cols.ndim != 2 or cols.shape[0] != instance.d_s:
-        raise LayoutMismatch(f"probe array of shape {cols.shape}, expected ({instance.d_s}, n)")
+        raise InvariantViolation(f"probe array of shape {cols.shape}, expected ({instance.d_s}, n)")
     check_unit_columns(cols)
     dims4 = (instance.d_a, instance.d_b, instance.d_c, instance.d_e)
     f, _ = branch_values(instance.u, instance.v_abs, instance.v_acs, _outer_columns(cols), dims4)
@@ -538,7 +530,7 @@ def extract_product_approx(instance: QsbInstance, psi: PureState) -> ProductAppr
     swapped: relabel the private outputs and exchange V_AB and V_AC.
     """
     if psi.layout != instance.source_layout:
-        raise LayoutMismatch("input does not live on the source layout")
+        raise InvariantViolation("input does not live on the source layout")
     col = psi.amplitudes.reshape(-1, 1)
     *phis, f_abc, f_ab, f_ac = _extract(instance, col)
     subs = instance.output_layout.subsystems
@@ -561,7 +553,7 @@ def product_floors(eps: float) -> dict[str, float]:
     the product deficit, all from _CHAIN.
     """
     if not 0.0 < eps <= 1.0:
-        raise BadEpsilon(f"eps = {eps} outside (0, 1]")
+        raise InvariantViolation(f"eps = {eps} outside (0, 1]")
     return {
         "floor_ab": 1.0 - _deficit("eps_prime_b", eps),
         "floor_ac": 1.0 - _deficit("eps_prime_c", eps),
@@ -573,6 +565,8 @@ def product_floors(eps: float) -> dict[str, float]:
 # overlap geometry
 # ---------------------------------------------------------------------------
 
+_CROWDING_SLACK = 1e-12  # how far rounding may put a computed largest overlap below overlap_lower_bound
+
 
 def overlap_lower_bound(m: int, d: int) -> float:
     """Any m unit vectors in dim d < m contain a pair with overlap above this.
@@ -583,7 +577,7 @@ def overlap_lower_bound(m: int, d: int) -> float:
     """
     m, d = as_int(m, "m", 1), as_int(d, "d", 1)
     if m <= d:
-        raise BoundVacuous(f"{m} vectors fit orthogonally in dim {d}")
+        raise InvariantViolation(f"{m} vectors fit orthogonally in dim {d}")
     return math.sqrt((m - d) / (d * (m - 1.0)))
 
 
@@ -600,7 +594,7 @@ def _closest_pair(overlaps: np.ndarray, d: int) -> tuple[tuple[int, int], float]
     best = float(overlaps[i[k], j[k]])
     if m > d:
         bound = overlap_lower_bound(m, d)
-        if best < bound - 1e-12:
+        if best < bound - _CROWDING_SLACK:
             raise InvariantViolation(
                 f"max overlap {best} below the guaranteed {bound}; "
                 "this indicates a numerical defect"
@@ -612,11 +606,11 @@ def max_overlap_pair(vectors: Sequence[PureState]) -> tuple[tuple[int, int], flo
     """Exhaustive scan for the largest pairwise overlap |<phi_i|phi_j>|."""
     vecs = list(vectors)
     if len(vecs) < 2:
-        raise EmptyInput("need at least two vectors to compare")
+        raise InvariantViolation("need at least two vectors to compare")
     lay = vecs[0].layout
     for v in vecs[1:]:
         if v.layout != lay:
-            raise LayoutMismatch("all vectors must share one layout")
+            raise InvariantViolation("all vectors must share one layout")
     rows = np.stack([v.amplitudes for v in vecs])
     return _closest_pair(np.abs(rows.conj() @ rows.T), lay.total_dim)
 
@@ -630,10 +624,10 @@ def lambda_max_rank2(alpha: complex, beta: complex, f12: float) -> float:
     a2 = abs(alpha) ** 2
     b2 = abs(beta) ** 2
     # "not within tolerance", so a NaN fails it
-    if not abs(a2 + b2 - 1.0) <= 1e-9:
-        raise BadAmplitudes(f"|alpha|^2 + |beta|^2 = {a2 + b2} must be 1")
+    if not abs(a2 + b2 - 1.0) <= TOL:
+        raise InvariantViolation(f"|alpha|^2 + |beta|^2 = {a2 + b2} must be 1")
     if not -1e-12 <= f12 <= 1.0 + 1e-12:
-        raise BadAmplitudes(f"f12 = {f12} outside [0, 1]")
+        raise InvariantViolation(f"f12 = {f12} outside [0, 1]")
     f12 = min(max(f12, 0.0), 1.0)
     # (a2-b2)^2 + 4 a2 b2 f12 equals 1 - 4 a2 b2 (1-f12) on the simplex but
     # has no cancellation, so the sqrt stays accurate near the balanced point.
@@ -766,7 +760,7 @@ class EpsilonChainReport:
 def chain_constants(eps: float, d_a: int) -> EpsilonChainReport:
     """All deficit-chain constants at a given eps and shared dimension."""
     if not 0.0 < eps <= 1.0:
-        raise BadEpsilon(f"eps = {eps} outside (0, 1]")
+        raise InvariantViolation(f"eps = {eps} outside (0, 1]")
     d_a = as_int(d_a, "d_a", 1)
     consts, shared = _nested(_deficit("eps_prime_b", eps), _deficit("eps_prime_c", eps), *_FLOATS)
     ivs = {k: _deficit(k, eps) for k in ("eps_iv_b", "eps_iv_c")}
@@ -882,7 +876,7 @@ def chain_verify(
     d_s, d_a = instance.d_s, instance.d_a
     check_chain_premise(instance, allow_trivial)
     if not 0.0 <= eps_hat <= 1.0:
-        raise BadEpsilon(f"eps_hat = {eps_hat} outside [0, 1]")
+        raise InvariantViolation(f"eps_hat = {eps_hat} outside [0, 1]")
     basis_cols = np.eye(d_s, dtype=np.complex128)
 
     phi_a, phi_b, phi_c, f_abc, f_ab, f_ac = _extract(instance, basis_cols)
@@ -924,7 +918,7 @@ def chain_verify(
     pair_floor = _per_dim("pair", d_a) if guaranteed else 0.0  # a zero floor is vacuous
     checks += _bounds(["selected_pair_fidelity_floor"], [a_overlap ** 2], pair_floor)
     if guaranteed:
-        checks += _bounds(["crowding_overlap_floor"], [a_overlap], overlap_lower_bound(d_s, d_a) - 1e-12)
+        checks += _bounds(["crowding_overlap_floor"], [a_overlap], overlap_lower_bound(d_s, d_a) - _CROWDING_SLACK)
     closeness = 1.0 - consts.constants["shared_closeness_deficit"]
     enforced = guaranteed and consts.admissible_b
     checks += _bounds(["shared_closeness_floor"], [a_overlap ** 2], closeness, enforced=enforced)
@@ -946,7 +940,7 @@ def chain_verify(
         ceiling = math.sqrt(consts.constants["eps_dprime_" + branch])
         checks += _bounds(labels["outer_overlap_ceiling_" + branch], [abs(c)], ceiling, floor=False, enforced=cond)
         # the normalised component of x2 orthogonal to x1, undefined if nearly parallel
-        if abs(c) >= 1.0 - 1e-9:
+        if abs(c) >= 1.0 - TOL:
             degenerate.append(branch)
             continue
         resid0 = x2 - c * x1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _reference import channel_action, kraus_ops, partial_trace, random_density
 from qsblab.channels import depolarizing_channel, mix
-from qsblab.errors import InvariantViolation, LayoutMismatch
+from qsblab.errors import InvariantViolation
 from qsblab.hilbert import DensityMatrix, SpaceLayout, haar_isometry_matrix, random_pure
 from qsblab.qsb import QsbInstance
 
@@ -42,7 +42,7 @@ def test_kraus_family_must_be_complete():
     with pytest.raises(InvariantViolation, match="at least one Kraus operator"):
         _qubit_instance(np.zeros((0, 2)))
     # rows must come in whole output blocks, one per environment index
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(InvariantViolation, match=r"Stinespring shape \(3, 2\), expected \(2 \* d_e, 2\)"):
         _qubit_instance(np.eye(3, 2))
     # canonical maximum d_in * d_out on the family size
     too_many = np.tile(np.eye(2) / np.sqrt(5.0), (1, 5)).reshape(-1, 2)
@@ -153,7 +153,7 @@ def test_mix_is_convex_in_action():
 def test_mix_rejections():
     a = _random_channel(2, 2, 2, 9)
     b = _random_channel(2, 3, 2, 10)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(InvariantViolation, match="channels must share input and output dimensions"):
         mix(a, b, 0.5)
     with pytest.raises(InvariantViolation):
         mix(a, a, 1.5)

@@ -691,9 +691,9 @@ def test_an_exception_exit_writes_no_manifest(workdir, capsys, argv, code):
 @pytest.mark.parametrize(
     "argv",
     [
-        _with_dims("optimize", restarts="1", iters="5") + ["-o", "missing/f.json"],
-        _with_dims("sweep", da="1..2", restarts="1", iters="5") + ["--csv", "missing/s.csv"],
-        ["verify", "inst.json", "--chain", "--allow-trivial", "-o", "missing/c.json"],
+        _with_dims("optimize", restarts="1", iters="5") + ["-o", "{}/f.json"],
+        _with_dims("sweep", da="1..2", restarts="1", iters="5") + ["--csv", "{}/s.csv"],
+        ["verify", "inst.json", "--chain", "--allow-trivial", "-o", "{}/c.json"],
     ],
     ids=["optimize", "sweep", "verify-chain"],
 )
@@ -703,11 +703,13 @@ def test_an_output_in_a_missing_directory_exits_3_before_any_work(workdir, capsy
     for module in (cli, optimize_module):  # a search that runs raises
         monkeypatch.setattr(module, "optimize_qsb", lambda cfg, seeds=(): 1 / 0)
     made = sorted(workdir.iterdir())
-    assert main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("I/O failure: [Errno 2] "), err
-    assert sorted(workdir.iterdir()) == made
+    # no such directory, and a regular file where the directory should be
+    for parent, errno in (("missing", 2), ("inst.json", 20)):
+        assert main([a.format(parent) for a in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"I/O failure: [Errno {errno}] "), err
+        assert sorted(workdir.iterdir()) == made
 
 
 # Every integer flag of every subcommand, drawn from [-2, 3] (or omitted, or

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used, every
-top-level definition and method has a caller, and every private numpy
+top-level definition and method has a caller, every package error class is
+caught by name or is the base or the generic one, and every private numpy
 gufunc the package calls exists, or its public fallback gives the same runs."""
 
 import ast
@@ -209,6 +210,28 @@ def test_every_definition_has_a_caller():
     }
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreached(sources, gated | set(EXTRA_ROOTS), _loads(acceptance)) == []
+
+
+def test_every_error_class_is_told_apart_by_a_caller():
+    # a package error class earns its place only if an except clause names it;
+    # QsbError, the base, and InvariantViolation, the one generic type, need none
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    classes = [n for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)]
+    bases = {n.name: {ast.unparse(b) for b in n.bases} for n in classes}
+    package = {"QsbError"}
+    while grown := {name for name, b in bases.items() if b & package} - package:
+        package |= grown
+    caught, raised = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _reads(node.type)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _reads(getattr(node.exc, "func", node.exc))
+    told_apart = {"QsbError", "InvariantViolation"} | (caught & package)
+    errors = ast.parse((SRC / "errors.py").read_text()).body
+    assert {n.name for n in errors if isinstance(n, ast.ClassDef)} <= told_apart
+    assert raised & package <= told_apart
 
 
 # numpy 2's private LAPACK gufuncs the package calls, each with its one signature
