@@ -9,8 +9,8 @@ A subcommand that returns (exit 0, or 4 from a failing chain row or
 property check) writes one small manifest next to its outputs so it can be
 replayed; a run that ends in an error message (usage, or exit 2, 3 or 4
 from an exception) writes none. optimize, sweep and verify --chain -o stat their
-output's directory first: a missing one, or a file in its place, fails before any
-search or measurement.
+output first: an empty path, a directory in the output's place, a missing parent
+directory, or a file in the parent's place fails before any search or measurement.
 Every file is rewritten in place and cut to the new length, not truncated
 first; an output that is not a regular file (a device, a pipe) is written
 but not cut, and its manifest goes to the working directory.
@@ -61,6 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _blas() -> dict[str, str]:
+    """The name and version of the BLAS numpy was built with, read once per process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
 def _write_manifest(args, inputs: list[str], outputs: list[str], started: float) -> None:
     """<stem>.manifest.json beside the first output if it is a regular file, else
     <subcommand>.manifest.json in the working directory."""
@@ -71,6 +81,9 @@ def _write_manifest(args, inputs: list[str], outputs: list[str], started: float)
         "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": _blas(),
+        "thread_env": {k: os.environ[k] for k in _THREAD_VARS if k in os.environ},
         "duration_s": round(time.perf_counter() - started, 3),
     }
     first = Path(outputs[0]) if outputs and os.path.isfile(outputs[0]) else Path(args.subcommand)
@@ -83,9 +96,14 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def _stat_output_dir(path: str) -> None:
-    """Raise the OSError a write to path gives if its directory is missing or no directory."""
+    """Raise the OSError a write to path gives if path is empty or a directory,
+    or its directory is missing or no directory."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_file(path: str | Path, data: bytes) -> None:
@@ -156,11 +174,11 @@ class _IoFailure(Exception):
 
 
 def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
-    if args.out and not args.chain:
+    if args.out is not None and not args.chain:
         _parser().error("verify -o/--out needs --chain: only the chain writes a report")
     if args.allow_trivial and not args.chain:
         _parser().error("verify --allow-trivial needs --chain: only the chain has a premise to waive")
-    if args.out:
+    if args.out is not None:
         _stat_output_dir(args.out)
     inst = _load_instance(args.instance)
     if args.chain:
@@ -186,7 +204,7 @@ def _cmd_verify(args) -> tuple[int, list[str], list[str]]:
         if report.cloning_contradiction:
             lines.append("copy floors exceed the universal cloning ceiling: contradiction")
         print("\n".join(lines))
-        if args.out:
+        if args.out is not None:
             _write_json(args.out, report.to_json())
             outputs.append(args.out)
             print(f"wrote {args.out}")

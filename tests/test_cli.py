@@ -51,6 +51,17 @@ def test_construct_success(workdir, capsys):
     assert manifest["outputs"] == ["inst.json"]
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 1, 1), (2, 3, 2, 3)], ids=["exact-fit", "padded"])
+def test_construct_writes_the_exact_broadcast_over_a_longer_file(workdir, capsys, dims):
+    # at d_B, d_C > 1 the broadcast is zero-padded past its one-dimensional
+    # private parts; a longer file under the output is cut to the new bytes
+    (workdir / "inst.json").write_bytes(b"x" * 100_000)
+    _construct(workdir, dims=tuple(map(str, dims)))
+    assert capsys.readouterr().out == "wrote inst.json\nf_ab 1.000000\nf_ac 1.000000\n"
+    want = json.dumps(perfect_qsb_construct(*dims).to_json()) + "\n"
+    assert (workdir / "inst.json").read_text() == want
+
+
 def test_construct_impossible_dims(workdir, capsys):
     code = main(["construct", "--ds", "3", "--da", "2", "--db", "2", "--dc", "2", "-o", "x.json"])
     assert code == 2
@@ -144,6 +155,14 @@ def test_verify_invariant_breaking_instance(workdir, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("invariant violation: "), err
+
+
+def test_a_zero_dimension_in_an_instance_file_names_its_subsystem(workdir, capsys):
+    data = perfect_qsb_construct(2, 2, 1, 1).to_json()
+    data["out"][1][1] = 0
+    (workdir / "zero.json").write_text(json.dumps(data))
+    assert main(["verify", "zero.json"]) == 4
+    assert capsys.readouterr() == ("", "invariant violation: subsystem 'B' dim = 0 must be >= 1\n")
 
 
 def test_a_request_too_large_to_allocate_exits_4(workdir, capsys):
@@ -263,6 +282,8 @@ _DROP = object()
         (("v_acs", "in", 0, 0), "T", 4),
         (("kraus", 0), [[[1.0, 0.0]]], 4),
         (("kraus",), [[[[0.2**0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2**0.5, 0.0]]]] * 5, 4),
+        # one bool entry among numbers is no number either
+        (("kraus", 0, 0, 0), [True, False], 3),
     ],
 )
 def test_malformed_instance_fails_cleanly(workdir, capsys, path, value, code):
@@ -575,8 +596,20 @@ _BUDGET = ["--restarts", "1", "--iters", "5", "--haar", "5"]
         (["properties", "--samples", "5", "--dims", "3"], "properties.manifest.json", [], []),
         (_with_dims("optimize", env="2") + _BUDGET + ["-o", "f.json"], "f.manifest.json", [], ["f.json"]),
         (_with_dims("sweep", da="1..2") + _BUDGET + ["--csv", "s.csv"], "s.manifest.json", [], ["s.csv"]),
+        # no Haar samples: the probes are the basis and the phased pairs alone
+        (["verify", "inst.json", "--chain", "--allow-trivial", "--samples", "0"], "verify.manifest.json",
+         ["inst.json"], []),
+        # an output that is no regular file: the manifest goes to the working directory
+        (["verify", "inst.json", "--chain", "--allow-trivial", "-o", os.devnull], "verify.manifest.json",
+         ["inst.json"], [os.devnull]),
+        (["properties", "--samples", "50", "--dims", "8"], "properties.manifest.json", [], []),
+        (["properties", "--samples", "20", "--dims", "2"], "properties.manifest.json", [], []),
+        # one sample: pools of a single bucket, some with no pure-state fidelity
+        (["properties", "--samples", "1", "--dims", "16"], "properties.manifest.json", [], []),
     ],
-    ids=["construct", "verify", "verify-chain", "threshold", "properties", "optimize", "sweep"],
+    ids=["construct", "verify", "verify-chain", "threshold", "properties", "optimize", "sweep",
+         "verify-chain-no-haar", "verify-chain-devnull", "properties-dims-8", "properties-smallest-cap",
+         "properties-one-sample"],
 )
 def test_a_returning_run_writes_one_manifest(workdir, capsys, argv, manifest, inputs, outputs):
     (workdir / "inst.json").write_text(json.dumps(perfect_qsb_construct(2, 2, 1, 1).to_json()))
@@ -585,6 +618,18 @@ def test_a_returning_run_writes_one_manifest(workdir, capsys, argv, manifest, in
     written = json.loads((workdir / manifest).read_text())
     assert (written["subcommand"], written["inputs"], written["outputs"]) == (argv[0], inputs, outputs)
     assert written["flags"]["subcommand"] == argv[0] and "func" not in written["flags"]
+
+
+def test_a_manifest_records_numpy_blas_and_the_thread_variables(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert main(["threshold", "--da", "2"]) == 0
+    manifest = json.loads((workdir / "threshold.manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert manifest["thread_env"] == {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
 
 
 def test_an_output_that_is_no_regular_file_gets_its_manifest_in_the_working_directory(workdir, capsys):
@@ -691,21 +736,23 @@ def test_an_exception_exit_writes_no_manifest(workdir, capsys, argv, code):
 @pytest.mark.parametrize(
     "argv",
     [
-        _with_dims("optimize", restarts="1", iters="5") + ["-o", "{}/f.json"],
-        _with_dims("sweep", da="1..2", restarts="1", iters="5") + ["--csv", "{}/s.csv"],
-        ["verify", "inst.json", "--chain", "--allow-trivial", "-o", "{}/c.json"],
+        _with_dims("optimize", restarts="1", iters="5") + ["-o", "{}"],
+        _with_dims("sweep", da="1..2", restarts="1", iters="5") + ["--csv", "{}"],
+        ["verify", "inst.json", "--chain", "--allow-trivial", "-o", "{}"],
     ],
     ids=["optimize", "sweep", "verify-chain"],
 )
 def test_an_output_in_a_missing_directory_exits_3_before_any_work(workdir, capsys, monkeypatch, argv):
     _construct(workdir)
+    (workdir / "outdir").mkdir()
     capsys.readouterr()
     for module in (cli, optimize_module):  # a search that runs raises
         monkeypatch.setattr(module, "optimize_qsb", lambda cfg, seeds=(): 1 / 0)
     made = sorted(workdir.iterdir())
-    # no such directory, and a regular file where the directory should be
-    for parent, errno in (("missing", 2), ("inst.json", 20)):
-        assert main([a.format(parent) for a in argv]) == 3
+    # no such directory, a regular file where the directory should be, a
+    # directory where the output should be, and no path at all
+    for output, errno in (("missing/out", 2), ("inst.json/out", 20), ("outdir", 21), ("", 2)):
+        assert main([a.format(output) for a in argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"I/O failure: [Errno {errno}] "), err
@@ -746,6 +793,26 @@ def test_every_run_fails_cleanly(data):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2, 3, 4) and "Traceback" not in err.getvalue()
     assert len(lines) <= 1 and (len(lines) == 1 or code not in (1, 2, 3)), (argv, lines)
+
+
+def test_the_per_shape_caches_hand_no_call_another_shapes_data(workdir, capsys):
+    # one process verifying d_S = 2, then 3, then 2 again prints and writes
+    # what calls on empty caches print and write
+    for d in (2, 3):
+        (workdir / f"inst{d}.json").write_text(json.dumps(perfect_qsb_construct(d, d, 1, 1).to_json()))
+
+    def run(d):
+        assert main(["verify", f"inst{d}.json", "--chain", "--allow-trivial", "-o", "chain.json"]) == 0
+        return capsys.readouterr().out, (workdir / "chain.json").read_bytes()
+
+    warm = [run(d) for d in (2, 3, 2)]
+    fresh = {}
+    for d in (2, 3):
+        for cached in (qsb_module._pairs, qsb_module._fixed_probe_columns, qsb_module._chain_labels,
+                       cli._wrapped_layout):
+            cached.cache_clear()
+        fresh[d] = run(d)
+    assert warm == [fresh[2], fresh[3], fresh[2]]
 
 
 def test_consecutive_calls_get_their_own_flags(workdir, capsys):
