@@ -96,11 +96,15 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def _stat_output_dir(path: str) -> None:
-    """Raise the OSError a write to path gives if path is empty or a directory,
-    or its directory is missing or no directory."""
+    """Raise the OSError a write to path gives, naming path, if path is empty or
+    a directory, or its directory is missing or no directory."""
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+    try:
+        mode = os.stat(os.path.dirname(path) or ".").st_mode
+    except OSError as exc:  # the stat names the directory; the write names the output
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if not stat.S_ISDIR(mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

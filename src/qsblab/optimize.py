@@ -7,17 +7,21 @@ Worst-case fidelity over a fixed probe family, the (d_s, n) columns of
 default_probe_states, is maximized through a temperature-annealed soft
 minimum of qsb.branch_values, the kernel that measure_eps also runs, along
 its gradient qsb.branch_grads, both on the probe operand qsb.search_probes
-picks for the search's shape (its docstring explains the two forms). The
-temperature climbs a fixed ladder TEMPS, TEMP_INIT * TEMP_RATIO^j capped at
-TEMP_MAX. A stage ends when the tangent gradient norm falls below GRAD_TOL,
-or after its ceil(max_iters / STAGES) share of the budget, so max_iters is
-only a cap. Each iteration's first trial step is the Barzilai-Borwein step
-t = Re<s,s> / (-Re<s,y>), s and y the changes in the point and in the tangent
-gradient since the stage's last iteration, capped at 10; at a stage's first
-iteration, or if Re<s,y> >= 0, the last accepted step grows by 1.3 instead.
+picks for the search's shape (its docstring explains the two forms). A
+restart is a ladder over one stage function: each temperature of TEMPS,
+TEMP_INIT * TEMP_RATIO^j capped at TEMP_MAX, runs one stage, an ascent of
+the soft minimum at that temperature that returns its iteration count and
+its stop reason. A stage that ends on the gradient test (tangent gradient
+norm below GRAD_TOL) or after its ceil(max_iters / STAGES) share of the
+budget hands over to the next, so max_iters is only a cap; a perfect point
+or an exhausted line search ends the restart. Each iteration's first trial
+step is the Barzilai-Borwein step t = Re<s,s> / (-Re<s,y>), s and y the
+changes in the point and in the tangent gradient since the stage's last
+iteration, capped at 10; at a stage's first iteration, or if Re<s,y> >= 0,
+the last accepted step grows by 1.3 instead.
 The Armijo test is nonmonotone: it compares against the smallest soft value
-of the stage's last MEMORY iterations. Both memories restart with each
-temperature, as the objective changes with it. A restart has converged
+of the stage's last MEMORY iterations. Both memories are the stage's own,
+as the objective changes with the temperature. A restart has converged
 when its top stage ends on the gradient test; there its soft minimum lies
 within log(2n)/TEMP_MAX of the hard minimum of its 2n values, about 6e-5
 for the default n = 210 at d_s = 2.
@@ -233,37 +237,26 @@ def _run_restart(
         x[k, : rows[k]] = m
     g, x_t = np.zeros_like(x), np.empty_like(x)  # gradient and trial point, written in place
     grads = unpad(g)  # branch_grads writes these views; g's padding rows stay zero
-    cap = -(-config.max_iters // STAGES)  # one stage's share of the budget
-    step = STEP_INIT
     f, cached = branch_values(*unpad(x), probes, dims4)
     hard = float(np.minimum.reduce(f, None))
-    best_hard, best_x = hard, x
+    best_hard, best_x, step = hard, x, STEP_INIT
     e = np.empty_like(f)  # the current point's soft-min exponentials, then each trial's
-    iters = 0
 
-    # a stage that ends on its cap hands over to the next; once the budget is
-    # spent, every later stage is empty and the stop reads max_iters
-    for temp in TEMPS:
-        stage_end = min(iters + cap, config.max_iters)
-        # the objective changes with the temperature, so both memories and the
-        # point's soft minimum restart; within a stage each carries over
+    def stage(temp: float, budget: int) -> tuple[int, str]:
+        """Ascend the soft minimum at temp by at most budget BB1 steps under the
+        nonmonotone Armijo test; return the steps taken and the stop reason."""
+        nonlocal x, f, cached, hard, step, best_hard, best_x  # carried from stage to stage
         soft = deque(maxlen=MEMORY)
         last = None  # the stage's previous (x, xi), for the BB step
         value, z = _soft_min(f, hard, temp, e)
-        while True:
+        for done in range(budget):
             if best_hard >= 1.0 - TOL:
-                stop = "perfect"
-                break
-            if iters == stage_end:
-                stop = "max_iters"
-                break
+                return done, "perfect"
             branch_grads(cached, np.divide(e, z, out=e), grads)
             xi = _tangent(x, g)
             gnorm2 = float(np.vdot(xi, xi).real)
             if gnorm2 < GRAD_TOL * GRAD_TOL:
-                stop = "converged"
-                break
-            iters += 1
+                return done, "converged"
 
             # BB1 step from s = x_k - x_{k-1}, y = xi_k - xi_{k-1}; ascent needs
             # Re<s, y> < 0, and otherwise the last accepted step grows by 1.3
@@ -293,13 +286,19 @@ def _run_restart(
                     break
                 trial *= 0.5
             else:
-                stop = "line_search_exhausted"
-                break
+                return done + 1, "line_search_exhausted"
             if hard > best_hard:
                 best_hard, best_x = hard, x
+        return budget, "perfect" if best_hard >= 1.0 - TOL else "max_iters"
+
+    # the ladder: a stage that converges or spends its share hands over to the
+    # next; once the budget is spent, every later stage is empty and reads max_iters
+    cap, iters = -(-config.max_iters // STAGES), 0  # cap: one stage's share of the budget
+    for temp in TEMPS:
+        done, stop = stage(temp, min(cap, config.max_iters - iters))
+        iters += done
         if stop in ("perfect", "line_search_exhausted"):
             break
-
     return _RestartOutcome(index, best_hard, unpad(best_x), iters, stop)
 
 

@@ -749,13 +749,16 @@ def test_an_output_in_a_missing_directory_exits_3_before_any_work(workdir, capsy
     for module in (cli, optimize_module):  # a search that runs raises
         monkeypatch.setattr(module, "optimize_qsb", lambda cfg, seeds=(): 1 / 0)
     made = sorted(workdir.iterdir())
-    # no such directory, a regular file where the directory should be, a
-    # directory where the output should be, and no path at all
-    for output, errno in (("missing/out", 2), ("inst.json/out", 20), ("outdir", 21), ("", 2)):
+    # no such directory, a regular file where the directory should be (or
+    # above it), a directory where the output should be, and no path at all;
+    # each line names the output, as a failed write does
+    for output, errno in (("missing/out", 2), ("inst.json/out", 20), ("inst.json/sub/out", 20),
+                          ("outdir", 21), ("", 2)):
         assert main([a.format(output) for a in argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"I/O failure: [Errno {errno}] "), err
+        assert err.endswith(f": {output!r}\n"), err
         assert sorted(workdir.iterdir()) == made
 
 

@@ -562,6 +562,35 @@ def test_budget_is_only_a_cap():
     assert point.best_worst_fidelity == pytest.approx(0.8333297225379448, rel=0, abs=1e-12)
 
 
+def test_a_budget_below_the_stage_count_is_spent_and_kept():
+    # one iteration per stage until the budget is spent; the later stages are
+    # empty, and the stop reads max_iters
+    assert optimize_module.STAGES > 5
+    point = optimize_qsb(OptimizeConfig(2, 1, 2, 2, restarts=1, max_iters=5, **SMALL))
+    assert point.iterations_used == 5
+    assert point.stop_reasons == ("max_iters",)
+
+
+def test_a_line_search_that_finds_no_ascent_ends_the_restart(monkeypatch):
+    # every trial point reads lower than the start, so the first iteration's
+    # backtracking runs out, and the start stays the best point
+    starts = []
+    evaluate = optimize_module.branch_values
+
+    def lower_after_the_start(*args):
+        f, cached = evaluate(*args)
+        if not starts:
+            starts.append(float(f.min()))
+            return f, cached
+        return f - 1.0, cached
+
+    monkeypatch.setattr(optimize_module, "branch_values", lower_after_the_start)
+    point = optimize_qsb(OptimizeConfig(2, 1, 2, 2, restarts=1, max_iters=300, **SMALL))
+    assert point.stop_reasons == ("line_search_exhausted",)
+    assert point.iterations_used == 1
+    assert point.restart_values == (starts[0],)
+
+
 def test_step_rule_needs_few_iterations_and_trials(monkeypatch):
     # the BB step is mostly accepted at once: a step rule that guesses and
     # backtracks took 218 iterations at about 1.4 trials each here
