@@ -7,11 +7,14 @@ Worst-case fidelity over a fixed probe family, the (d_s, n) columns of
 default_probe_states, is maximized through a temperature-annealed soft
 minimum of qsb.branch_values, the kernel that measure_eps also runs, along
 its gradient qsb.branch_grads, both on the probe operand qsb.search_probes
-picks for the search's shape (its docstring explains the two forms). A
-restart is a ladder over one stage function: each temperature of TEMPS,
-TEMP_INIT * TEMP_RATIO^j capped at TEMP_MAX, runs one stage, an ascent of
-the soft minimum at that temperature that returns its iteration count and
-its stop reason. A stage that ends on the gradient test (tangent gradient
+picks for the search's shape (its docstring explains the two forms). The
+stage and the gradient tests reach the objective through the same two
+functions: _evaluate (values, factors, hard minimum) and _direction (the
+tangent ascent direction and its Armijo slope). A restart is a ladder
+over one stage function: each temperature of TEMPS, TEMP_INIT *
+TEMP_RATIO^j capped at TEMP_MAX, runs one stage, an ascent of the soft
+minimum at that temperature that returns its iteration count and its stop
+reason. A stage that ends on the gradient test (tangent gradient
 norm below GRAD_TOL) or after its ceil(max_iters / STAGES) share of the
 budget hands over to the next, so max_iters is only a cap; a perfect point
 or an exhausted line search ends the restart. Each iteration's first trial
@@ -152,7 +155,7 @@ class FrontierPoint:
 
 
 # ---------------------------------------------------------------------------
-# objective and gradients
+# the objective: one evaluation and one ascent direction
 # ---------------------------------------------------------------------------
 
 
@@ -164,26 +167,33 @@ def _soft_min(f: np.ndarray, hard: float, temp: float, e: np.ndarray) -> tuple[f
     return hard - math.log(z) / temp, z
 
 
-def objective_value_and_grads(
-    u: np.ndarray,
-    vab: np.ndarray,
-    vac: np.ndarray,
-    psi_cols: np.ndarray,
-    dims4: tuple[int, int, int, int],
-    temp: float,
-):
-    """Smoothed objective and its conjugate-coordinate gradients.
+def _unpad(s: np.ndarray, dims4: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+    """The (U, V_AB, V_AC) views of a zero-padded (3, N_U, d_s) stack."""
+    d_a, d_b, d_c, _ = dims4
+    return s[0], s[1, : d_a * d_b], s[2, : d_a * d_c]
 
-    The gradients are with respect to conj(M), so a real perturbation of an
-    entry moves the objective by 2*Re(g) per unit and an imaginary one by
-    2*Im(g); that is the convention the finite-difference check uses.
+
+def _evaluate(x: np.ndarray, probes: np.ndarray, dims4: tuple[int, int, int, int]):
+    """Both receivers' fidelities at the padded stack x as one (2, n) stack, the
+    factor tuple branch_grads reads, and their hard minimum."""
+    f, cached = branch_values(*_unpad(x, dims4), probes, dims4)
+    return f, cached, float(np.minimum.reduce(f, None))
+
+
+def _direction(x: np.ndarray, g: np.ndarray, cached: tuple, e: np.ndarray, z: float,
+               dims4: tuple[int, int, int, int]) -> tuple[np.ndarray, float]:
+    """Tangent ascent direction xi of the soft minimum at the padded stack x, and its slope.
+
+    e and z are _soft_min's exponentials and their sum at x; e becomes the weights
+    in place. branch_grads writes the gradients w.r.t. conj(U, V_AB, V_AC) into the
+    unpadded views of g, whose padding rows stay zero: a real perturbation of an
+    entry moves the soft minimum by 2 Re(g) per unit, an imaginary one by 2 Im(g).
+    As g - xi is normal to the tangent space, the slope along _qr_positive(x + t xi)
+    at t = 0, which the Armijo test reads, is 2 Re<g, xi> = 2 |xi|^2.
     """
-    f, cached = branch_values(u, vab, vac, search_probes(psi_cols), dims4)
-    e = np.empty_like(f)
-    value, z = _soft_min(f, float(f.min()), temp, e)
-    grads = (np.empty_like(u), np.empty_like(vab), np.empty_like(vac))
-    branch_grads(cached, e / z, grads)
-    return value, *grads
+    branch_grads(cached, np.divide(e, z, out=e), _unpad(g, dims4))
+    xi = _tangent(x, g)
+    return xi, 2.0 * float(np.vdot(xi, xi).real)
 
 
 def _qr_positive(m: np.ndarray) -> np.ndarray:
@@ -225,20 +235,13 @@ def _run_restart(
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
     index: int,
 ) -> _RestartOutcome:
-    rows = tuple(m.shape[0] for m in init)
     dims4 = config.dims4
-
-    def unpad(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return s[0], s[1, : rows[1]], s[2, : rows[2]]
-
     # every step maps the stack's zero padding rows to zero rows
-    x = np.zeros((3, rows[0], config.d_s), dtype=np.complex128)
+    x = np.zeros((3, init[0].shape[0], config.d_s), dtype=np.complex128)
     for k, m in enumerate(init):
-        x[k, : rows[k]] = m
+        x[k, : m.shape[0]] = m
     g, x_t = np.zeros_like(x), np.empty_like(x)  # gradient and trial point, written in place
-    grads = unpad(g)  # branch_grads writes these views; g's padding rows stay zero
-    f, cached = branch_values(*unpad(x), probes, dims4)
-    hard = float(np.minimum.reduce(f, None))
+    f, cached, hard = _evaluate(x, probes, dims4)
     best_hard, best_x, step = hard, x, STEP_INIT
     e = np.empty_like(f)  # the current point's soft-min exponentials, then each trial's
 
@@ -252,10 +255,8 @@ def _run_restart(
         for done in range(budget):
             if best_hard >= 1.0 - TOL:
                 return done, "perfect"
-            branch_grads(cached, np.divide(e, z, out=e), grads)
-            xi = _tangent(x, g)
-            gnorm2 = float(np.vdot(xi, xi).real)
-            if gnorm2 < GRAD_TOL * GRAD_TOL:
+            xi, slope = _direction(x, g, cached, e, z, dims4)
+            if slope < 2.0 * GRAD_TOL * GRAD_TOL:  # |xi| < GRAD_TOL
                 return done, "converged"
 
             # BB1 step from s = x_k - x_{k-1}, y = xi_k - xi_{k-1}; ascent needs
@@ -272,16 +273,14 @@ def _run_restart(
             floor = min(soft)
 
             # nonmonotone Armijo backtracking on the smoothed objective, against
-            # the smallest of the stage's last MEMORY soft values; directional
-            # derivative along the tangent triple is 2*gnorm2. The accepted
+            # the smallest of the stage's last MEMORY soft values. The accepted
             # trial's f, hard and soft minimum carry over to the next iteration.
-            trial = min(step, STEP_CAP / math.sqrt(gnorm2))
+            trial = min(step, STEP_CAP / math.sqrt(0.5 * slope))
             while trial > 1e-14:
                 x2 = _qr_positive(np.add(x, np.multiply(xi, trial, out=x_t), out=x_t))
-                f2, cached2 = branch_values(x2[0], x2[1, : rows[1]], x2[2, : rows[2]], probes, dims4)
-                hard2 = float(np.minimum.reduce(f2, None))
+                f2, cached2, hard2 = _evaluate(x2, probes, dims4)
                 value2, z2 = _soft_min(f2, hard2, temp, e)
-                if value2 >= floor + 1e-4 * trial * 2.0 * gnorm2:
+                if value2 >= floor + 1e-4 * trial * slope:
                     x, f, cached, hard, value, z, step = x2, f2, cached2, hard2, value2, z2, trial
                     break
                 trial *= 0.5
@@ -299,7 +298,7 @@ def _run_restart(
         iters += done
         if stop in ("perfect", "line_search_exhausted"):
             break
-    return _RestartOutcome(index, best_hard, unpad(best_x), iters, stop)
+    return _RestartOutcome(index, best_hard, _unpad(best_x, dims4), iters, stop)
 
 
 def _random_init(

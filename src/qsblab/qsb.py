@@ -707,7 +707,7 @@ def asymptotic_ladder() -> dict[str, tuple[float, float]]:
     return ladder
 
 
-_LADDER = asymptotic_ladder()  # built once: every chain report carries it
+_LADDER = {k: list(v) for k, v in asymptotic_ladder().items()}  # JSON lists; reports copy them
 
 
 @dataclass(frozen=True)
@@ -734,7 +734,7 @@ class EpsilonChainReport:
     residual_degenerate: tuple[str, ...] = ()
     cloning_contradiction: bool = False
 
-    @property
+    @functools.cached_property
     def all_satisfied(self) -> bool:
         return all(c.satisfied for c in self.checks if not c.vacuous)
 
@@ -747,7 +747,7 @@ class EpsilonChainReport:
             "eps_zero_candidates": list(self.eps_zero_candidates),
             "admissible_b": self.admissible_b,
             "admissible_c": self.admissible_c,
-            "asymptotic": {k: list(v) for k, v in _LADDER.items()},
+            "asymptotic": {k: v.copy() for k, v in _LADDER.items()},
             "selected_pair": list(self.selected_pair) if self.selected_pair else None,
             "theta": dict(self.theta),
             "residual_degenerate": list(self.residual_degenerate),

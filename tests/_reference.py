@@ -1,16 +1,34 @@
-"""The random state draw several tests share, and textbook references on plain
-arrays that use none of the package's kernels."""
+"""The random state draw and the search stage's objective that several tests
+share, and textbook references on plain arrays that use none of the package's
+kernels."""
 
 import math
 
 import numpy as np
 
+import qsblab.optimize as optimize
 from qsblab.hilbert import DensityMatrix, haar_density_matrix
 
 
 def random_density(layout, rank, seed):
     """DensityMatrix of a Haar-random purification with the given rank; seed is a Generator or an int."""
     return DensityMatrix(layout, haar_density_matrix(np.random.default_rng(seed), layout.total_dim, rank))
+
+
+def stage_objective(u, vab, vac, cols, dims4, temp):
+    """The search stage's soft minimum at (U, V_AB, V_AC) and the probe columns
+    cols, its gradients w.r.t. conj(U, V_AB, V_AC), the padded point x, its
+    tangent ascent direction xi and its Armijo slope: the stage's own
+    evaluation and direction, on the matrices zero-padded into one stack."""
+    x = np.zeros((3, *u.shape), dtype=np.complex128)
+    for k, m in enumerate((u, vab, vac)):
+        x[k, : m.shape[0]] = m
+    f, cached, hard = optimize._evaluate(x, optimize.search_probes(cols), dims4)
+    e = np.empty_like(f)
+    value, z = optimize._soft_min(f, hard, temp, e)
+    g = np.zeros_like(x)
+    xi, slope = optimize._direction(x, g, cached, e, z, dims4)
+    return value, optimize._unpad(g, dims4), x, xi, slope
 
 
 def pure_density(psi):

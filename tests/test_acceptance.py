@@ -12,14 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from _reference import stage_objective
 from qsblab.cli import main
 from qsblab.hilbert import PureState, SpaceLayout, basis_state, random_pure
 from qsblab.metrics import fidelity_pure, property_sweep
-from qsblab.optimize import (
-    OptimizeConfig,
-    objective_value_and_grads,
-    optimize_qsb,
-)
+from qsblab.optimize import OptimizeConfig, optimize_qsb
 from qsblab.qsb import (
     CLONING_CEILING,
     asymptotic_ladder,
@@ -345,7 +342,8 @@ def test_oracle_consistency_gradient(capsys):
             cols = g / np.linalg.norm(g, axis=0, keepdims=True)
             forms.add(search_probes(cols).dtype.kind)
             mats = [u, vab, vac]
-            _, g_u, g_ab, g_ac = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, temp=30.0)
+            # the stage's own evaluation and direction, on the padded stack
+            _, (g_u, g_ab, g_ac), *_ = stage_objective(u, vab, vac, cols, cfg.dims4, temp=30.0)
             for which, grad in ((0, g_u), (1, g_ab), (2, g_ac)):
                 i = int(rng.integers(mats[which].shape[0]))
                 j = int(rng.integers(mats[which].shape[1]))
@@ -355,8 +353,8 @@ def test_oracle_consistency_gradient(capsys):
                     plus[which][i, j] += direction * h
                     minus[which][i, j] -= direction * h
                     fd = (
-                        objective_value_and_grads(*plus, cols, cfg.dims4, temp=30.0)[0]
-                        - objective_value_and_grads(*minus, cols, cfg.dims4, temp=30.0)[0]
+                        stage_objective(*plus, cols, cfg.dims4, temp=30.0)[0]
+                        - stage_objective(*minus, cols, cfg.dims4, temp=30.0)[0]
                     ) / (2.0 * h)
                     want = 2.0 * part(grad[i, j])
                     err = abs(fd - want)

@@ -8,13 +8,13 @@ import pytest
 
 import qsblab.optimize as optimize_module
 import qsblab.qsb as qsb_module
+from _reference import stage_objective
 from qsblab.errors import InvariantViolation, TooLarge
 from qsblab.optimize import (
     FrontierPoint,
     OptimizeConfig,
     branch_values,
     frontier_sweep,
-    objective_value_and_grads,
     optimize_qsb,
 )
 from qsblab.qsb import (
@@ -299,6 +299,12 @@ def test_full_restart_returns_isometries():
         assert np.max(np.abs(m.conj().T @ m - np.eye(cfg.d_s))) <= 1e-12
 
 
+def _value_along(x, xi, t, cols, dims4, temp):
+    """The stage's soft minimum at _qr_positive(x + t xi), a point its line search tries."""
+    x_t = optimize_module._qr_positive(x + t * xi)
+    return stage_objective(*optimize_module._unpad(x_t, dims4), cols, dims4, temp)[0]
+
+
 def test_gradient_steps_ascend():
     cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, **SMALL)
     rng = np.random.default_rng(3)
@@ -306,12 +312,8 @@ def test_gradient_steps_ascend():
     for _ in range(40):
         u, vab, vac = _params_for(cfg, rng)
         cols = _probe_cols(cfg, rng)
-        before, g_u, g_ab, g_ac = objective_value_and_grads(
-            u, vab, vac, cols, cfg.dims4, temp=40.0
-        )
-        step = 1e-3
-        u2, vab2, vac2 = (_step(m, g, step) for m, g in ((u, g_u), (vab, g_ab), (vac, g_ac)))
-        after, *_ = objective_value_and_grads(u2, vab2, vac2, cols, cfg.dims4, temp=40.0)
+        before, _, x, xi, _ = stage_objective(u, vab, vac, cols, cfg.dims4, temp=40.0)
+        after = _value_along(x, xi, 1e-3, cols, cfg.dims4, temp=40.0)
         if after >= before - 1e-12:
             improved += 1
     assert improved >= 38  # ascent direction, up to rare curvature flukes
@@ -326,9 +328,9 @@ def test_gradients_match_finite_differences():
         cols = _probe_cols(cfg, rng, n=8)
 
         def value(mats):
-            return objective_value_and_grads(*mats, cols, cfg.dims4, temp=30.0)[0]
+            return stage_objective(*mats, cols, cfg.dims4, temp=30.0)[0]
 
-        _, g_u, g_ab, g_ac = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, temp=30.0)
+        _, (g_u, g_ab, g_ac), *_ = stage_objective(u, vab, vac, cols, cfg.dims4, temp=30.0)
         for which, grad in ((0, g_u), (1, g_ab), (2, g_ac)):
             mats = [u.copy(), vab.copy(), vac.copy()]
             m = mats[which]
@@ -342,6 +344,23 @@ def test_gradients_match_finite_differences():
                 fd = (value(plus) - value(minus)) / (2.0 * h)
                 want = 2.0 * part(grad[i, j])
                 assert fd == pytest.approx(want, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_cols", [8, 3])
+def test_armijo_slope_is_the_derivative_along_the_retraction(n_cols):
+    # the slope the Armijo test reads is the soft minimum's derivative along the
+    # curve the line search retracts; 8 columns at d_S = 2 give the Gram
+    # operand, 3 < d_S^2 the outer products
+    cfg = OptimizeConfig(d_s=2, d_a=1, d_b=2, d_c=2, env_dim=2, **SMALL)
+    rng = np.random.default_rng(n_cols)
+    h = 1e-5
+    for _ in range(20):
+        u, vab, vac = _params_for(cfg, rng)
+        cols = _probe_cols(cfg, rng, n=n_cols)
+        assert search_probes(cols).dtype.kind == ("f" if n_cols == 8 else "c")
+        _, _, x, xi, slope = stage_objective(u, vab, vac, cols, cfg.dims4, temp=30.0)
+        plus, minus = (_value_along(x, xi, t, cols, cfg.dims4, temp=30.0) for t in (h, -h))
+        assert (plus - minus) / (2.0 * h) == pytest.approx(slope, rel=1e-6)
 
 
 def _einsum_reference(u, vab, vac, cols, dims4, temp):
@@ -381,7 +400,7 @@ def test_kernel_matches_einsum_reference(d_s, d_a, d_b, d_c, d_e):
         cols = _probe_cols(cfg, rng, n=25)
         f_ab, f_ac, value, grads = _einsum_reference(u, vab, vac, cols, cfg.dims4, 25.0)
         (got_ab, got_ac), _ = branch_values(u, vab, vac, probe_matrix(cols), cfg.dims4)
-        got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
+        got_value, got_grads, *_ = stage_objective(u, vab, vac, cols, cfg.dims4, 25.0)
         assert np.max(np.abs(got_ab - f_ab)) <= 1e-13
         assert np.max(np.abs(got_ac - f_ac)) <= 1e-13
         # the one-shot contraction behind measure_eps and chain_verify
@@ -409,7 +428,7 @@ def test_both_search_contractions_match_reference(monkeypatch, operand, d_s, d_a
     u, vab, vac = _params_for(cfg, rng)
     cols = _probe_cols(cfg, rng, n=25)
     _, _, value, grads = _einsum_reference(u, vab, vac, cols, cfg.dims4, 25.0)
-    got_value, *got_grads = objective_value_and_grads(u, vab, vac, cols, cfg.dims4, 25.0)
+    got_value, got_grads, *_ = stage_objective(u, vab, vac, cols, cfg.dims4, 25.0)
     assert abs(got_value - value) <= 1e-13
     for got, want in zip(got_grads, grads):
         assert np.max(np.abs(got - want)) <= 1e-13

@@ -680,6 +680,23 @@ def test_chain_report_schema():
     assert data["asymptotic"] == {k: list(v) for k, v in asymptotic_ladder().items()}
 
 
+def test_a_chain_report_file_is_its_callers_own():
+    # the ladder's JSON form is built once per process and all_satisfied once
+    # per report, yet a caller that edits one report's file object reaches no other
+    ladder = {k: list(v) for k, v in asymptotic_ladder().items()}
+    first, second = (chain_verify(perturbed_perfect_instance(2, 2, 2, 2, eps), 0.0, allow_trivial=True)
+                     for eps in (1e-6, 1e-4))
+    data = first.to_json()
+    data["asymptotic"]["eps_prime_b"][0] = -1.0
+    data["asymptotic"].clear()
+    data["constants"].clear()
+    assert second.to_json()["asymptotic"] == ladder
+    again = first.to_json()
+    assert again["asymptotic"] == ladder and again["constants"] == first.constants != {}
+    assert "all_satisfied" in vars(first)  # kept from its first read
+    assert again["all_satisfied"] is first.all_satisfied is True
+
+
 def test_chain_constants_guards():
     for bad in (0.0, -1e-3, 1.1):
         with pytest.raises(InvariantViolation, match=rf"eps = {bad} outside \(0, 1\]"):
