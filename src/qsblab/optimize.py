@@ -33,7 +33,16 @@ the returned instance from the same columns. Both receivers' fidelities
 travel as the kernel's one (2, n) stack; a point's hard and soft minimum
 are each taken once, when it is evaluated, and only a new stage's
 temperature retakes the soft one. A restart keeps (U, V_AB, V_AC) in one
-zero-padded (3, N_U, d_s) stack. Its retraction, Cholesky QR, gives exactly the positive-diagonal QR
+zero-padded (3, N_U, d_s) stack and allocates what its iterations write
+once (_scratch): two slots, each a point with its conjugate, which the kernel
+and the tangent projection both read, the direction at it and the arrays
+branch_values writes there; one gradient with the arrays branch_grads
+writes; and a copy of the best point, refreshed whenever it improves and
+never a slot. The slots alternate between the accepted point and the Armijo
+trial: a trial is retracted into the idle slot and evaluated there, and its
+acceptance swaps the two, so the previous point and direction, which the
+BB step reads, stay in the idle slot until the next trial.
+The retraction, Cholesky QR, gives exactly the positive-diagonal QR
 factor, as a tangent step M = X + t xi has M^H M = I + t^2 xi^H xi >= I; its
 orthonormality error grows like (1 + |t xi|^2) * 1e-16, so the line search
 never tries a step with |t xi| > STEP_CAP. It calls LAPACK's gufuncs as hilbert binds them
@@ -52,8 +61,9 @@ import numpy as np
 
 from .errors import InvariantViolation, TooLarge
 from .hilbert import TOL, as_int, haar_isometry_matrix, _cholesky_lo, _inv
-from .qsb import (QsbInstance, _embed_params, branch_grads, branch_values,
-                  default_probe_states, measure_eps, search_probes, split_clone_construct)
+from .qsb import (QsbInstance, _GradArrays, _ValueArrays, _embed_params, branch_grads,
+                  branch_values, default_probe_states, measure_eps, search_probes,
+                  split_clone_construct)
 
 DIM_CAP = 4096
 ENV_CAP = 16
@@ -173,45 +183,79 @@ def _unpad(s: np.ndarray, dims4: tuple[int, int, int, int]) -> tuple[np.ndarray,
     return s[0], s[1, : d_a * d_b], s[2, : d_a * d_c]
 
 
-def _evaluate(x: np.ndarray, probes: np.ndarray, dims4: tuple[int, int, int, int]):
-    """Both receivers' fidelities at the padded stack x as one (2, n) stack, the
-    factor tuple branch_grads reads, and their hard minimum."""
-    f, cached = branch_values(*_unpad(x, dims4), probes, dims4)
+@dataclass
+class _Slot:
+    """One evaluated point's arrays, written in place: the padded point x, its
+    unpadded views, its conjugate xc, the direction xi at it, and the arrays
+    branch_values writes there."""
+
+    x: np.ndarray
+    views: tuple[np.ndarray, ...]
+    xc: np.ndarray
+    xi: np.ndarray
+    values: _ValueArrays
+
+
+def _scratch(probes: np.ndarray, n_u: int, d_s: int,
+             dims4: tuple[int, int, int, int]) -> tuple[_Slot, _Slot, np.ndarray, _GradArrays]:
+    """Everything a restart's iterations write, allocated once: two evaluation
+    slots, which the accepted point and the Armijo trial alternate between, and
+    the padded gradient g with the arrays branch_grads writes. Every padding
+    row of a slot's x and of g stays zero."""
+    def slot() -> _Slot:
+        x = np.zeros((3, n_u, d_s), dtype=np.complex128)
+        xc = np.zeros_like(x)
+        return _Slot(x, _unpad(x, dims4), xc, np.empty_like(x), _ValueArrays(xc[0], probes, dims4))
+
+    g = np.zeros((3, n_u, d_s), dtype=np.complex128)
+    return slot(), slot(), g, _GradArrays(*_unpad(g, dims4), probes, dims4)
+
+
+def _evaluate(slot: _Slot, probes: np.ndarray, dims4: tuple[int, int, int, int]):
+    """Both receivers' fidelities at the slot's point as one (2, n) stack, the
+    factor tuple branch_grads reads, and their hard minimum. The point's
+    conjugate, which the kernel and the tangent projection read, is taken here."""
+    np.conjugate(slot.x, out=slot.xc)
+    f, cached = branch_values(*slot.views, probes, dims4, slot.values)
     return f, cached, float(np.minimum.reduce(f, None))
 
 
-def _direction(x: np.ndarray, g: np.ndarray, cached: tuple, e: np.ndarray, z: float,
-               dims4: tuple[int, int, int, int]) -> tuple[np.ndarray, float]:
-    """Tangent ascent direction xi of the soft minimum at the padded stack x, and its slope.
+def _direction(slot: _Slot, g: np.ndarray, grads: _GradArrays, cached: tuple, e: np.ndarray,
+               z: float) -> tuple[np.ndarray, float]:
+    """Tangent ascent direction xi of the soft minimum at the slot's point, and its slope.
 
-    e and z are _soft_min's exponentials and their sum at x; e becomes the weights
-    in place. branch_grads writes the gradients w.r.t. conj(U, V_AB, V_AC) into the
-    unpadded views of g, whose padding rows stay zero: a real perturbation of an
-    entry moves the soft minimum by 2 Re(g) per unit, an imaginary one by 2 Im(g).
-    As g - xi is normal to the tangent space, the slope along _qr_positive(x + t xi)
-    at t = 0, which the Armijo test reads, is 2 Re<g, xi> = 2 |xi|^2.
+    e and z are _soft_min's exponentials and their sum there; e becomes the
+    weights in place. branch_grads writes the gradients w.r.t. conj(U, V_AB,
+    V_AC) into the unpadded views of g (grads), whose padding rows stay zero: a
+    real perturbation of an entry moves the soft minimum by 2 Re(g) per unit,
+    an imaginary one by 2 Im(g). xi is written into the slot. As g - xi is
+    normal to the tangent space, the slope along _qr_positive(x + t xi) at
+    t = 0, which the Armijo test reads, is 2 Re<g, xi> = 2 |xi|^2.
     """
-    branch_grads(cached, np.divide(e, z, out=e), _unpad(g, dims4))
-    xi = _tangent(x, g)
+    branch_grads(cached, np.divide(e, z, out=e), grads)
+    xi = _tangent(slot.x, g, slot.xc, slot.xi)
     return xi, 2.0 * float(np.vdot(xi, xi).real)
 
 
-def _qr_positive(m: np.ndarray) -> np.ndarray:
-    """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack.
+def _qr_positive(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Positive-diagonal thin QR factor M L^-H, L L^H = M^H M, of a (..., N, k) stack,
+    written into out when given (not m itself), which holds conj(M) until then.
 
     np.linalg's LAPACK gufuncs as hilbert binds them, minus the wrappers, costlier
     than LAPACK on small blocks. They give NaN, not LinAlgError, on a Gram not
     positive definite; here M^H M >= I.
     """
-    r = _inv(_cholesky_lo(m.conj().swapaxes(-1, -2) @ m))
-    return m @ np.conjugate(r, out=r).swapaxes(-1, -2)
+    r = _inv(_cholesky_lo(np.conjugate(m, out=out).swapaxes(-1, -2) @ m))
+    return np.matmul(m, np.conjugate(r, out=r).swapaxes(-1, -2), out=out)
 
 
-def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project g onto the tangent space at the (..., N, k) isometry stack v."""
-    vg = v.conj().swapaxes(-1, -2) @ g
+def _tangent(v: np.ndarray, g: np.ndarray, vc: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Project g onto the tangent space at the (..., N, k) isometry stack v; vc
+    is conj(v) and out receives the result, where the caller has them."""
+    vg = (v.conj() if vc is None else vc).swapaxes(-1, -2) @ g
     vg += vg.conj().swapaxes(-1, -2)
-    p = v @ np.multiply(vg, 0.5, out=vg)
+    p = np.matmul(v, np.multiply(vg, 0.5, out=vg), out=out)
     return np.subtract(g, p, out=p)
 
 
@@ -236,26 +280,25 @@ def _run_restart(
     index: int,
 ) -> _RestartOutcome:
     dims4 = config.dims4
-    # every step maps the stack's zero padding rows to zero rows
-    x = np.zeros((3, init[0].shape[0], config.d_s), dtype=np.complex128)
+    cur, idle, g, grads = _scratch(probes, init[0].shape[0], config.d_s, dims4)
     for k, m in enumerate(init):
-        x[k, : m.shape[0]] = m
-    g, x_t = np.zeros_like(x), np.empty_like(x)  # gradient and trial point, written in place
-    f, cached, hard = _evaluate(x, probes, dims4)
-    best_hard, best_x, step = hard, x, STEP_INIT
+        cur.x[k, : m.shape[0]] = m
+    x_t, s, y = np.empty_like(cur.x), np.empty_like(cur.x), np.empty_like(cur.x)
+    f, cached, hard = _evaluate(cur, probes, dims4)
+    best_hard, best_x, step = hard, cur.x.copy(), STEP_INIT  # best_x: a copy, never a slot
     e = np.empty_like(f)  # the current point's soft-min exponentials, then each trial's
 
     def stage(temp: float, budget: int) -> tuple[int, str]:
         """Ascend the soft minimum at temp by at most budget BB1 steps under the
         nonmonotone Armijo test; return the steps taken and the stop reason."""
-        nonlocal x, f, cached, hard, step, best_hard, best_x  # carried from stage to stage
+        nonlocal cur, idle, f, cached, hard, step, best_hard  # carried from stage to stage
         soft = deque(maxlen=MEMORY)
-        last = None  # the stage's previous (x, xi), for the BB step
+        last = None  # the stage's previous (x, xi), the idle slot's until its next trial
         value, z = _soft_min(f, hard, temp, e)
         for done in range(budget):
             if best_hard >= 1.0 - TOL:
                 return done, "perfect"
-            xi, slope = _direction(x, g, cached, e, z, dims4)
+            xi, slope = _direction(cur, g, grads, cached, e, z)
             if slope < 2.0 * GRAD_TOL * GRAD_TOL:  # |xi| < GRAD_TOL
                 return done, "converged"
 
@@ -263,31 +306,34 @@ def _run_restart(
             # Re<s, y> < 0, and otherwise the last accepted step grows by 1.3
             bb = 0.0
             if last is not None:
-                s = x - last[0]
-                sy = float(np.vdot(s, xi - last[1]).real)
+                np.subtract(cur.x, last[0], out=s)
+                sy = float(np.vdot(s, np.subtract(xi, last[1], out=y)).real)
                 if sy < 0.0:
                     bb = float(np.vdot(s, s).real) / -sy
             step = min(bb if bb > 0.0 else step * 1.3, 10.0)
-            last = (x, xi)
+            last = (cur.x, xi)
             soft.append(value)
             floor = min(soft)
 
             # nonmonotone Armijo backtracking on the smoothed objective, against
-            # the smallest of the stage's last MEMORY soft values. The accepted
-            # trial's f, hard and soft minimum carry over to the next iteration.
+            # the smallest of the stage's last MEMORY soft values. Each trial is
+            # retracted into the idle slot, and acceptance swaps the slots: the
+            # accepted trial's f, hard and soft minimum carry over to the next iteration.
             trial = min(step, STEP_CAP / math.sqrt(0.5 * slope))
             while trial > 1e-14:
-                x2 = _qr_positive(np.add(x, np.multiply(xi, trial, out=x_t), out=x_t))
-                f2, cached2, hard2 = _evaluate(x2, probes, dims4)
+                _qr_positive(np.add(cur.x, np.multiply(xi, trial, out=x_t), out=x_t), idle.x)
+                f2, cached2, hard2 = _evaluate(idle, probes, dims4)
                 value2, z2 = _soft_min(f2, hard2, temp, e)
                 if value2 >= floor + 1e-4 * trial * slope:
-                    x, f, cached, hard, value, z, step = x2, f2, cached2, hard2, value2, z2, trial
+                    cur, idle = idle, cur
+                    f, cached, hard, value, z, step = f2, cached2, hard2, value2, z2, trial
                     break
                 trial *= 0.5
             else:
                 return done + 1, "line_search_exhausted"
             if hard > best_hard:
-                best_hard, best_x = hard, x
+                best_hard = hard
+                np.copyto(best_x, cur.x)
         return budget, "perfect" if best_hard >= 1.0 - TOL else "max_iters"
 
     # the ladder: a stage that converges or spends its share hands over to the

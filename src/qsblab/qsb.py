@@ -319,12 +319,84 @@ def search_probes(cols: np.ndarray) -> np.ndarray:
     return _outer_columns(cols)
 
 
+class _ValueArrays:
+    """The arrays a branch_values call writes at one point, with the views it
+    and branch_grads take of them, built once per point shape and operand.
+
+    uc is conj(U), which the caller writes before each call; uc_c its
+    B<->C-transposed copy, written through the view pair transpose; k the
+    stack K with its zero padding rows, k2 the same as (2, R, d_s^2); k_b and
+    k_c pair each branch's view of conj(U) with its rows of K; f the (2, n)
+    fidelities. form holds the Gram form's conj(K) and Gram blocks H, or the
+    |K P|^2 form's K P and its row sums, with their views.
+    """
+
+    def __init__(self, uc: np.ndarray, probes: np.ndarray, dims4: tuple[int, int, int, int]):
+        d_a, d_b, d_c, d_e = dims4
+        d_s = uc.shape[1]
+        rows, c = max(d_b, d_c) * d_e, np.complex128
+        self.uc, self.uc_c = uc, np.empty((d_a * d_c, d_b * d_e * d_s), c)
+        self.k = np.zeros((2, rows * d_s, d_s), c)
+        self.k2 = self.k.reshape(2, rows, d_s * d_s)
+        self.transpose = (self.uc_c.reshape(d_a, d_c, d_b, -1),
+                          uc.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3))
+        self.k_b = uc.reshape(d_a * d_b, -1).T, self.k[0, : d_c * d_e * d_s]
+        self.k_c = self.uc_c.T, self.k[1, : d_b * d_e * d_s]
+        if probes.dtype == np.float64:
+            self.f = np.empty((2, probes.shape[0]))
+            kc, h = np.empty_like(self.k2), np.empty((2, d_s**2, d_s**2), c)
+            self.form = kc, kc.swapaxes(1, 2), h, h.reshape(2, -1).view(np.float64), probes.T
+        else:
+            n = probes.shape[1]
+            self.f = np.empty((2, n))
+            kp, sums = np.empty((2 * rows, n), c), np.empty((2, 2 * n))
+            kp_float = kp.view(np.float64)
+            self.form = (self.k.reshape(-1, d_s * d_s), kp, kp_float,
+                         kp_float.reshape(2, rows, 2 * n), sums, sums[:, 0::2], sums[:, 1::2])
+
+
+class _GradArrays:
+    """The arrays a branch_grads call writes, with the views it takes of them,
+    built once per probe operand: the caller's gradient arrays g_u, g_vab and
+    g_vac, C-contiguous and of U's, V_AB's and V_AC's shapes, and what the
+    call works in.
+
+    a is A, written through the float view form (Gram form) or from the
+    weighted P in form and conj(P)^T, which is built here once (|K P|^2 form);
+    gk is G = K A and gc its conjugate. u_b, u_c, vab and vac hold each
+    gradient product's operand and output views; u_c adds g_uc, the C
+    branch's U-gradient before its B<->C transposition.
+    """
+
+    def __init__(self, g_u: np.ndarray, g_vab: np.ndarray, g_vac: np.ndarray,
+                 probes: np.ndarray, dims4: tuple[int, int, int, int]):
+        d_a, d_b, d_c, d_e = dims4
+        d_s = g_u.shape[1]
+        rows, c = max(d_b, d_c) * d_e, np.complex128
+        rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
+        if probes.dtype == np.float64:
+            self.form = np.empty((2, 2 * d_s**4))
+            self.a = self.form.view(c).reshape(2, d_s**2, d_s**2)
+        else:
+            self.form = probes.conj().T, np.empty((2, *probes.shape), c)
+            self.a = np.empty((2, d_s**2, d_s**2), c)
+        self.gk, self.gc = np.empty((2, rows, d_s**2), c), np.empty((2, rows, d_s**2), c)
+        gk, gc = self.gk.reshape(2, -1, d_s), self.gc.reshape(2, -1, d_s)
+        g_uc = np.empty((d_a * d_c, rc), c)
+        self.u_b = g_u.reshape(d_a * d_b, -1), gc[0, :rb].T
+        self.u_c = (gc[1, :rc].T, g_uc, g_u.reshape(d_a, d_b, d_c, -1),
+                    g_uc.reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3))
+        self.vab = gk[0, :rb], g_vab
+        self.vac = gc[1, :rc], g_vac
+
+
 def branch_values(
     u: np.ndarray,
     vab: np.ndarray,
     vac: np.ndarray,
     probes: np.ndarray,
     dims4: tuple[int, int, int, int],
+    out: _ValueArrays | None = None,
 ):
     """Both receiver fidelities as one (2, n) stack, and the factor tuple branch_grads reads.
 
@@ -336,52 +408,61 @@ def branch_values(
     zero-padded (2, max(d_b, d_c) * d_e, d_s^2) stack K whose zero rows add
     nothing to either contraction. probes is either operand form of
     search_probes.
+
+    out holds the caller-given arrays the call writes (_ValueArrays): the
+    B<->C-transposed copy of conj(U), K, the form's intermediates and the
+    (2, n) fidelities, which are returned. The caller has written conj(u)
+    into out.uc: a search conjugates its point once, for this kernel and for
+    its tangent projection. Without out the call builds its own from u.
     """
-    d_a, d_b, d_c, d_e = dims4
-    d_s = vab.shape[1]
-    uc = u.conj()
-    uc_c = uc.reshape(d_a, d_b, d_c, -1).transpose(0, 2, 1, 3).reshape(d_a * d_c, -1)
-    k = np.zeros((2, max(d_b, d_c) * d_e * d_s, d_s), dtype=np.complex128)
-    np.matmul(uc.reshape(d_a * d_b, -1).T, vab, out=k[0, : d_c * d_e * d_s])
-    np.matmul(uc_c.T, vac, out=k[1, : d_b * d_e * d_s])
-    k = k.reshape(2, -1, d_s * d_s)
+    if out is None:
+        out = _ValueArrays(u.conj(), probes, dims4)
+    np.copyto(*out.transpose)
+    np.dot(out.k_b[0], vab, out=out.k_b[1])
+    np.dot(out.k_c[0], vac, out=out.k_c[1])
     if probes.dtype == np.float64:
-        h = k.conj().swapaxes(1, 2) @ k
-        f = np.dot(h.reshape(2, -1).view(np.float64), probes.T)
+        kc, kc_t, h, h_float, probes_t = out.form
+        np.conjugate(out.k2, out=kc)
+        np.matmul(kc_t, out.k2, out=h)
+        np.dot(h_float, probes_t, out=out.f)
     else:
-        w = (k.reshape(-1, d_s * d_s) @ probes).view(np.float64)
-        np.square(w, out=w)
-        f = w.reshape(2, -1, 2 * probes.shape[1]).sum(axis=1)
-        f = f[:, 0::2] + f[:, 1::2]
-    return f, (k, u, uc_c, vab, vac, probes, dims4)
+        k_flat, kp, kp_float, kp_rows, sums, even, odd = out.form
+        np.dot(k_flat, probes, out=kp)
+        np.square(kp_float, out=kp_float)
+        np.add.reduce(kp_rows, axis=1, out=sums)
+        np.add(even, odd, out=out.f)
+    return out.f, (out, u, vab, vac, probes, dims4)
 
 
-def branch_grads(cached: tuple, w: np.ndarray, out: tuple[np.ndarray, ...]) -> None:
+def branch_grads(cached: tuple, w: np.ndarray, out: _GradArrays) -> None:
     """Gradients of sum_n w[0, n] f_ab[n] + w[1, n] f_ac[n] w.r.t. conj(U, V_AB, V_AC).
 
     cached is the factor tuple branch_values returned for the point, and out
-    holds three C-contiguous arrays of U's, V_AB's and V_AC's shapes, which
-    receive the gradients. With A = sum_n w[n] p_n p_n^H per branch, read from the probe
-    operand (search_probes), one product gives both branches' G = K A as
-    [ce s, s'] matrices. As K_B is conj(U_B)^T V_AB for U_B = U[ab, ce s],
-    g_U = V_AB conj(G_B)^T and g_VAB = U_B G_B; C's terms add likewise, with
-    U's B and C axes swapped.
+    holds the caller-given arrays the call writes (_GradArrays): the three
+    gradients, built over the caller's C-contiguous arrays of U's, V_AB's and
+    V_AC's shapes, and the products it works in. With A = sum_n w[n] p_n p_n^H
+    per branch, read from the probe operand (search_probes), one product gives
+    both branches' G = K A as [ce s, s'] matrices. As K_B is conj(U_B)^T V_AB
+    for U_B = U[ab, ce s], g_U = V_AB conj(G_B)^T and g_VAB = U_B G_B; C's
+    terms add likewise, with U's B and C axes swapped. The rest are 2-D
+    products on contiguous or transposed-contiguous operands.
     """
-    k, u, uc_c, vab, vac, probes, (d_a, d_b, d_c, d_e) = cached
-    g_u, g_vab, g_vac = out
-    d_s = vab.shape[1]
+    values, u, vab, vac, probes, (d_a, d_b, _, _) = cached
     if probes.dtype == np.float64:
-        a = np.dot(w, probes).view(np.complex128).reshape(2, d_s * d_s, d_s * d_s)
+        np.dot(w, probes, out=out.form)
     else:
-        a = (probes * w[:, None, :]) @ probes.conj().T
-    gk = (k @ a).reshape(2, -1, d_s)
-    gh = gk.conj().swapaxes(1, 2)
-    rb, rc = d_c * d_e * d_s, d_b * d_e * d_s
-    np.matmul(vab, gh[0, :, :rb], out=g_u.reshape(d_a * d_b, -1))
-    g_u = g_u.reshape(d_a, d_b, d_c, -1)
-    g_u += np.dot(vac, gh[1, :, :rc]).reshape(d_a, d_c, d_b, -1).transpose(0, 2, 1, 3)
-    np.matmul(u.reshape(d_a * d_b, -1), gk[0, :rb], out=g_vab)
-    np.conjugate(np.dot(uc_c, gh[1, :, :rc].T), out=g_vac)
+        pc_t, pw = out.form
+        np.matmul(np.multiply(probes, w[:, None, :], out=pw), pc_t, out=out.a)
+    np.conjugate(np.matmul(values.k2, out.a, out=out.gk), out=out.gc)
+    g_u, gc_b = out.u_b
+    np.dot(vab, gc_b, out=g_u)
+    gc_c, g_uc, g_u4, g_uc_t = out.u_c
+    np.dot(vac, gc_c, out=g_uc)
+    np.add(g_u4, g_uc_t, out=g_u4)
+    gk_b, g_vab = out.vab
+    np.dot(u.reshape(d_a * d_b, -1), gk_b, out=g_vab)
+    gc_c, g_vac = out.vac
+    np.conjugate(np.dot(values.uc_c, gc_c, out=g_vac), out=g_vac)
 
 
 def measure_eps(instance: QsbInstance, cols: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

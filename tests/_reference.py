@@ -19,16 +19,16 @@ def stage_objective(u, vab, vac, cols, dims4, temp):
     """The search stage's soft minimum at (U, V_AB, V_AC) and the probe columns
     cols, its gradients w.r.t. conj(U, V_AB, V_AC), the padded point x, its
     tangent ascent direction xi and its Armijo slope: the stage's own
-    evaluation and direction, on the matrices zero-padded into one stack."""
-    x = np.zeros((3, *u.shape), dtype=np.complex128)
+    evaluation and direction, on the matrices zero-padded into a restart's slot."""
+    probes = optimize.search_probes(cols)
+    slot, _, g, grads = optimize._scratch(probes, *u.shape, dims4)
     for k, m in enumerate((u, vab, vac)):
-        x[k, : m.shape[0]] = m
-    f, cached, hard = optimize._evaluate(x, optimize.search_probes(cols), dims4)
+        slot.x[k, : m.shape[0]] = m
+    f, cached, hard = optimize._evaluate(slot, probes, dims4)
     e = np.empty_like(f)
     value, z = optimize._soft_min(f, hard, temp, e)
-    g = np.zeros_like(x)
-    xi, slope = optimize._direction(x, g, cached, e, z, dims4)
-    return value, optimize._unpad(g, dims4), x, xi, slope
+    xi, slope = optimize._direction(slot, g, grads, cached, e, z)
+    return value, optimize._unpad(g, dims4), slot.x, xi, slope
 
 
 def pure_density(psi):

@@ -212,13 +212,13 @@ def test_step_beyond_the_retraction_range_is_refused(monkeypatch):
     retract = optimize_module._qr_positive
     errors: list[float] = []
 
-    def steep_rank_one_tangent(x, g):
+    def steep_rank_one_tangent(x, g, xc, out):
         xi = tangent(x, g)[..., :1]
         xi = xi - x @ (x.conj().swapaxes(-1, -2) @ xi)
         return 1e8 * xi * np.array([1.0, 0.5])
 
-    def checked_retraction(m):
-        q = retract(m)
+    def checked_retraction(m, out):
+        q = retract(m, out)
         errors.append(float(np.max(np.abs(q[0].conj().T @ q[0] - np.eye(q.shape[-1])))))
         return q
 
@@ -616,9 +616,9 @@ def test_step_rule_needs_few_iterations_and_trials(monkeypatch):
     trials = []
     retract = optimize_module._qr_positive
 
-    def counting_retraction(m):
+    def counting_retraction(m, out):
         trials.append(1)
-        return retract(m)
+        return retract(m, out)
 
     monkeypatch.setattr(optimize_module, "_qr_positive", counting_retraction)
     point = optimize_qsb(OptimizeConfig(2, 1, 2, 2, env_dim=8, restarts=1, seed=42))
@@ -648,9 +648,9 @@ def test_no_point_is_evaluated_twice(monkeypatch):
         restarts[-1]["points"].append((u.tobytes(), vab.tobytes(), vac.tobytes()))
         return evaluate(u, vab, vac, *rest)
 
-    def counting_retraction(m):
+    def counting_retraction(m, out):
         restarts[-1]["trials"] += 1
-        return retract(m)
+        return retract(m, out)
 
     def counting_soft_min(*args):
         restarts[-1]["soft_mins"] += 1
@@ -670,6 +670,71 @@ def test_no_point_is_evaluated_twice(monkeypatch):
         assert r["soft_mins"] <= len(r["points"]) - 1 + optimize_module.STAGES
     # pinned: a retraction that moves any step changes how many trials it takes
     assert [r["trials"] for r in restarts] == [217, 205, 230]
+
+
+@pytest.mark.parametrize("operand", [probe_matrix, qsb_module._outer_columns])
+def test_every_direction_takes_the_one_gradient(monkeypatch, operand):
+    # the gradient counterpart of test_no_point_is_evaluated_twice: each
+    # direction of a restart comes from branch_grads, the gradient the gates
+    # check, on either probe operand, and from no second composition of it
+    calls = {"directions": 0, "grads": 0}
+    direction, grads = optimize_module._direction, optimize_module.branch_grads
+
+    def counting_direction(*args):
+        calls["directions"] += 1
+        return direction(*args)
+
+    def counting_grads(*args):
+        calls["grads"] += 1
+        return grads(*args)
+
+    monkeypatch.setattr(optimize_module, "_direction", counting_direction)
+    monkeypatch.setattr(optimize_module, "branch_grads", counting_grads)
+    cfg = OptimizeConfig(2, 1, 2, 2, env_dim=4, restarts=1, max_iters=300, **SMALL)
+    cols = _probe_cols(cfg, np.random.default_rng(12), n=30)
+    init = _params_for(cfg, np.random.default_rng(13))
+    out = optimize_module._run_restart(cfg, operand(cols), init, 0)
+    assert calls["directions"] >= out.iterations > 0
+    assert calls["grads"] == calls["directions"]
+
+
+def _arrays(obj):
+    """Every array an object of the restart's scratch holds, views included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(list(vars(obj).values()))
+
+
+def test_a_restart_owns_what_it_returns(monkeypatch):
+    # a restart writes every iterate into the two slots it allocates, and returns
+    # a copy of its best point: neither its own later trials nor a later restart
+    # can change what it returned, and no instance shares memory with a slot
+    scratch, slots = optimize_module._scratch, []
+
+    def recording_scratch(*args):
+        slots.append(scratch(*args))
+        return slots[-1]
+
+    monkeypatch.setattr(optimize_module, "_scratch", recording_scratch)
+    cfg = OptimizeConfig(3, 2, 2, 3, env_dim=4, restarts=2, max_iters=60, **SMALL)
+    probes = probe_matrix(_probe_cols(cfg, np.random.default_rng(14), n=30))
+    rng = np.random.default_rng(15)
+    first = optimize_module._run_restart(cfg, probes, _params_for(cfg, rng), 0)
+    kept = [m.copy() for m in first.params]
+    optimize_module._run_restart(cfg, probes, _params_for(cfg, rng), 1)
+    assert all(np.array_equal(m, k) for m, k in zip(first.params, kept))
+    f, _ = branch_values(*first.params, probes, cfg.dims4)
+    assert float(f.min()) == first.best_hard
+
+    inst = optimize_qsb(cfg).best_instance
+    assert len(slots) == 4
+    scratch_arrays = list(_arrays(slots))
+    for m in (*first.params, inst.u, inst.v_abs, inst.v_acs):
+        assert not any(np.shares_memory(m, a) for a in scratch_arrays)
 
 
 def test_optimize_rejects_bad_warm_start(monkeypatch):
